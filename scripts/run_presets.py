@@ -18,7 +18,6 @@ SELF_CONTAINED = ("path-impulse", "path-chirp", "random-irregular")
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-root", default="out/presets", help="artifact directory root")
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args(argv)
 
     header = f"{'preset':<18} {'N':>4} {'J':>2} {'min|d|':>12} {'rel error':>12} {'secs':>6}"
@@ -26,9 +25,7 @@ def main(argv=None) -> int:
     print("-" * len(header))
     worst = 0.0
     for name in SELF_CONTAINED:
-        report = run_experiment(
-            load_preset(name), out_dir=Path(args.out_root) / name, threads=args.threads
-        )
+        report = run_experiment(load_preset(name), out_dir=Path(args.out_root) / name)
         worst = max(worst, report.relative_error)
         print(
             f"{name:<18} {report.num_vertices:>4} {report.num_windows:>2} "

@@ -107,6 +107,7 @@ from .windows import (
     WindowFamily,
     check_nondegeneracy,
     default_nondegeneracy_tolerance,
+    denominator,
     energy_response,
     format_condition_report,
     load_family_csv,

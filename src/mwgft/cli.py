@@ -133,7 +133,6 @@ def _cmd_run(args) -> int:
     report = run_experiment(
         config,
         out_dir=args.out,
-        threads=args.threads,
         graph_file=args.graph_file,
         dump_coefficients=args.dump_coefficients,
         write_pgm=args.pgm,
@@ -185,7 +184,7 @@ def _cmd_windows_check(args) -> int:
 def _cmd_analyze(args) -> int:
     config, _, basis, family = _pipeline(args)
     signal = _signals.build_signal(config.signal, basis)
-    coeffs = mwgft_analyze(basis, family, signal, threads=args.threads)
+    coeffs = mwgft_analyze(basis, family, signal)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_signal_csv(out / "signal.csv", signal)
@@ -199,9 +198,7 @@ def _cmd_synthesize(args) -> int:
     config, _, basis, family = _pipeline(args)
     coeffs = load_coefficients(args.coefficients)
     reconstructed = mwgft_synthesize(
-        basis, family, coeffs,
-        tolerance=config.nondegeneracy_tolerance,
-        threads=args.threads,
+        basis, family, coeffs, tolerance=config.nondegeneracy_tolerance
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -256,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run a full experiment from a config or preset")
     _add_config_options(p)
     p.add_argument("--out", metavar="DIR", default=None, help="output directory")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--seed", type=int, default=None,
                    help="override random-graph / random-signal seeds")
     p.add_argument("--dump-coefficients", action="store_true",
@@ -287,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_options(p)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", metavar="DIR", required=True)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("synthesize", help="reconstruct a signal from stored coefficients")
@@ -295,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--coefficients", metavar="FILE", required=True)
     p.add_argument("--out", metavar="DIR", required=True)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_synthesize)
 
     p = sub.add_parser("spectrogram", help="squared-magnitude maps from stored coefficients")

@@ -279,7 +279,6 @@ def _summary_text(report: ExperimentReport) -> str:
 def run_experiment(
     config: ExperimentConfig,
     out_dir=None,
-    threads: int = 1,
     graph_file=None,
     dump_coefficients: bool = False,
     write_pgm: bool = False,
@@ -326,7 +325,7 @@ def run_experiment(
     signal = _signals.build_signal(config.signal, basis)
     emit("signal", "signal.csv", lambda p: _signals.save_signal_csv(p, signal))
 
-    coeffs = mwgft_analyze(basis, family, signal, threads=threads)
+    coeffs = mwgft_analyze(basis, family, signal)
     if graph.num_vertices <= COEFFICIENT_DUMP_LIMIT or dump_coefficients:
         emit("coefficients", "coefficients.csv", lambda p: save_coefficients(p, coeffs))
 
@@ -341,7 +340,7 @@ def run_experiment(
     # synthesize after the condition report exists on disk, so a degenerate
     # family still leaves an inspectable trail when this raises
     reconstructed = mwgft_synthesize(
-        basis, family, coeffs, tolerance=config.nondegeneracy_tolerance, threads=threads
+        basis, family, coeffs, tolerance=config.nondegeneracy_tolerance
     )
     emit("reconstructed", "reconstructed.csv", lambda p: _signals.save_signal_csv(p, reconstructed))
 

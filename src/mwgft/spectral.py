@@ -38,8 +38,9 @@ class SpectralBasis:
     """Eigendecomposition of a graph Laplacian.
 
     ``eigenvalues`` are sorted ascending; column ``ell`` of ``vectors`` is the
-    (real, unit-norm) eigenvector for ``eigenvalues[ell]``.  Frequencies are
-    indexed 0..N-1 throughout the package.
+    (real, unit-norm) eigenvector for ``eigenvalues[ell]``; complex vectors
+    raise :class:`InvalidParameter`.  Frequencies are indexed 0..N-1
+    throughout the package.
     """
 
     eigenvalues: np.ndarray
@@ -48,7 +49,9 @@ class SpectralBasis:
 
     def __post_init__(self):
         vals = np.asarray(self.eigenvalues, dtype=float)
-        vecs = np.asarray(self.vectors)
+        if np.iscomplexobj(self.vectors):
+            raise InvalidParameter("eigenvectors of a graph Laplacian must be real")
+        vecs = np.asarray(self.vectors, dtype=float)
         if vals.ndim != 1 or vecs.shape != (vals.size, vals.size):
             raise DimensionMismatch(
                 f"eigenvalues {vals.shape} and vectors {vecs.shape} are inconsistent"

@@ -5,20 +5,32 @@ The windowed transform of a signal f against a window g is the N x N matrix
     S(n, k) = <f, g_{n,k}>,    g_{n,k} = M_k T_n g,
 
 with vertices n down the rows (1-based) and frequencies k across the columns
-(0-based).  The whole matrix is assembled from dense matrix products instead
-of N^2 individual atom inner products: row n of S is sqrt(N) times the GFT of
-``h_n(i) = f(i) * conj((T_n g)(i))``, and all translates come from a single
-N^3 product.  The atom-by-atom path survives only as a test oracle.
+(0-based).  With the real eigenvector matrix U it factors as
 
-Multi-window synthesis divides the accumulated filter outputs by the
-per-vertex denominator ``d(n)``; it is exact whenever d never vanishes.
+    S_j = N U diag(conj ghat_j) A,    A = U^T diag(f) U,
+
+and the complex-symmetric factor A does not depend on the window.  Analysis
+of J windows therefore costs J + 1 dense N^3 products: one for A (with the
+factor N folded in) and one per window, written into a single (J, N, N)
+buffer.  Synthesis is the adjoint: ``M = sum_j diag(gammahat_j) U^T S_j`` is
+accumulated in one N x N buffer, U is applied once, and
+``p(i) = N sum_k U(i, k) (U M)(i, k)``; again J + 1 products.  The
+atom-by-atom path survives only as a test oracle.
+
+Every product has the real U (or U^T) on the left.  A C-contiguous complex
+matrix read as float64 holds its real and imaginary parts in interleaved
+columns, which U maps independently, so a product with complex data is one
+real GEMM of twice the width instead of a complex GEMM on a promoted copy
+of U.
+
+Synthesis divides p by ``N d(n)``, with the per-vertex denominator d from
+:func:`mwgft.windows.denominator`; it is exact whenever d never vanishes.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,12 +40,18 @@ from .errors import (
     DegenerateDenominator,
     DimensionMismatch,
     FingerprintMismatch,
+    InvalidParameter,
     NotAFrame,
     ParseError,
 )
-from .operators import translate_all, translation_inner_products, translate_norms_sq
+from .operators import translation_inner_products, translate_norms_sq
 from .spectral import SpectralBasis, gft
-from .windows import SpectralWindow, WindowFamily, default_nondegeneracy_tolerance
+from .windows import (
+    SpectralWindow,
+    WindowFamily,
+    default_nondegeneracy_tolerance,
+    denominator,
+)
 
 
 def _window_spectrum(basis: SpectralBasis, window) -> np.ndarray:
@@ -48,7 +66,10 @@ def _window_spectrum(basis: SpectralBasis, window) -> np.ndarray:
                 f"window sampled on {window.size} eigenvalues, basis has {basis.size}"
             )
         return window.samples
-    return gft(basis, window)
+    spectrum = gft(basis, window)
+    if not np.all(np.isfinite(spectrum)):
+        raise InvalidParameter("window has non-finite values")
+    return spectrum
 
 
 @dataclass(frozen=True)
@@ -104,30 +125,45 @@ class Spectrogram:
     averaged: np.ndarray
 
 
-def _wgft_spectrum(basis: SpectralBasis, window_spectrum: np.ndarray, signal: np.ndarray) -> np.ndarray:
-    translates = translate_all(basis, window_spectrum)  # column n-1 = T_n g
-    windowed = signal[:, None] * np.conj(translates)
-    return np.sqrt(basis.size) * (basis.vectors.conj().T @ windowed).T
+def _left_multiply(u: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``u @ b`` for a real matrix ``u``: one real GEMM even when ``b`` is complex.
+
+    ``out``, when given, must have the dtype of ``b`` and be C-contiguous.
+    """
+    if b.dtype != np.complex128:
+        return np.matmul(u, b, out=out)
+    b = np.ascontiguousarray(b)
+    real_out = None if out is None else out.view(np.float64)
+    return np.matmul(u, b.view(np.float64), out=real_out).view(np.complex128)
 
 
-def wgft(basis: SpectralBasis, window, signal: np.ndarray) -> np.ndarray:
-    """Windowed transform ``S(n, k) = <f, g_{n,k}>`` as an N x N complex matrix."""
+def _analyze(basis: SpectralBasis, spectra, signal) -> np.ndarray:
+    """``S_j = N U diag(conj ghat_j) A`` for every window spectrum, as (J, N, N).
+
+    Real signal and real windows give float64 coefficients, anything else
+    complex128.
+    """
     signal = np.asarray(signal)
     if signal.shape != (basis.size,):
         raise DimensionMismatch(f"signal shape {signal.shape}, expected ({basis.size},)")
-    return _wgft_spectrum(basis, _window_spectrum(basis, window), signal)
+    if not np.all(np.isfinite(signal)):
+        raise InvalidParameter("signal has non-finite values")
+    u, n = basis.vectors, basis.size
+    dtype = np.result_type(signal, *spectra, np.float64)
+    shared = _left_multiply(u.T, (n * signal)[:, None] * u).astype(dtype, copy=False)  # N A
+    out = np.empty((len(spectra), n, n), dtype=dtype)
+    last = len(spectra) - 1
+    for j, g_hat in enumerate(spectra):
+        # the last slot is scratch until the last window, which scales A in place
+        scaled = shared if j == last else out[last]
+        np.multiply(np.conj(g_hat)[:, None], shared, out=scaled)
+        _left_multiply(u, scaled, out=out[j])
+    return out
 
 
-def _synthesis_numerator(basis: SpectralBasis, gamma_hat: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """``p(i) = sum_{n,k} S(n,k) gamma_{n,k}(i)`` via two dense products.
-
-    Filtering the coefficient columns by gamma gives
-    C = U diag(gamma_hat) U^H S^T; contracting C against the modulation
-    factors chi_k(i) yields p without ever forming an atom.
-    """
-    u = basis.vectors
-    filtered = u @ (gamma_hat[:, None] * (u.conj().T @ coeffs))  # (i, k)
-    return basis.size * np.einsum("ik,ik->i", u, filtered)
+def wgft(basis: SpectralBasis, window, signal: np.ndarray) -> np.ndarray:
+    """Windowed transform ``S(n, k) = <f, g_{n,k}>`` as an N x N matrix."""
+    return _analyze(basis, [_window_spectrum(basis, window)], signal)[0]
 
 
 def reconstruct_two_window(
@@ -139,51 +175,32 @@ def reconstruct_two_window(
 ) -> np.ndarray:
     """Invert a single-window transform with a (possibly different) dual window.
 
-    ``f(i) = [N <T_i gamma, T_i g>]^{-1} sum_{n,k} S(n,k) gamma_{n,k}(i)``.
-    Raises :class:`DegenerateDenominator` listing the vertices where the
+    ``f(i) = [N <T_i gamma, T_i g>]^{-1} sum_{n,k} S(n,k) gamma_{n,k}(i)``,
+    i.e. :func:`mwgft_synthesize` for the one-pair family.  Raises
+    :class:`DegenerateDenominator` listing the vertices where the
     denominator magnitude is at or below tolerance.
     """
-    coeffs = np.asarray(coeffs)
-    if coeffs.shape != (basis.size, basis.size):
-        raise DimensionMismatch(
-            f"coefficients shape {coeffs.shape}, expected ({basis.size}, {basis.size})"
-        )
-    g_hat = _window_spectrum(basis, window)
-    gamma_hat = _window_spectrum(basis, dual_window)
-    if tolerance is None:
-        tolerance = 1e-10 * basis.size * float(
-            np.linalg.norm(g_hat) * np.linalg.norm(gamma_hat)
-        )
-    d = translation_inner_products(basis, g_hat, gamma_hat)
-    bad = np.flatnonzero(np.abs(d) <= tolerance)
-    if bad.size:
-        raise DegenerateDenominator(
-            f"|<T_i dual, T_i window>| <= {tolerance:.3e}", vertices=bad + 1
-        )
-    return _synthesis_numerator(basis, gamma_hat, coeffs) / (basis.size * d)
+    family = WindowFamily(
+        (SpectralWindow(_window_spectrum(basis, window)),),
+        (SpectralWindow(_window_spectrum(basis, dual_window)),),
+    )
+    coeffs = WgftCoefficients((coeffs,), basis.fingerprint)
+    return mwgft_synthesize(basis, family, coeffs, tolerance)
 
 
 def mwgft_analyze(
-    basis: SpectralBasis, family: WindowFamily, signal: np.ndarray, threads: int = 1
+    basis: SpectralBasis, family: WindowFamily, signal: np.ndarray
 ) -> WgftCoefficients:
-    """Windowed transform against every analysis window of the family."""
-    signal = np.asarray(signal)
-    if signal.shape != (basis.size,):
-        raise DimensionMismatch(f"signal shape {signal.shape}, expected ({basis.size},)")
+    """Windowed transform against every analysis window of the family.
+
+    The matrices are views into one (J, N, N) array.
+    """
     if family.size != basis.size:
         raise DimensionMismatch(
             f"family sampled on {family.size} eigenvalues, basis has {basis.size}"
         )
-
-    def one(w: SpectralWindow) -> np.ndarray:
-        return _wgft_spectrum(basis, w.samples, signal)
-
-    if threads > 1 and family.num_windows > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            matrices = list(pool.map(one, family.analysis))
-    else:
-        matrices = [one(w) for w in family.analysis]
-    return WgftCoefficients(tuple(matrices), basis.fingerprint)
+    stacked = _analyze(basis, [w.samples for w in family.analysis], signal)
+    return WgftCoefficients(tuple(stacked), basis.fingerprint)
 
 
 def mwgft_synthesize(
@@ -191,13 +208,12 @@ def mwgft_synthesize(
     family: WindowFamily,
     coeffs: WgftCoefficients,
     tolerance: float | None = None,
-    threads: int = 1,
 ) -> np.ndarray:
     """Exact multi-window reconstruction ``f(i) = p(i) / (N d(i))``.
 
-    Contributions are reduced in fixed window order so single-threaded output
-    is bit-reproducible; threaded runs compute the per-window terms in
-    parallel but still sum them in order.
+    Window contributions are accumulated in fixed window order.  Raises
+    :class:`InvalidParameter` when the result is not finite, which is how
+    non-finite coefficients surface without scanning all J N^2 of them.
     """
     if coeffs.basis_fingerprint != basis.fingerprint:
         raise FingerprintMismatch(
@@ -211,29 +227,29 @@ def mwgft_synthesize(
         raise DimensionMismatch("coefficients / family / basis sizes differ")
     if tolerance is None:
         tolerance = default_nondegeneracy_tolerance(family)
-
-    d = np.zeros(basis.size, dtype=complex)
-    for g, gam in zip(family.analysis, family.synthesis):
-        d += translation_inner_products(basis, g.samples, gam.samples)
+    d = denominator(basis, family)
     bad = np.flatnonzero(np.abs(d) <= tolerance)
     if bad.size:
         raise DegenerateDenominator(
             f"sum_j |<T_i gamma_j, T_i g_j>| <= {tolerance:.3e}", vertices=bad + 1
         )
 
-    def one(j: int) -> np.ndarray:
-        return _synthesis_numerator(basis, family.synthesis[j].samples, coeffs.matrices[j])
-
-    indices = range(family.num_windows)
-    if threads > 1 and family.num_windows > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            terms = list(pool.map(one, indices))
-    else:
-        terms = [one(j) for j in indices]
-    numerator = np.zeros(basis.size, dtype=complex)
-    for term in terms:
-        numerator = numerator + term
-    return numerator / (basis.size * d)
+    u, n = basis.vectors, basis.size
+    gammas = [w.samples for w in family.synthesis]
+    dtype = np.result_type(*coeffs.matrices, *gammas, np.float64)
+    acc = np.zeros((n, n), dtype=dtype)  # M
+    term = np.empty((n, n), dtype=dtype)
+    for s, gamma_hat in zip(coeffs.matrices, gammas):
+        _left_multiply(u.T, np.asarray(s, dtype=dtype), out=term)
+        term *= gamma_hat[:, None]
+        acc += term
+    _left_multiply(u, acc, out=term)
+    term *= u
+    # p = N * rowsum(U * UM); its factor N cancels the N of the denominator
+    reconstructed = term.sum(axis=1) / d
+    if not np.all(np.isfinite(reconstructed)):
+        raise InvalidParameter("reconstruction is not finite; coefficients hold NaN or inf")
+    return reconstructed
 
 
 def frame_bounds(
@@ -284,8 +300,15 @@ def frame_bounds(
 
 def spectrogram(coeffs: WgftCoefficients) -> Spectrogram:
     """Squared magnitudes per window plus their mean over windows."""
-    per = tuple(np.abs(m) ** 2 for m in coeffs.matrices)
-    return Spectrogram(per, np.mean(np.stack(per), axis=0))
+    per = []
+    for m in coeffs.matrices:
+        power = np.abs(m)
+        per.append(np.square(power, out=power))
+    averaged = per[0].copy()
+    for power in per[1:]:
+        averaged += power
+    averaged /= len(per)
+    return Spectrogram(tuple(per), averaged)
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,10 @@ windowed transform works exactly when the per-vertex denominator
 
     d(n) = sum_j <T_n gamma_j, T_n g_j>
 
-never vanishes; :func:`check_nondegeneracy` evaluates that directly and
-:func:`sufficient_conditions` evaluates the cheaper spectral-side criteria
-that certify it without touching the vertex domain.
+never vanishes; :func:`denominator` computes it, :func:`check_nondegeneracy`
+compares it against a tolerance, and :func:`sufficient_conditions` evaluates
+the cheaper spectral-side criteria that certify it without touching the
+vertex domain.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .errors import (
     ParseError,
 )
 from .graph import LaplacianKind
-from .operators import translation_inner_products
 from .spectral import SpectralBasis, spectral_magnitudes
 
 #: energy responses at or below this are treated as no coverage at all
@@ -216,6 +216,21 @@ def default_nondegeneracy_tolerance(family: WindowFamily) -> float:
     return 1e-10 * n * max(worst, np.finfo(float).tiny)
 
 
+def denominator(basis: SpectralBasis, family: WindowFamily) -> np.ndarray:
+    """``d(n) = sum_j <T_n gamma_j, T_n g_j>`` at every vertex (entry n-1).
+
+    Summing the pair spectra first makes it one matvec,
+    ``d = N |U|^2 @ sum_j gammahat_j conj(ghat_j)``.
+    """
+    if family.size != basis.size:
+        raise DimensionMismatch(
+            f"family sampled on {family.size} eigenvalues, basis has {basis.size}"
+        )
+    spectrum = sum(gam.samples * np.conj(g.samples)
+                   for g, gam in zip(family.analysis, family.synthesis))
+    return basis.size * (np.square(basis.vectors) @ spectrum)
+
+
 @dataclass(frozen=True)
 class SufficientConditions:
     """Per-condition verdicts for the spectral-side reconstruction criteria.
@@ -327,15 +342,9 @@ def check_nondegeneracy(
 
     ``satisfied`` is True exactly when ``min_n |d(n)| > tolerance``.
     """
-    if family.size != basis.size:
-        raise DimensionMismatch(
-            f"family sampled on {family.size} eigenvalues, basis has {basis.size}"
-        )
+    d = denominator(basis, family)
     if tolerance is None:
         tolerance = default_nondegeneracy_tolerance(family)
-    d = np.zeros(basis.size, dtype=complex)
-    for g, gam in zip(family.analysis, family.synthesis):
-        d += translation_inner_products(basis, g.samples, gam.samples)
     min_abs = float(np.abs(d).min())
     conditions = sufficient_conditions(basis, family, tolerance)
     return ConditionReport(

@@ -181,13 +181,6 @@ class TestRunExperiment:
         assert a.outputs["summary"].read_bytes() == b.outputs["summary"].read_bytes()
         assert a.outputs["reconstructed"].read_bytes() == b.outputs["reconstructed"].read_bytes()
 
-    def test_threads_do_not_change_results(self, tmp_path):
-        config = load_preset("path-chirp")
-        a = run_experiment(config, out_dir=tmp_path / "a", threads=1)
-        b = run_experiment(config, out_dir=tmp_path / "b", threads=2)
-        assert a.outputs["summary"].read_bytes() == b.outputs["summary"].read_bytes()
-        assert a.outputs["coefficients"].read_bytes() == b.outputs["coefficients"].read_bytes()
-
     def test_coefficient_dump_gate(self, tmp_path):
         mapping = minimal_mapping(
             graph={"source": "path", "size": 201},

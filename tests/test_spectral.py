@@ -7,6 +7,7 @@ from mwgft import (
     DimensionMismatch,
     InvalidParameter,
     MultipleZeroEigenvalues,
+    SpectralBasis,
     eigendecompose,
     gft,
     igft,
@@ -95,6 +96,11 @@ class TestEigendecompose:
     def test_non_laplacian_rejected(self):
         with pytest.raises(InvalidParameter):
             eigendecompose(np.eye(3), UNNORM)
+
+    def test_complex_vectors_rejected(self):
+        basis = basis_for(path_graph(4))
+        with pytest.raises(InvalidParameter):
+            SpectralBasis(basis.eigenvalues, basis.vectors * 1j, basis.kind)
 
     def test_fingerprint_distinguishes_kind(self):
         g = path_graph(10)

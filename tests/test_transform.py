@@ -7,6 +7,7 @@ from mwgft import (
     DegenerateDenominator,
     DimensionMismatch,
     FingerprintMismatch,
+    InvalidParameter,
     NotAFrame,
     ParseError,
     SpectralWindow,
@@ -43,20 +44,44 @@ def rbf_family(basis, count=3, l_fac=0.7, same=False):
     return WindowFamily.with_normalized_synthesis(analysis)
 
 
+def oracle_case(rng, graph, complex_signal, complex_windows, num_windows):
+    """(basis, family, signal) for the atom-oracle comparisons: a random graph
+    or a star (whose Laplacian has a repeated eigenvalue), real or complex
+    signal and window spectra, J windows with energy-normalized duals."""
+    basis = random_basis(153, size=8) if graph == "random" else basis_for(star_graph(8))
+    n = basis.size
+    analysis = []
+    for _ in range(num_windows):
+        g_hat = random_complex(rng, n) if complex_windows else rng.uniform(0.2, 1.2, n)
+        analysis.append(SpectralWindow(g_hat))
+    family = WindowFamily.with_normalized_synthesis(analysis)
+    f = random_complex(rng, n) if complex_signal else rng.standard_normal(n)
+    return basis, family, f
+
+
 class TestWgft:
     def test_zero_signal(self):
         basis = random_basis(130)
         coeffs = wgft(basis, np.ones(basis.size), np.zeros(basis.size))
         assert np.array_equal(coeffs, np.zeros((basis.size, basis.size)))
 
-    def test_fast_path_matches_atom_oracle(self, rng):
-        basis = random_basis(131, size=12)
-        g = random_complex(rng, 12)
-        f = random_complex(rng, 12)
-        fast = wgft(basis, g, f)
-        direct = wgft_direct(basis, g, f)
-        scale = np.abs(direct).max()
-        assert np.allclose(fast, direct, atol=1e-10 * scale)
+    @pytest.mark.parametrize("num_windows", [1, 3])
+    @pytest.mark.parametrize("complex_windows", [False, True], ids=["real-g", "complex-g"])
+    @pytest.mark.parametrize("complex_signal", [False, True], ids=["real-f", "complex-f"])
+    @pytest.mark.parametrize("graph", ["random", "star"])
+    def test_fast_path_matches_atom_oracle(
+        self, rng, graph, complex_signal, complex_windows, num_windows
+    ):
+        basis, family, f = oracle_case(rng, graph, complex_signal, complex_windows, num_windows)
+        coeffs = mwgft_analyze(basis, family, f)
+        real = not (complex_signal or complex_windows)
+        assert coeffs.matrices[0].dtype == (np.float64 if real else np.complex128)
+        for w, fast in zip(family.analysis, coeffs.matrices):
+            g = basis.vectors @ w.samples
+            direct = wgft_direct(basis, g, f)
+            scale = np.abs(direct).max()
+            for got in (fast, wgft(basis, g, f)):
+                assert np.allclose(got, direct, atol=1e-10 * scale)
 
     def test_energy_identity(self, rng):
         basis = random_basis(132, size=18)
@@ -80,6 +105,14 @@ class TestWgft:
         basis = random_basis(134)
         with pytest.raises(DimensionMismatch):
             wgft(basis, random_complex(rng, basis.size), random_complex(rng, basis.size + 1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_signal_rejected(self, rng, bad):
+        basis = random_basis(135, size=9)
+        f = random_complex(rng, 9)
+        f[4] = bad
+        with pytest.raises(InvalidParameter):
+            wgft(basis, random_complex(rng, 9), f)
 
 
 class TestReconstructTwoWindow:
@@ -177,26 +210,37 @@ class TestMwgft:
         rec_padded = mwgft_synthesize(basis, padded, mwgft_analyze(basis, padded, f))
         assert np.allclose(rec_base, rec_padded, atol=1e-12)
 
-    def test_matches_naive_synthesis(self, rng):
-        basis = random_basis(153, size=8)
-        family = rbf_family(basis, count=2)
-        f = random_complex(rng, 8)
+    @pytest.mark.parametrize("num_windows", [1, 3])
+    @pytest.mark.parametrize("complex_windows", [False, True], ids=["real-g", "complex-g"])
+    @pytest.mark.parametrize("complex_signal", [False, True], ids=["real-f", "complex-f"])
+    @pytest.mark.parametrize("graph", ["random", "star"])
+    def test_matches_naive_synthesis(
+        self, rng, graph, complex_signal, complex_windows, num_windows
+    ):
+        basis, family, f = oracle_case(rng, graph, complex_signal, complex_windows, num_windows)
         coeffs = mwgft_analyze(basis, family, f)
         fast = mwgft_synthesize(basis, family, coeffs)
         naive = synthesize_direct(basis, family, coeffs.matrices)
         assert np.allclose(fast, naive, atol=1e-8 * np.linalg.norm(f))
+        assert np.linalg.norm(fast - f) <= 1e-10 * np.linalg.norm(f)
 
-    def test_threaded_matches_serial(self, rng):
-        basis = random_basis(154, size=20)
-        family = rbf_family(basis, count=4)
-        f = random_complex(rng, 20)
-        serial = mwgft_analyze(basis, family, f, threads=1)
-        threaded = mwgft_analyze(basis, family, f, threads=3)
-        for a, b in zip(serial.matrices, threaded.matrices):
-            assert np.array_equal(a, b)
-        rec_serial = mwgft_synthesize(basis, family, serial, threads=1)
-        rec_threaded = mwgft_synthesize(basis, family, threaded, threads=3)
-        assert np.array_equal(rec_serial, rec_threaded)
+    def test_non_finite_signal_rejected(self, rng):
+        basis = random_basis(156, size=10)
+        f = random_complex(rng, 10)
+        f[3] = np.nan
+        with pytest.raises(InvalidParameter):
+            mwgft_analyze(basis, rbf_family(basis), f)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_coefficients_rejected(self, rng, bad):
+        basis = random_basis(157, size=10)
+        family = rbf_family(basis)
+        coeffs = mwgft_analyze(basis, family, random_complex(rng, 10))
+        damaged = [m.copy() for m in coeffs.matrices]
+        damaged[1][2, 5] = bad
+        with pytest.raises(InvalidParameter):
+            mwgft_synthesize(basis, family, WgftCoefficients(tuple(damaged), basis.fingerprint))
 
     def test_fingerprint_guard(self, rng):
         basis_a = basis_for(path_graph(10))

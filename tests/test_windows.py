@@ -10,6 +10,7 @@ from mwgft import (
     WindowFamily,
     check_nondegeneracy,
     default_nondegeneracy_tolerance,
+    denominator,
     energy_response,
     load_family_csv,
     path_graph,
@@ -18,6 +19,7 @@ from mwgft import (
     shifted_family,
     sufficient_conditions,
     synthesis_family,
+    translation_inner_products,
     uniform_shifts,
 )
 from mwgft.windows import format_condition_report
@@ -168,6 +170,20 @@ class TestCheckNondegeneracy:
         n = basis.size
         assert np.allclose(report.denominators, n, rtol=1e-8)
         assert report.satisfied
+
+    def test_denominator_sums_pairwise_translation_products(self, rng):
+        basis = random_basis(103, size=11)
+        family = WindowFamily.paired(
+            [SpectralWindow(random_complex(rng, 11)) for _ in range(3)],
+            [SpectralWindow(random_complex(rng, 11)) for _ in range(3)],
+        )
+        pairwise = sum(
+            translation_inner_products(basis, g.samples, gam.samples)
+            for g, gam in zip(family.analysis, family.synthesis)
+        )
+        assert np.allclose(denominator(basis, family), pairwise, rtol=1e-12, atol=0)
+        assert np.array_equal(check_nondegeneracy(basis, family).denominators,
+                              denominator(basis, family))
 
     def test_disjoint_supports_fail_everywhere(self):
         basis = basis_for(path_graph(6))
