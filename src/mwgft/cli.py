@@ -134,7 +134,6 @@ def _cmd_run(args) -> int:
         config,
         out_dir=args.out,
         graph_file=args.graph_file,
-        dump_coefficients=args.dump_coefficients,
         write_pgm=args.pgm,
     )
     print((report.outputs["summary"]).read_text(encoding="utf-8"), end="")
@@ -189,7 +188,7 @@ def _cmd_analyze(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     save_signal_csv(out / "signal.csv", signal)
     save_family_csv(out / "windows.csv", basis, family)
-    save_coefficients(out / "coefficients.csv", coeffs)
+    save_coefficients(out / "coefficients.npz", coeffs)
     print(f"outputs: {out}")
     return 0
 
@@ -255,8 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="DIR", default=None, help="output directory")
     p.add_argument("--seed", type=int, default=None,
                    help="override random-graph / random-signal seeds")
-    p.add_argument("--dump-coefficients", action="store_true",
-                   help="write coefficient CSVs even on large graphs")
     p.add_argument("--pgm", action="store_true", help="also write a PGM spectrogram image")
     p.set_defaults(func=_cmd_run)
 

@@ -2,8 +2,9 @@
 analyze -> spectrogram -> synthesize -> report files.
 
 Configs are YAML mappings (see the shipped presets under ``presets/``), and
-:func:`run_experiment` writes a fixed set of CSV artifacts plus a plain-text
-summary whose values are byte-identical across single-threaded reruns.
+:func:`run_experiment` writes a fixed set of CSV artifacts plus
+``coefficients.npz`` and a plain-text summary whose values are byte-identical
+across reruns at a fixed BLAS thread count.
 """
 
 from __future__ import annotations
@@ -46,9 +47,6 @@ from .windows import (
     shifted_family,
     uniform_shifts,
 )
-
-#: above this vertex count, coefficient CSVs are only written on request
-COEFFICIENT_DUMP_LIMIT = 200
 
 PAIRING_MODES = ("normalized-synthesis", "same-as-analysis")
 
@@ -280,7 +278,6 @@ def run_experiment(
     config: ExperimentConfig,
     out_dir=None,
     graph_file=None,
-    dump_coefficients: bool = False,
     write_pgm: bool = False,
 ) -> ExperimentReport:
     """Run one configured experiment and write its artifacts.
@@ -326,8 +323,7 @@ def run_experiment(
     emit("signal", "signal.csv", lambda p: _signals.save_signal_csv(p, signal))
 
     coeffs = mwgft_analyze(basis, family, signal)
-    if graph.num_vertices <= COEFFICIENT_DUMP_LIMIT or dump_coefficients:
-        emit("coefficients", "coefficients.csv", lambda p: save_coefficients(p, coeffs))
+    emit("coefficients", "coefficients.npz", lambda p: save_coefficients(p, coeffs))
 
     spec = spectrogram(coeffs)
     for j, matrix in enumerate(spec.per_window, start=1):
@@ -372,5 +368,4 @@ def run_experiment(
         outputs=outputs,
     )
     emit("summary", "summary.txt", lambda p: Path(p).write_text(_summary_text(result), encoding="utf-8"))
-    result.outputs = outputs
     return result

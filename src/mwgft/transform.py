@@ -12,7 +12,8 @@ with vertices n down the rows (1-based) and frequencies k across the columns
 and the complex-symmetric factor A does not depend on the window.  Analysis
 of J windows therefore costs J + 1 dense N^3 products: one for A (with the
 factor N folded in) and one per window, written into a single (J, N, N)
-buffer.  Synthesis is the adjoint: ``M = sum_j diag(gammahat_j) U^T S_j`` is
+buffer, which :class:`WgftCoefficients` holds and ``coefficients.npz`` stores
+as is.  Synthesis is the adjoint: ``M = sum_j diag(gammahat_j) U^T S_j`` is
 accumulated in one N x N buffer, U is applied once, and
 ``p(i) = N sum_k U(i, k) (U M)(i, k)``; again J + 1 products.  The
 atom-by-atom path survives only as a test oracle.
@@ -30,9 +31,8 @@ Synthesis divides p by ``N d(n)``, with the per-vertex denominator d from
 from __future__ import annotations
 
 import csv
-import json
+import zipfile
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -74,26 +74,26 @@ def _window_spectrum(basis: SpectralBasis, window) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WgftCoefficients:
-    """Per-window coefficient matrices plus the basis fingerprint they belong to."""
+    """Per-window coefficient matrices as one (J, N, N) array, plus the
+    fingerprint of the basis they belong to."""
 
-    matrices: tuple[np.ndarray, ...]
+    matrices: np.ndarray
     basis_fingerprint: str
 
     def __post_init__(self):
-        matrices = tuple(np.asarray(m) for m in self.matrices)
-        if len(matrices) == 0:
-            raise DimensionMismatch("need at least one coefficient matrix")
-        n = matrices[0].shape[0]
-        for m in matrices:
-            if m.shape != (n, n):
-                raise DimensionMismatch(
-                    f"coefficient matrices must all be ({n}, {n}), got {m.shape}"
-                )
+        try:
+            matrices = np.asarray(self.matrices)
+        except ValueError as exc:  # ragged stack of matrices
+            raise DimensionMismatch(f"coefficient matrices differ in shape: {exc}") from exc
+        if matrices.ndim != 3 or matrices.shape[0] < 1 or matrices.shape[1] != matrices.shape[2]:
+            raise DimensionMismatch(
+                f"coefficients must be (J, N, N) with J >= 1, got shape {matrices.shape}"
+            )
         object.__setattr__(self, "matrices", matrices)
 
     @property
     def num_windows(self) -> int:
-        return len(self.matrices)
+        return self.matrices.shape[0]
 
     @property
     def size(self) -> int:
@@ -119,9 +119,10 @@ class FrameBounds:
 
 @dataclass(frozen=True)
 class Spectrogram:
-    """Squared-magnitude coefficient maps, per window and averaged over windows."""
+    """Squared-magnitude coefficient maps, per window as (J, N, N) and
+    averaged over windows."""
 
-    per_window: tuple[np.ndarray, ...]
+    per_window: np.ndarray
     averaged: np.ndarray
 
 
@@ -184,23 +185,20 @@ def reconstruct_two_window(
         (SpectralWindow(_window_spectrum(basis, window)),),
         (SpectralWindow(_window_spectrum(basis, dual_window)),),
     )
-    coeffs = WgftCoefficients((coeffs,), basis.fingerprint)
+    coeffs = WgftCoefficients(np.asarray(coeffs)[None], basis.fingerprint)
     return mwgft_synthesize(basis, family, coeffs, tolerance)
 
 
 def mwgft_analyze(
     basis: SpectralBasis, family: WindowFamily, signal: np.ndarray
 ) -> WgftCoefficients:
-    """Windowed transform against every analysis window of the family.
-
-    The matrices are views into one (J, N, N) array.
-    """
+    """Windowed transform against every analysis window of the family."""
     if family.size != basis.size:
         raise DimensionMismatch(
             f"family sampled on {family.size} eigenvalues, basis has {basis.size}"
         )
     stacked = _analyze(basis, [w.samples for w in family.analysis], signal)
-    return WgftCoefficients(tuple(stacked), basis.fingerprint)
+    return WgftCoefficients(stacked, basis.fingerprint)
 
 
 def mwgft_synthesize(
@@ -236,7 +234,7 @@ def mwgft_synthesize(
 
     u, n = basis.vectors, basis.size
     gammas = [w.samples for w in family.synthesis]
-    dtype = np.result_type(*coeffs.matrices, *gammas, np.float64)
+    dtype = np.result_type(coeffs.matrices, *gammas, np.float64)
     acc = np.zeros((n, n), dtype=dtype)  # M
     term = np.empty((n, n), dtype=dtype)
     for s, gamma_hat in zip(coeffs.matrices, gammas):
@@ -300,70 +298,46 @@ def frame_bounds(
 
 def spectrogram(coeffs: WgftCoefficients) -> Spectrogram:
     """Squared magnitudes per window plus their mean over windows."""
-    per = []
-    for m in coeffs.matrices:
-        power = np.abs(m)
-        per.append(np.square(power, out=power))
-    averaged = per[0].copy()
-    for power in per[1:]:
-        averaged += power
-    averaged /= len(per)
-    return Spectrogram(tuple(per), averaged)
+    per = np.abs(coeffs.matrices)
+    np.square(per, out=per)
+    return Spectrogram(per, per.sum(axis=0) / len(per))
 
 
 # ---------------------------------------------------------------------------
 # file formats
 # ---------------------------------------------------------------------------
 
-def _meta_path(path) -> Path:
-    path = Path(path)
-    return path.with_name(path.stem + ".meta.json")
-
-
 def save_coefficients(path, coeffs: WgftCoefficients) -> None:
-    """Coefficients as CSV (window, vertex, freq, re, im) plus a JSON sidecar
-    carrying the basis fingerprint."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["window", "vertex", "freq", "re", "im"])
-        for j, matrix in enumerate(coeffs.matrices, start=1):
-            for n in range(matrix.shape[0]):
-                for k in range(matrix.shape[1]):
-                    v = complex(matrix[n, k])
-                    writer.writerow([j, n + 1, k, repr(v.real), repr(v.imag)])
-    meta = {
-        "basis_fingerprint": coeffs.basis_fingerprint,
-        "num_windows": coeffs.num_windows,
-        "size": coeffs.size,
-    }
-    _meta_path(path).write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
+    """Coefficients as one uncompressed ``.npz``: the (J, N, N) array, dtype
+    kept, under ``coefficients`` and the basis fingerprint under
+    ``basis_fingerprint``."""
+    # an open handle keeps numpy from appending ".npz" to the caller's path
+    with open(path, "wb") as fh:
+        np.savez(
+            fh,
+            coefficients=coeffs.matrices,
+            basis_fingerprint=np.array(coeffs.basis_fingerprint),
+        )
 
 
 def load_coefficients(path) -> WgftCoefficients:
-    meta_file = _meta_path(path)
-    if not meta_file.exists():
-        raise ParseError(f"missing coefficient metadata file {meta_file}")
-    meta = json.loads(meta_file.read_text(encoding="utf-8"))
-    size = int(meta["size"])
-    num_windows = int(meta["num_windows"])
-    matrices = [np.zeros((size, size), dtype=complex) for _ in range(num_windows)]
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["window", "vertex", "freq", "re", "im"]:
-            raise ParseError(f"unexpected coefficient header {header}", 1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                j, n, k = int(row[0]), int(row[1]), int(row[2])
-                value = complex(float(row[3]), float(row[4]))
-            except (ValueError, IndexError):
-                raise ParseError("bad coefficient row", lineno)
-            if not (1 <= j <= num_windows and 1 <= n <= size and 0 <= k < size):
-                raise ParseError(f"indices ({j}, {n}, {k}) out of range", lineno)
-            matrices[j - 1][n - 1, k] = value
-    return WgftCoefficients(tuple(matrices), str(meta["basis_fingerprint"]))
+    """Read a file written by :func:`save_coefficients`, never unpickling.
+
+    A missing, damaged or foreign file raises :class:`ParseError`; an array
+    that is not (J, N, N) raises :class:`DimensionMismatch`.
+    """
+    try:
+        archive = np.load(path, allow_pickle=False)
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise ValueError("a single .npy array, not an .npz archive")
+        with archive:
+            matrices = archive["coefficients"]
+            fingerprint = str(archive["basis_fingerprint"])
+    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
+        raise ParseError(f"could not read coefficient file {path}: {exc}") from exc
+    if matrices.dtype not in (np.float64, np.complex128):
+        raise ParseError(f"coefficients have dtype {matrices.dtype}, expected float64 or complex128")
+    return WgftCoefficients(matrices, fingerprint)
 
 
 def save_spectrogram_csv(path, matrix: np.ndarray) -> None:

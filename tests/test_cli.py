@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
@@ -8,6 +11,7 @@ from mwgft import (
     ParseError,
     SpectralWindow,
     WindowFamily,
+    load_coefficients,
     load_signal_csv,
     save_family_csv,
 )
@@ -178,20 +182,18 @@ class TestRunExperiment:
         config = load_preset("path-impulse")
         a = run_experiment(config, out_dir=tmp_path / "a")
         b = run_experiment(config, out_dir=tmp_path / "b")
-        assert a.outputs["summary"].read_bytes() == b.outputs["summary"].read_bytes()
-        assert a.outputs["reconstructed"].read_bytes() == b.outputs["reconstructed"].read_bytes()
+        for key in ("summary", "reconstructed", "coefficients"):
+            assert a.outputs[key].read_bytes() == b.outputs[key].read_bytes(), key
 
-    def test_coefficient_dump_gate(self, tmp_path):
+    def test_large_graph_writes_coefficients(self, tmp_path):
         mapping = minimal_mapping(
             graph={"source": "path", "size": 201},
             signal={"type": "impulse", "center": 100},
             windows={"kernel": "rbf", "count": 1},
         )
-        config = config_from_mapping(mapping)
-        skipped = run_experiment(config, out_dir=tmp_path / "skip")
-        assert "coefficients" not in skipped.outputs
-        forced = run_experiment(config, out_dir=tmp_path / "force", dump_coefficients=True)
-        assert forced.outputs["coefficients"].is_file()
+        report = run_experiment(config_from_mapping(mapping), out_dir=tmp_path / "out")
+        assert report.outputs["coefficients"] == tmp_path / "out" / "coefficients.npz"
+        assert load_coefficients(report.outputs["coefficients"]).matrices.shape == (1, 201, 201)
 
     def test_coordinates_written_for_path_graph(self, tmp_path):
         config = config_from_mapping(minimal_mapping())
@@ -302,7 +304,7 @@ class TestCliPipelines:
         stage1, stage2 = tmp_path / "analysis", tmp_path / "synthesis"
         assert main(["analyze", "--preset", "path-impulse", "--out", str(stage1)]) == 0
         code = main(["synthesize", "--preset", "path-impulse",
-                     "--coefficients", str(stage1 / "coefficients.csv"),
+                     "--coefficients", str(stage1 / "coefficients.npz"),
                      "--out", str(stage2)])
         assert code == 0
         original = load_signal_csv(stage1 / "signal.csv")
@@ -319,7 +321,7 @@ class TestCliPipelines:
                             laplacian="unnormalized"),
         )
         code = main(["synthesize", "--config", other,
-                     "--coefficients", str(stage1 / "coefficients.csv"),
+                     "--coefficients", str(stage1 / "coefficients.npz"),
                      "--out", str(tmp_path / "s")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
@@ -328,7 +330,7 @@ class TestCliPipelines:
         stage1 = tmp_path / "analysis"
         assert main(["analyze", "--preset", "path-impulse", "--out", str(stage1)]) == 0
         out = tmp_path / "spec"
-        code = main(["spectrogram", "--coefficients", str(stage1 / "coefficients.csv"),
+        code = main(["spectrogram", "--coefficients", str(stage1 / "coefficients.npz"),
                      "--out", str(out), "--pgm"])
         assert code == 0
         printed = capsys.readouterr().out
@@ -394,3 +396,21 @@ class TestCliPipelines:
         out = capsys.readouterr().out
         assert "loose_lower" not in out
         assert out.count("window=") == 5
+
+
+def _load_script(name):
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"script_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_shipped_scripts_run(tmp_path, capsys):
+    run_presets = _load_script("run_presets")
+    assert run_presets.main(["--out-root", str(tmp_path)]) == 0
+    for name in run_presets.SELF_CONTAINED:
+        assert (tmp_path / name / "coefficients.npz").is_file(), name
+    sweep = _load_script("denominator_sweep")
+    assert sweep.main(["--size", "40", "--counts", "1", "3"]) == 0
+    assert "N = 40" in capsys.readouterr().out

@@ -353,24 +353,76 @@ class TestRotationRobustness:
         assert np.abs(c0 - c1).max() > 1e-6
 
 
+def _damage(kind, target, coeffs):
+    """Turn the valid coefficient file at ``target`` into a damaged one."""
+    blob = target.read_bytes()
+    if kind == "missing":
+        target.unlink()
+    elif kind == "truncated":
+        target.write_bytes(blob[: len(blob) // 2])
+    elif kind == "flipped-byte":
+        data = coeffs.matrices.tobytes()
+        at = blob.index(data) + len(data) // 2
+        target.write_bytes(blob[:at] + bytes([blob[at] ^ 0xFF]) + blob[at + 1:])
+    elif kind == "csv":
+        target.write_text("window,vertex,freq,re,im\n1,1,0,0.5,0.0\n", encoding="utf-8")
+    elif kind == "empty":
+        target.write_bytes(b"")
+    elif kind == "single-npy":
+        with open(target, "wb") as fh:
+            np.save(fh, coeffs.matrices)
+    elif kind == "no-fingerprint":
+        np.savez(target, coefficients=coeffs.matrices)
+    elif kind == "integer-dtype":
+        np.savez(target, coefficients=np.ones((2, 3, 3), dtype=np.int64),
+                 basis_fingerprint=np.array(coeffs.basis_fingerprint))
+    elif kind == "not-square":
+        np.savez(target, coefficients=np.zeros((2, 3, 4)),
+                 basis_fingerprint=np.array(coeffs.basis_fingerprint))
+
+
 class TestCoefficientsIo:
     def test_round_trip(self, tmp_path, rng):
         basis = random_basis(180, size=7)
         family = rbf_family(basis, count=2)
         coeffs = mwgft_analyze(basis, family, random_complex(rng, 7))
-        target = tmp_path / "coefficients.csv"
+        target = tmp_path / "coefficients.npz"
         save_coefficients(target, coeffs)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["coefficients.npz"]
         loaded = load_coefficients(target)
         assert loaded.basis_fingerprint == coeffs.basis_fingerprint
-        for a, b in zip(loaded.matrices, coeffs.matrices):
-            assert np.array_equal(a, b)
+        assert np.array_equal(loaded.matrices, coeffs.matrices)
         rec = mwgft_synthesize(basis, family, loaded)
         assert np.linalg.norm(rec) > 0
 
-    def test_missing_meta(self, tmp_path):
-        target = tmp_path / "c.csv"
-        target.write_text("window,vertex,freq,re,im\n", encoding="utf-8")
-        with pytest.raises(ParseError):
+    @pytest.mark.parametrize("complex_signal", [False, True], ids=["real", "complex"])
+    def test_dtype_survives_reload(self, tmp_path, rng, complex_signal):
+        # real signal + real windows analyze to float64, and a complex128
+        # reload would send synthesis down the complex path
+        basis = random_basis(181, size=9)
+        family = rbf_family(basis)
+        f = random_complex(rng, 9) if complex_signal else rng.standard_normal(9)
+        coeffs = mwgft_analyze(basis, family, f)
+        target = tmp_path / "coefficients.npz"
+        save_coefficients(target, coeffs)
+        loaded = load_coefficients(target)
+        expected = np.complex128 if complex_signal else np.float64
+        assert coeffs.matrices.dtype == loaded.matrices.dtype == expected
+        rec = mwgft_synthesize(basis, family, loaded)
+        assert np.linalg.norm(rec - f) <= 1e-10 * np.linalg.norm(f)
+
+    @pytest.mark.parametrize("kind", [
+        "missing", "truncated", "flipped-byte", "csv", "empty", "single-npy",
+        "no-fingerprint", "integer-dtype", "not-square",
+    ])
+    def test_damaged_file(self, tmp_path, rng, kind):
+        error = DimensionMismatch if kind == "not-square" else ParseError
+        basis = random_basis(182, size=8)
+        coeffs = mwgft_analyze(basis, rbf_family(basis, count=2), random_complex(rng, 8))
+        target = tmp_path / "coefficients.npz"
+        save_coefficients(target, coeffs)
+        _damage(kind, target, coeffs)
+        with pytest.raises(error):
             load_coefficients(target)
 
     def test_validation(self):
@@ -378,6 +430,16 @@ class TestCoefficientsIo:
             WgftCoefficients((np.zeros((3, 4)),), "x")
         with pytest.raises(DimensionMismatch):
             WgftCoefficients((), "x")
+        with pytest.raises(DimensionMismatch):
+            WgftCoefficients((np.zeros((3, 3)), np.zeros((4, 4))), "x")
+
+    def test_analysis_buffer_is_not_copied(self, rng):
+        basis = random_basis(183, size=6)
+        coeffs = mwgft_analyze(basis, rbf_family(basis), random_complex(rng, 6))
+        assert coeffs.matrices.shape == (3, 6, 6) and coeffs.matrices.flags.owndata
+        assert WgftCoefficients(coeffs.matrices, "x").matrices is coeffs.matrices
+        spec = spectrogram(coeffs)
+        assert spec.per_window.shape == (3, 6, 6)
 
 
 class TestSpectrogramFiles:
