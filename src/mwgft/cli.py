@@ -43,8 +43,7 @@ from .transform import (
     mwgft_analyze,
     mwgft_synthesize,
     save_coefficients,
-    save_spectrogram_csv,
-    save_spectrogram_pgm,
+    save_spectrogram_files,
     spectrogram,
 )
 from .windows import check_nondegeneracy, format_condition_report, save_family_csv
@@ -211,11 +210,7 @@ def _cmd_spectrogram(args) -> int:
     spec = spectrogram(coeffs)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for j, matrix in enumerate(spec.per_window, start=1):
-        save_spectrogram_csv(out / f"spectrogram_w{j}.csv", matrix)
-    save_spectrogram_csv(out / "spectrogram_avg.csv", spec.averaged)
-    if args.pgm:
-        save_spectrogram_pgm(out / "spectrogram_avg.pgm", spec.averaged)
+    save_spectrogram_files(out, spec, pgm=args.pgm)
     peak = np.unravel_index(np.argmax(spec.averaged), spec.averaged.shape)
     print(f"argmax_vertex: {int(peak[0]) + 1}")
     print(f"argmax_frequency: {int(peak[1])}")

@@ -32,8 +32,7 @@ from .transform import (
     mwgft_analyze,
     mwgft_synthesize,
     save_coefficients,
-    save_spectrogram_csv,
-    save_spectrogram_pgm,
+    save_spectrogram_files,
     spectrogram,
 )
 from .windows import (
@@ -326,11 +325,7 @@ def run_experiment(
     emit("coefficients", "coefficients.npz", lambda p: save_coefficients(p, coeffs))
 
     spec = spectrogram(coeffs)
-    for j, matrix in enumerate(spec.per_window, start=1):
-        emit(f"spectrogram_w{j}", f"spectrogram_w{j}.csv", lambda p, m=matrix: save_spectrogram_csv(p, m))
-    emit("spectrogram_avg", "spectrogram_avg.csv", lambda p: save_spectrogram_csv(p, spec.averaged))
-    if write_pgm:
-        emit("spectrogram_pgm", "spectrogram_avg.pgm", lambda p: save_spectrogram_pgm(p, spec.averaged))
+    outputs.update(save_spectrogram_files(out, spec, pgm=write_pgm))
     argmax_vertex = int(np.unravel_index(np.argmax(spec.averaged), spec.averaged.shape)[0]) + 1
 
     # synthesize after the condition report exists on disk, so a degenerate

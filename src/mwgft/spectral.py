@@ -179,11 +179,17 @@ def save_eigenvalues_csv(path, basis: SpectralBasis) -> None:
             fh.write(f"{ell},{float(lam)!r}\n")
 
 
+def _float_row(values: np.ndarray) -> str:
+    """``",".join(repr(float(v)) for v in values)`` for a float64 row, formatted
+    in one call: the repr of a list of floats is each float's repr joined by
+    ", ", and no float repr contains ", "."""
+    return repr(values.tolist())[1:-1].replace(", ", ",")
+
+
 def save_vectors_csv(path, basis: SpectralBasis) -> None:
     """Eigenvector matrix as rows (vertex, chi_0 .. chi_{N-1})."""
     n = basis.size
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("vertex," + ",".join(f"chi_{ell}" for ell in range(n)) + "\n")
-        for i in range(n):
-            row = ",".join(repr(float(v)) for v in basis.vectors[i])
-            fh.write(f"{i + 1},{row}\n")
+        for i, row in enumerate(basis.vectors, start=1):
+            fh.write(f"{i},{_float_row(row)}\n")

@@ -30,9 +30,9 @@ Synthesis divides p by ``N d(n)``, with the per-vertex denominator d from
 
 from __future__ import annotations
 
-import csv
 import zipfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -45,7 +45,7 @@ from .errors import (
     ParseError,
 )
 from .operators import translation_inner_products, translate_norms_sq
-from .spectral import SpectralBasis, gft
+from .spectral import SpectralBasis, _float_row, gft
 from .windows import (
     SpectralWindow,
     WindowFamily,
@@ -323,8 +323,9 @@ def save_coefficients(path, coeffs: WgftCoefficients) -> None:
 def load_coefficients(path) -> WgftCoefficients:
     """Read a file written by :func:`save_coefficients`, never unpickling.
 
-    A missing, damaged or foreign file raises :class:`ParseError`; an array
-    that is not (J, N, N) raises :class:`DimensionMismatch`.
+    A missing, damaged or foreign file, or one holding NaN or infinite
+    values, raises :class:`ParseError`; an array that is not (J, N, N)
+    raises :class:`DimensionMismatch`.
     """
     try:
         archive = np.load(path, allow_pickle=False)
@@ -337,17 +338,22 @@ def load_coefficients(path) -> WgftCoefficients:
         raise ParseError(f"could not read coefficient file {path}: {exc}") from exc
     if matrices.dtype not in (np.float64, np.complex128):
         raise ParseError(f"coefficients have dtype {matrices.dtype}, expected float64 or complex128")
+    if not np.isfinite(matrices).all():
+        raise ParseError(f"coefficient file {path} holds NaN or infinite values")
     return WgftCoefficients(matrices, fingerprint)
 
 
 def save_spectrogram_csv(path, matrix: np.ndarray) -> None:
-    """One spectrogram matrix as CSV: vertex row index, then |S|^2 per frequency."""
-    matrix = np.asarray(matrix)
+    """One spectrogram matrix as CSV: vertex row index, then |S|^2 per frequency.
+
+    Each value is written as ``repr(float(v))`` and each line ends in
+    ``\\r\\n``; rows are formatted and written one at a time.
+    """
+    matrix = np.asarray(matrix, dtype=np.float64)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["vertex"] + [f"k{k}" for k in range(matrix.shape[1])])
-        for n in range(matrix.shape[0]):
-            writer.writerow([n + 1] + [repr(float(v)) for v in matrix[n]])
+        fh.write("vertex," + ",".join(f"k{k}" for k in range(matrix.shape[1])) + "\r\n")
+        for n, row in enumerate(matrix, start=1):
+            fh.write(f"{n},{_float_row(row)}\r\n")
 
 
 def save_spectrogram_pgm(path, matrix: np.ndarray) -> None:
@@ -360,3 +366,24 @@ def save_spectrogram_pgm(path, matrix: np.ndarray) -> None:
     with open(path, "wb") as fh:
         fh.write(f"P5\n{cols} {rows}\n255\n".encode("ascii"))
         fh.write(pixels.tobytes())
+
+
+def save_spectrogram_files(out_dir, spec: Spectrogram, pgm: bool = False) -> dict[str, Path]:
+    """Write ``spectrogram_w{j}.csv`` per window, ``spectrogram_avg.csv`` and,
+    with ``pgm``, ``spectrogram_avg.pgm`` into ``out_dir``.
+
+    Returns the written paths under the keys ``spectrogram_w{j}``,
+    ``spectrogram_avg`` and ``spectrogram_pgm``, in writing order.
+    """
+    out = Path(out_dir)
+    written: dict[str, Path] = {}
+    for j, matrix in enumerate(spec.per_window, start=1):
+        key = f"spectrogram_w{j}"
+        written[key] = out / f"{key}.csv"
+        save_spectrogram_csv(written[key], matrix)
+    written["spectrogram_avg"] = out / "spectrogram_avg.csv"
+    save_spectrogram_csv(written["spectrogram_avg"], spec.averaged)
+    if pgm:
+        written["spectrogram_pgm"] = out / "spectrogram_avg.pgm"
+        save_spectrogram_pgm(written["spectrogram_pgm"], spec.averaged)
+    return written

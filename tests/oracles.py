@@ -9,6 +9,8 @@ the others.
 
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 
 from mwgft.operators import atom, convolve, translate
@@ -125,3 +127,23 @@ def rotate_degenerate_eigenspaces(basis: SpectralBasis, rng: np.random.Generator
             rotated = True
         start = stop
     return SpectralBasis(vals.copy(), vecs, basis.kind), rotated
+
+
+def save_spectrogram_csv_reference(path, matrix) -> None:
+    """Spectrogram CSV cell by cell: ``csv.writer`` rows of ``repr(float(v))``."""
+    matrix = np.asarray(matrix)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["vertex"] + [f"k{k}" for k in range(matrix.shape[1])])
+        for n in range(matrix.shape[0]):
+            writer.writerow([n + 1] + [repr(float(v)) for v in matrix[n]])
+
+
+def save_vectors_csv_reference(path, basis: SpectralBasis) -> None:
+    """Eigenvector CSV cell by cell: ``repr(float(v))`` joined per row, ``\n`` endings."""
+    n = basis.size
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("vertex," + ",".join(f"chi_{ell}" for ell in range(n)) + "\n")
+        for i in range(n):
+            row = ",".join(repr(float(v)) for v in basis.vectors[i])
+            fh.write(f"{i + 1},{row}\n")

@@ -338,6 +338,17 @@ class TestCliPipelines:
         assert (out / "spectrogram_avg.csv").is_file()
         assert (out / "spectrogram_w3.csv").is_file()
         assert (out / "spectrogram_avg.pgm").is_file()
+        # a coefficient file holding NaN is refused before anything is written
+        with np.load(stage1 / "coefficients.npz") as archive:
+            matrices, fingerprint = archive["coefficients"], archive["basis_fingerprint"]
+        matrices[0, 0, 0] = np.nan
+        damaged = tmp_path / "nan.npz"
+        np.savez(damaged, coefficients=matrices, basis_fingerprint=fingerprint)
+        refused = tmp_path / "refused"
+        code = main(["spectrogram", "--coefficients", str(damaged), "--out", str(refused)])
+        assert code == 1
+        assert "NaN or infinite" in capsys.readouterr().err
+        assert not refused.exists()
 
     def test_windows_check_healthy(self, tmp_path, capsys):
         report_file = tmp_path / "report.txt"

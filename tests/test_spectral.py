@@ -17,7 +17,7 @@ from mwgft import (
 )
 from mwgft.spectral import save_eigenvalues_csv, save_vectors_csv
 from helpers import NORM, UNNORM, basis_for, random_basis, random_complex
-from oracles import path_eigenvalues, path_eigenvectors
+from oracles import path_eigenvalues, path_eigenvectors, save_vectors_csv_reference
 
 
 class TestEigendecompose:
@@ -197,3 +197,8 @@ class TestCsvExport:
         assert lines[0].startswith("vertex,chi_0")
         row = np.array([float(v) for v in lines[1].split(",")[1:]])
         assert np.allclose(row, basis.vectors[0], rtol=1e-15)
+        expected = tmp_path / "oracle.csv"
+        for other in (basis, random_basis(190, size=30, kind=NORM)):
+            save_vectors_csv(target, other)
+            save_vectors_csv_reference(expected, other)
+            assert target.read_bytes() == expected.read_bytes()

@@ -32,7 +32,7 @@ from mwgft import (
 )
 from mwgft.transform import save_spectrogram_csv, save_spectrogram_pgm
 from helpers import NORM, UNNORM, basis_for, random_basis, random_complex, star_graph
-from oracles import synthesize_direct, wgft_direct
+from oracles import save_spectrogram_csv_reference, synthesize_direct, wgft_direct
 
 
 def rbf_family(basis, count=3, l_fac=0.7, same=False):
@@ -379,6 +379,11 @@ def _damage(kind, target, coeffs):
     elif kind == "not-square":
         np.savez(target, coefficients=np.zeros((2, 3, 4)),
                  basis_fingerprint=np.array(coeffs.basis_fingerprint))
+    elif kind in ("nan", "inf"):
+        matrices = coeffs.matrices.copy()
+        matrices[-1, 2, 1] = float(kind)
+        np.savez(target, coefficients=matrices,
+                 basis_fingerprint=np.array(coeffs.basis_fingerprint))
 
 
 class TestCoefficientsIo:
@@ -413,7 +418,7 @@ class TestCoefficientsIo:
 
     @pytest.mark.parametrize("kind", [
         "missing", "truncated", "flipped-byte", "csv", "empty", "single-npy",
-        "no-fingerprint", "integer-dtype", "not-square",
+        "no-fingerprint", "integer-dtype", "not-square", "nan", "inf",
     ])
     def test_damaged_file(self, tmp_path, rng, kind):
         error = DimensionMismatch if kind == "not-square" else ParseError
@@ -442,15 +447,34 @@ class TestCoefficientsIo:
         assert spec.per_window.shape == (3, 6, 6)
 
 
+EDGE_FLOATS = [0.0, 5e-324, 1e-05, 0.1, 1 / 3, 1e16, 1.7976931348623157e308, 2.5]
+
+# matrices whose CSV must match the cell-by-cell csv.writer oracle byte for byte
+SPECTROGRAM_CSV_CASES = {
+    "layout": np.array([[1.0, 2.0], [3.0, 4.0]]),
+    "edge-values": np.array(EDGE_FLOATS).reshape(2, 4),
+    "negative": -np.array(EDGE_FLOATS).reshape(4, 2),
+    "inf-nan": np.array([[np.inf, -np.inf, 1.0], [np.nan, 0.5, -0.0]]),
+    "float32": np.array([[0.1, 1 / 3], [2.5e-7, 3.4e38]], dtype=np.float32),
+    "int": np.arange(-3, 9, dtype=np.int64).reshape(3, 4),
+    "one-by-one": np.array([[7.25]]),
+    "two-by-five": np.random.default_rng(5).standard_normal((2, 5)) ** 2,
+}
+
+
 class TestSpectrogramFiles:
-    def test_csv_layout(self, tmp_path):
-        matrix = np.array([[1.0, 2.0], [3.0, 4.0]])
-        target = tmp_path / "spec.csv"
+    @pytest.mark.parametrize("case", list(SPECTROGRAM_CSV_CASES))
+    def test_csv_layout(self, tmp_path, case):
+        matrix = SPECTROGRAM_CSV_CASES[case]
+        target, expected = tmp_path / "spec.csv", tmp_path / "oracle.csv"
         save_spectrogram_csv(target, matrix)
-        lines = target.read_text().strip().splitlines()
-        assert lines[0] == "vertex,k0,k1"
-        assert lines[1].startswith("1,")
-        assert float(lines[2].split(",")[2]) == 4.0
+        save_spectrogram_csv_reference(expected, matrix)
+        assert target.read_bytes() == expected.read_bytes()
+        if case == "layout":
+            lines = target.read_text().strip().splitlines()
+            assert lines[0] == "vertex,k0,k1"
+            assert lines[1].startswith("1,")
+            assert float(lines[2].split(",")[2]) == 4.0
 
     def test_pgm_layout(self, tmp_path):
         matrix = np.array([[0.0, 0.5], [1.0, 0.25]])
