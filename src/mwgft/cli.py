@@ -320,7 +320,7 @@ def main(argv=None) -> int:
     except MwgftError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:  # missing input, output path that is a file, ...
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -2,9 +2,10 @@
 analyze -> spectrogram -> synthesize -> report files.
 
 Configs are YAML mappings (see the shipped presets under ``presets/``), and
-:func:`run_experiment` writes a fixed set of CSV artifacts plus
-``coefficients.npz`` and a plain-text summary whose values are byte-identical
-across reruns at a fixed BLAS thread count.
+:func:`run_experiment` writes a fixed set of CSV artifacts (the table layout
+of :mod:`mwgft.tables`) plus ``coefficients.npz`` and a plain-text summary
+whose values are byte-identical across reruns at a fixed BLAS thread count.
+Malformed config values raise :class:`InvalidParameter` naming their key.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .graph import (
     random_connected_graph,
 )
 from .spectral import SpectralBasis, eigendecompose, save_eigenvalues_csv
+from .tables import write_table
 from .transform import (
     mwgft_analyze,
     mwgft_synthesize,
@@ -107,24 +109,39 @@ class ExperimentConfig:
     nondegeneracy_tolerance: float | None = None
 
 
+def _value(m: dict, section: str, key: str, convert, default=None):
+    """``convert(m[key])``, or ``default`` when the key is absent or empty.
+
+    A missing required key (``default=...``) or a value ``convert`` rejects
+    raises :class:`InvalidParameter` naming ``section.key``.
+    """
+    value = m.get(key)
+    if value is None and default is ...:
+        raise InvalidParameter(f"config key {section}.{key} is required")
+    try:
+        return default if value is None else convert(value)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameter(f"config key {section}.{key}: {exc}") from exc
+
+
 def _signal_spec_from_mapping(m: dict) -> _signals.SignalSpec:
     kind = m.get("type")
     if kind == "impulse":
-        return _signals.ImpulseSpec(center=int(m["center"]))
+        return _signals.ImpulseSpec(center=_value(m, "signal", "center", int, ...))
     if kind == "heat":
-        tau = m.get("tau")
-        return _signals.HeatSpec(tau=float(tau) if tau is not None else None)
+        return _signals.HeatSpec(tau=_value(m, "signal", "tau", float))
     if kind == "chirp":
         return _signals.ChirpSpec(
-            center=int(m["center"]),
-            width=float(m.get("width", 6.0)),
-            rate=float(m.get("rate", 0.3)),
+            center=_value(m, "signal", "center", int, ...),
+            width=_value(m, "signal", "width", float, 6.0),
+            rate=_value(m, "signal", "rate", float, 0.3),
         )
     if kind == "spectral":
         return _signals.SpectralProfileSpec(path=m.get("path"))
     if kind == "random":
         return _signals.RandomSpec(
-            seed=int(m["seed"]), complex_values=bool(m.get("complex", True))
+            seed=_value(m, "signal", "seed", int, ...),
+            complex_values=bool(m.get("complex", True)),
         )
     raise InvalidParameter(f"unknown signal type {kind!r}")
 
@@ -133,31 +150,29 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
     """Validate a raw (YAML-shaped) mapping into an :class:`ExperimentConfig`."""
     if not isinstance(mapping, dict):
         raise InvalidParameter("experiment config must be a mapping")
-    try:
-        graph_map = dict(mapping["graph"])
-        signal_map = dict(mapping["signal"])
-        window_map = dict(mapping.get("windows", {}))
-    except (KeyError, TypeError) as exc:
-        raise InvalidParameter(f"config missing section: {exc}") from exc
+    sections = []
+    for name, default in (("graph", None), ("signal", None), ("windows", {}), ("tolerances", {})):
+        sections.append(mapping.get(name, default))
+        if not isinstance(sections[-1], dict):
+            raise InvalidParameter(f"config section {name} must be a mapping, got {sections[-1]!r}")
+    graph_map, signal_map, window_map, tolerance_map = sections
     graph = GraphSource(
         source=str(graph_map.get("source", "path")),
-        size=graph_map.get("size"),
+        size=_value(graph_map, "graph", "size", int),
         path=graph_map.get("file"),
         coordinates=graph_map.get("coordinates"),
         largest_component=bool(graph_map.get("largest_component", False)),
-        seed=graph_map.get("seed"),
-        extra_edges=graph_map.get("extra_edges"),
+        seed=_value(graph_map, "graph", "seed", int),
+        extra_edges=_value(graph_map, "graph", "extra_edges", int),
     )
-    shifts = window_map.get("shifts")
     design = WindowDesign(
         kernel=str(window_map.get("kernel", "rbf")),
-        count=int(window_map.get("count", 3)),
-        l_fac=float(window_map.get("l_fac", 0.7)),
-        shifts=tuple(float(s) for s in shifts) if shifts is not None else None,
+        count=_value(window_map, "windows", "count", int, 3),
+        l_fac=_value(window_map, "windows", "l_fac", float, 0.7),
+        shifts=_value(window_map, "windows", "shifts", lambda v: tuple(float(s) for s in v)),
         pairing=str(window_map.get("pairing", "normalized-synthesis")),
         path=window_map.get("file"),
     )
-    tol = mapping.get("tolerances", {}).get("nondegeneracy")
     return ExperimentConfig(
         name=str(mapping.get("name", "experiment")),
         graph=graph,
@@ -165,7 +180,7 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
         signal=_signal_spec_from_mapping(signal_map),
         windows=design,
         output=mapping.get("output"),
-        nondegeneracy_tolerance=float(tol) if tol is not None else None,
+        nondegeneracy_tolerance=_value(tolerance_map, "tolerances", "nondegeneracy", float),
     )
 
 
@@ -299,12 +314,8 @@ def run_experiment(
     graph = build_graph_from_source(config.graph, graph_file=graph_file)
     basis = eigendecompose(laplacian(graph, config.kind), config.kind)
     if graph.coordinates is not None:
-        def write_coords(target):
-            with open(target, "w", encoding="utf-8") as fh:
-                fh.write("vertex,x,y\n")
-                for i, (x, y) in enumerate(graph.coordinates, start=1):
-                    fh.write(f"{i},{float(x)!r},{float(y)!r}\n")
-        emit("coordinates", "coordinates.csv", write_coords)
+        emit("coordinates", "coordinates.csv",
+             lambda p: write_table(p, ["vertex", "x", "y"], graph.coordinates, 1, "\n"))
     emit("eigenvalues", "eigenvalues.csv", lambda p: save_eigenvalues_csv(p, basis))
 
     family = build_family(config.windows, basis)
@@ -336,12 +347,8 @@ def run_experiment(
     emit("reconstructed", "reconstructed.csv", lambda p: _signals.save_signal_csv(p, reconstructed))
 
     residual = np.abs(reconstructed - signal)
-    def write_error(target):
-        with open(target, "w", encoding="utf-8") as fh:
-            fh.write("vertex,abs_error\n")
-            for i, e in enumerate(residual, start=1):
-                fh.write(f"{i},{float(e)!r}\n")
-    emit("error", "error.csv", write_error)
+    emit("error", "error.csv",
+         lambda p: write_table(p, ["vertex", "abs_error"], residual[:, None], 1, "\n"))
 
     signal_norm = float(np.linalg.norm(signal))
     relative = float(np.linalg.norm(reconstructed - signal) / signal_norm) if signal_norm else 0.0

@@ -46,21 +46,21 @@ def translate(basis: SpectralBasis, n: int, signal: np.ndarray) -> np.ndarray:
     signal = _check_signal(basis, signal)
     if not 1 <= n <= basis.size:
         raise IndexOutOfRange(f"vertex {n} outside 1..{basis.size}")
-    coeff = gft(basis, signal) * basis.vectors[n - 1, :].conj()
+    coeff = gft(basis, signal) * basis.vectors[n - 1, :]
     return np.sqrt(basis.size) * (basis.vectors @ coeff)
 
 
 def translate_all(basis: SpectralBasis, window_spectrum: np.ndarray) -> np.ndarray:
     """All translates at once: column ``n-1`` holds ``T_n g``.
 
-    Equals ``sqrt(N) * U diag(ghat) U^H`` which is Hermitian for real
+    Equals ``sqrt(N) * U diag(ghat) U^T`` which is symmetric for real
     spectra; costs one dense N^3 product instead of N matvecs.
     """
     ghat = np.asarray(window_spectrum)
     if ghat.shape != (basis.size,):
         raise DimensionMismatch(f"spectrum shape {ghat.shape}, expected ({basis.size},)")
     u = basis.vectors
-    return np.sqrt(basis.size) * ((u * ghat) @ u.conj().T)
+    return np.sqrt(basis.size) * ((u * ghat) @ u.T)
 
 
 def atom(basis: SpectralBasis, window: np.ndarray, n: int, k: int) -> np.ndarray:
@@ -73,7 +73,7 @@ def atom(basis: SpectralBasis, window: np.ndarray, n: int, k: int) -> np.ndarray
         raise IndexOutOfRange(f"vertex {n} outside 1..{basis.size}")
     if not 0 <= k < basis.size:
         raise IndexOutOfRange(f"frequency {k} outside 0..{basis.size - 1}")
-    coeff = gft(basis, window) * basis.vectors[n - 1, :].conj()
+    coeff = gft(basis, window) * basis.vectors[n - 1, :]
     return basis.size * basis.vectors[:, k] * (basis.vectors @ coeff)
 
 
@@ -83,7 +83,7 @@ def apply_filter(basis: SpectralBasis, window_spectrum: np.ndarray, signal: np.n
     ghat = np.asarray(window_spectrum)
     if ghat.shape != (basis.size,):
         raise DimensionMismatch(f"spectrum shape {ghat.shape}, expected ({basis.size},)")
-    return basis.vectors @ (ghat * (basis.vectors.conj().T @ signal))
+    return basis.vectors @ (ghat * (basis.vectors.T @ signal))
 
 
 def translation_inner_product(
@@ -95,7 +95,7 @@ def translation_inner_product(
     """
     if not 1 <= n <= basis.size:
         raise IndexOutOfRange(f"vertex {n} outside 1..{basis.size}")
-    weights = np.abs(basis.vectors[n - 1, :]) ** 2
+    weights = np.square(basis.vectors[n - 1, :])
     return complex(basis.size * np.sum(np.asarray(gamma_hat) * np.conj(g_hat) * weights))
 
 
@@ -107,7 +107,13 @@ def translation_inner_products(
     gamma_hat = np.asarray(gamma_hat)
     if g_hat.shape != (basis.size,) or gamma_hat.shape != (basis.size,):
         raise DimensionMismatch("window spectra must have one sample per eigenvalue")
-    return basis.size * (np.abs(basis.vectors) ** 2) @ (gamma_hat * np.conj(g_hat))
+    return _at_vertices(basis, gamma_hat * np.conj(g_hat))
+
+
+def _at_vertices(basis: SpectralBasis, pair_spectrum: np.ndarray) -> np.ndarray:
+    """``N sum_ell pair_spectrum(ell) chi_ell(n)^2`` for every vertex n: the one
+    matvec behind ``<T_n gamma, T_n g>`` and the denominator d(n)."""
+    return basis.size * (np.square(basis.vectors) @ pair_spectrum)
 
 
 def translate_norms_sq(basis: SpectralBasis, g_hat: np.ndarray) -> np.ndarray:

@@ -7,14 +7,14 @@ declarative form used by experiment configs, resolved against a basis by
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .errors import DimensionMismatch, IndexOutOfRange, InvalidParameter, ParseError
+from .errors import DimensionMismatch, IndexOutOfRange, InvalidParameter
 from .spectral import SpectralBasis, igft
+from .tables import complex_column, re_im, read_table, write_table
 
 #: default heat diffusion time as a multiple of 1/lambda_max
 DEFAULT_HEAT_TAU_FACTOR = 10.0
@@ -140,74 +140,19 @@ def build_signal(spec: SignalSpec, basis: SpectralBasis) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def save_signal_csv(path, values: np.ndarray) -> None:
-    values = np.asarray(values)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["vertex", "re", "im"])
-        for i, v in enumerate(values, start=1):
-            c = complex(v)
-            writer.writerow([i, repr(c.real), repr(c.imag)])
-
-
-def _read_indexed_csv(path, expected_header):
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != expected_header:
-            raise ParseError(f"unexpected header {header}, expected {expected_header}", 1)
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                rows.append((int(row[0]), float(row[1]), float(row[2])))
-            except (ValueError, IndexError):
-                raise ParseError("bad row in signal file", lineno)
-    if not rows:
-        raise ParseError("signal file has no data rows")
-    return rows
+    write_table(path, ["vertex", "re", "im"], re_im(values), 1, "\r\n")
 
 
 def load_signal_csv(path) -> np.ndarray:
     """Read a (vertex, re, im) CSV back into a vector; real input stays real."""
-    rows = _read_indexed_csv(path, ["vertex", "re", "im"])
-    n = len(rows)
-    out = np.zeros(n, dtype=complex)
-    seen = np.zeros(n, dtype=bool)
-    for vertex, re, im in rows:
-        if not 1 <= vertex <= n:
-            raise ParseError(f"vertex {vertex} outside 1..{n}")
-        out[vertex - 1] = complex(re, im)
-        seen[vertex - 1] = True
-    if not seen.all():
-        raise ParseError("signal file skips some vertices")
-    if np.all(out.imag == 0):
-        return out.real
-    return out
+    _, table = read_table(path, 1, lambda header: header == ["vertex", "re", "im"])
+    return complex_column(table, 0)
 
 
 def save_spectrum_csv(path, values: np.ndarray) -> None:
-    values = np.asarray(values)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["ell", "re", "im"])
-        for ell, v in enumerate(values):
-            c = complex(v)
-            writer.writerow([ell, repr(c.real), repr(c.imag)])
+    write_table(path, ["ell", "re", "im"], re_im(values), 0, "\r\n")
 
 
 def load_spectrum_csv(path) -> np.ndarray:
-    rows = _read_indexed_csv(path, ["ell", "re", "im"])
-    n = len(rows)
-    out = np.zeros(n, dtype=complex)
-    seen = np.zeros(n, dtype=bool)
-    for ell, re, im in rows:
-        if not 0 <= ell < n:
-            raise ParseError(f"frequency {ell} outside 0..{n - 1}")
-        out[ell] = complex(re, im)
-        seen[ell] = True
-    if not seen.all():
-        raise ParseError("spectrum file skips some frequencies")
-    if np.all(out.imag == 0):
-        return out.real
-    return out
+    _, table = read_table(path, 0, lambda header: header == ["ell", "re", "im"])
+    return complex_column(table, 0)

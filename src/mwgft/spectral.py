@@ -23,6 +23,7 @@ from .errors import (
     MultipleZeroEigenvalues,
 )
 from .graph import LaplacianKind
+from .tables import write_table
 
 #: An eigenvalue counts as zero when it is at most this factor times
 #: ``max(1, largest eigenvalue)``.
@@ -140,7 +141,7 @@ def gft(basis: SpectralBasis, signal: np.ndarray) -> np.ndarray:
     signal = np.asarray(signal)
     if signal.shape != (basis.size,):
         raise DimensionMismatch(f"signal shape {signal.shape}, expected ({basis.size},)")
-    return basis.vectors.conj().T @ signal
+    return basis.vectors.T @ signal
 
 
 def igft(basis: SpectralBasis, spectrum: np.ndarray) -> np.ndarray:
@@ -173,23 +174,11 @@ def spectral_magnitudes(basis: SpectralBasis) -> SpectralMagnitudes:
 
 
 def save_eigenvalues_csv(path, basis: SpectralBasis) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("ell,eigenvalue\n")
-        for ell, lam in enumerate(basis.eigenvalues):
-            fh.write(f"{ell},{float(lam)!r}\n")
-
-
-def _float_row(values: np.ndarray) -> str:
-    """``",".join(repr(float(v)) for v in values)`` for a float64 row, formatted
-    in one call: the repr of a list of floats is each float's repr joined by
-    ", ", and no float repr contains ", "."""
-    return repr(values.tolist())[1:-1].replace(", ", ",")
+    """Eigenvalues as rows (ell, eigenvalue)."""
+    write_table(path, ["ell", "eigenvalue"], basis.eigenvalues[:, None], 0, "\n")
 
 
 def save_vectors_csv(path, basis: SpectralBasis) -> None:
     """Eigenvector matrix as rows (vertex, chi_0 .. chi_{N-1})."""
-    n = basis.size
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("vertex," + ",".join(f"chi_{ell}" for ell in range(n)) + "\n")
-        for i, row in enumerate(basis.vectors, start=1):
-            fh.write(f"{i},{_float_row(row)}\n")
+    header = ["vertex"] + [f"chi_{ell}" for ell in range(basis.size)]
+    write_table(path, header, basis.vectors, 1, "\n")

@@ -45,7 +45,8 @@ from .errors import (
     ParseError,
 )
 from .operators import translation_inner_products, translate_norms_sq
-from .spectral import SpectralBasis, _float_row, gft
+from .spectral import SpectralBasis, gft
+from .tables import write_table
 from .windows import (
     SpectralWindow,
     WindowFamily,
@@ -344,16 +345,10 @@ def load_coefficients(path) -> WgftCoefficients:
 
 
 def save_spectrogram_csv(path, matrix: np.ndarray) -> None:
-    """One spectrogram matrix as CSV: vertex row index, then |S|^2 per frequency.
-
-    Each value is written as ``repr(float(v))`` and each line ends in
-    ``\\r\\n``; rows are formatted and written one at a time.
-    """
+    """One spectrogram matrix as CSV: vertex row index, then |S|^2 per frequency."""
     matrix = np.asarray(matrix, dtype=np.float64)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("vertex," + ",".join(f"k{k}" for k in range(matrix.shape[1])) + "\r\n")
-        for n, row in enumerate(matrix, start=1):
-            fh.write(f"{n},{_float_row(row)}\r\n")
+    header = ["vertex"] + [f"k{k}" for k in range(matrix.shape[1])]
+    write_table(path, header, matrix, 1, "\r\n")
 
 
 def save_spectrogram_pgm(path, matrix: np.ndarray) -> None:

@@ -15,7 +15,6 @@ vertex domain.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
@@ -25,10 +24,11 @@ from .errors import (
     DegenerateCoverage,
     DimensionMismatch,
     InvalidParameter,
-    ParseError,
 )
 from .graph import LaplacianKind
+from .operators import _at_vertices
 from .spectral import SpectralBasis, spectral_magnitudes
+from .tables import _float_row, complex_column, re_im, read_table, write_table
 
 #: energy responses at or below this are treated as no coverage at all
 ENERGY_FLOOR = 1e-12
@@ -220,7 +220,7 @@ def denominator(basis: SpectralBasis, family: WindowFamily) -> np.ndarray:
     """``d(n) = sum_j <T_n gamma_j, T_n g_j>`` at every vertex (entry n-1).
 
     Summing the pair spectra first makes it one matvec,
-    ``d = N |U|^2 @ sum_j gammahat_j conj(ghat_j)``.
+    ``d = N (U * U) @ sum_j gammahat_j conj(ghat_j)``.
     """
     if family.size != basis.size:
         raise DimensionMismatch(
@@ -228,7 +228,7 @@ def denominator(basis: SpectralBasis, family: WindowFamily) -> np.ndarray:
         )
     spectrum = sum(gam.samples * np.conj(g.samples)
                    for g, gam in zip(family.analysis, family.synthesis))
-    return basis.size * (np.square(basis.vectors) @ spectrum)
+    return _at_vertices(basis, spectrum)
 
 
 @dataclass(frozen=True)
@@ -287,7 +287,7 @@ def sufficient_conditions(
 
     # smallest weight the zeroth frequency gets in any d(n); for the
     # unnormalized Laplacian this is exactly 1 up to rounding
-    c0 = n * float(np.min(np.abs(basis.vectors[:, 0]) ** 2))
+    c0 = n * float(np.min(np.square(basis.vectors[:, 0])))
 
     def signed(part: np.ndarray, flip: float) -> bool:
         p = flip * part
@@ -371,13 +371,15 @@ def format_condition_report(report: ConditionReport) -> str:
 
 
 def save_condition_report_csv(path, report: ConditionReport) -> None:
+    """Rows (vertex, denominator_re, denominator_im, abs, ok), ``ok`` being 1
+    where |d(n)| exceeds the tolerance and 0 elsewhere."""
+    d = re_im(report.denominators)
+    magnitude = np.hypot(d[:, 0], d[:, 1])  # bit for bit Python's abs(complex)
+    table = np.column_stack([d, magnitude])
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["vertex", "denominator_re", "denominator_im", "abs", "ok"])
-        for i, d in enumerate(report.denominators, start=1):
-            c = complex(d)
-            ok = abs(c) > report.tolerance
-            writer.writerow([i, repr(c.real), repr(c.imag), repr(abs(c)), int(ok)])
+        fh.write("vertex,denominator_re,denominator_im,abs,ok\r\n")
+        for i, (row, ok) in enumerate(zip(table, magnitude > report.tolerance), start=1):
+            fh.write(f"{i},{_float_row(row)},{int(ok)}\r\n")
 
 
 # ---------------------------------------------------------------------------
@@ -391,57 +393,20 @@ def save_condition_report_csv(path, report: ConditionReport) -> None:
 def save_family_csv(path, basis: SpectralBasis, family: WindowFamily) -> None:
     if family.size != basis.size:
         raise DimensionMismatch("family and basis sizes differ")
-    header = ["ell", "eigenvalue"]
-    for j in range(1, family.num_windows + 1):
+    header, columns = ["ell", "eigenvalue"], [basis.eigenvalues]
+    for j, (g, gam) in enumerate(zip(family.analysis, family.synthesis), start=1):
         header += [f"g{j}_re", f"g{j}_im", f"gamma{j}_re", f"gamma{j}_im"]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for ell in range(basis.size):
-            row = [ell, repr(float(basis.eigenvalues[ell]))]
-            for g, gam in zip(family.analysis, family.synthesis):
-                gs, cs = complex(g.samples[ell]), complex(gam.samples[ell])
-                row += [repr(gs.real), repr(gs.imag), repr(cs.real), repr(cs.imag)]
-            writer.writerow(row)
+        columns += [re_im(g.samples), re_im(gam.samples)]
+    write_table(path, header, np.column_stack(columns), 0, "\r\n")
 
 
 def load_family_csv(path) -> tuple[WindowFamily, np.ndarray]:
     """Read a window family back; returns (family, eigenvalues as stored)."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty window family file")
-        if header[:2] != ["ell", "eigenvalue"]:
-            raise ParseError(f"unexpected header {header[:2]}, expected ['ell', 'eigenvalue']", 1)
-        rest = header[2:]
-        if len(rest) == 0 or len(rest) % 4 != 0:
-            raise ParseError("expected four columns (g_re, g_im, gamma_re, gamma_im) per window", 1)
-        num_windows = len(rest) // 4
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(f"expected {len(header)} fields, got {len(row)}", lineno)
-            try:
-                rows.append([float(v) for v in row[1:]])
-            except ValueError:
-                raise ParseError("non-numeric value in window family file", lineno)
-    if not rows:
-        raise ParseError("window family file has no data rows")
-    data = np.asarray(rows)
-    eigenvalues = data[:, 0]
+    header, table = read_table(
+        path, 0, lambda h: h[:2] == ["ell", "eigenvalue"] and len(h) > 2 and len(h) % 4 == 2
+    )
     analysis, synth = [], []
-    for j in range(num_windows):
-        block = data[:, 1 + 4 * j : 1 + 4 * (j + 1)]
-        g = block[:, 0] + 1j * block[:, 1]
-        gam = block[:, 2] + 1j * block[:, 3]
-        if np.all(g.imag == 0):
-            g = g.real
-        if np.all(gam.imag == 0):
-            gam = gam.real
-        analysis.append(SpectralWindow(g, label=f"g{j + 1}"))
-        synth.append(SpectralWindow(gam, label=f"gamma{j + 1}"))
-    return WindowFamily.paired(analysis, synth), eigenvalues
+    for j in range((len(header) - 2) // 4):
+        analysis.append(SpectralWindow(complex_column(table, 1 + 4 * j), label=f"g{j + 1}"))
+        synth.append(SpectralWindow(complex_column(table, 3 + 4 * j), label=f"gamma{j + 1}"))
+    return WindowFamily.paired(analysis, synth), table[:, 0]

@@ -147,3 +147,58 @@ def save_vectors_csv_reference(path, basis: SpectralBasis) -> None:
         for i in range(n):
             row = ",".join(repr(float(v)) for v in basis.vectors[i])
             fh.write(f"{i + 1},{row}\n")
+
+
+def _save_indexed_csv_reference(path, index_name, start, values) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([index_name, "re", "im"])
+        for i, v in enumerate(np.asarray(values), start=start):
+            c = complex(v)
+            writer.writerow([i, repr(c.real), repr(c.imag)])
+
+
+def save_signal_csv_reference(path, values) -> None:
+    """Signal CSV cell by cell: ``csv.writer`` rows (vertex, re, im) from 1."""
+    _save_indexed_csv_reference(path, "vertex", 1, values)
+
+
+def save_spectrum_csv_reference(path, values) -> None:
+    """Spectrum CSV cell by cell: ``csv.writer`` rows (ell, re, im) from 0."""
+    _save_indexed_csv_reference(path, "ell", 0, values)
+
+
+def save_eigenvalues_csv_reference(path, basis: SpectralBasis) -> None:
+    """Eigenvalue CSV line by line: ``ell,repr(float(lambda))`` with ``\n`` endings."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("ell,eigenvalue\n")
+        for ell, lam in enumerate(basis.eigenvalues):
+            fh.write(f"{ell},{float(lam)!r}\n")
+
+
+def save_family_csv_reference(path, basis: SpectralBasis, family: WindowFamily) -> None:
+    """Window family CSV cell by cell: per window the real and imaginary parts
+    of ghat and gammahat, ``csv.writer`` rows from ell = 0."""
+    header = ["ell", "eigenvalue"]
+    for j in range(1, family.num_windows + 1):
+        header += [f"g{j}_re", f"g{j}_im", f"gamma{j}_re", f"gamma{j}_im"]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for ell in range(basis.size):
+            row = [ell, repr(float(basis.eigenvalues[ell]))]
+            for g, gam in zip(family.analysis, family.synthesis):
+                gs, cs = complex(g.samples[ell]), complex(gam.samples[ell])
+                row += [repr(gs.real), repr(gs.imag), repr(cs.real), repr(cs.imag)]
+            writer.writerow(row)
+
+
+def save_condition_report_csv_reference(path, report) -> None:
+    """Condition report CSV cell by cell, ``abs`` being Python's ``abs(complex)``."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["vertex", "denominator_re", "denominator_im", "abs", "ok"])
+        for i, d in enumerate(report.denominators, start=1):
+            c = complex(d)
+            ok = abs(c) > report.tolerance
+            writer.writerow([i, repr(c.real), repr(c.imag), repr(abs(c)), int(ok)])

@@ -180,9 +180,10 @@ class TestRunExperiment:
 
     def test_rerun_is_byte_identical(self, tmp_path):
         config = load_preset("path-impulse")
-        a = run_experiment(config, out_dir=tmp_path / "a")
-        b = run_experiment(config, out_dir=tmp_path / "b")
-        for key in ("summary", "reconstructed", "coefficients"):
+        a = run_experiment(config, out_dir=tmp_path / "a", write_pgm=True)
+        b = run_experiment(config, out_dir=tmp_path / "b", write_pgm=True)
+        assert list(a.outputs) == list(b.outputs)
+        for key in a.outputs:
             assert a.outputs[key].read_bytes() == b.outputs[key].read_bytes(), key
 
     def test_large_graph_writes_coefficients(self, tmp_path):
@@ -256,6 +257,34 @@ class TestCliRun:
         args = ["run", "--preset", "path-impulse", "--out", str(out), "--pgm"]
         assert main(args) == 0
         assert (out / "spectrogram_avg.pgm").read_bytes().startswith(b"P5\n")
+
+    @pytest.mark.parametrize(
+        "case, overrides",
+        [
+            pytest.param(case, overrides, id=case)
+            for case, overrides in [
+                ("empty-tolerances", {"tolerances": None}),
+                ("count-not-a-number", {"windows": {"count": "three"}}),
+                ("size-not-a-number", {"graph": {"source": "path", "size": "ten"}}),
+                ("impulse-without-center", {"signal": {"type": "impulse"}}),
+                ("out-is-a-file", {}),
+            ]
+        ],
+    )
+    def test_bad_input_is_a_typed_error(self, tmp_path, capsys, case, overrides):
+        config = write_yaml(tmp_path / "cfg.yaml", minimal_mapping(**overrides))
+        if case == "out-is-a-file":
+            argv = ["analyze", "--config", config, "--out", config]
+        else:
+            argv = ["run", "--config", config, "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        key = {"empty-tolerances": "tolerances", "count-not-a-number": "windows.count",
+               "size-not-a-number": "graph.size", "impulse-without-center": "signal.center",
+               "out-is-a-file": "File exists"}[case]
+        assert key in err
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.yaml")]) == 1

@@ -27,6 +27,7 @@ from mwgft.signals import (
     save_spectrum_csv,
 )
 from helpers import basis_for, random_basis, random_complex
+from oracles import save_signal_csv_reference, save_spectrum_csv_reference
 
 
 class TestImpulse:
@@ -200,3 +201,75 @@ class TestSignalCsv:
         target.write_text("vertex,re,im\n1,0.0,0.0\n1,1.0,0.0\n", encoding="utf-8")
         with pytest.raises(ParseError):
             load_signal_csv(target)
+
+    @pytest.mark.parametrize("case", ["real", "complex", "edge-real", "edge-complex"])
+    @pytest.mark.parametrize("kind", ["signal", "spectrum"])
+    def test_bytes_match_reference(self, tmp_path, rng, kind, case):
+        edge = [0.0, -0.0, 5e-324, np.nan, np.inf, -np.inf, 0.1, 1 / 3, 1e16]
+        values = {
+            "real": rng.standard_normal(6),
+            "complex": random_complex(rng, 6),
+            "edge-real": np.array(edge),
+            "edge-complex": np.array([complex(re, im) for re, im in zip(edge, edge[::-1])]),
+        }[case]
+        save, reference = {
+            "signal": (save_signal_csv, save_signal_csv_reference),
+            "spectrum": (save_spectrum_csv, save_spectrum_csv_reference),
+        }[kind]
+        target, expected = tmp_path / "out.csv", tmp_path / "oracle.csv"
+        save(target, values)
+        reference(expected, values)
+        assert target.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize(
+        "body, line",
+        [
+            pytest.param("1,0.5,0.0,junk\n2,1.0,0.0\n", 2, id="extra-field"),
+            pytest.param("1,0.5,0.0\n2,nan,0.0\n", 3, id="nan"),
+            pytest.param("1,0.5,inf\n2,1.0,0.0\n", 2, id="inf"),
+            pytest.param("1,0.5,-inf\n", 2, id="minus-inf"),
+            pytest.param("1,0.5,0.0\n2,x,0.0\n", 3, id="non-numeric"),
+            pytest.param("1,0.5\n", 2, id="missing-field"),
+            pytest.param("2,0.5,0.0\n2,1.0,0.0\n", 3, id="repeated-index"),
+            pytest.param("1,0.5,0.0\n3,1.0,0.0\n", 3, id="skipped-index"),
+            pytest.param("", 2, id="header-only"),
+        ],
+    )
+    @pytest.mark.parametrize("kind", ["signal", "spectrum"])
+    def test_bad_rows_rejected_with_line(self, tmp_path, kind, body, line):
+        header, load, shift = {
+            "signal": ("vertex,re,im", load_signal_csv, 0),
+            "spectrum": ("ell,re,im", load_spectrum_csv, -1),
+        }[kind]
+        # spectra count from 0: shift every leading index down by one
+        rows = [f"{int(r.split(',')[0]) + shift},{r.split(',', 1)[1]}" for r in body.splitlines()]
+        target = tmp_path / "bad.csv"
+        target.write_text("\n".join([header] + rows) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            load(target)
+        assert err.value.line == line
+
+    def test_empty_file(self, tmp_path):
+        target = tmp_path / "empty.csv"
+        target.write_text("", encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            load_signal_csv(target)
+        assert err.value.line == 1
+
+    def test_rows_placed_by_index(self, tmp_path):
+        target = tmp_path / "shuffled.csv"
+        target.write_text("ell,re,im\r\n2,3.0,0.0\r\n0,1.0,-0.0\r\n\r\n1,2.0,0.5\r\n", encoding="utf-8")
+        loaded = load_spectrum_csv(target)
+        assert np.array_equal(loaded, [1.0, 2.0 + 0.5j, 3.0])
+
+    @pytest.mark.parametrize(
+        "values", [[-0.0, 1.0], [complex(-0.0, 1.0), complex(1.0, -0.0)]], ids=["real", "complex"]
+    )
+    def test_signed_zero_survives_round_trip(self, tmp_path, values):
+        values = np.array(values)
+        target = tmp_path / "signal.csv"
+        save_signal_csv(target, values)
+        loaded = load_signal_csv(target)
+        assert loaded.dtype == values.dtype
+        assert np.signbit(loaded.real).tolist() == np.signbit(values.real).tolist()
+        assert np.signbit(loaded.imag).tolist() == np.signbit(values.imag).tolist()

@@ -17,7 +17,12 @@ from mwgft import (
 )
 from mwgft.spectral import save_eigenvalues_csv, save_vectors_csv
 from helpers import NORM, UNNORM, basis_for, random_basis, random_complex
-from oracles import path_eigenvalues, path_eigenvectors, save_vectors_csv_reference
+from oracles import (
+    path_eigenvalues,
+    path_eigenvectors,
+    save_eigenvalues_csv_reference,
+    save_vectors_csv_reference,
+)
 
 
 class TestEigendecompose:
@@ -188,6 +193,11 @@ class TestCsvExport:
         assert lines[0] == "ell,eigenvalue"
         values = [float(line.split(",")[1]) for line in lines[1:]]
         assert np.allclose(values, basis.eigenvalues)
+        expected = tmp_path / "oracle.csv"
+        for other in (basis, random_basis(191, size=30, kind=NORM)):
+            save_eigenvalues_csv(target, other)
+            save_eigenvalues_csv_reference(expected, other)
+            assert target.read_bytes() == expected.read_bytes()
 
     def test_vector_export(self, tmp_path):
         basis = basis_for(path_graph(4))

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -22,8 +24,14 @@ from mwgft import (
     translation_inner_products,
     uniform_shifts,
 )
-from mwgft.windows import format_condition_report
+from mwgft.windows import (
+    ConditionReport,
+    SufficientConditions,
+    format_condition_report,
+    save_condition_report_csv,
+)
 from helpers import NORM, UNNORM, basis_for, random_basis, random_complex
+from oracles import save_condition_report_csv_reference, save_family_csv_reference
 
 
 def indicator_window(size, position, label=""):
@@ -339,6 +347,69 @@ class TestFamilyCsv:
         with pytest.raises(ParseError) as err:
             load_family_csv(target)
         assert err.value.line == 2
+
+    @pytest.mark.parametrize("case", ["real", "complex"])
+    def test_bytes_match_reference(self, tmp_path, rng, case):
+        basis = basis_for(path_graph(7))
+        if case == "real":
+            analysis = shifted_family(
+                rbf_prototype(basis.lambda_max, 0.7), uniform_shifts(basis.lambda_max, 3), basis
+            )
+            family = WindowFamily.with_normalized_synthesis(analysis)
+        else:
+            family = WindowFamily.paired(
+                [SpectralWindow(random_complex(rng, 7)), SpectralWindow(rng.standard_normal(7))],
+                [SpectralWindow(random_complex(rng, 7)), SpectralWindow(-0.0 * np.ones(7))],
+            )
+        target, expected = tmp_path / "family.csv", tmp_path / "oracle.csv"
+        save_family_csv(target, basis, family)
+        save_family_csv_reference(expected, basis, family)
+        assert target.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize(
+        "rows, line",
+        [
+            pytest.param(["0,0.0,1.0,0.0,1.0,0.0", "0,1.0,1.0,0.0,1.0,0.0"], 3, id="repeated-ell"),
+            pytest.param(["7,0.0,1.0,0.0,1.0,0.0", "7,1.0,1.0,0.0,1.0,0.0"], 2, id="ell-7-7"),
+            pytest.param(["0,0.0,1.0,0.0,1.0,0.0", "1,1.0,nan,0.0,1.0,0.0"], 3, id="nan"),
+            pytest.param(["0,0.0,1.0,inf,1.0,0.0", "1,1.0,1.0,0.0,1.0,0.0"], 2, id="inf"),
+            pytest.param(["0,0.0,1.0,0.0,1.0,0.0,9"], 2, id="extra-field"),
+        ],
+    )
+    def test_bad_rows_rejected_with_line(self, tmp_path, rows, line):
+        target = tmp_path / "bad.csv"
+        header = "ell,eigenvalue,g1_re,g1_im,gamma1_re,gamma1_im"
+        target.write_text("\r\n".join([header] + rows) + "\r\n", encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            load_family_csv(target)
+        assert err.value.line == line
+
+    def test_rows_placed_by_ell(self, tmp_path):
+        target = tmp_path / "family.csv"
+        target.write_text(
+            "ell,eigenvalue,g1_re,g1_im,gamma1_re,gamma1_im\n"
+            "1,2.0,0.5,0.0,2.0,0.0\n0,0.0,1.0,0.0,1.0,0.0\n",
+            encoding="utf-8",
+        )
+        family, eigenvalues = load_family_csv(target)
+        assert eigenvalues.tolist() == [0.0, 2.0]
+        assert family.analysis[0].samples.tolist() == [1.0, 0.5]
+
+
+class TestConditionReportCsv:
+    def test_bytes_match_reference(self, tmp_path, rng):
+        # np.abs of this value is one ulp above abs(complex); the column must
+        # stay Python's abs
+        tricky = complex(0.6404226504432821, -1.6051493968851136)
+        assert float(np.abs(np.complex128(tricky))) != abs(tricky)
+        d = np.concatenate([[tricky, 1e-300j, -0.0 + 0.0j, 3.0 - 4.0j], random_complex(rng, 6)])
+        conditions = SufficientConditions(*([False] * len(fields(SufficientConditions))))
+        for denominators in (d, d.real):
+            report = ConditionReport(denominators, 0.0, 1.0, False, conditions)
+            target, expected = tmp_path / "report.csv", tmp_path / "oracle.csv"
+            save_condition_report_csv(target, report)
+            save_condition_report_csv_reference(expected, report)
+            assert target.read_bytes() == expected.read_bytes()
 
 
 def test_default_tolerance_scales_with_norms():
