@@ -1,9 +1,10 @@
 """Weighted undirected graphs and their Laplacians.
 
 Graphs here are simple (no self loops, no multi-edges), undirected, have
-non-negative edge weights and must be connected.  Vertices are numbered
-1..N in every public interface and file format; internally arrays are
-0-based.
+non-negative finite edge weights and must be connected.  The weights are one
+dense ``(N, N)`` array from the edge list to the Laplacian: the spectral
+methods need the full dense eigenbasis anyway.  Vertices are numbered 1..N in
+every public interface and file format; internally arrays are 0-based.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     Disconnected,
@@ -53,32 +52,35 @@ class Graph:
     num_vertices:
         Number of vertices N.
     weights:
-        Symmetric ``(N, N)`` sparse weight matrix with zero diagonal and
-        non-negative entries.
+        Dense symmetric ``(N, N)`` float64 weight matrix with zero diagonal
+        and finite non-negative entries.
     coordinates:
         Optional ``(N, 2)`` array of plotting coordinates.
     """
 
     num_vertices: int
-    weights: sp.csr_matrix
+    weights: np.ndarray
     coordinates: np.ndarray | None = None
 
     def __post_init__(self):
         n = self.num_vertices
         if n < 1:
             raise InvalidSize(f"graph needs at least one vertex, got {n}")
-        w = self.weights
+        w = np.asarray(self.weights, dtype=float)
         if w.shape != (n, n):
             raise InvalidSize(f"weight matrix shape {w.shape} does not match {n} vertices")
-        if (w != w.T).nnz != 0:
+        if not np.isfinite(w).all():
+            raise InvalidParameter("weight matrix has non-finite entries")
+        if not np.array_equal(w, w.T):
             raise InvalidParameter("weight matrix must be exactly symmetric")
         if w.diagonal().any():
             raise SelfLoop("weight matrix has nonzero diagonal entries")
-        if w.nnz and w.data.min() < 0:
+        if (w < 0).any():
             raise NegativeWeight("weight matrix has negative entries")
-        ncomp, _ = connected_components(w, directed=False)
+        ncomp = _component_labels(w).max() + 1
         if ncomp != 1:
             raise Disconnected(f"graph has {ncomp} connected components, expected 1")
+        object.__setattr__(self, "weights", w)
         if self.coordinates is not None:
             coords = np.asarray(self.coordinates, dtype=float)
             if coords.shape != (n, 2):
@@ -88,22 +90,37 @@ class Graph:
     @property
     def degrees(self) -> np.ndarray:
         """Weighted degree of each vertex (row sums of the weight matrix)."""
-        return np.asarray(self.weights.sum(axis=1)).ravel()
+        return self.weights.sum(axis=1)
 
     @property
     def num_edges(self) -> int:
-        return self.weights.nnz // 2
+        return int(np.count_nonzero(self.weights)) // 2
 
     def neighbors(self, vertex: int) -> list[int]:
         """1-based neighbors of a 1-based vertex."""
         _check_vertex(vertex, self.num_vertices)
-        row = self.weights.getrow(vertex - 1)
-        return [int(j) + 1 for j in row.indices]
+        return [int(j) + 1 for j in np.flatnonzero(self.weights[vertex - 1])]
 
 
 def _check_vertex(vertex: int, num_vertices: int) -> None:
     if not 1 <= vertex <= num_vertices:
         raise IndexOutOfRange(f"vertex {vertex} outside 1..{num_vertices}")
+
+
+def _component_labels(weights: np.ndarray) -> np.ndarray:
+    """Connected-component label of each vertex, by breadth-first search.
+
+    Components are numbered 0, 1, ... in the order of their smallest vertex.
+    """
+    labels = np.full(weights.shape[0], -1)
+    count = 0
+    while (labels < 0).any():
+        frontier = np.array([np.argmax(labels < 0)])
+        while frontier.size:
+            labels[frontier] = count
+            frontier = np.flatnonzero(weights[frontier].any(axis=0) & (labels < 0))
+        count += 1
+    return labels
 
 
 def _collect_edges(num_vertices: int, edges: Iterable[tuple[int, int, float]]) -> dict:
@@ -120,6 +137,8 @@ def _collect_edges(num_vertices: int, edges: Iterable[tuple[int, int, float]]) -
         _check_vertex(j, num_vertices)
         if i == j:
             raise SelfLoop(f"self loop at vertex {i}")
+        if not np.isfinite(w):
+            raise InvalidParameter(f"edge ({i}, {j}) has non-finite weight {w}")
         if w < 0:
             raise NegativeWeight(f"edge ({i}, {j}) has negative weight {w}")
         key = (min(i, j), max(i, j))
@@ -131,16 +150,13 @@ def _collect_edges(num_vertices: int, edges: Iterable[tuple[int, int, float]]) -
     return {k: w for k, w in out.items() if w != 0.0}
 
 
-def _assemble(num_vertices: int, edge_dict: dict) -> sp.csr_matrix:
+def _assemble(num_vertices: int, edge_dict: dict) -> np.ndarray:
+    """Dense symmetric weight matrix of a {(i<j): weight} edge dictionary."""
+    weights = np.zeros((num_vertices, num_vertices))
     if edge_dict:
-        rows, cols, vals = [], [], []
-        for (i, j), w in edge_dict.items():
-            rows += [i - 1, j - 1]
-            cols += [j - 1, i - 1]
-            vals += [w, w]
-        w = sp.coo_matrix((vals, (rows, cols)), shape=(num_vertices, num_vertices))
-        return w.tocsr()
-    return sp.csr_matrix((num_vertices, num_vertices))
+        i, j = (np.array(side) - 1 for side in zip(*edge_dict))
+        weights[i, j] = weights[j, i] = list(edge_dict.values())
+    return weights
 
 
 def build_graph(
@@ -212,17 +228,16 @@ def laplacian(graph: Graph, kind: LaplacianKind = LaplacianKind.UNNORMALIZED) ->
     """
     d = graph.degrees
     if kind is LaplacianKind.UNNORMALIZED:
-        lap = sp.diags(d) - graph.weights
+        lap = np.diag(d) - graph.weights
     elif kind is LaplacianKind.SYMMETRIC_NORMALIZED:
         if np.any(d == 0):
             zero = [str(i + 1) for i in np.flatnonzero(d == 0)]
             raise ZeroDegree(f"vertices with zero degree: {', '.join(zero)}")
         s = 1.0 / np.sqrt(d)
-        lap = sp.identity(graph.num_vertices) - sp.diags(s) @ graph.weights @ sp.diags(s)
+        lap = np.eye(graph.num_vertices) - s[:, None] * graph.weights * s
     else:  # pragma: no cover - enum is closed
         raise InvalidParameter(f"unknown laplacian kind {kind!r}")
-    dense = np.asarray(lap.todense(), dtype=float)
-    return (dense + dense.T) / 2.0
+    return (lap + lap.T) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -294,12 +309,12 @@ def load_graph(
         coords = _load_coordinates(coordinates_path, n)
 
     if largest_component:
-        ncomp, labels = connected_components(weights, directed=False)
-        if ncomp > 1:
-            sizes = np.bincount(labels, minlength=ncomp)
+        labels = _component_labels(weights)
+        sizes = np.bincount(labels)
+        if len(sizes) > 1:
             keep_label = int(np.argmax(sizes))  # first maximal component wins ties
             keep = np.flatnonzero(labels == keep_label)
-            weights = weights[np.ix_(keep, keep)].tocsr()
+            weights = weights[np.ix_(keep, keep)]
             if coords is not None:
                 coords = coords[keep]
             n = len(keep)
@@ -326,12 +341,11 @@ def _load_coordinates(path, num_vertices: int) -> np.ndarray:
 
 def save_graph(path, graph: Graph, coordinates_path=None) -> None:
     """Write a graph back out in the edge-list format (with an N header)."""
-    w = sp.triu(graph.weights, k=1).tocoo()
+    w = graph.weights
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{graph.num_vertices}\n")
-        order = np.lexsort((w.col, w.row))
-        for idx in order:
-            fh.write(f"{w.row[idx] + 1} {w.col[idx] + 1} {float(w.data[idx])!r}\n")
+        for i, j in zip(*np.nonzero(np.triu(w, 1))):  # row-major order
+            fh.write(f"{i + 1} {j + 1} {float(w[i, j])!r}\n")
     if coordinates_path is not None and graph.coordinates is not None:
         with open(coordinates_path, "w", encoding="utf-8") as fh:
             for i, (x, y) in enumerate(graph.coordinates, start=1):

@@ -109,6 +109,8 @@ def eigendecompose(lap: np.ndarray, kind: LaplacianKind) -> SpectralBasis:
     n = lap.shape[0]
     if n < 2:
         raise InvalidSize("need at least two vertices to decompose")
+    if not np.isfinite(lap).all():
+        raise InvalidParameter("laplacian has non-finite entries")
     scale = max(1.0, float(np.abs(lap).max()))
     if not np.allclose(lap, lap.T, rtol=0.0, atol=1e-12 * scale):
         raise InvalidParameter("laplacian must be symmetric")

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +11,9 @@ from hypothesis import strategies as st
 from mwgft import (
     Disconnected,
     DuplicateEdgeConflict,
+    Graph,
     IndexOutOfRange,
+    InvalidParameter,
     InvalidSize,
     LaplacianKind,
     NegativeWeight,
@@ -27,7 +34,8 @@ from oracles import bfs_component_count
 class TestBuildGraph:
     def test_single_edge(self):
         g = build_graph(2, [(1, 2, 1.0)])
-        assert np.array_equal(g.weights.toarray(), [[0, 1], [1, 0]])
+        assert g.weights.dtype == np.float64
+        assert np.array_equal(g.weights, [[0, 1], [1, 0]])
         assert np.array_equal(g.degrees, [1, 1])
         assert g.num_edges == 1
 
@@ -64,6 +72,17 @@ class TestBuildGraph:
         with pytest.raises(IndexOutOfRange):
             build_graph(2, [(1, 3, 1.0)])
 
+    @pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_rejected(self, weight):
+        with pytest.raises(InvalidParameter, match="non-finite"):
+            build_graph(3, [(1, 2, 1.0), (2, 3, weight)])
+
+    @pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_matrix_rejected(self, weight):
+        w = np.array([[0.0, weight], [weight, 0.0]])
+        with pytest.raises(InvalidParameter, match="weight matrix has non-finite entries"):
+            Graph(2, w)
+
     def test_neighbors(self):
         g = build_graph(3, [(1, 2, 2.0), (2, 3, 3.0)])
         assert g.neighbors(2) == [1, 3]
@@ -72,7 +91,7 @@ class TestBuildGraph:
 class TestPathGraph:
     def test_two_vertices(self):
         g = path_graph(2)
-        assert np.array_equal(g.weights.toarray(), [[0, 1], [1, 0]])
+        assert np.array_equal(g.weights, [[0, 1], [1, 0]])
 
     def test_fifty_vertices(self):
         g = path_graph(50)
@@ -88,11 +107,11 @@ class TestRandomConnectedGraph:
     def test_reproducible(self):
         a = random_connected_graph(20, seed=7)
         b = random_connected_graph(20, seed=7)
-        assert (a.weights != b.weights).nnz == 0
+        assert np.array_equal(a.weights, b.weights)
 
     def test_connected_by_independent_traversal(self):
         g = random_connected_graph(40, seed=3)
-        assert bfs_component_count(g.weights.toarray()) == 1
+        assert bfs_component_count(g.weights) == 1
 
     def test_irregular_degrees(self):
         g = random_connected_graph(60, seed=11)
@@ -136,12 +155,24 @@ class TestLoadGraph:
         with pytest.raises(Disconnected):
             load_graph(self._write(tmp_path, "1 2\n3 4\n"))
 
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+    def test_non_finite_weight_rejected(self, tmp_path, weight):
+        with pytest.raises(InvalidParameter, match="non-finite"):
+            load_graph(self._write(tmp_path, f"3\n1 2 1\n2 3 {weight}\n"))
+
+    def test_largest_component_tie_keeps_smallest_vertex(self, tmp_path):
+        gfile = self._write(tmp_path, "4\n1 4\n2 3\n")
+        cfile = self._write(tmp_path, "1 1 0\n2 2 0\n3 3 0\n4 4 0\n", "c.txt")
+        g = load_graph(gfile, coordinates_path=cfile, largest_component=True)
+        assert np.array_equal(g.weights, [[0, 1], [1, 0]])
+        assert np.array_equal(g.coordinates[:, 0], [1, 4])  # vertices 1 and 4, relabeled 1, 2
+
     def test_largest_component_extraction(self, tmp_path):
         text = "7\n1 2\n2 3\n3 4\n5 6\n"  # sizes 4, 2 and an isolated vertex
         g = load_graph(self._write(tmp_path, text), largest_component=True)
         assert g.num_vertices == 4
         assert g.num_edges == 3
-        assert bfs_component_count(g.weights.toarray()) == 1
+        assert bfs_component_count(g.weights) == 1
 
     def test_coordinates_sidecar(self, tmp_path):
         gfile = self._write(tmp_path, "2\n1 2 1\n")
@@ -167,7 +198,7 @@ class TestLoadGraph:
         out = tmp_path / "saved.txt"
         save_graph(out, g)
         loaded = load_graph(out)
-        assert (g.weights != loaded.weights).nnz == 0
+        assert np.array_equal(g.weights, loaded.weights)
 
 
 class TestLaplacian:
@@ -179,7 +210,7 @@ class TestLaplacian:
 
     def test_three_path_assembly(self):
         g = path_graph(3)
-        w = g.weights.toarray()
+        w = g.weights
         assert np.array_equal(laplacian(g, UNNORM), np.diag([1.0, 2.0, 1.0]) - w)
 
     def test_row_sums_vanish(self):
@@ -194,10 +225,7 @@ class TestLaplacian:
             assert np.array_equal(lap, lap.T)
 
     def test_zero_degree_normalized(self):
-        from mwgft.graph import Graph
-        import scipy.sparse as sp
-
-        lonely = Graph(1, sp.csr_matrix((1, 1)))
+        lonely = Graph(1, np.zeros((1, 1)))
         with pytest.raises(ZeroDegree):
             laplacian(lonely, NORM)
 
@@ -210,7 +238,67 @@ class TestLaplacian:
         lap = laplacian(g, UNNORM)
         f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         quad = np.real(np.conj(f) @ lap @ f)
-        w = g.weights.toarray()
+        w = g.weights
         by_edges = 0.5 * np.sum(w * np.abs(f[:, None] - f[None, :]) ** 2)
         assert quad >= -1e-10 * max(1.0, by_edges)
         assert np.isclose(quad, by_edges, rtol=1e-10, atol=1e-12)
+
+
+class TestComponentSearch:
+    """Component counts of build_graph / load_graph against a hand-rolled BFS."""
+
+    @staticmethod
+    def _random_edges(seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 16))
+        m = int(rng.integers(0, 2 * n))
+        pairs = rng.integers(1, n + 1, size=(m, 2))
+        edges = {(min(i, j), max(i, j)): float(rng.uniform(0.5, 1.5))
+                 for i, j in pairs.tolist() if i != j}
+        dense = np.zeros((n, n))
+        for (i, j), w in edges.items():
+            dense[i - 1, j - 1] = dense[j - 1, i - 1] = w
+        return n, [(i, j, w) for (i, j), w in edges.items()], dense
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_build_graph_matches_oracle(self, seed):
+        n, edges, dense = self._random_edges(seed)
+        expected = bfs_component_count(dense)
+        if expected == 1:
+            assert build_graph(n, edges).num_edges == len(edges)
+        else:
+            with pytest.raises(Disconnected, match=f"graph has {expected} connected"):
+                build_graph(n, edges)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_load_graph_matches_oracle(self, seed, tmp_path_factory):
+        n, edges, dense = self._random_edges(seed)
+        expected = bfs_component_count(dense)
+        path = tmp_path_factory.mktemp("components") / "g.txt"
+        path.write_text(f"{n}\n" + "".join(f"{i} {j} {w!r}\n" for i, j, w in edges))
+        if expected == 1:
+            assert load_graph(path).num_vertices == n
+        else:
+            with pytest.raises(Disconnected, match=f"graph has {expected} connected"):
+                load_graph(path)
+        largest = load_graph(path, largest_component=True)
+        assert bfs_component_count(largest.weights) == 1
+        assert (largest.num_vertices == n) == (expected == 1)
+
+
+class TestDependencies:
+    def test_import_loads_no_scipy(self):
+        import mwgft
+
+        src = str(Path(mwgft.__file__).resolve().parents[1])
+        code = (
+            "import sys, mwgft; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "[]"

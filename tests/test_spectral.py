@@ -8,6 +8,7 @@ from mwgft import (
     InvalidParameter,
     MultipleZeroEigenvalues,
     SpectralBasis,
+    build_graph,
     eigendecompose,
     gft,
     igft,
@@ -97,6 +98,15 @@ class TestEigendecompose:
         bad = np.array([[1.0, 2.0], [0.0, 1.0]])
         with pytest.raises(InvalidParameter):
             eigendecompose(bad, UNNORM)
+
+    def test_non_finite_rejected(self):
+        # a finite but huge weight overflows to inf in the unnormalized Laplacian
+        with np.errstate(over="ignore"):
+            huge = laplacian(build_graph(2, [(1, 2, 1e308)]), UNNORM)
+        nan = np.array([[1.0, -1.0], [-1.0, np.nan]])
+        for lap in (huge, nan):
+            with pytest.raises(InvalidParameter, match="non-finite"):
+                eigendecompose(lap, UNNORM)
 
     def test_non_laplacian_rejected(self):
         with pytest.raises(InvalidParameter):
