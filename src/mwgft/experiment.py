@@ -5,6 +5,9 @@ Configs are YAML mappings (see the shipped presets under ``presets/``), and
 :func:`run_experiment` writes a fixed set of CSV artifacts (the table layout
 of :mod:`mwgft.tables`) plus ``coefficients.npz`` and a plain-text summary
 whose values are byte-identical across reruns at a fixed BLAS thread count.
+The spectrogram stays in memory: the summary takes its argmax vertex from
+the averaged |S|^2, ``write_pgm`` saves that map as a grayscale image, and
+``mwgft spectrogram`` writes its CSVs from ``coefficients.npz``.
 Malformed config values raise :class:`InvalidParameter` naming their key.
 """
 
@@ -34,7 +37,7 @@ from .transform import (
     mwgft_analyze,
     mwgft_synthesize,
     save_coefficients,
-    save_spectrogram_files,
+    save_spectrogram_pgm,
     spectrogram,
 )
 from .windows import (
@@ -335,9 +338,10 @@ def run_experiment(
     coeffs = mwgft_analyze(basis, family, signal)
     emit("coefficients", "coefficients.npz", lambda p: save_coefficients(p, coeffs))
 
-    spec = spectrogram(coeffs)
-    outputs.update(save_spectrogram_files(out, spec, pgm=write_pgm))
-    argmax_vertex = int(np.unravel_index(np.argmax(spec.averaged), spec.averaged.shape)[0]) + 1
+    averaged = spectrogram(coeffs).averaged
+    if write_pgm:
+        emit("spectrogram_pgm", "spectrogram_avg.pgm", lambda p: save_spectrogram_pgm(p, averaged))
+    argmax_vertex = int(np.unravel_index(np.argmax(averaged), averaged.shape)[0]) + 1
 
     # synthesize after the condition report exists on disk, so a degenerate
     # family still leaves an inspectable trail when this raises

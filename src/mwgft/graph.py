@@ -43,9 +43,19 @@ class LaplacianKind(Enum):
         raise InvalidParameter(f"unknown laplacian kind {name!r} (expected one of: {valid})")
 
 
-@dataclass(frozen=True)
+def read_only(array: np.ndarray) -> np.ndarray:
+    """A non-writeable view of ``array``; the caller's array keeps its flag."""
+    view = array.view()
+    view.flags.writeable = False
+    return view
+
+
+@dataclass(frozen=True, eq=False)
 class Graph:
     """A connected weighted undirected graph.
+
+    Validated once, so the stored arrays are read-only views, and two graphs
+    compare equal only when they are the same object.
 
     Parameters
     ----------
@@ -80,12 +90,12 @@ class Graph:
         ncomp = _component_labels(w).max() + 1
         if ncomp != 1:
             raise Disconnected(f"graph has {ncomp} connected components, expected 1")
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", read_only(w))
         if self.coordinates is not None:
             coords = np.asarray(self.coordinates, dtype=float)
             if coords.shape != (n, 2):
                 raise InvalidSize(f"coordinates shape {coords.shape}, expected ({n}, 2)")
-            object.__setattr__(self, "coordinates", coords)
+            object.__setattr__(self, "coordinates", read_only(coords))
 
     @property
     def degrees(self) -> np.ndarray:

@@ -22,7 +22,7 @@ from .errors import (
     InvalidSize,
     MultipleZeroEigenvalues,
 )
-from .graph import LaplacianKind
+from .graph import LaplacianKind, read_only
 from .tables import write_table
 
 #: An eigenvalue counts as zero when it is at most this factor times
@@ -40,8 +40,9 @@ class SpectralBasis:
 
     ``eigenvalues`` are sorted ascending; column ``ell`` of ``vectors`` is the
     (real, unit-norm) eigenvector for ``eigenvalues[ell]``; complex vectors
-    raise :class:`InvalidParameter`.  Frequencies are indexed 0..N-1
-    throughout the package.
+    raise :class:`InvalidParameter`.  Both are stored as read-only views, so
+    the cached :attr:`fingerprint` cannot go stale.  Frequencies are indexed
+    0..N-1 throughout the package.
     """
 
     eigenvalues: np.ndarray
@@ -57,8 +58,8 @@ class SpectralBasis:
             raise DimensionMismatch(
                 f"eigenvalues {vals.shape} and vectors {vecs.shape} are inconsistent"
             )
-        object.__setattr__(self, "eigenvalues", vals)
-        object.__setattr__(self, "vectors", vecs)
+        object.__setattr__(self, "eigenvalues", read_only(vals))
+        object.__setattr__(self, "vectors", read_only(vecs))
 
     @property
     def size(self) -> int:

@@ -14,6 +14,7 @@ from mwgft import (
     load_coefficients,
     load_signal_csv,
     save_family_csv,
+    spectrogram,
 )
 from mwgft.cli import main
 from mwgft.experiment import (
@@ -28,6 +29,7 @@ from mwgft.experiment import (
 )
 from mwgft.signals import ChirpSpec, HeatSpec, ImpulseSpec, RandomSpec
 from helpers import basis_for
+from oracles import save_spectrogram_csv_reference
 from mwgft.graph import path_graph
 
 
@@ -173,7 +175,7 @@ class TestRunExperiment:
         assert report.relative_error <= 1e-10
         assert report.spectrogram_argmax_vertex == 25
         for key in ("eigenvalues", "windows", "condition_report", "signal",
-                    "coefficients", "spectrogram_avg", "reconstructed", "error", "summary"):
+                    "coefficients", "reconstructed", "error", "summary"):
             assert report.outputs[key].is_file(), key
         summary = report.outputs["summary"].read_text()
         assert "relative_l2_error" in summary and "nondegeneracy_satisfied: true" in summary
@@ -202,6 +204,16 @@ class TestRunExperiment:
         lines = report.outputs["coordinates"].read_text().strip().splitlines()
         assert lines[0] == "vertex,x,y"
         assert len(lines) == 9
+
+    @pytest.mark.parametrize("write_pgm", [False, True])
+    def test_run_writes_no_spectrogram_csv(self, tmp_path, write_pgm):
+        out = tmp_path / "out"
+        report = run_experiment(load_preset("path-chirp"), out_dir=out, write_pgm=write_pgm)
+        assert sorted(out.glob("spectrogram_*.csv")) == []
+        assert not [key for key in report.outputs
+                    if key.startswith("spectrogram_w") or key == "spectrogram_avg"]
+        assert ("spectrogram_pgm" in report.outputs) == write_pgm
+        assert (out / "spectrogram_avg.pgm").is_file() == write_pgm
 
 
 class TestCliBasics:
@@ -379,6 +391,22 @@ class TestCliPipelines:
         assert "NaN or infinite" in capsys.readouterr().err
         assert not refused.exists()
 
+    def test_spectrogram_command_rebuilds_run_spectrogram(self, tmp_path):
+        run = tmp_path / "run"
+        report = run_experiment(load_preset("path-chirp"), out_dir=run, write_pgm=True)
+        out = tmp_path / "spec"
+        code = main(["spectrogram", "--coefficients", str(run / "coefficients.npz"),
+                     "--out", str(out), "--pgm"])
+        assert code == 0
+        assert (out / "spectrogram_avg.pgm").read_bytes() == (run / "spectrogram_avg.pgm").read_bytes()
+        expected = tmp_path / "expected.csv"
+        averaged = spectrogram(load_coefficients(run / "coefficients.npz")).averaged
+        save_spectrogram_csv_reference(expected, averaged)
+        assert (out / "spectrogram_avg.csv").read_bytes() == expected.read_bytes()
+        table = np.loadtxt(out / "spectrogram_avg.csv", delimiter=",", skiprows=1)
+        peak_row = np.unravel_index(np.argmax(table[:, 1:]), table[:, 1:].shape)[0]
+        assert int(table[peak_row, 0]) == report.spectrogram_argmax_vertex
+
     def test_windows_check_healthy(self, tmp_path, capsys):
         report_file = tmp_path / "report.txt"
         code = main(["windows-check", "--preset", "path-impulse", "--out", str(report_file)])
@@ -454,3 +482,10 @@ def test_shipped_scripts_run(tmp_path, capsys):
     sweep = _load_script("denominator_sweep")
     assert sweep.main(["--size", "40", "--counts", "1", "3"]) == 0
     assert "N = 40" in capsys.readouterr().out
+
+
+def test_run_presets_script_writes_no_spectrogram_csv(tmp_path, capsys):
+    run_presets = _load_script("run_presets")
+    assert run_presets.main(["--out-root", str(tmp_path)]) == 0
+    assert sorted(tmp_path.rglob("spectrogram_*.csv")) == []
+    assert "random-irregular" in capsys.readouterr().out

@@ -288,6 +288,31 @@ class TestComponentSearch:
         assert (largest.num_vertices == n) == (expected == 1)
 
 
+class TestImmutability:
+    def test_weights_are_read_only(self):
+        g = path_graph(3)
+        with pytest.raises(ValueError, match="read-only"):
+            g.weights[0, 1] = -5.0
+        assert np.array_equal(g.degrees, [1, 2, 1])
+
+    def test_coordinates_are_read_only(self):
+        g = path_graph(3)
+        with pytest.raises(ValueError, match="read-only"):
+            g.coordinates[0, 0] = 7.0
+
+    def test_caller_array_is_viewed_not_copied(self):
+        w = np.array([[0.0, 2.0], [2.0, 0.0]])
+        coords = np.zeros((2, 2))
+        g = Graph(2, w, coords)
+        assert np.shares_memory(g.weights, w) and np.shares_memory(g.coordinates, coords)
+        assert w.flags.writeable and coords.flags.writeable
+
+    def test_equality_is_identity(self):
+        a, b = path_graph(3), path_graph(3)
+        assert a == a and a != b
+        assert len({a, b}) == 2
+
+
 class TestDependencies:
     def test_import_loads_no_scipy(self):
         import mwgft

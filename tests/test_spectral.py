@@ -123,6 +123,22 @@ class TestEigendecompose:
         b = basis_for(g, NORM)
         assert a.fingerprint != b.fingerprint
 
+    def test_arrays_are_read_only(self):
+        basis = basis_for(path_graph(4))
+        fingerprint = basis.fingerprint
+        with pytest.raises(ValueError, match="read-only"):
+            basis.eigenvalues[1] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            basis.vectors[0, 0] = 5.0
+        assert basis.eigenvalues[1] != 5.0
+        assert basis.fingerprint == fingerprint == basis_for(path_graph(4)).fingerprint
+
+    def test_caller_arrays_are_viewed_not_copied(self):
+        vals, vecs = np.array([0.0, 2.0]), np.eye(2)
+        basis = SpectralBasis(vals, vecs, UNNORM)
+        assert np.shares_memory(basis.eigenvalues, vals) and np.shares_memory(basis.vectors, vecs)
+        assert vals.flags.writeable and vecs.flags.writeable
+
 
 class TestTransformPair:
     def test_eigenvector_maps_to_coordinate(self):
