@@ -202,30 +202,42 @@ def random_connected_graph(
     additional random edges (default: ``num_vertices``, capped at the number
     of vertex pairs still unconnected) are thrown in.  Weights are drawn
     uniformly from ``weight_range``.
+
+    ``seed`` and ``extra_edges`` must be non-negative.  A given
+    ``(num_vertices, seed, extra_edges, weight_range)`` yields the same edges
+    and the same weight bits across releases.
     """
     if num_vertices < 2:
         raise InvalidSize("random graph needs at least two vertices")
+    if seed < 0:
+        raise InvalidParameter(f"seed must be non-negative, got {seed}")
     if extra_edges is None:
         extra_edges = num_vertices
-    lo, hi = weight_range
+    if extra_edges < 0:
+        raise InvalidParameter(f"extra_edges must be non-negative, got {extra_edges}")
+    lo, hi = map(float, weight_range)
     if not (0 < lo <= hi):
         raise InvalidParameter(f"weight range {weight_range} must be positive")
+    # The same draws, in the same order, as rng.integers(0, idx),
+    # rng.integers(0, n, size=2) and rng.uniform(lo, hi), made as scalar calls
+    # to skip numpy's per-call overhead: uniform computes lo + span * u itself.
     rng = np.random.default_rng(seed)
-    order = rng.permutation(num_vertices) + 1
+    integers, uniform01 = rng.integers, rng.random
+    span = hi - lo
+    order = (rng.permutation(num_vertices) + 1).tolist()
     edge_dict: dict[tuple[int, int], float] = {}
     for idx in range(1, num_vertices):
-        a = int(order[idx])
-        b = int(order[rng.integers(0, idx)])
-        edge_dict[(min(a, b), max(a, b))] = float(rng.uniform(lo, hi))
+        a, b = order[idx], order[integers(0, idx)]
+        edge_dict[(a, b) if a < b else (b, a)] = lo + span * uniform01()
     capacity = num_vertices * (num_vertices - 1) // 2 - len(edge_dict)
-    added = 0
-    while added < min(int(extra_edges), capacity):
-        a, b = (int(v) + 1 for v in rng.integers(0, num_vertices, size=2))
-        key = (min(a, b), max(a, b))
+    remaining = min(int(extra_edges), capacity)
+    while remaining:
+        a, b = int(integers(0, num_vertices)) + 1, int(integers(0, num_vertices)) + 1
+        key = (a, b) if a < b else (b, a)
         if a == b or key in edge_dict:
             continue
-        edge_dict[key] = float(rng.uniform(lo, hi))
-        added += 1
+        edge_dict[key] = lo + span * uniform01()
+        remaining -= 1
     return Graph(num_vertices, _assemble(num_vertices, edge_dict))
 
 

@@ -34,7 +34,7 @@ ZERO_EIGENVALUE_RTOL = 1e-10
 PIVOT_TIE_RTOL = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralBasis:
     """Eigendecomposition of a graph Laplacian.
 
@@ -155,7 +155,7 @@ def igft(basis: SpectralBasis, spectrum: np.ndarray) -> np.ndarray:
     return basis.vectors @ spectrum
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralMagnitudes:
     """Coherence-style maxima of the eigenvector matrix.
 

@@ -73,7 +73,7 @@ def _window_spectrum(basis: SpectralBasis, window) -> np.ndarray:
     return spectrum
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WgftCoefficients:
     """Per-window coefficient matrices as one (J, N, N) array, plus the
     fingerprint of the basis they belong to."""
@@ -101,7 +101,7 @@ class WgftCoefficients:
         return self.matrices[0].shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrameBounds:
     """Tight frame bounds plus the per-vertex translate energies behind them.
 
@@ -118,7 +118,7 @@ class FrameBounds:
     loose_upper: float | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrogram:
     """Squared-magnitude coefficient maps, per window as (J, N, N) and
     averaged over windows."""

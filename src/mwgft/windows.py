@@ -34,7 +34,7 @@ from .tables import _float_row, complex_column, re_im, read_table, write_table
 ENERGY_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralWindow:
     """A window given by its spectrum sampled at the Laplacian eigenvalues."""
 
@@ -57,7 +57,7 @@ class SpectralWindow:
         return self.samples.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WindowFamily:
     """J analysis windows paired index-by-index with J synthesis windows."""
 
@@ -319,7 +319,7 @@ def sufficient_conditions(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConditionReport:
     """Outcome of the per-vertex denominator check."""
 

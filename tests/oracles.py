@@ -44,6 +44,41 @@ def bfs_component_count(weights_dense: np.ndarray) -> int:
     return count
 
 
+def random_connected_weights_reference(
+    num_vertices: int,
+    seed: int,
+    extra_edges: int | None = None,
+    weight_range: tuple[float, float] = (0.5, 1.5),
+) -> np.ndarray:
+    """Weight matrix of ``random_connected_graph`` the plain numpy way: a
+    spanning tree over a random vertex order, then extra edges drawn two
+    endpoints per ``rng.integers`` call, each weight from ``rng.uniform``,
+    filled in one edge at a time."""
+    if extra_edges is None:
+        extra_edges = num_vertices
+    lo, hi = weight_range
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(num_vertices) + 1
+    edge_dict: dict[tuple[int, int], float] = {}
+    for idx in range(1, num_vertices):
+        a = int(order[idx])
+        b = int(order[rng.integers(0, idx)])
+        edge_dict[(min(a, b), max(a, b))] = float(rng.uniform(lo, hi))
+    capacity = num_vertices * (num_vertices - 1) // 2 - len(edge_dict)
+    added = 0
+    while added < min(int(extra_edges), capacity):
+        a, b = (int(v) + 1 for v in rng.integers(0, num_vertices, size=2))
+        key = (min(a, b), max(a, b))
+        if a == b or key in edge_dict:
+            continue
+        edge_dict[key] = float(rng.uniform(lo, hi))
+        added += 1
+    weights = np.zeros((num_vertices, num_vertices))
+    for (a, b), w in edge_dict.items():
+        weights[a - 1, b - 1] = weights[b - 1, a - 1] = w
+    return weights
+
+
 def path_eigenvalues(n: int) -> np.ndarray:
     """Closed-form unnormalized path-Laplacian spectrum 2 - 2 cos(pi l / N)."""
     return 2.0 - 2.0 * np.cos(np.pi * np.arange(n) / n)

@@ -238,6 +238,12 @@ class TestCliBasics:
         out = capsys.readouterr().out
         assert "vertices: 5" in out and "edges: 4" in out
 
+    @pytest.mark.parametrize("option", ["--seed", "--extra-edges"])
+    def test_graph_info_negative_random_option(self, capsys, option):
+        assert main(["graph-info", "--random-size", "10", option, "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_eig_two_path(self, capsys):
         assert main(["eig", "--path-size", "2"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()

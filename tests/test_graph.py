@@ -28,7 +28,7 @@ from mwgft import (
     save_graph,
 )
 from helpers import NORM, UNNORM
-from oracles import bfs_component_count
+from oracles import bfs_component_count, random_connected_weights_reference
 
 
 class TestBuildGraph:
@@ -120,6 +120,37 @@ class TestRandomConnectedGraph:
     def test_extra_edges_respected(self):
         g = random_connected_graph(30, seed=5, extra_edges=0)
         assert g.num_edges == 29  # spanning tree only
+
+    # "all" asks for more edges than fit, which gives the complete graph; it
+    # stops at 40 vertices, as filling 300 by rejection takes a million draws
+    @pytest.mark.parametrize(
+        "size, extra",
+        [(size, extra) for size in (2, 3, 12, 40, 300)
+         for extra in ("default", "none", "three", "twice", "all")
+         if not (size == 300 and extra == "all")],
+    )
+    def test_weights_match_reference(self, size, extra):
+        tree_capacity = size * (size - 1) // 2 - (size - 1)
+        extra_edges = {"default": None, "none": 0, "three": 3, "twice": 2 * size,
+                       "all": tree_capacity + 5}[extra]
+        for seed in (0, 1, 7, 2**31 - 1):
+            g = random_connected_graph(size, seed, extra_edges)
+            reference = random_connected_weights_reference(size, seed, extra_edges)
+            assert np.array_equal(g.weights, reference), seed
+        if extra == "all":
+            assert g.num_edges == size * (size - 1) // 2
+
+    @pytest.mark.parametrize("weight_range", [(0.5, 1.5), (1, 2), (0.1, 0.1)])
+    def test_preset_graph_matches_reference(self, weight_range):
+        g = random_connected_graph(300, 20240917, 600, weight_range)
+        reference = random_connected_weights_reference(300, 20240917, 600, weight_range)
+        assert np.array_equal(g.weights, reference)
+        assert g.num_edges == 899
+
+    @pytest.mark.parametrize("kwargs", [{"seed": -1}, {"seed": 3, "extra_edges": -1}])
+    def test_negative_seed_or_extra_edges_rejected(self, kwargs):
+        with pytest.raises(InvalidParameter):
+            random_connected_graph(10, **kwargs)
 
 
 class TestLoadGraph:

@@ -7,12 +7,15 @@ from mwgft import (
     DegenerateDenominator,
     DimensionMismatch,
     FingerprintMismatch,
+    FrameBounds,
     InvalidParameter,
     NotAFrame,
     ParseError,
+    Spectrogram,
     SpectralWindow,
     WgftCoefficients,
     WindowFamily,
+    check_nondegeneracy,
     frame_bounds,
     gft,
     igft,
@@ -24,6 +27,7 @@ from mwgft import (
     reconstruct_two_window,
     save_coefficients,
     shifted_family,
+    spectral_magnitudes,
     spectrogram,
     synthesis_family,
     translate_norms_sq,
@@ -489,3 +493,25 @@ class TestSpectrogramFiles:
         target = tmp_path / "zero.pgm"
         save_spectrogram_pgm(target, np.zeros((2, 3)))
         assert target.read_bytes().endswith(bytes(6))
+
+
+ARRAY_HOLDERS = {
+    "SpectralBasis": lambda basis, family: basis_for(path_graph(4)),
+    "SpectralMagnitudes": lambda basis, family: spectral_magnitudes(basis),
+    "SpectralWindow": lambda basis, family: SpectralWindow(np.ones(4)),
+    "WindowFamily": lambda basis, family: WindowFamily.with_same_synthesis(family.analysis),
+    "ConditionReport": lambda basis, family: check_nondegeneracy(basis, family),
+    "WgftCoefficients": lambda basis, family: WgftCoefficients(np.ones((1, 4, 4)), "f"),
+    "FrameBounds": lambda basis, family: FrameBounds(1.0, 2.0, np.ones(4)),
+    "Spectrogram": lambda basis, family: Spectrogram(np.ones((1, 4, 4)), np.ones((4, 4))),
+}
+
+
+@pytest.mark.parametrize("name", ARRAY_HOLDERS)
+def test_array_holders_compare_by_identity(name):
+    basis = basis_for(path_graph(4))
+    family = WindowFamily.with_same_synthesis([SpectralWindow(np.ones(4))])
+    a, b = (ARRAY_HOLDERS[name](basis, family) for _ in range(2))
+    assert type(a).__name__ == name
+    assert a == a and a != b
+    assert len({a, b}) == 2

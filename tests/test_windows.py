@@ -384,6 +384,14 @@ class TestFamilyCsv:
             load_family_csv(target)
         assert err.value.line == line
 
+    def test_quoted_comma_in_header_is_one_field(self, tmp_path):
+        target = tmp_path / "family.csv"
+        target.write_text('ell,eigenvalue,"g1_re,g1_im",gamma1_re,gamma1_im\n'
+                          "0,0.0,1.0,0.0,1.0,0.0\n", encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            load_family_csv(target)
+        assert err.value.line == 1
+
     def test_rows_placed_by_ell(self, tmp_path):
         target = tmp_path / "family.csv"
         target.write_text(
