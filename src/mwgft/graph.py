@@ -205,7 +205,9 @@ def random_connected_graph(
 
     ``seed`` and ``extra_edges`` must be non-negative.  A given
     ``(num_vertices, seed, extra_edges, weight_range)`` yields the same edges
-    and the same weight bits across releases.
+    across releases.  The weight bits match too wherever numpy computes
+    ``uniform`` without a fused multiply-add (the x86-64 wheels do);
+    ``tests/test_graph.py`` checks both against the first implementation.
     """
     if num_vertices < 2:
         raise InvalidSize("random graph needs at least two vertices")

@@ -7,9 +7,7 @@ round-trip ``repr`` of its float64, every line ended by the file's
 from __future__ import annotations
 
 import csv
-import io
 import math
-from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -43,82 +41,27 @@ def read_table(
     a row with the wrong number of fields, a non-numeric, NaN or infinite
     value, and an index that repeats or falls outside
     ``start .. start + rows - 1`` (which is how a missing index shows) raise
-    :class:`ParseError` with the line number.  The values are parsed in bulk;
-    only a file that fails a check is read again row by row, to find the line.
+    :class:`ParseError` with the line number.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        text = fh.read()
-    return _read_bulk(text, start, header_ok) or _read_rows(
-        io.StringIO(text, newline=""), path, start, header_ok
-    )
-
-
-def _read_bulk(
-    text: str, start: int, header_ok: Callable[[list[str]], bool]
-) -> tuple[list[str], np.ndarray] | None:
-    """:func:`read_table` of ``text`` with every value parsed in one pass, or
-    None when any check fails, for :func:`_read_rows` to find the line.
-
-    Only text without quotes whose line ends are all ``\\n`` or all
-    ``\\r\\n`` is taken, so that ``str.split`` cuts it where ``csv.reader``
-    does, and the values go through the same ``int`` and ``float`` as there.
-    """
-    crlf = text.count("\r\n")
-    if '"' in text or text.count("\r") != crlf or (crlf and text.count("\n") != crlf):
-        return None
-    first, *rows = text.split("\r\n" if crlf else "\n")
-    header, rows = first.split(","), list(filter(None, rows))
-    width, size = len(header), len(rows)
-    if not first or not rows or not header_ok(header):
-        return None
-    if set(map(str.count, rows, repeat(","))) != {width - 1}:
-        return None
-    # each copy of the text goes as soon as the next exists, so the parse
-    # peaks below the row reader's lists of floats
-    joined = ",".join(rows)
-    del rows
-    cells = joined.split(",")
-    del joined
-    try:
-        indices = np.fromiter(map(int, cells[::width]), np.int64, size) - start
-        del cells[::width]
-        values = np.fromiter(map(float, cells), np.float64, len(cells))
-    except (ValueError, OverflowError):
-        return None
-    if not np.isfinite(values).all():
-        return None
-    # ``size`` indices, none negative, that leave no count of 0..size-1 at
-    # zero are a permutation; np.bincount tells that without np.sort, whose
-    # first call in a process adds about 0.4 MB of resident code
-    if (indices < 0).any() or not np.bincount(indices, minlength=size).all():
-        return None
-    table = np.empty((size, width - 1))
-    table[indices] = values.reshape(table.shape)
-    return header, table
-
-
-def _read_rows(
-    fh, path, start: int, header_ok: Callable[[list[str]], bool]
-) -> tuple[list[str], np.ndarray]:
-    """:func:`read_table` row by row, raising the first fault with its line."""
-    reader = csv.reader(fh)
-    header = next(reader, None)
-    if header is None:
-        raise ParseError(f"{path} is empty", 1)
-    if not header_ok(header):
-        raise ParseError(f"unexpected header {header}", 1)
-    rows = []  # (line, index, values)
-    for row in filter(None, reader):
-        line = reader.line_num
-        if len(row) != len(header):
-            raise ParseError(f"expected {len(header)} fields, got {len(row)}", line)
-        try:
-            index, values = int(row[0]), list(map(float, row[1:]))
-        except ValueError:
-            raise ParseError("non-numeric value", line) from None
-        if not all(map(math.isfinite, values)):
-            raise ParseError("NaN or infinite value", line)
-        rows.append((line, index, values))
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ParseError(f"{path} is empty", 1)
+        if not header_ok(header):
+            raise ParseError(f"unexpected header {header}", 1)
+        rows = []  # (line, index, values)
+        for row in filter(None, reader):
+            line = reader.line_num
+            if len(row) != len(header):
+                raise ParseError(f"expected {len(header)} fields, got {len(row)}", line)
+            try:
+                index, values = int(row[0]), list(map(float, row[1:]))
+            except ValueError:
+                raise ParseError("non-numeric value", line) from None
+            if not all(map(math.isfinite, values)):
+                raise ParseError("NaN or infinite value", line)
+            rows.append((line, index, values))
     if not rows:
         raise ParseError(f"{path} has no data rows", 2)
     lines, indices, values = zip(*rows)
