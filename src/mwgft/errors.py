@@ -98,7 +98,7 @@ class DegenerateDenominator(MwgftError):
     """The reconstruction denominator vanishes at one or more vertices.
 
     ``vertices`` holds the 1-based indices where the denominator magnitude
-    fell at or below the tolerance.
+    does not exceed the tolerance, a NaN denominator included.
     """
 
     def __init__(self, message: str, vertices=()):

@@ -8,7 +8,8 @@ whose values are byte-identical across reruns at a fixed BLAS thread count.
 The spectrogram stays in memory: the summary takes its argmax vertex from
 the averaged |S|^2, ``write_pgm`` saves that map as a grayscale image, and
 ``mwgft spectrogram`` writes its CSVs from ``coefficients.npz``.
-Malformed config values raise :class:`InvalidParameter` naming their key.
+Malformed config values and keys that nothing reads raise
+:class:`InvalidParameter` naming their key.
 """
 
 from __future__ import annotations
@@ -108,7 +109,6 @@ class ExperimentConfig:
     kind: LaplacianKind
     signal: _signals.SignalSpec
     windows: WindowDesign
-    output: str | None = None
     nondegeneracy_tolerance: float | None = None
 
 
@@ -127,21 +127,34 @@ def _value(m: dict, section: str, key: str, convert, default=None):
         raise InvalidParameter(f"config key {section}.{key}: {exc}") from exc
 
 
+def _only(m: dict, prefix: str, *keys: str) -> None:
+    """Raise :class:`InvalidParameter` naming ``prefix + key`` for every key
+    of ``m`` outside ``keys``: a misspelt key must not fall back to a default."""
+    unknown = [f"{prefix}{key}" for key in m if key not in keys]
+    if unknown:
+        raise InvalidParameter(f"unknown config key {', '.join(unknown)}")
+
+
 def _signal_spec_from_mapping(m: dict) -> _signals.SignalSpec:
     kind = m.get("type")
     if kind == "impulse":
+        _only(m, "signal.", "type", "center")
         return _signals.ImpulseSpec(center=_value(m, "signal", "center", int, ...))
     if kind == "heat":
+        _only(m, "signal.", "type", "tau")
         return _signals.HeatSpec(tau=_value(m, "signal", "tau", float))
     if kind == "chirp":
+        _only(m, "signal.", "type", "center", "width", "rate")
         return _signals.ChirpSpec(
             center=_value(m, "signal", "center", int, ...),
             width=_value(m, "signal", "width", float, 6.0),
             rate=_value(m, "signal", "rate", float, 0.3),
         )
     if kind == "spectral":
+        _only(m, "signal.", "type", "path")
         return _signals.SpectralProfileSpec(path=m.get("path"))
     if kind == "random":
+        _only(m, "signal.", "type", "seed", "complex")
         return _signals.RandomSpec(
             seed=_value(m, "signal", "seed", int, ...),
             complex_values=bool(m.get("complex", True)),
@@ -153,12 +166,17 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
     """Validate a raw (YAML-shaped) mapping into an :class:`ExperimentConfig`."""
     if not isinstance(mapping, dict):
         raise InvalidParameter("experiment config must be a mapping")
+    _only(mapping, "", "name", "graph", "laplacian", "signal", "windows", "tolerances")
     sections = []
     for name, default in (("graph", None), ("signal", None), ("windows", {}), ("tolerances", {})):
         sections.append(mapping.get(name, default))
         if not isinstance(sections[-1], dict):
             raise InvalidParameter(f"config section {name} must be a mapping, got {sections[-1]!r}")
     graph_map, signal_map, window_map, tolerance_map = sections
+    _only(graph_map, "graph.", "source", "size", "file", "coordinates", "largest_component",
+          "seed", "extra_edges")
+    _only(window_map, "windows.", "kernel", "count", "l_fac", "shifts", "pairing", "file")
+    _only(tolerance_map, "tolerances.", "nondegeneracy")
     graph = GraphSource(
         source=str(graph_map.get("source", "path")),
         size=_value(graph_map, "graph", "size", int),
@@ -182,7 +200,6 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
         kind=LaplacianKind.from_name(str(mapping.get("laplacian", "unnormalized"))),
         signal=_signal_spec_from_mapping(signal_map),
         windows=design,
-        output=mapping.get("output"),
         nondegeneracy_tolerance=_value(tolerance_map, "tolerances", "nondegeneracy", float),
     )
 
@@ -304,7 +321,7 @@ def run_experiment(
     inspectable.
     """
     started = time.perf_counter()
-    out = Path(out_dir) if out_dir is not None else Path(config.output or f"out/{config.name}")
+    out = Path(out_dir if out_dir is not None else f"out/{config.name}")
     out.mkdir(parents=True, exist_ok=True)
     outputs: dict[str, Path] = {}
 

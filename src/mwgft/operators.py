@@ -17,20 +17,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, IndexOutOfRange
-from .spectral import SpectralBasis, gft, igft
-
-
-def _check_signal(basis: SpectralBasis, signal: np.ndarray) -> np.ndarray:
-    signal = np.asarray(signal)
-    if signal.shape != (basis.size,):
-        raise DimensionMismatch(f"signal shape {signal.shape}, expected ({basis.size},)")
-    return signal
+from .errors import IndexOutOfRange
+from .spectral import SpectralBasis, _vector, gft, igft
 
 
 def modulate(basis: SpectralBasis, k: int, signal: np.ndarray) -> np.ndarray:
     """Pointwise multiply by sqrt(N) times the k-th eigenvector."""
-    signal = _check_signal(basis, signal)
+    signal = _vector(basis, signal)
     if not 0 <= k < basis.size:
         raise IndexOutOfRange(f"frequency {k} outside 0..{basis.size - 1}")
     return np.sqrt(basis.size) * signal * basis.vectors[:, k]
@@ -43,7 +36,6 @@ def convolve(basis: SpectralBasis, f: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def translate(basis: SpectralBasis, n: int, signal: np.ndarray) -> np.ndarray:
     """Localize ``signal`` around vertex ``n`` (1-based)."""
-    signal = _check_signal(basis, signal)
     if not 1 <= n <= basis.size:
         raise IndexOutOfRange(f"vertex {n} outside 1..{basis.size}")
     coeff = gft(basis, signal) * basis.vectors[n - 1, :]
@@ -56,9 +48,7 @@ def translate_all(basis: SpectralBasis, window_spectrum: np.ndarray) -> np.ndarr
     Equals ``sqrt(N) * U diag(ghat) U^T`` which is symmetric for real
     spectra; costs one dense N^3 product instead of N matvecs.
     """
-    ghat = np.asarray(window_spectrum)
-    if ghat.shape != (basis.size,):
-        raise DimensionMismatch(f"spectrum shape {ghat.shape}, expected ({basis.size},)")
+    ghat = _vector(basis, window_spectrum, "spectrum")
     u = basis.vectors
     return np.sqrt(basis.size) * ((u * ghat) @ u.T)
 
@@ -68,7 +58,6 @@ def atom(basis: SpectralBasis, window: np.ndarray, n: int, k: int) -> np.ndarray
 
     ``g_{n,k}(i) = N chi_k(i) sum_ell ghat(ell) conj(chi_ell(n)) chi_ell(i)``.
     """
-    window = _check_signal(basis, window)
     if not 1 <= n <= basis.size:
         raise IndexOutOfRange(f"vertex {n} outside 1..{basis.size}")
     if not 0 <= k < basis.size:
@@ -79,11 +68,7 @@ def atom(basis: SpectralBasis, window: np.ndarray, n: int, k: int) -> np.ndarray
 
 def apply_filter(basis: SpectralBasis, window_spectrum: np.ndarray, signal: np.ndarray) -> np.ndarray:
     """Multiply the signal's spectrum by ``window_spectrum`` and go back."""
-    signal = _check_signal(basis, signal)
-    ghat = np.asarray(window_spectrum)
-    if ghat.shape != (basis.size,):
-        raise DimensionMismatch(f"spectrum shape {ghat.shape}, expected ({basis.size},)")
-    return basis.vectors @ (ghat * (basis.vectors.T @ signal))
+    return igft(basis, _vector(basis, window_spectrum, "spectrum") * gft(basis, signal))
 
 
 def translation_inner_product(
@@ -103,11 +88,8 @@ def translation_inner_products(
     basis: SpectralBasis, g_hat: np.ndarray, gamma_hat: np.ndarray
 ) -> np.ndarray:
     """``<T_n gamma, T_n g>`` for every vertex at once; entry ``n-1`` is vertex n."""
-    g_hat = np.asarray(g_hat)
-    gamma_hat = np.asarray(gamma_hat)
-    if g_hat.shape != (basis.size,) or gamma_hat.shape != (basis.size,):
-        raise DimensionMismatch("window spectra must have one sample per eigenvalue")
-    return _at_vertices(basis, gamma_hat * np.conj(g_hat))
+    g_hat = _vector(basis, g_hat, "spectrum")
+    return _at_vertices(basis, _vector(basis, gamma_hat, "spectrum") * np.conj(g_hat))
 
 
 def _at_vertices(basis: SpectralBasis, pair_spectrum: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DimensionMismatch, IndexOutOfRange, InvalidParameter
+from .errors import IndexOutOfRange, InvalidParameter
 from .spectral import SpectralBasis, igft
 from .tables import complex_column, re_im, read_table, write_table
 
@@ -123,12 +123,7 @@ def build_signal(spec: SignalSpec, basis: SpectralBasis) -> np.ndarray:
     if isinstance(spec, ChirpSpec):
         return chirp_signal(n, spec.center, spec.width, spec.rate)
     if isinstance(spec, SpectralProfileSpec):
-        if spec.path is not None:
-            spectrum = load_spectrum_csv(spec.path)
-        else:
-            spectrum = np.asarray(spec.values)
-        if spectrum.shape != (n,):
-            raise DimensionMismatch(f"spectrum shape {spectrum.shape}, expected ({n},)")
+        spectrum = spec.values if spec.path is None else load_spectrum_csv(spec.path)
         return spectral_signal(basis, spectrum)
     if isinstance(spec, RandomSpec):
         return random_signal(n, spec.seed, spec.complex_values)

@@ -79,6 +79,15 @@ class SpectralBasis:
         return h.hexdigest()
 
 
+def _vector(basis: SpectralBasis, values, name: str = "signal") -> np.ndarray:
+    """``values`` as an array holding one entry per vertex, or per eigenvalue,
+    of ``basis``; any other shape raises :class:`DimensionMismatch`."""
+    values = np.asarray(values)
+    if values.shape != (basis.size,):
+        raise DimensionMismatch(f"{name} shape {values.shape}, expected ({basis.size},)")
+    return values
+
+
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     """Pin each eigenvector's sign: its largest-magnitude entry (lowest index
     on ties) is made positive.
@@ -141,18 +150,12 @@ def gft(basis: SpectralBasis, signal: np.ndarray) -> np.ndarray:
 
     ``gft(f)[ell] = sum_i f(i) * conj(chi_ell(i))``.
     """
-    signal = np.asarray(signal)
-    if signal.shape != (basis.size,):
-        raise DimensionMismatch(f"signal shape {signal.shape}, expected ({basis.size},)")
-    return basis.vectors.T @ signal
+    return basis.vectors.T @ _vector(basis, signal)
 
 
 def igft(basis: SpectralBasis, spectrum: np.ndarray) -> np.ndarray:
     """Inverse graph Fourier transform: synthesize a vertex signal."""
-    spectrum = np.asarray(spectrum)
-    if spectrum.shape != (basis.size,):
-        raise DimensionMismatch(f"spectrum shape {spectrum.shape}, expected ({basis.size},)")
-    return basis.vectors @ spectrum
+    return basis.vectors @ _vector(basis, spectrum, "spectrum")
 
 
 @dataclass(frozen=True, eq=False)

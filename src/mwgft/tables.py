@@ -40,28 +40,32 @@ def read_table(
     Blank lines are skipped.  An empty file, a header ``header_ok`` rejects,
     a row with the wrong number of fields, a non-numeric, NaN or infinite
     value, and an index that repeats or falls outside
-    ``start .. start + rows - 1`` (which is how a missing index shows) raise
-    :class:`ParseError` with the line number.
+    ``start .. start + rows - 1`` (which is how a missing index shows), and
+    a line the csv module cannot split, raise :class:`ParseError` with the
+    line number.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError(f"{path} is empty", 1)
-        if not header_ok(header):
-            raise ParseError(f"unexpected header {header}", 1)
-        rows = []  # (line, index, values)
-        for row in filter(None, reader):
-            line = reader.line_num
-            if len(row) != len(header):
-                raise ParseError(f"expected {len(header)} fields, got {len(row)}", line)
-            try:
-                index, values = int(row[0]), list(map(float, row[1:]))
-            except ValueError:
-                raise ParseError("non-numeric value", line) from None
-            if not all(map(math.isfinite, values)):
-                raise ParseError("NaN or infinite value", line)
-            rows.append((line, index, values))
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise ParseError(f"{path} is empty", 1)
+            if not header_ok(header):
+                raise ParseError(f"unexpected header {header}", 1)
+            rows = []  # (line, index, values)
+            for row in filter(None, reader):
+                line = reader.line_num
+                if len(row) != len(header):
+                    raise ParseError(f"expected {len(header)} fields, got {len(row)}", line)
+                try:
+                    index, values = int(row[0]), list(map(float, row[1:]))
+                except ValueError:
+                    raise ParseError("non-numeric value", line) from None
+                if not all(map(math.isfinite, values)):
+                    raise ParseError("NaN or infinite value", line)
+                rows.append((line, index, values))
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            raise ParseError(str(exc), reader.line_num) from None
     if not rows:
         raise ParseError(f"{path} has no data rows", 2)
     lines, indices, values = zip(*rows)

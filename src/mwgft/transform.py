@@ -45,14 +45,9 @@ from .errors import (
     ParseError,
 )
 from .operators import translation_inner_products, translate_norms_sq
-from .spectral import SpectralBasis, gft
+from .spectral import SpectralBasis, _vector, gft
 from .tables import write_table
-from .windows import (
-    SpectralWindow,
-    WindowFamily,
-    default_nondegeneracy_tolerance,
-    denominator,
-)
+from .windows import SpectralWindow, WindowFamily, _check_family, _verdict
 
 
 def _window_spectrum(basis: SpectralBasis, window) -> np.ndarray:
@@ -62,11 +57,7 @@ def _window_spectrum(basis: SpectralBasis, window) -> np.ndarray:
     array is treated as a vertex-domain window and transformed once.
     """
     if isinstance(window, SpectralWindow):
-        if window.size != basis.size:
-            raise DimensionMismatch(
-                f"window sampled on {window.size} eigenvalues, basis has {basis.size}"
-            )
-        return window.samples
+        return _vector(basis, window.samples, "window")
     spectrum = gft(basis, window)
     if not np.all(np.isfinite(spectrum)):
         raise InvalidParameter("window has non-finite values")
@@ -145,9 +136,7 @@ def _analyze(basis: SpectralBasis, spectra, signal) -> np.ndarray:
     Real signal and real windows give float64 coefficients, anything else
     complex128.
     """
-    signal = np.asarray(signal)
-    if signal.shape != (basis.size,):
-        raise DimensionMismatch(f"signal shape {signal.shape}, expected ({basis.size},)")
+    signal = _vector(basis, signal)
     if not np.all(np.isfinite(signal)):
         raise InvalidParameter("signal has non-finite values")
     u, n = basis.vectors, basis.size
@@ -194,10 +183,7 @@ def mwgft_analyze(
     basis: SpectralBasis, family: WindowFamily, signal: np.ndarray
 ) -> WgftCoefficients:
     """Windowed transform against every analysis window of the family."""
-    if family.size != basis.size:
-        raise DimensionMismatch(
-            f"family sampled on {family.size} eigenvalues, basis has {basis.size}"
-        )
+    _check_family(basis, family)
     stacked = _analyze(basis, [w.samples for w in family.analysis], signal)
     return WgftCoefficients(stacked, basis.fingerprint)
 
@@ -211,6 +197,8 @@ def mwgft_synthesize(
     """Exact multi-window reconstruction ``f(i) = p(i) / (N d(i))``.
 
     Window contributions are accumulated in fixed window order.  Raises
+    :class:`DegenerateDenominator`, before any product, at the vertices where
+    ``|d(n)| > tolerance`` does not hold (NaN included), and
     :class:`InvalidParameter` when the result is not finite, which is how
     non-finite coefficients surface without scanning all J N^2 of them.
     """
@@ -222,15 +210,12 @@ def mwgft_synthesize(
         raise DimensionMismatch(
             f"{coeffs.num_windows} coefficient matrices for {family.num_windows} windows"
         )
-    if coeffs.size != basis.size or family.size != basis.size:
-        raise DimensionMismatch("coefficients / family / basis sizes differ")
-    if tolerance is None:
-        tolerance = default_nondegeneracy_tolerance(family)
-    d = denominator(basis, family)
-    bad = np.flatnonzero(np.abs(d) <= tolerance)
-    if bad.size:
+    if coeffs.size != basis.size:
+        raise DimensionMismatch(f"{coeffs.size}-vertex coefficients for {basis.size} vertices")
+    d, tolerance, vanishing = _verdict(basis, family, tolerance)
+    if vanishing.size:
         raise DegenerateDenominator(
-            f"sum_j |<T_i gamma_j, T_i g_j>| <= {tolerance:.3e}", vertices=bad + 1
+            f"sum_j |<T_i gamma_j, T_i g_j>| <= {tolerance:.3e}", vertices=vanishing + 1
         )
 
     u, n = basis.vectors, basis.size

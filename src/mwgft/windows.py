@@ -40,9 +40,6 @@ class SpectralWindow:
 
     samples: np.ndarray
     label: str = ""
-    kernel: str | None = None
-    shift: float | None = None
-    l_fac: float | None = None
 
     def __post_init__(self):
         samples = np.asarray(self.samples)
@@ -115,7 +112,6 @@ class RbfPrototype:
 
     lambda_max: float
     l_fac: float
-    kernel: str = "rbf"
 
     def __call__(self, lam):
         scale = self.l_fac * self.lambda_max
@@ -148,31 +144,24 @@ def shifted_family(
     shifts = np.asarray(shifts, dtype=float)
     if shifts.ndim != 1 or shifts.size == 0:
         raise InvalidParameter("shifts must be a non-empty 1-d sequence")
-    kernel = getattr(prototype, "kernel", None)
-    l_fac = getattr(prototype, "l_fac", None)
     return [
-        SpectralWindow(
-            samples=np.asarray(prototype(basis.eigenvalues - tau), dtype=float),
-            label=f"g{k + 1}",
-            kernel=kernel,
-            shift=float(tau),
-            l_fac=l_fac,
-        )
+        SpectralWindow(np.asarray(prototype(basis.eigenvalues - tau), dtype=float), f"g{k + 1}")
         for k, tau in enumerate(shifts)
     ]
 
 
-def energy_response(windows: Sequence[SpectralWindow], floor: float = ENERGY_FLOOR) -> np.ndarray:
+def energy_response(windows: Sequence[SpectralWindow]) -> np.ndarray:
     """Stacked energy ``m(lambda_ell) = sum_k |ghat_k(lambda_ell)|^2``.
 
-    Raises :class:`DegenerateCoverage` when the minimum drops to ``floor`` or
-    below — normalizing by such an m would be ill-conditioned.
+    Raises :class:`DegenerateCoverage` when the minimum drops to
+    :data:`ENERGY_FLOOR` or below — normalizing by such an m would be
+    ill-conditioned.
     """
     if len(windows) == 0:
         raise InvalidParameter("window family is empty")
     stack = np.stack([w.samples for w in windows])
     m = np.sum(np.abs(stack) ** 2, axis=0)
-    if m.min() <= floor:
+    if m.min() <= ENERGY_FLOOR:
         worst = int(np.argmin(m))
         raise DegenerateCoverage(
             f"energy response is {m[worst]:.3e} at frequency {worst}; "
@@ -189,16 +178,7 @@ def synthesis_family(analysis: Sequence[SpectralWindow]) -> list[SpectralWindow]
     denominator exactly N at every vertex.
     """
     m = energy_response(analysis)
-    return [
-        SpectralWindow(
-            samples=w.samples / m,
-            label=f"gamma{k + 1}",
-            kernel=w.kernel,
-            shift=w.shift,
-            l_fac=w.l_fac,
-        )
-        for k, w in enumerate(analysis)
-    ]
+    return [SpectralWindow(w.samples / m, f"gamma{k + 1}") for k, w in enumerate(analysis)]
 
 
 # ---------------------------------------------------------------------------
@@ -216,19 +196,46 @@ def default_nondegeneracy_tolerance(family: WindowFamily) -> float:
     return 1e-10 * n * max(worst, np.finfo(float).tiny)
 
 
+def _check_family(basis: SpectralBasis, family: WindowFamily) -> None:
+    """Raise :class:`DimensionMismatch` unless the family is sampled on the
+    basis's eigenvalues, one sample each."""
+    if family.size != basis.size:
+        raise DimensionMismatch(
+            f"family sampled on {family.size} eigenvalues, basis has {basis.size}"
+        )
+
+
 def denominator(basis: SpectralBasis, family: WindowFamily) -> np.ndarray:
     """``d(n) = sum_j <T_n gamma_j, T_n g_j>`` at every vertex (entry n-1).
 
     Summing the pair spectra first makes it one matvec,
     ``d = N (U * U) @ sum_j gammahat_j conj(ghat_j)``.
     """
-    if family.size != basis.size:
-        raise DimensionMismatch(
-            f"family sampled on {family.size} eigenvalues, basis has {basis.size}"
-        )
+    _check_family(basis, family)
     spectrum = sum(gam.samples * np.conj(g.samples)
                    for g, gam in zip(family.analysis, family.synthesis))
     return _at_vertices(basis, spectrum)
+
+
+def _tolerance(family: WindowFamily, tolerance: float | None) -> float:
+    """``tolerance``, or :func:`default_nondegeneracy_tolerance` when None."""
+    return default_nondegeneracy_tolerance(family) if tolerance is None else float(tolerance)
+
+
+def _vanishing(d: np.ndarray, tolerance: float) -> np.ndarray:
+    """0-based vertices where d(n) vanishes: where ``|d(n)| > tolerance``
+    does not hold, so a NaN d(n) vanishes too."""
+    return np.flatnonzero(~(np.abs(d) > tolerance))
+
+
+def _verdict(
+    basis: SpectralBasis, family: WindowFamily, tolerance: float | None
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """d(n), the resolved tolerance and the 0-based vertices where d vanishes:
+    the one reconstruction verdict every check and report reads."""
+    d = denominator(basis, family)
+    tolerance = _tolerance(family, tolerance)
+    return d, tolerance, _vanishing(d, tolerance)
 
 
 @dataclass(frozen=True)
@@ -273,12 +280,8 @@ class SufficientConditions:
 def sufficient_conditions(
     basis: SpectralBasis, family: WindowFamily, tolerance: float | None = None
 ) -> SufficientConditions:
-    if family.size != basis.size:
-        raise DimensionMismatch(
-            f"family sampled on {family.size} eigenvalues, basis has {basis.size}"
-        )
-    if tolerance is None:
-        tolerance = default_nondegeneracy_tolerance(family)
+    _check_family(basis, family)
+    tolerance = _tolerance(family, tolerance)
     n = basis.size
     g = np.stack([w.samples for w in family.analysis])
     gam = np.stack([w.samples for w in family.synthesis])
@@ -331,8 +334,9 @@ class ConditionReport:
 
     @property
     def failing_vertices(self) -> list[int]:
-        """1-based vertices where |d(n)| is at or below tolerance."""
-        return [int(i) + 1 for i in np.flatnonzero(np.abs(self.denominators) <= self.tolerance)]
+        """1-based vertices where |d(n)| does not exceed the tolerance (NaN
+        included)."""
+        return [int(i) + 1 for i in _vanishing(self.denominators, self.tolerance)]
 
 
 def check_nondegeneracy(
@@ -340,19 +344,16 @@ def check_nondegeneracy(
 ) -> ConditionReport:
     """Evaluate ``d(n) = sum_j <T_n gamma_j, T_n g_j>`` at every vertex.
 
-    ``satisfied`` is True exactly when ``min_n |d(n)| > tolerance``.
+    ``satisfied`` is True exactly when ``|d(n)| > tolerance`` at every
+    vertex, so a NaN d(n) fails it.
     """
-    d = denominator(basis, family)
-    if tolerance is None:
-        tolerance = default_nondegeneracy_tolerance(family)
-    min_abs = float(np.abs(d).min())
-    conditions = sufficient_conditions(basis, family, tolerance)
+    d, tolerance, vanishing = _verdict(basis, family, tolerance)
     return ConditionReport(
         denominators=d,
-        min_abs=min_abs,
-        tolerance=float(tolerance),
-        satisfied=min_abs > tolerance,
-        conditions=conditions,
+        min_abs=float(np.abs(d).min()),
+        tolerance=tolerance,
+        satisfied=vanishing.size == 0,
+        conditions=sufficient_conditions(basis, family, tolerance),
     )
 
 
@@ -371,15 +372,16 @@ def format_condition_report(report: ConditionReport) -> str:
 
 
 def save_condition_report_csv(path, report: ConditionReport) -> None:
-    """Rows (vertex, denominator_re, denominator_im, abs, ok), ``ok`` being 1
-    where |d(n)| exceeds the tolerance and 0 elsewhere."""
+    """Rows (vertex, denominator_re, denominator_im, abs, ok), ``ok`` being 0
+    at the report's failing vertices and 1 elsewhere."""
     d = re_im(report.denominators)
     magnitude = np.hypot(d[:, 0], d[:, 1])  # bit for bit Python's abs(complex)
     table = np.column_stack([d, magnitude])
+    failing = set(report.failing_vertices)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("vertex,denominator_re,denominator_im,abs,ok\r\n")
-        for i, (row, ok) in enumerate(zip(table, magnitude > report.tolerance), start=1):
-            fh.write(f"{i},{_float_row(row)},{int(ok)}\r\n")
+        for i, row in enumerate(table, start=1):
+            fh.write(f"{i},{_float_row(row)},{int(i not in failing)}\r\n")
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +393,7 @@ def save_condition_report_csv(path, report: ConditionReport) -> None:
 
 
 def save_family_csv(path, basis: SpectralBasis, family: WindowFamily) -> None:
-    if family.size != basis.size:
-        raise DimensionMismatch("family and basis sizes differ")
+    _check_family(basis, family)
     header, columns = ["ell", "eigenvalue"], [basis.eigenvalues]
     for j, (g, gam) in enumerate(zip(family.analysis, family.synthesis), start=1):
         header += [f"g{j}_re", f"g{j}_im", f"gamma{j}_re", f"gamma{j}_im"]

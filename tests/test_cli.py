@@ -97,6 +97,31 @@ class TestConfigMapping:
         with pytest.raises(InvalidParameter):
             config_from_mapping(minimal_mapping(signal={"type": "sawtooth"}))
 
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            pytest.param({"laplacain": "normalized"}, "laplacain", id="top-level"),
+            pytest.param({"output": "elsewhere"}, "output", id="removed-output"),
+            pytest.param({"graph": {"source": "path", "size": 8, "sise": 9}}, "graph.sise",
+                         id="graph"),
+            pytest.param({"windows": {"cout": 5}}, "windows.cout", id="windows"),
+            pytest.param({"tolerances": {"nondegenerate": 1.0}}, "tolerances.nondegenerate",
+                         id="tolerances"),
+            pytest.param({"signal": {"type": "impulse", "center": 4, "rate": 0.3}}, "signal.rate",
+                         id="impulse"),
+            pytest.param({"signal": {"type": "heat", "center": 4}}, "signal.center", id="heat"),
+            pytest.param({"signal": {"type": "chirp", "center": 4, "seed": 1}}, "signal.seed",
+                         id="chirp"),
+            pytest.param({"signal": {"type": "spectral", "path": "s.csv", "values": [1]}},
+                         "signal.values", id="spectral"),
+            pytest.param({"signal": {"type": "random", "seed": 1, "complex_values": False}},
+                         "signal.complex_values", id="random"),
+        ],
+    )
+    def test_unknown_key_rejected(self, overrides, key):
+        with pytest.raises(InvalidParameter, match=f"unknown config key {key}$"):
+            config_from_mapping(minimal_mapping(**overrides))
+
     def test_unknown_graph_source(self):
         with pytest.raises(InvalidParameter):
             config_from_mapping(minimal_mapping(graph={"source": "torus", "size": 4}))
@@ -285,6 +310,7 @@ class TestCliRun:
                 ("count-not-a-number", {"windows": {"count": "three"}}),
                 ("size-not-a-number", {"graph": {"source": "path", "size": "ten"}}),
                 ("impulse-without-center", {"signal": {"type": "impulse"}}),
+                ("misspelt-key", {"windows": {"cout": 5}}),
                 ("out-is-a-file", {}),
             ]
         ],
@@ -301,7 +327,7 @@ class TestCliRun:
         assert "Traceback" not in err
         key = {"empty-tolerances": "tolerances", "count-not-a-number": "windows.count",
                "size-not-a-number": "graph.size", "impulse-without-center": "signal.center",
-               "out-is-a-file": "File exists"}[case]
+               "misspelt-key": "windows.cout", "out-is-a-file": "File exists"}[case]
         assert key in err
 
     def test_missing_config_file(self, tmp_path, capsys):

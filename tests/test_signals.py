@@ -234,6 +234,7 @@ class TestSignalCsv:
             pytest.param("1,0.5,0.0\n3,1.0,0.0\n", 3, id="skipped-index"),
             pytest.param("1000000000000,0.5,0.0\n", 2, id="huge-index"),
             pytest.param("-1,0.5,0.0\n", 2, id="negative-index"),
+            pytest.param("1,0.5,0.0\n2," + "1" * 140000 + ",0.0\n", 3, id="oversized-field"),
             pytest.param("", 2, id="header-only"),
         ],
     )
@@ -254,6 +255,13 @@ class TestSignalCsv:
     def test_empty_file(self, tmp_path):
         target = tmp_path / "empty.csv"
         target.write_text("", encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            load_signal_csv(target)
+        assert err.value.line == 1
+
+    def test_oversized_header_field(self, tmp_path):
+        target = tmp_path / "header.csv"
+        target.write_text("vertex," + "r" * 140000 + ",im\n1,0.5,0.0\n", encoding="utf-8")
         with pytest.raises(ParseError) as err:
             load_signal_csv(target)
         assert err.value.line == 1
