@@ -33,6 +33,7 @@ from .errors import (
     MwgftError,
     NegativeWeight,
     NotAFrame,
+    NumericalError,
     ParseError,
     SelfLoop,
     ZeroDegree,

@@ -3,8 +3,8 @@
 ``mwgft run`` executes a whole experiment from a YAML config or a shipped
 preset; the other subcommands expose individual pipeline stages.  Exit codes:
 0 success, 1 validation problem (bad input, bad config, mismatched
-artifacts), 2 numerical failure (degenerate denominator, not a frame,
-disconnected spectrum).
+artifacts), 2 numerical failure (a :class:`~mwgft.errors.NumericalError`:
+degenerate denominator, not a frame, disconnected spectrum).
 """
 
 from __future__ import annotations
@@ -17,14 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import (
-    DegenerateCoverage,
-    DegenerateDenominator,
-    EigSolverFailure,
-    MultipleZeroEigenvalues,
-    MwgftError,
-    NotAFrame,
-)
+from .errors import InvalidParameter, MwgftError, NumericalError
 from .experiment import (
     build_family,
     build_graph_from_source,
@@ -49,39 +42,34 @@ from .transform import (
 from .windows import check_nondegeneracy, format_condition_report, save_family_csv
 from . import signals as _signals
 
-NUMERICAL_ERRORS = (
-    DegenerateDenominator,
-    DegenerateCoverage,
-    NotAFrame,
-    MultipleZeroEigenvalues,
-    EigSolverFailure,
-)
-
 
 def _add_config_options(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--config", metavar="PATH", help="YAML experiment config")
     group.add_argument("--preset", metavar="NAME", help="shipped preset (see --list-presets)")
     parser.add_argument("--graph-file", metavar="PATH", default=None,
-                        help="override the config's graph edge-list file")
+                        help="edge-list file of a config whose graph source is 'file'")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="override random-graph / random-signal seeds")
 
 
-def _resolve_config(args):
-    if args.preset:
-        return load_preset(args.preset)
-    return load_config(args.config)
-
-
-def _apply_seed(config, seed):
-    """--seed overrides the seeds of random graph sources and random signals."""
-    if seed is None:
-        return config
-    graph = config.graph
-    if graph.source == "random":
-        graph = dataclasses.replace(graph, seed=int(seed))
-    signal = config.signal
-    if isinstance(signal, RandomSpec):
-        signal = dataclasses.replace(signal, seed=int(seed))
+def _config(args):
+    """The ``--config`` or ``--preset`` config with ``--graph-file`` and
+    ``--seed`` applied; ``--graph-file`` on a graph source other than
+    ``file`` raises :class:`InvalidParameter`."""
+    config = load_preset(args.preset) if args.preset else load_config(args.config)
+    graph, signal = config.graph, config.signal
+    if args.graph_file is not None:
+        if graph.source != "file":
+            raise InvalidParameter(
+                f"--graph-file needs graph source 'file', the config's is {graph.source!r}"
+            )
+        graph = dataclasses.replace(graph, path=args.graph_file)
+    if args.seed is not None:
+        if graph.source == "random":
+            graph = dataclasses.replace(graph, seed=args.seed)
+        if isinstance(signal, RandomSpec):
+            signal = dataclasses.replace(signal, seed=args.seed)
     return dataclasses.replace(config, graph=graph, signal=signal)
 
 
@@ -116,8 +104,8 @@ def _basis_for(args, graph):
 
 def _pipeline(args):
     """config -> (config, graph, basis, family) shared by several subcommands."""
-    config = _apply_seed(_resolve_config(args), getattr(args, "seed", None))
-    graph = build_graph_from_source(config.graph, graph_file=args.graph_file)
+    config = _config(args)
+    graph = build_graph_from_source(config.graph)
     basis = eigendecompose(laplacian(graph, config.kind), config.kind)
     family = build_family(config.windows, basis)
     return config, graph, basis, family
@@ -128,13 +116,7 @@ def _pipeline(args):
 # ---------------------------------------------------------------------------
 
 def _cmd_run(args) -> int:
-    config = _apply_seed(_resolve_config(args), args.seed)
-    report = run_experiment(
-        config,
-        out_dir=args.out,
-        graph_file=args.graph_file,
-        write_pgm=args.pgm,
-    )
+    report = run_experiment(_config(args), out_dir=args.out, write_pgm=args.pgm)
     print((report.outputs["summary"]).read_text(encoding="utf-8"), end="")
     print(f"elapsed_seconds: {report.elapsed_seconds:.3f}")
     print(f"outputs: {report.outputs['summary'].parent}")
@@ -247,8 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run a full experiment from a config or preset")
     _add_config_options(p)
     p.add_argument("--out", metavar="DIR", default=None, help="output directory")
-    p.add_argument("--seed", type=int, default=None,
-                   help="override random-graph / random-signal seeds")
     p.add_argument("--pgm", action="store_true", help="also write a PGM spectrogram image")
     p.set_defaults(func=_cmd_run)
 
@@ -267,19 +247,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("windows-check", help="evaluate the reconstruction denominator")
     _add_config_options(p)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", metavar="FILE", default=None, help="write the report here too")
     p.set_defaults(func=_cmd_windows_check)
 
     p = sub.add_parser("analyze", help="compute and store windowed-transform coefficients")
     _add_config_options(p)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", metavar="DIR", required=True)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("synthesize", help="reconstruct a signal from stored coefficients")
     _add_config_options(p)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--coefficients", metavar="FILE", required=True)
     p.add_argument("--out", metavar="DIR", required=True)
     p.set_defaults(func=_cmd_synthesize)
@@ -292,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("frame-bounds", help="tight frame bounds of each analysis window")
     _add_config_options(p)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_frame_bounds)
 
     return parser
@@ -314,7 +290,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except NUMERICAL_ERRORS as exc:
+    except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MwgftError as exc:

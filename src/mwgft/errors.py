@@ -5,8 +5,9 @@ Every error raised deliberately by this package derives from
 into two rough families: *validation* errors (malformed input, mismatched
 shapes, bad parameters) and *numerical* errors (conditions that only show up
 once you compute: degenerate denominators, failed eigensolves, window
-families that do not form a frame).  The command line tool maps the first
-family to exit code 1 and the second to exit code 2.
+families that do not form a frame), which derive from
+:class:`NumericalError`.  The command line tool maps the first family to
+exit code 1 and the second to exit code 2.
 """
 
 from __future__ import annotations
@@ -78,11 +79,15 @@ class FingerprintMismatch(MwgftError):
 # numerical errors
 # ---------------------------------------------------------------------------
 
-class EigSolverFailure(MwgftError):
+class NumericalError(MwgftError):
+    """Base class of the numerical errors (command line exit code 2)."""
+
+
+class EigSolverFailure(NumericalError):
     """The symmetric eigensolver did not converge."""
 
 
-class MultipleZeroEigenvalues(MwgftError):
+class MultipleZeroEigenvalues(NumericalError):
     """More than one eigenvalue is zero within tolerance.
 
     For a Laplacian this means the graph is disconnected, so the transform's
@@ -90,11 +95,11 @@ class MultipleZeroEigenvalues(MwgftError):
     """
 
 
-class DegenerateCoverage(MwgftError):
+class DegenerateCoverage(NumericalError):
     """The stacked energy response of a window family vanishes somewhere."""
 
 
-class DegenerateDenominator(MwgftError):
+class DegenerateDenominator(NumericalError):
     """The reconstruction denominator vanishes at one or more vertices.
 
     ``vertices`` holds the 1-based indices where the denominator magnitude
@@ -109,5 +114,5 @@ class DegenerateDenominator(MwgftError):
         self.vertices = vertices
 
 
-class NotAFrame(MwgftError):
+class NotAFrame(NumericalError):
     """The candidate lower frame bound is zero within tolerance."""

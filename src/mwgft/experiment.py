@@ -127,6 +127,21 @@ def _value(m: dict, section: str, key: str, convert, default=None):
         raise InvalidParameter(f"config key {section}.{key}: {exc}") from exc
 
 
+def _integer(value) -> int:
+    """``int(value)``, but a boolean or a fractional number raises ``ValueError``
+    instead of becoming 1 or being truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _boolean(value) -> bool:
+    """``value`` if it is a YAML boolean; a string such as ``"false"`` raises."""
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
 def _only(m: dict, prefix: str, *keys: str) -> None:
     """Raise :class:`InvalidParameter` naming ``prefix + key`` for every key
     of ``m`` outside ``keys``: a misspelt key must not fall back to a default."""
@@ -139,14 +154,14 @@ def _signal_spec_from_mapping(m: dict) -> _signals.SignalSpec:
     kind = m.get("type")
     if kind == "impulse":
         _only(m, "signal.", "type", "center")
-        return _signals.ImpulseSpec(center=_value(m, "signal", "center", int, ...))
+        return _signals.ImpulseSpec(center=_value(m, "signal", "center", _integer, ...))
     if kind == "heat":
         _only(m, "signal.", "type", "tau")
         return _signals.HeatSpec(tau=_value(m, "signal", "tau", float))
     if kind == "chirp":
         _only(m, "signal.", "type", "center", "width", "rate")
         return _signals.ChirpSpec(
-            center=_value(m, "signal", "center", int, ...),
+            center=_value(m, "signal", "center", _integer, ...),
             width=_value(m, "signal", "width", float, 6.0),
             rate=_value(m, "signal", "rate", float, 0.3),
         )
@@ -156,8 +171,8 @@ def _signal_spec_from_mapping(m: dict) -> _signals.SignalSpec:
     if kind == "random":
         _only(m, "signal.", "type", "seed", "complex")
         return _signals.RandomSpec(
-            seed=_value(m, "signal", "seed", int, ...),
-            complex_values=bool(m.get("complex", True)),
+            seed=_value(m, "signal", "seed", _integer, ...),
+            complex_values=_value(m, "signal", "complex", _boolean, True),
         )
     raise InvalidParameter(f"unknown signal type {kind!r}")
 
@@ -179,16 +194,16 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
     _only(tolerance_map, "tolerances.", "nondegeneracy")
     graph = GraphSource(
         source=str(graph_map.get("source", "path")),
-        size=_value(graph_map, "graph", "size", int),
+        size=_value(graph_map, "graph", "size", _integer),
         path=graph_map.get("file"),
         coordinates=graph_map.get("coordinates"),
-        largest_component=bool(graph_map.get("largest_component", False)),
-        seed=_value(graph_map, "graph", "seed", int),
-        extra_edges=_value(graph_map, "graph", "extra_edges", int),
+        largest_component=_value(graph_map, "graph", "largest_component", _boolean, False),
+        seed=_value(graph_map, "graph", "seed", _integer),
+        extra_edges=_value(graph_map, "graph", "extra_edges", _integer),
     )
     design = WindowDesign(
         kernel=str(window_map.get("kernel", "rbf")),
-        count=_value(window_map, "windows", "count", int, 3),
+        count=_value(window_map, "windows", "count", _integer, 3),
         l_fac=_value(window_map, "windows", "l_fac", float, 0.7),
         shifts=_value(window_map, "windows", "shifts", lambda v: tuple(float(s) for s in v)),
         pairing=str(window_map.get("pairing", "normalized-synthesis")),
@@ -228,21 +243,20 @@ def load_preset(name: str) -> ExperimentConfig:
     return config_from_mapping(raw)
 
 
-def build_graph_from_source(source: GraphSource, graph_file=None) -> Graph:
-    """Materialize the configured graph; ``graph_file`` overrides a file source's path."""
+def build_graph_from_source(source: GraphSource) -> Graph:
+    """Materialize the configured graph."""
     if source.source == "path":
         return path_graph(int(source.size))
     if source.source == "random":
         return random_connected_graph(
             int(source.size), int(source.seed), extra_edges=source.extra_edges
         )
-    path = graph_file or source.path
-    if not path:
+    if not source.path:
         raise InvalidParameter(
             "graph source 'file' needs a path (config graph.file or --graph-file)"
         )
     return load_graph(
-        path,
+        source.path,
         coordinates_path=source.coordinates,
         largest_component=source.largest_component,
     )
@@ -309,10 +323,7 @@ def _summary_text(report: ExperimentReport) -> str:
 
 
 def run_experiment(
-    config: ExperimentConfig,
-    out_dir=None,
-    graph_file=None,
-    write_pgm: bool = False,
+    config: ExperimentConfig, out_dir=None, write_pgm: bool = False
 ) -> ExperimentReport:
     """Run one configured experiment and write its artifacts.
 
@@ -331,7 +342,7 @@ def run_experiment(
         outputs[key] = target
         return target
 
-    graph = build_graph_from_source(config.graph, graph_file=graph_file)
+    graph = build_graph_from_source(config.graph)
     basis = eigendecompose(laplacian(graph, config.kind), config.kind)
     if graph.coordinates is not None:
         emit("coordinates", "coordinates.csv",

@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import IndexOutOfRange
+from .graph import _check_vertex
 from .spectral import SpectralBasis, _vector, gft, igft
 
 
@@ -31,15 +32,13 @@ def modulate(basis: SpectralBasis, k: int, signal: np.ndarray) -> np.ndarray:
 
 def convolve(basis: SpectralBasis, f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Graph convolution: multiply spectra, transform back."""
-    return igft(basis, gft(basis, f) * gft(basis, g))
+    return apply_filter(basis, gft(basis, g), f)
 
 
 def translate(basis: SpectralBasis, n: int, signal: np.ndarray) -> np.ndarray:
     """Localize ``signal`` around vertex ``n`` (1-based)."""
-    if not 1 <= n <= basis.size:
-        raise IndexOutOfRange(f"vertex {n} outside 1..{basis.size}")
-    coeff = gft(basis, signal) * basis.vectors[n - 1, :]
-    return np.sqrt(basis.size) * (basis.vectors @ coeff)
+    _check_vertex(n, basis.size)
+    return np.sqrt(basis.size) * apply_filter(basis, basis.vectors[n - 1, :], signal)
 
 
 def translate_all(basis: SpectralBasis, window_spectrum: np.ndarray) -> np.ndarray:
@@ -54,16 +53,8 @@ def translate_all(basis: SpectralBasis, window_spectrum: np.ndarray) -> np.ndarr
 
 
 def atom(basis: SpectralBasis, window: np.ndarray, n: int, k: int) -> np.ndarray:
-    """Windowed atom ``g_{n,k} = M_k T_n g`` in a single pass.
-
-    ``g_{n,k}(i) = N chi_k(i) sum_ell ghat(ell) conj(chi_ell(n)) chi_ell(i)``.
-    """
-    if not 1 <= n <= basis.size:
-        raise IndexOutOfRange(f"vertex {n} outside 1..{basis.size}")
-    if not 0 <= k < basis.size:
-        raise IndexOutOfRange(f"frequency {k} outside 0..{basis.size - 1}")
-    coeff = gft(basis, window) * basis.vectors[n - 1, :]
-    return basis.size * basis.vectors[:, k] * (basis.vectors @ coeff)
+    """Windowed atom ``g_{n,k} = M_k T_n g``."""
+    return modulate(basis, k, translate(basis, n, window))
 
 
 def apply_filter(basis: SpectralBasis, window_spectrum: np.ndarray, signal: np.ndarray) -> np.ndarray:
@@ -78,10 +69,9 @@ def translation_inner_product(
 
     ``<T_n gamma, T_n g> = N sum_ell gammahat(ell) conj(ghat(ell)) |chi_ell(n)|^2``.
     """
-    if not 1 <= n <= basis.size:
-        raise IndexOutOfRange(f"vertex {n} outside 1..{basis.size}")
-    weights = np.square(basis.vectors[n - 1, :])
-    return complex(basis.size * np.sum(np.asarray(gamma_hat) * np.conj(g_hat) * weights))
+    _check_vertex(n, basis.size)
+    pair = _vector(basis, gamma_hat, "spectrum") * np.conj(_vector(basis, g_hat, "spectrum"))
+    return complex(basis.size * np.sum(pair * np.square(basis.vectors[n - 1, :])))
 
 
 def translation_inner_products(

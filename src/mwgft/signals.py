@@ -12,7 +12,8 @@ from typing import Union
 
 import numpy as np
 
-from .errors import IndexOutOfRange, InvalidParameter
+from .errors import InvalidParameter
+from .graph import _check_vertex
 from .spectral import SpectralBasis, igft
 from .tables import complex_column, re_im, read_table, write_table
 
@@ -22,8 +23,7 @@ DEFAULT_HEAT_TAU_FACTOR = 10.0
 
 def impulse(num_vertices: int, center: int) -> np.ndarray:
     """Unit impulse at a 1-based vertex."""
-    if not 1 <= center <= num_vertices:
-        raise IndexOutOfRange(f"vertex {center} outside 1..{num_vertices}")
+    _check_vertex(center, num_vertices)
     out = np.zeros(num_vertices)
     out[center - 1] = 1.0
     return out
@@ -49,8 +49,7 @@ def chirp_signal(num_vertices: int, center: int, width: float, rate: float) -> n
     for n = 1..N.  The index arithmetic only means "position" on path-like
     vertex orderings, but the generator itself works on any size.
     """
-    if not 1 <= center <= num_vertices:
-        raise IndexOutOfRange(f"vertex {center} outside 1..{num_vertices}")
+    _check_vertex(center, num_vertices)
     if not width > 0:
         raise InvalidParameter(f"width must be positive, got {width}")
     offsets = np.arange(1, num_vertices + 1, dtype=float) - center

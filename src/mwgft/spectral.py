@@ -128,6 +128,9 @@ def eigendecompose(lap: np.ndarray, kind: LaplacianKind) -> SpectralBasis:
         vals, vecs = np.linalg.eigh(lap)
     except np.linalg.LinAlgError as exc:
         raise EigSolverFailure(str(exc)) from exc
+    # eigh already sorts ascending, but keep this: the fancy-indexed copy makes
+    # the vectors Fortran-ordered, and the GEMMs downstream round differently
+    # on that layout, so dropping it changes every preset artifact's last digits
     order = np.argsort(vals, kind="stable")
     vals = vals[order]
     vecs = _fix_signs(vecs[:, order])

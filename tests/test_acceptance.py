@@ -5,6 +5,7 @@ pass/fail line for the terminal summary (see conftest).  The tolerances here
 are the contract; loosening one is a behavior change, not a test fix.
 """
 
+import dataclasses
 import os
 import time
 from pathlib import Path
@@ -96,9 +97,9 @@ def test_irregular_graph_stability(record, tmp_path):
     )
     road_file = _road_network_file()
     if road_file is not None:
-        extra = run_experiment(
-            load_preset("minnesota-heat"), out_dir=tmp_path / "road", graph_file=str(road_file)
-        )
+        road = load_preset("minnesota-heat")
+        road = dataclasses.replace(road, graph=dataclasses.replace(road.graph, path=str(road_file)))
+        extra = run_experiment(road, out_dir=tmp_path / "road")
         ok = ok and extra.nondegeneracy_satisfied and extra.relative_error <= 1e-9
         details.append(f"road network: relative_error={extra.relative_error:.2e}")
     else:

@@ -6,14 +6,21 @@ import pytest
 import yaml
 
 from mwgft import (
+    DegenerateCoverage,
+    DegenerateDenominator,
+    EigSolverFailure,
     InvalidParameter,
     LaplacianKind,
+    MultipleZeroEigenvalues,
+    NotAFrame,
+    NumericalError,
     ParseError,
     SpectralWindow,
     WindowFamily,
     load_coefficients,
     load_signal_csv,
     save_family_csv,
+    save_graph,
     spectrogram,
 )
 from mwgft.cli import main
@@ -121,6 +128,59 @@ class TestConfigMapping:
     def test_unknown_key_rejected(self, overrides, key):
         with pytest.raises(InvalidParameter, match=f"unknown config key {key}$"):
             config_from_mapping(minimal_mapping(**overrides))
+
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            pytest.param({"signal": {"type": "random", "seed": 1, "complex": "false"}},
+                         "signal.complex", id="complex-string"),
+            pytest.param({"signal": {"type": "random", "seed": 1, "complex": 0}},
+                         "signal.complex", id="complex-number"),
+            pytest.param({"graph": {"source": "file", "file": "g.txt", "largest_component": "no"}},
+                         "graph.largest_component", id="largest-component-string"),
+        ],
+    )
+    def test_boolean_keys_need_yaml_booleans(self, overrides, key):
+        with pytest.raises(InvalidParameter, match=f"config key {key}: expected true or false"):
+            config_from_mapping(minimal_mapping(**overrides))
+
+    def test_boolean_keys(self):
+        config = config_from_mapping(minimal_mapping(
+            graph={"source": "file", "file": "g.txt", "largest_component": True},
+            signal={"type": "random", "seed": 1, "complex": False},
+        ))
+        assert config.graph.largest_component is True
+        assert config.signal == RandomSpec(seed=1, complex_values=False)
+
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            pytest.param({"windows": {"count": 2.5}}, "windows.count", id="count"),
+            pytest.param({"windows": {"count": True}}, "windows.count", id="count-bool"),
+            pytest.param({"graph": {"source": "path", "size": 50.9}}, "graph.size", id="size"),
+            pytest.param({"signal": {"type": "impulse", "center": 25.7}}, "signal.center",
+                         id="impulse-center"),
+            pytest.param({"signal": {"type": "chirp", "center": 25.7}}, "signal.center",
+                         id="chirp-center"),
+            pytest.param({"graph": {"source": "random", "size": 12, "seed": True}}, "graph.seed",
+                         id="graph-seed"),
+            pytest.param({"graph": {"source": "random", "size": 12, "seed": 1,
+                                    "extra_edges": 1.5}}, "graph.extra_edges", id="extra-edges"),
+            pytest.param({"signal": {"type": "random", "seed": False}}, "signal.seed",
+                         id="signal-seed"),
+            pytest.param({"graph": {"source": "path", "size": float("inf")}}, "graph.size",
+                         id="size-inf"),
+        ],
+    )
+    def test_integer_keys_reject_fractions_and_booleans(self, overrides, key):
+        with pytest.raises(InvalidParameter, match=f"config key {key}: expected an integer"):
+            config_from_mapping(minimal_mapping(**overrides))
+
+    def test_integer_keys_take_whole_numbers(self):
+        config = config_from_mapping(minimal_mapping(
+            graph={"source": "path", "size": 8.0}, windows={"count": "4"}
+        ))
+        assert config.graph.size == 8 and config.windows.count == 4
 
     def test_unknown_graph_source(self):
         with pytest.raises(InvalidParameter):
@@ -342,6 +402,37 @@ class TestCliRun:
         assert main(["run", "--preset", "minnesota-heat"]) == 1
         assert "--graph-file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "windows-check", "analyze"])
+    def test_graph_file_needs_file_source(self, tmp_path, capsys, command):
+        argv = [command, "--preset", "path-impulse", "--graph-file", str(tmp_path / "edges.txt")]
+        if command != "windows-check":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert "--graph-file" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_graph_file_sets_file_source_path(self, tmp_path, capsys):
+        edges = tmp_path / "edges.txt"
+        save_graph(edges, path_graph(12))
+        assert main(["windows-check", "--preset", "minnesota-heat", "--graph-file", str(edges)]) == 0
+        assert "satisfied: true" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "error",
+        [DegenerateDenominator, DegenerateCoverage, NotAFrame, MultipleZeroEigenvalues,
+         EigSolverFailure],
+    )
+    def test_numerical_errors_exit_2(self, tmp_path, capsys, monkeypatch, error):
+        assert issubclass(error, NumericalError)
+
+        def fail(path):
+            raise error("numerical trouble")
+
+        monkeypatch.setattr("mwgft.cli.load_coefficients", fail)
+        argv = ["spectrogram", "--coefficients", "c.npz", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: numerical trouble\n"
+
     def test_degenerate_family_exits_2(self, tmp_path, capsys):
         mapping = minimal_mapping(
             graph={"source": "path", "size": 6},
@@ -370,6 +461,34 @@ class TestCliRun:
         default, seeded, repeated = [(p / "summary.txt").read_bytes() for p in outs]
         assert default != seeded
         assert seeded == repeated
+
+
+    def test_every_config_command_takes_seed(self, tmp_path, capsys):
+        mapping = minimal_mapping(
+            graph={"source": "random", "size": 20, "seed": 1},
+            signal={"type": "random", "seed": 1},
+            windows={"kernel": "rbf", "count": 2},
+        )
+        cfg = write_yaml(tmp_path / "cfg.yaml", mapping)
+
+        def stdout(command, *options):
+            assert main([command, "--config", cfg, *options]) == 0
+            return capsys.readouterr().out
+
+        for command in ("windows-check", "frame-bounds"):
+            assert stdout(command, "--seed", "7") != stdout(command)
+        run = stdout("run", "--seed", "7", "--out", str(tmp_path / "run"))
+        assert run.startswith((tmp_path / "run" / "summary.txt").read_text())
+        stdout("analyze", "--seed", "7", "--out", str(tmp_path / "analysis"))
+        coefficients = str(tmp_path / "analysis" / "coefficients.npz")
+        stdout("synthesize", "--seed", "7", "--coefficients", coefficients,
+               "--out", str(tmp_path / "synthesis"))
+        np.testing.assert_allclose(load_signal_csv(tmp_path / "synthesis" / "reconstructed.csv"),
+                                   load_signal_csv(tmp_path / "analysis" / "signal.csv"),
+                                   atol=1e-10)
+        # without --seed the graph, and so its basis, is a different one
+        assert main(["synthesize", "--config", cfg, "--coefficients", coefficients,
+                     "--out", str(tmp_path / "other")]) == 1
 
 
 class TestCliPipelines:

@@ -151,9 +151,13 @@ class TestAtom:
     def test_equals_composition(self, rng):
         basis = random_basis(81, size=10)
         g = random_complex(rng, 10)
+        u = basis.vectors
         for n, k in [(1, 0), (4, 3), (10, 9), (7, 2)]:
             composed = modulate(basis, k, translate(basis, n, g))
             assert np.allclose(atom(basis, g, n, k), composed, atol=1e-12)
+            # g_{n,k}(i) = N chi_k(i) sum_ell ghat(ell) conj(chi_ell(n)) chi_ell(i)
+            single_pass = 10 * u[:, k] * (u @ (gft(basis, g) * u[n - 1, :]))
+            assert np.allclose(atom(basis, g, n, k), single_pass, atol=1e-12)
 
     def test_zeroth_frequency_is_translation(self, rng):
         basis = random_basis(82)
@@ -249,6 +253,20 @@ class TestTranslationInnerProduct:
                 translation_inner_product(basis, g_hat, gamma_hat, vertex),
                 rtol=1e-12,
             )
+
+    @pytest.mark.parametrize("which", ["g_hat", "gamma_hat"])
+    def test_spectrum_shape_check(self, which):
+        basis = basis_for(path_graph(6))
+        spectra = {"g_hat": np.ones(6), "gamma_hat": np.ones(6), which: np.ones(1)}
+        with pytest.raises(DimensionMismatch):
+            translation_inner_product(basis, spectra["g_hat"], spectra["gamma_hat"], 2)
+
+    def test_index_check(self, rng):
+        basis = random_basis(94)
+        g_hat = random_complex(rng, basis.size)
+        for vertex in (0, basis.size + 1):
+            with pytest.raises(IndexOutOfRange, match=f"outside 1..{basis.size}"):
+                translation_inner_product(basis, g_hat, g_hat, vertex)
 
     def test_inner_product_convention(self, rng):
         # <T_n gamma, T_n g> is linear in gamma and conjugate-linear in g

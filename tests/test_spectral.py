@@ -14,6 +14,7 @@ from mwgft import (
     igft,
     laplacian,
     path_graph,
+    random_connected_graph,
     spectral_magnitudes,
 )
 from mwgft.spectral import save_eigenvalues_csv, save_vectors_csv
@@ -132,6 +133,12 @@ class TestEigendecompose:
             basis.vectors[0, 0] = 5.0
         assert basis.eigenvalues[1] != 5.0
         assert basis.fingerprint == fingerprint == basis_for(path_graph(4)).fingerprint
+
+    @pytest.mark.parametrize("kind", [UNNORM, NORM])
+    def test_vectors_are_fortran_ordered(self, kind):
+        # the GEMMs downstream round differently on a C-ordered basis, so the
+        # preset artifacts' bytes depend on this layout
+        assert basis_for(random_connected_graph(30, 4), kind).vectors.flags.f_contiguous
 
     def test_caller_arrays_are_viewed_not_copied(self):
         vals, vecs = np.array([0.0, 2.0]), np.eye(2)
