@@ -79,6 +79,7 @@ from .signals import (
 from .spectral import (
     SpectralBasis,
     SpectralMagnitudes,
+    check_basis,
     eigendecompose,
     gft,
     igft,

@@ -29,7 +29,7 @@ from .experiment import (
 )
 from .graph import LaplacianKind, laplacian
 from .signals import RandomSpec, save_signal_csv
-from .spectral import eigendecompose, save_eigenvalues_csv, save_vectors_csv
+from .spectral import check_basis, eigendecompose, save_eigenvalues_csv, save_vectors_csv
 from .transform import (
     frame_bounds,
     load_coefficients,
@@ -56,7 +56,8 @@ def _add_config_options(parser: argparse.ArgumentParser) -> None:
 def _config(args):
     """The ``--config`` or ``--preset`` config with ``--graph-file`` and
     ``--seed`` applied; ``--graph-file`` on a graph source other than
-    ``file`` raises :class:`InvalidParameter`."""
+    ``file``, or ``--seed`` on a config with neither a random graph nor a
+    random signal, raises :class:`InvalidParameter`."""
     config = load_preset(args.preset) if args.preset else load_config(args.config)
     graph, signal = config.graph, config.signal
     if args.graph_file is not None:
@@ -66,6 +67,10 @@ def _config(args):
             )
         graph = dataclasses.replace(graph, path=args.graph_file)
     if args.seed is not None:
+        if graph.source != "random" and not isinstance(signal, RandomSpec):
+            raise InvalidParameter(
+                "--seed needs a random graph source or a random signal; this config has neither"
+            )
         if graph.source == "random":
             graph = dataclasses.replace(graph, seed=args.seed)
         if isinstance(signal, RandomSpec):
@@ -78,22 +83,26 @@ def _add_graph_options(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--path-size", type=int, metavar="N", help="built-in path graph")
     group.add_argument("--random-size", type=int, metavar="N", help="seeded random connected graph")
     group.add_argument("--graph-file", metavar="PATH", help="edge-list file")
-    parser.add_argument("--seed", type=int, default=0, help="seed for --random-size")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="seed for --random-size (default 0)")
     parser.add_argument("--extra-edges", type=int, default=None)
     parser.add_argument("--coordinates", metavar="PATH", default=None)
     parser.add_argument("--largest-component", action="store_true")
 
 
 def _graph_from_args(args):
+    """The graph of ``--path-size``, ``--random-size`` or ``--graph-file``;
+    every option is passed on, so :class:`GraphSource` rejects one the
+    source does not use."""
+    options = dict(seed=args.seed, extra_edges=args.extra_edges,
+                   coordinates=args.coordinates, largest_component=args.largest_component)
     if args.path_size is not None:
-        source = GraphSource(source="path", size=args.path_size)
+        source = GraphSource(source="path", size=args.path_size, **options)
     elif args.random_size is not None:
-        source = GraphSource(source="random", size=args.random_size,
-                             seed=args.seed, extra_edges=args.extra_edges)
+        options["seed"] = 0 if args.seed is None else args.seed
+        source = GraphSource(source="random", size=args.random_size, **options)
     else:
-        source = GraphSource(source="file", path=args.graph_file,
-                             coordinates=args.coordinates,
-                             largest_component=args.largest_component)
+        source = GraphSource(source="file", path=args.graph_file, **options)
     return build_graph_from_source(source)
 
 
@@ -102,13 +111,21 @@ def _basis_for(args, graph):
     return eigendecompose(laplacian(graph, kind), kind)
 
 
-def _pipeline(args):
-    """config -> (config, graph, basis, family) shared by several subcommands."""
+def _pipeline(args, basis=None):
+    """config -> (config, basis, family) shared by several subcommands.
+
+    A given ``basis`` (one stored with coefficients) replaces the
+    eigendecomposition, once :func:`check_basis` has found it to decompose
+    the config's Laplacian.
+    """
     config = _config(args)
-    graph = build_graph_from_source(config.graph)
-    basis = eigendecompose(laplacian(graph, config.kind), config.kind)
+    lap = laplacian(build_graph_from_source(config.graph), config.kind)
+    if basis is None:
+        basis = eigendecompose(lap, config.kind)
+    else:
+        check_basis(basis, lap, config.kind)
     family = build_family(config.windows, basis)
-    return config, graph, basis, family
+    return config, basis, family
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +169,7 @@ def _cmd_eig(args) -> int:
 
 
 def _cmd_windows_check(args) -> int:
-    config, _, basis, family = _pipeline(args)
+    config, basis, family = _pipeline(args)
     report = check_nondegeneracy(basis, family, config.nondegeneracy_tolerance)
     text = format_condition_report(report)
     print(text, end="")
@@ -162,7 +179,7 @@ def _cmd_windows_check(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    config, _, basis, family = _pipeline(args)
+    config, basis, family = _pipeline(args)
     signal = _signals.build_signal(config.signal, basis)
     coeffs = mwgft_analyze(basis, family, signal)
     out = Path(args.out)
@@ -175,8 +192,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_synthesize(args) -> int:
-    config, _, basis, family = _pipeline(args)
     coeffs = load_coefficients(args.coefficients)
+    config, basis, family = _pipeline(args, coeffs.basis)
     reconstructed = mwgft_synthesize(
         basis, family, coeffs, tolerance=config.nondegeneracy_tolerance
     )
@@ -201,7 +218,7 @@ def _cmd_spectrogram(args) -> int:
 
 
 def _cmd_frame_bounds(args) -> int:
-    _, _, basis, family = _pipeline(args)
+    _, basis, family = _pipeline(args)
     for j, (g, gam) in enumerate(zip(family.analysis, family.synthesis), start=1):
         dual = None if gam is g else gam
         bounds = frame_bounds(basis, g, dual_window=dual)
@@ -255,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="DIR", required=True)
     p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("synthesize", help="reconstruct a signal from stored coefficients")
+    p = sub.add_parser("synthesize", help="reconstruct a signal from stored coefficients "
+                       "and the basis stored with them")
     _add_config_options(p)
     p.add_argument("--coefficients", metavar="FILE", required=True)
     p.add_argument("--out", metavar="DIR", required=True)

@@ -72,7 +72,9 @@ class InvalidParameter(MwgftError):
 
 
 class FingerprintMismatch(MwgftError):
-    """Stored coefficients were produced against a different spectral basis."""
+    """Coefficients meet a spectral basis other than the one they were
+    produced against, or a stored basis does not decompose the Laplacian it
+    is used with."""
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import importlib.resources
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +56,18 @@ from .windows import (
 PAIRING_MODES = ("normalized-synthesis", "same-as-analysis")
 
 
+#: The :class:`GraphSource` fields each graph source reads; setting any other
+#: raises, so an option that does not apply is never silently dropped.
+_SOURCE_FIELDS = {
+    "path": ("source", "size"),
+    "random": ("source", "size", "seed", "extra_edges"),
+    "file": ("source", "path", "coordinates", "largest_component"),
+}
+
+# config key of a GraphSource field, where the two names differ
+_GRAPH_KEYS = {"path": "file"}
+
+
 @dataclass(frozen=True)
 class GraphSource:
     """Where the graph comes from: a built-in path, an edge-list file, or a
@@ -70,8 +82,14 @@ class GraphSource:
     extra_edges: int | None = None
 
     def __post_init__(self):
-        if self.source not in ("path", "file", "random"):
+        if self.source not in _SOURCE_FIELDS:
             raise InvalidParameter(f"unknown graph source {self.source!r}")
+        stray = [_GRAPH_KEYS.get(f.name, f.name) for f in fields(self)
+                 if f.name not in _SOURCE_FIELDS[self.source] and getattr(self, f.name) != f.default]
+        if stray:
+            raise InvalidParameter(
+                f"graph source {self.source!r} does not use {', '.join(stray)}"
+            )
         if self.source in ("path", "random") and not self.size:
             raise InvalidParameter(f"graph source {self.source!r} needs a size")
         if self.source == "random" and self.seed is None:

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     EigSolverFailure,
+    FingerprintMismatch,
     InvalidParameter,
     InvalidSize,
     MultipleZeroEigenvalues,
@@ -28,6 +29,14 @@ from .tables import write_table
 #: An eigenvalue counts as zero when it is at most this factor times
 #: ``max(1, largest eigenvalue)``.
 ZERO_EIGENVALUE_RTOL = 1e-10
+
+#: A stored basis passes :func:`check_basis` when its probe residual and
+#: orthogonality defect are at most this factor times ``max(1, largest
+#: eigenvalue)``.
+BASIS_CHECK_RTOL = 1e-10
+
+#: Number of fixed-seed probe columns :func:`check_basis` applies.
+BASIS_PROBES = 4
 
 #: Entries within this relative distance of a column's maximum magnitude are
 #: treated as tied when picking the sign-pinning pivot.
@@ -71,11 +80,15 @@ class SpectralBasis:
 
     @cached_property
     def fingerprint(self) -> str:
-        """Hash identifying this decomposition (kind, size, eigenvalues)."""
+        """Exact hash of this decomposition: kind, size, eigenvalues and
+        eigenvectors, so another basis of a repeated eigenvalue differs too."""
         h = hashlib.sha256()
         h.update(self.kind.value.encode())
         h.update(str(self.size).encode())
-        h.update(np.ascontiguousarray(self.eigenvalues).tobytes())
+        h.update(np.ascontiguousarray(self.eigenvalues))
+        # the transpose of the Fortran-ordered basis eigendecompose returns is
+        # C-contiguous, so this hashes the vectors in place
+        h.update(np.ascontiguousarray(self.vectors.T))
         return h.hexdigest()
 
 
@@ -146,6 +159,40 @@ def eigendecompose(lap: np.ndarray, kind: LaplacianKind) -> SpectralBasis:
         )
     vals[0] = 0.0
     return SpectralBasis(vals, vecs, kind)
+
+
+def check_basis(basis: SpectralBasis, lap: np.ndarray, kind: LaplacianKind) -> tuple[float, float]:
+    """Check that ``basis`` decomposes the Laplacian ``lap`` of kind ``kind``
+    without a second ``eigh``; return its (residual, orthogonality defect).
+
+    With fixed-seed probe columns P, the residual is
+    ``||L (U P) - U (Lambda P)|| / ||P||`` and the orthogonality defect
+    ``||U^T (U P) - P|| / ||P||``; each costs O(N^2) per probe.  Either above
+    ``BASIS_CHECK_RTOL * max(1, lambda_max)``, or another kind, raises
+    :class:`FingerprintMismatch`; another size raises
+    :class:`DimensionMismatch`.  A rotation inside a repeated eigenvalue's
+    eigenspace passes, as it should: it is still an eigenbasis of L.
+    """
+    lap = np.asarray(lap, dtype=float)
+    if lap.shape != (basis.size, basis.size):
+        raise DimensionMismatch(f"{basis.size}-vertex basis for a Laplacian of shape {lap.shape}")
+    if basis.kind is not kind:
+        raise FingerprintMismatch(
+            f"basis is of the {basis.kind.value} Laplacian, expected {kind.value}"
+        )
+    u = basis.vectors
+    probes = np.random.default_rng(0).standard_normal((basis.size, BASIS_PROBES))
+    mapped = u @ probes
+    scale = float(np.linalg.norm(probes))
+    residual = float(np.linalg.norm(lap @ mapped - u @ (basis.eigenvalues[:, None] * probes))) / scale
+    orthogonality = float(np.linalg.norm(u.T @ mapped - probes)) / scale
+    bound = BASIS_CHECK_RTOL * max(1.0, basis.lambda_max)
+    if not residual <= bound or not orthogonality <= bound:
+        raise FingerprintMismatch(
+            f"basis does not decompose this Laplacian: eigen-residual {residual:.3e}, "
+            f"orthogonality defect {orthogonality:.3e}, bound {bound:.3e}"
+        )
+    return residual, orthogonality
 
 
 def gft(basis: SpectralBasis, signal: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ and the complex-symmetric factor A does not depend on the window.  Analysis
 of J windows therefore costs J + 1 dense N^3 products: one for A (with the
 factor N folded in) and one per window, written into a single (J, N, N)
 buffer, which :class:`WgftCoefficients` holds and ``coefficients.npz`` stores
-as is.  Synthesis is the adjoint: ``M = sum_j diag(gammahat_j) U^T S_j`` is
+as is, beside the basis U it was analyzed against.  Synthesis is the adjoint: ``M = sum_j diag(gammahat_j) U^T S_j`` is
 accumulated in one N x N buffer, U is applied once, and
 ``p(i) = N sum_k U(i, k) (U M)(i, k)``; again J + 1 products.  The
 atom-by-atom path survives only as a test oracle.
@@ -44,6 +44,7 @@ from .errors import (
     NotAFrame,
     ParseError,
 )
+from .graph import LaplacianKind
 from .operators import translation_inner_products, translate_norms_sq
 from .spectral import SpectralBasis, _vector, gft
 from .tables import write_table
@@ -67,10 +68,10 @@ def _window_spectrum(basis: SpectralBasis, window) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class WgftCoefficients:
     """Per-window coefficient matrices as one (J, N, N) array, plus the
-    fingerprint of the basis they belong to."""
+    spectral basis they were analyzed against."""
 
     matrices: np.ndarray
-    basis_fingerprint: str
+    basis: SpectralBasis
 
     def __post_init__(self):
         try:
@@ -81,7 +82,15 @@ class WgftCoefficients:
             raise DimensionMismatch(
                 f"coefficients must be (J, N, N) with J >= 1, got shape {matrices.shape}"
             )
+        if matrices.shape[1] != self.basis.size:
+            raise DimensionMismatch(
+                f"{matrices.shape[1]}-vertex coefficients for a {self.basis.size}-vertex basis"
+            )
         object.__setattr__(self, "matrices", matrices)
+
+    @property
+    def basis_fingerprint(self) -> str:
+        return self.basis.fingerprint
 
     @property
     def num_windows(self) -> int:
@@ -175,7 +184,7 @@ def reconstruct_two_window(
         (SpectralWindow(_window_spectrum(basis, window)),),
         (SpectralWindow(_window_spectrum(basis, dual_window)),),
     )
-    coeffs = WgftCoefficients(np.asarray(coeffs)[None], basis.fingerprint)
+    coeffs = WgftCoefficients(np.asarray(coeffs)[None], basis)
     return mwgft_synthesize(basis, family, coeffs, tolerance)
 
 
@@ -185,7 +194,7 @@ def mwgft_analyze(
     """Windowed transform against every analysis window of the family."""
     _check_family(basis, family)
     stacked = _analyze(basis, [w.samples for w in family.analysis], signal)
-    return WgftCoefficients(stacked, basis.fingerprint)
+    return WgftCoefficients(stacked, basis)
 
 
 def mwgft_synthesize(
@@ -202,7 +211,8 @@ def mwgft_synthesize(
     :class:`InvalidParameter` when the result is not finite, which is how
     non-finite coefficients surface without scanning all J N^2 of them.
     """
-    if coeffs.basis_fingerprint != basis.fingerprint:
+    # the same object needs no hash; the fingerprint covers size and vectors
+    if coeffs.basis is not basis and coeffs.basis_fingerprint != basis.fingerprint:
         raise FingerprintMismatch(
             "coefficients were produced against a different spectral basis"
         )
@@ -210,8 +220,6 @@ def mwgft_synthesize(
         raise DimensionMismatch(
             f"{coeffs.num_windows} coefficient matrices for {family.num_windows} windows"
         )
-    if coeffs.size != basis.size:
-        raise DimensionMismatch(f"{coeffs.size}-vertex coefficients for {basis.size} vertices")
     d, tolerance, vanishing = _verdict(basis, family, tolerance)
     if vanishing.size:
         raise DegenerateDenominator(
@@ -293,40 +301,63 @@ def spectrogram(coeffs: WgftCoefficients) -> Spectrogram:
 # file formats
 # ---------------------------------------------------------------------------
 
+_BASIS_KEYS = ("eigenvalues", "vectors", "kind")
+
+
 def save_coefficients(path, coeffs: WgftCoefficients) -> None:
-    """Coefficients as one uncompressed ``.npz``: the (J, N, N) array, dtype
-    kept, under ``coefficients`` and the basis fingerprint under
-    ``basis_fingerprint``."""
+    """Coefficients and their basis as one uncompressed ``.npz``: the (J, N, N)
+    array, dtype kept, under ``coefficients``; the basis under
+    ``eigenvalues``, ``vectors`` (memory order kept) and ``kind``."""
+    basis = coeffs.basis
     # an open handle keeps numpy from appending ".npz" to the caller's path
     with open(path, "wb") as fh:
         np.savez(
             fh,
             coefficients=coeffs.matrices,
-            basis_fingerprint=np.array(coeffs.basis_fingerprint),
+            eigenvalues=basis.eigenvalues,
+            vectors=basis.vectors,
+            kind=np.array(basis.kind.value),
         )
 
 
 def load_coefficients(path) -> WgftCoefficients:
     """Read a file written by :func:`save_coefficients`, never unpickling.
 
-    A missing, damaged or foreign file, or one holding NaN or infinite
-    values, raises :class:`ParseError`; an array that is not (J, N, N)
-    raises :class:`DimensionMismatch`.
+    A missing, damaged or foreign file, one without its basis, or one holding
+    NaN, infinite or non-float64 values raises :class:`ParseError`; arrays
+    whose shapes are not (J, N, N), (N,) and (N, N) raise
+    :class:`DimensionMismatch`.  The basis keeps the stored memory order, and
+    its fingerprint is computed from it, never read from the file.
     """
     try:
         archive = np.load(path, allow_pickle=False)
         if not isinstance(archive, np.lib.npyio.NpzFile):
             raise ValueError("a single .npy array, not an .npz archive")
         with archive:
-            matrices = archive["coefficients"]
-            fingerprint = str(archive["basis_fingerprint"])
+            missing = [key for key in _BASIS_KEYS if key not in archive.files]
+            if missing:
+                raise ParseError(
+                    f"coefficient file {path} does not carry its spectral basis "
+                    f"(no {', '.join(missing)}); re-run `mwgft analyze` to write it again"
+                )
+            matrices, vals, vecs, kind = (archive[key] for key in ("coefficients", *_BASIS_KEYS))
     except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
         raise ParseError(f"could not read coefficient file {path}: {exc}") from exc
     if matrices.dtype not in (np.float64, np.complex128):
         raise ParseError(f"coefficients have dtype {matrices.dtype}, expected float64 or complex128")
-    if not np.isfinite(matrices).all():
-        raise ParseError(f"coefficient file {path} holds NaN or infinite values")
-    return WgftCoefficients(matrices, fingerprint)
+    for name, array in (("eigenvalues", vals), ("vectors", vecs)):
+        if array.dtype != np.float64:
+            raise ParseError(f"stored {name} have dtype {array.dtype}, expected float64")
+    for name, array in (("coefficients", matrices), ("eigenvalues", vals), ("vectors", vecs)):
+        if not np.isfinite(array).all():
+            raise ParseError(f"coefficient file {path} holds NaN or infinite {name}")
+    try:
+        kind = LaplacianKind.from_name(str(kind))
+    except InvalidParameter as exc:
+        raise ParseError(f"coefficient file {path}: {exc}") from exc
+    # the constructors hold the shape contracts: (N,) and (N, N) for the
+    # basis, (J, N, N) with the basis's N for the coefficients
+    return WgftCoefficients(matrices, SpectralBasis(vals, vecs, kind))
 
 
 def save_spectrogram_csv(path, matrix: np.ndarray) -> None:

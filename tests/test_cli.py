@@ -1,4 +1,7 @@
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -198,6 +201,26 @@ class TestConfigMapping:
         with pytest.raises(InvalidParameter):
             GraphSource(source="random", size=8)
 
+    @pytest.mark.parametrize(
+        "graph, stray",
+        [
+            pytest.param({"source": "path", "size": 8, "file": "/nonexistent/edges.txt",
+                          "coordinates": "xy.txt", "largest_component": True, "seed": 0,
+                          "extra_edges": 3},
+                         "file, coordinates, largest_component, seed, extra_edges", id="path"),
+            pytest.param({"source": "random", "size": 8, "seed": 1, "file": "g.txt",
+                          "largest_component": True},
+                         "file, largest_component", id="random"),
+            pytest.param({"source": "file", "file": "g.txt", "size": 8, "extra_edges": 2},
+                         "size, extra_edges", id="file"),
+        ],
+    )
+    def test_keys_of_another_graph_source_rejected(self, graph, stray):
+        # such keys used to be ignored, so a config that named an edge list
+        # on a path source ran on the path without a word
+        with pytest.raises(InvalidParameter, match=f"does not use {stray}$"):
+            config_from_mapping(minimal_mapping(graph=graph))
+
     def test_file_kernel_needs_path(self):
         with pytest.raises(InvalidParameter):
             WindowDesign(kernel="file")
@@ -323,6 +346,28 @@ class TestCliBasics:
         out = capsys.readouterr().out
         assert "vertices: 5" in out and "edges: 4" in out
 
+    @pytest.mark.parametrize(
+        "argv, stray",
+        [
+            pytest.param(["--path-size", "10", "--extra-edges", "50", "--coordinates",
+                          "/nonexistent", "--largest-component"],
+                         "coordinates, largest_component, extra_edges", id="path"),
+            pytest.param(["--path-size", "10", "--seed", "0"], "seed", id="path-seed"),
+            pytest.param(["--random-size", "10", "--coordinates", "/nonexistent"],
+                         "coordinates", id="random"),
+        ],
+    )
+    def test_graph_options_of_another_source_rejected(self, capsys, argv, stray):
+        # these options used to be dropped without a word
+        assert main(["graph-info", *argv]) == 1
+        assert capsys.readouterr().err.endswith(f"does not use {stray}\n")
+
+    def test_random_size_seed_defaults_to_zero(self, capsys):
+        assert main(["graph-info", "--random-size", "30"]) == 0
+        default = capsys.readouterr().out
+        assert main(["graph-info", "--random-size", "30", "--seed", "0"]) == 0
+        assert capsys.readouterr().out == default
+
     @pytest.mark.parametrize("option", ["--seed", "--extra-edges"])
     def test_graph_info_negative_random_option(self, capsys, option):
         assert main(["graph-info", "--random-size", "10", option, "-1"]) == 1
@@ -446,6 +491,13 @@ class TestCliRun:
         assert "satisfied: false" in (out / "condition_report.txt").read_text()
         assert not (out / "summary.txt").exists()
 
+    @pytest.mark.parametrize("command", ["windows-check", "frame-bounds"])
+    def test_seed_without_anything_random(self, capsys, command):
+        # --seed on a config with no random graph and no random signal used to
+        # run unseeded, with output byte-identical to the run without it
+        assert main([command, "--preset", "path-impulse", "--seed", "7"]) == 1
+        assert "--seed needs a random graph source or a random signal" in capsys.readouterr().err
+
     def test_seed_override(self, tmp_path, capsys):
         mapping = minimal_mapping(
             graph={"source": "random", "size": 20, "seed": 1},
@@ -503,6 +555,83 @@ class TestCliPipelines:
         rebuilt = load_signal_csv(stage2 / "reconstructed.csv")
         assert np.linalg.norm(rebuilt - original) <= 1e-10 * np.linalg.norm(original)
 
+    def test_synthesize_runs_no_eigendecomposition(self, tmp_path, capsys, monkeypatch):
+        # synthesize takes its basis from the coefficient file: a second eigh
+        # cost time and could return another basis of a repeated eigenvalue
+        stage1, stage2 = tmp_path / "analysis", tmp_path / "synthesis"
+        assert main(["analyze", "--preset", "random-irregular", "--out", str(stage1)]) == 0
+
+        def fail(*args):
+            raise AssertionError("synthesize must not eigendecompose")
+
+        monkeypatch.setattr("mwgft.cli.eigendecompose", fail)
+        assert main(["synthesize", "--preset", "random-irregular",
+                     "--coefficients", str(stage1 / "coefficients.npz"),
+                     "--out", str(stage2)]) == 0
+        original = load_signal_csv(stage1 / "signal.csv")
+        rebuilt = load_signal_csv(stage2 / "reconstructed.csv")
+        assert np.linalg.norm(rebuilt - original) <= 1e-12 * np.linalg.norm(original)
+
+    def test_synthesize_on_another_graph_names_the_residual(self, tmp_path, capsys):
+        # same N, same kind, same windows: only the probe check of the stored
+        # basis against this graph's Laplacian tells the graphs apart
+        def config(seed):
+            return write_yaml(tmp_path / f"g{seed}.yaml", minimal_mapping(
+                graph={"source": "random", "size": 40, "seed": seed, "extra_edges": 40},
+                signal={"type": "random", "seed": 1},
+                laplacian="normalized",
+            ))
+
+        stage1 = tmp_path / "analysis"
+        assert main(["analyze", "--config", config(1), "--out", str(stage1)]) == 0
+        capsys.readouterr()
+        code = main(["synthesize", "--config", config(2),
+                     "--coefficients", str(stage1 / "coefficients.npz"),
+                     "--out", str(tmp_path / "s")])
+        assert code == 1
+        assert "eigen-residual" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    def test_synthesize_rejects_swapped_eigenvector_column(self, tmp_path, capsys):
+        stage1 = tmp_path / "analysis"
+        assert main(["analyze", "--preset", "path-impulse", "--out", str(stage1)]) == 0
+        with np.load(stage1 / "coefficients.npz") as archive:
+            arrays = dict(archive)
+        arrays["vectors"][:, [3, 7]] = arrays["vectors"][:, [7, 3]]
+        damaged = tmp_path / "swapped.npz"
+        np.savez(damaged, **arrays)
+        capsys.readouterr()
+        assert main(["synthesize", "--preset", "path-impulse", "--coefficients", str(damaged),
+                     "--out", str(tmp_path / "s")]) == 1
+        assert "eigen-residual" in capsys.readouterr().err
+
+    def test_synthesize_at_another_blas_thread_count(self, tmp_path):
+        # eigenvalue 1 of this normalized Laplacian is double (gap 6.7e-16);
+        # eigh at 1 and at 2 BLAS threads returns other eigenvalue bits and
+        # another basis of that eigenspace, so a synthesis that ran eigh again
+        # refused the coefficients its own analysis had written
+        config = write_yaml(tmp_path / "cfg.yaml", minimal_mapping(
+            graph={"source": "random", "size": 800, "seed": 7},
+            signal={"type": "random", "seed": 3},
+            laplacian="normalized",
+            windows={"kernel": "rbf", "count": 2},
+        ))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+
+        def mwgft(threads, *argv):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            done = subprocess.run([sys.executable, "-m", "mwgft.cli", *argv, "--config", config],
+                                  env=env, capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+
+        mwgft(1, "analyze", "--out", str(tmp_path / "a"))
+        mwgft(2, "synthesize", "--coefficients", str(tmp_path / "a" / "coefficients.npz"),
+              "--out", str(tmp_path / "s"))
+        original = load_signal_csv(tmp_path / "a" / "signal.csv")
+        rebuilt = load_signal_csv(tmp_path / "s" / "reconstructed.csv")
+        assert np.linalg.norm(rebuilt - original) <= 1e-12 * np.linalg.norm(original)
+
     def test_synthesize_rejects_foreign_coefficients(self, tmp_path, capsys):
         stage1 = tmp_path / "analysis"
         assert main(["analyze", "--preset", "path-impulse", "--out", str(stage1)]) == 0
@@ -532,10 +661,10 @@ class TestCliPipelines:
         assert (out / "spectrogram_avg.pgm").is_file()
         # a coefficient file holding NaN is refused before anything is written
         with np.load(stage1 / "coefficients.npz") as archive:
-            matrices, fingerprint = archive["coefficients"], archive["basis_fingerprint"]
-        matrices[0, 0, 0] = np.nan
+            arrays = dict(archive)
+        arrays["coefficients"][0, 0, 0] = np.nan
         damaged = tmp_path / "nan.npz"
-        np.savez(damaged, coefficients=matrices, basis_fingerprint=fingerprint)
+        np.savez(damaged, **arrays)
         refused = tmp_path / "refused"
         code = main(["spectrogram", "--coefficients", str(damaged), "--out", str(refused)])
         assert code == 1

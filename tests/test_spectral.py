@@ -5,10 +5,12 @@ from hypothesis import strategies as st
 
 from mwgft import (
     DimensionMismatch,
+    FingerprintMismatch,
     InvalidParameter,
     MultipleZeroEigenvalues,
     SpectralBasis,
     build_graph,
+    check_basis,
     eigendecompose,
     gft,
     igft,
@@ -18,8 +20,9 @@ from mwgft import (
     spectral_magnitudes,
 )
 from mwgft.spectral import save_eigenvalues_csv, save_vectors_csv
-from helpers import NORM, UNNORM, basis_for, random_basis, random_complex
+from helpers import NORM, UNNORM, basis_for, random_basis, random_complex, star_graph
 from oracles import (
+    rotate_degenerate_eigenspaces,
     path_eigenvalues,
     path_eigenvectors,
     save_eigenvalues_csv_reference,
@@ -140,11 +143,70 @@ class TestEigendecompose:
         # preset artifacts' bytes depend on this layout
         assert basis_for(random_connected_graph(30, 4), kind).vectors.flags.f_contiguous
 
+    def test_fingerprint_covers_the_vectors(self):
+        basis = basis_for(path_graph(6))
+        nudged = basis.vectors.copy()
+        nudged[2, 3] = np.nextafter(nudged[2, 3], 1.0)
+        other = SpectralBasis(basis.eigenvalues, nudged, basis.kind)
+        assert other.fingerprint != basis.fingerprint
+        # the hash is of the values, not of their memory order
+        c_ordered = SpectralBasis(basis.eigenvalues, np.ascontiguousarray(basis.vectors), basis.kind)
+        assert c_ordered.vectors.flags.c_contiguous
+        assert c_ordered.fingerprint == basis.fingerprint
+
     def test_caller_arrays_are_viewed_not_copied(self):
         vals, vecs = np.array([0.0, 2.0]), np.eye(2)
         basis = SpectralBasis(vals, vecs, UNNORM)
         assert np.shares_memory(basis.eigenvalues, vals) and np.shares_memory(basis.vectors, vecs)
         assert vals.flags.writeable and vecs.flags.writeable
+
+
+class TestCheckBasis:
+    @pytest.mark.parametrize("kind", [UNNORM, NORM])
+    def test_own_basis_passes(self, kind):
+        graph = random_connected_graph(40, 8, extra_edges=60)
+        lap = laplacian(graph, kind)
+        residual, orthogonality = check_basis(eigendecompose(lap, kind), lap, kind)
+        assert 0 <= residual <= 1e-13 and 0 <= orthogonality <= 1e-13
+
+    def test_rotation_inside_an_eigenspace_passes(self):
+        # another basis of the star's 10-fold eigenvalue still decomposes L,
+        # and analysis and synthesis both take it from the same file
+        lap = laplacian(star_graph(12), UNNORM)
+        rotated, did_rotate = rotate_degenerate_eigenspaces(
+            eigendecompose(lap, UNNORM), np.random.default_rng(3))
+        assert did_rotate
+        check_basis(rotated, lap, UNNORM)
+
+    def test_other_graph_of_the_same_size_raises(self):
+        basis = basis_for(random_connected_graph(30, 1), NORM)
+        lap = laplacian(random_connected_graph(30, 2), NORM)
+        with pytest.raises(FingerprintMismatch, match="eigen-residual"):
+            check_basis(basis, lap, NORM)
+
+    def test_swapped_column_raises(self):
+        basis = basis_for(path_graph(12))
+        order = np.arange(12)
+        order[[4, 9]] = [9, 4]
+        swapped = SpectralBasis(basis.eigenvalues, basis.vectors[:, order], basis.kind)
+        with pytest.raises(FingerprintMismatch, match="eigen-residual"):
+            check_basis(swapped, laplacian(path_graph(12), UNNORM), UNNORM)
+
+    def test_non_orthogonal_basis_raises(self):
+        # stretched columns still satisfy L u = lambda u; only U^T U != I shows
+        basis = basis_for(path_graph(12))
+        stretched = SpectralBasis(basis.eigenvalues, basis.vectors * (1 + 1e-6), basis.kind)
+        with pytest.raises(FingerprintMismatch, match=r"orthogonality defect [12]\.\d+e-06"):
+            check_basis(stretched, laplacian(path_graph(12), UNNORM), UNNORM)
+
+    def test_other_kind_raises(self):
+        graph = path_graph(10)
+        with pytest.raises(FingerprintMismatch, match="normalized"):
+            check_basis(basis_for(graph, UNNORM), laplacian(graph, NORM), NORM)
+
+    def test_other_size_raises(self):
+        with pytest.raises(DimensionMismatch):
+            check_basis(basis_for(path_graph(5)), laplacian(path_graph(6), UNNORM), UNNORM)
 
 
 class TestTransformPair:

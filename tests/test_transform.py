@@ -244,7 +244,7 @@ class TestMwgft:
         damaged = [m.copy() for m in coeffs.matrices]
         damaged[1][2, 5] = bad
         with pytest.raises(InvalidParameter):
-            mwgft_synthesize(basis, family, WgftCoefficients(tuple(damaged), basis.fingerprint))
+            mwgft_synthesize(basis, family, WgftCoefficients(tuple(damaged), basis))
 
     def test_fingerprint_guard(self, rng):
         basis_a = basis_for(path_graph(10))
@@ -356,6 +356,62 @@ class TestRotationRobustness:
         c1 = mwgft_analyze(rotated, family, f).matrices[0]
         assert np.abs(c0 - c1).max() > 1e-6
 
+    def test_rotated_basis_has_another_fingerprint(self, rng):
+        # a fingerprint of kind, size and eigenvalues alone let coefficients
+        # analyzed on one basis of the 10-fold eigenspace be synthesized on
+        # another, which returned a wrong signal (about 100% error) silently
+        from oracles import rotate_degenerate_eigenspaces
+
+        basis = basis_for(star_graph(12))
+        rotated, did_rotate = rotate_degenerate_eigenspaces(basis, rng)
+        assert did_rotate and np.array_equal(rotated.eigenvalues, basis.eigenvalues)
+        assert rotated.fingerprint != basis.fingerprint
+        family = rbf_family(basis, count=3)
+        coeffs = mwgft_analyze(basis, family, random_complex(rng, 12))
+        with pytest.raises(FingerprintMismatch):
+            mwgft_synthesize(rotated, family, coeffs)
+
+
+def _savez(target, coeffs, **replace):
+    """A coefficient file written key by key, with the arrays in ``replace``
+    swapped in (``None`` leaves a key out)."""
+    arrays = {
+        "coefficients": coeffs.matrices,
+        "eigenvalues": coeffs.basis.eigenvalues,
+        "vectors": coeffs.basis.vectors,
+        "kind": np.array(coeffs.basis.kind.value),
+    }
+    arrays.update(replace)
+    np.savez(target, **{key: value for key, value in arrays.items() if value is not None})
+
+
+def _with(array, index, value):
+    """A copy of ``array`` with ``array[index] = value``."""
+    array = np.array(array)
+    array[index] = value
+    return array
+
+
+# damaged basis arrays: the keys each case replaces in a file of ``basis``
+BASIS_DAMAGE = {
+    "no-eigenvalues": lambda b: {"eigenvalues": None},
+    "no-vectors": lambda b: {"vectors": None},
+    "no-kind": lambda b: {"kind": None},
+    "eigenvalues-short": lambda b: {"eigenvalues": b.eigenvalues[:-1]},
+    "eigenvalues-2d": lambda b: {"eigenvalues": b.eigenvalues[None]},
+    "vectors-not-square": lambda b: {"vectors": b.vectors[:, :-1]},
+    "vectors-wrong-size": lambda b: {"vectors": np.eye(b.size + 1)},
+    "eigenvalues-nan": lambda b: {"eigenvalues": _with(b.eigenvalues, 2, np.nan)},
+    "vectors-inf": lambda b: {"vectors": _with(b.vectors, (1, 3), -np.inf)},
+    "eigenvalues-float32": lambda b: {"eigenvalues": b.eigenvalues.astype(np.float32)},
+    "vectors-complex": lambda b: {"vectors": b.vectors.astype(np.complex128)},
+    "vectors-int": lambda b: {"vectors": np.eye(b.size, dtype=np.int64)},
+    "kind-unknown": lambda b: {"kind": np.array("combinatorial")},
+    "kind-number": lambda b: {"kind": np.array(1.0)},
+}
+
+SHAPE_DAMAGE = ("eigenvalues-short", "eigenvalues-2d", "vectors-not-square", "vectors-wrong-size")
+
 
 def _damage(kind, target, coeffs):
     """Turn the valid coefficient file at ``target`` into a damaged one."""
@@ -377,17 +433,19 @@ def _damage(kind, target, coeffs):
             np.save(fh, coeffs.matrices)
     elif kind == "no-fingerprint":
         np.savez(target, coefficients=coeffs.matrices)
+    elif kind == "fingerprint-only":  # the layout before the basis was stored
+        np.savez(target, coefficients=coeffs.matrices,
+                 basis_fingerprint=np.array(coeffs.basis_fingerprint))
     elif kind == "integer-dtype":
-        np.savez(target, coefficients=np.ones((2, 3, 3), dtype=np.int64),
-                 basis_fingerprint=np.array(coeffs.basis_fingerprint))
+        _savez(target, coeffs, coefficients=np.ones(coeffs.matrices.shape, dtype=np.int64))
     elif kind == "not-square":
-        np.savez(target, coefficients=np.zeros((2, 3, 4)),
-                 basis_fingerprint=np.array(coeffs.basis_fingerprint))
+        _savez(target, coeffs, coefficients=np.zeros((2, 8, 7)))
+    elif kind == "wrong-size":
+        _savez(target, coeffs, coefficients=np.zeros((2, 7, 7)))
     elif kind in ("nan", "inf"):
-        matrices = coeffs.matrices.copy()
-        matrices[-1, 2, 1] = float(kind)
-        np.savez(target, coefficients=matrices,
-                 basis_fingerprint=np.array(coeffs.basis_fingerprint))
+        _savez(target, coeffs, coefficients=_with(coeffs.matrices, (-1, 2, 1), float(kind)))
+    elif kind in BASIS_DAMAGE:
+        _savez(target, coeffs, **BASIS_DAMAGE[kind](coeffs.basis))
 
 
 class TestCoefficientsIo:
@@ -403,6 +461,36 @@ class TestCoefficientsIo:
         assert np.array_equal(loaded.matrices, coeffs.matrices)
         rec = mwgft_synthesize(basis, family, loaded)
         assert np.linalg.norm(rec) > 0
+
+    @pytest.mark.parametrize("kind", [UNNORM, NORM])
+    def test_basis_survives_reload(self, tmp_path, rng, kind):
+        # the GEMMs round differently on a C-ordered basis, so a reload that
+        # lost the Fortran order would change the synthesized signal's bits
+        basis = random_basis(184, size=9, kind=kind)
+        family = rbf_family(basis)
+        coeffs = mwgft_analyze(basis, family, random_complex(rng, 9))
+        target = tmp_path / "coefficients.npz"
+        save_coefficients(target, coeffs)
+        loaded = load_coefficients(target).basis
+        assert loaded is not basis and loaded.kind is basis.kind
+        assert loaded.vectors.flags.f_contiguous and not loaded.vectors.flags.writeable
+        assert np.array_equal(loaded.vectors, basis.vectors)
+        assert np.array_equal(loaded.eigenvalues, basis.eigenvalues)
+        assert loaded.fingerprint == basis.fingerprint
+        assert np.array_equal(mwgft_synthesize(loaded, family, load_coefficients(target)),
+                              mwgft_synthesize(basis, family, coeffs))
+
+    def test_basis_from_file_only_fits_its_own_coefficients(self, tmp_path, rng):
+        # the fingerprint is recomputed from the stored basis: coefficients
+        # loaded from a file whose vectors were replaced no longer match
+        basis = random_basis(185, size=8)
+        family = rbf_family(basis, count=2)
+        coeffs = mwgft_analyze(basis, family, random_complex(rng, 8))
+        target = tmp_path / "coefficients.npz"
+        swapped = basis.vectors[:, [0, 1, 2, 4, 3, 5, 6, 7]]
+        _savez(target, coeffs, vectors=swapped)
+        with pytest.raises(FingerprintMismatch):
+            mwgft_synthesize(basis, family, load_coefficients(target))
 
     @pytest.mark.parametrize("complex_signal", [False, True], ids=["real", "complex"])
     def test_dtype_survives_reload(self, tmp_path, rng, complex_signal):
@@ -422,31 +510,38 @@ class TestCoefficientsIo:
 
     @pytest.mark.parametrize("kind", [
         "missing", "truncated", "flipped-byte", "csv", "empty", "single-npy",
-        "no-fingerprint", "integer-dtype", "not-square", "nan", "inf",
+        "no-fingerprint", "fingerprint-only", "integer-dtype", "not-square", "wrong-size",
+        "nan", "inf", *BASIS_DAMAGE,
     ])
     def test_damaged_file(self, tmp_path, rng, kind):
-        error = DimensionMismatch if kind == "not-square" else ParseError
+        shape_damage = ("not-square", "wrong-size", *SHAPE_DAMAGE)
+        error = DimensionMismatch if kind in shape_damage else ParseError
         basis = random_basis(182, size=8)
         coeffs = mwgft_analyze(basis, rbf_family(basis, count=2), random_complex(rng, 8))
         target = tmp_path / "coefficients.npz"
         save_coefficients(target, coeffs)
         _damage(kind, target, coeffs)
-        with pytest.raises(error):
+        with pytest.raises(error) as err:
             load_coefficients(target)
+        if kind in ("no-fingerprint", "fingerprint-only", "no-vectors"):
+            assert "re-run `mwgft analyze`" in str(err.value)
 
     def test_validation(self):
+        basis = basis_for(path_graph(3))
         with pytest.raises(DimensionMismatch):
-            WgftCoefficients((np.zeros((3, 4)),), "x")
+            WgftCoefficients((np.zeros((3, 4)),), basis)
         with pytest.raises(DimensionMismatch):
-            WgftCoefficients((), "x")
+            WgftCoefficients((), basis)
         with pytest.raises(DimensionMismatch):
-            WgftCoefficients((np.zeros((3, 3)), np.zeros((4, 4))), "x")
+            WgftCoefficients((np.zeros((3, 3)), np.zeros((4, 4))), basis)
+        with pytest.raises(DimensionMismatch):
+            WgftCoefficients(np.zeros((1, 4, 4)), basis)
 
     def test_analysis_buffer_is_not_copied(self, rng):
         basis = random_basis(183, size=6)
         coeffs = mwgft_analyze(basis, rbf_family(basis), random_complex(rng, 6))
         assert coeffs.matrices.shape == (3, 6, 6) and coeffs.matrices.flags.owndata
-        assert WgftCoefficients(coeffs.matrices, "x").matrices is coeffs.matrices
+        assert WgftCoefficients(coeffs.matrices, basis).matrices is coeffs.matrices
         spec = spectrogram(coeffs)
         assert spec.per_window.shape == (3, 6, 6)
 
@@ -501,7 +596,7 @@ ARRAY_HOLDERS = {
     "SpectralWindow": lambda basis, family: SpectralWindow(np.ones(4)),
     "WindowFamily": lambda basis, family: WindowFamily.with_same_synthesis(family.analysis),
     "ConditionReport": lambda basis, family: check_nondegeneracy(basis, family),
-    "WgftCoefficients": lambda basis, family: WgftCoefficients(np.ones((1, 4, 4)), "f"),
+    "WgftCoefficients": lambda basis, family: WgftCoefficients(np.ones((1, 4, 4)), basis),
     "FrameBounds": lambda basis, family: FrameBounds(1.0, 2.0, np.ones(4)),
     "Spectrogram": lambda basis, family: Spectrogram(np.ones((1, 4, 4)), np.ones((4, 4))),
 }
