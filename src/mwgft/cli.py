@@ -19,9 +19,9 @@ import numpy as np
 from . import __version__
 from .errors import InvalidParameter, MwgftError, NumericalError
 from .experiment import (
+    _graph_source,
     build_family,
     build_graph_from_source,
-    GraphSource,
     list_presets,
     load_config,
     load_preset,
@@ -87,23 +87,24 @@ def _add_graph_options(parser: argparse.ArgumentParser) -> None:
                         help="seed for --random-size (default 0)")
     parser.add_argument("--extra-edges", type=int, default=None)
     parser.add_argument("--coordinates", metavar="PATH", default=None)
-    parser.add_argument("--largest-component", action="store_true")
+    parser.add_argument("--largest-component", action="store_true", default=None)
 
 
 def _graph_from_args(args):
     """The graph of ``--path-size``, ``--random-size`` or ``--graph-file``;
-    every option is passed on, so :class:`GraphSource` rejects one the
-    source does not use."""
-    options = dict(seed=args.seed, extra_edges=args.extra_edges,
-                   coordinates=args.coordinates, largest_component=args.largest_component)
+    every given option is passed on as its config key, so the config check
+    rejects one the source does not use."""
     if args.path_size is not None:
-        source = GraphSource(source="path", size=args.path_size, **options)
+        graph = {"source": "path", "size": args.path_size}
     elif args.random_size is not None:
-        options["seed"] = 0 if args.seed is None else args.seed
-        source = GraphSource(source="random", size=args.random_size, **options)
+        graph = {"source": "random", "size": args.random_size, "seed": 0}
     else:
-        source = GraphSource(source="file", path=args.graph_file, **options)
-    return build_graph_from_source(source)
+        graph = {"source": "file", "file": args.graph_file}
+    # `is not None`, not truth: a given --seed 0 must reach the check (0 == False)
+    for key in ("seed", "extra_edges", "coordinates", "largest_component"):
+        if getattr(args, key) is not None:
+            graph[key] = getattr(args, key)
+    return build_graph_from_source(_graph_source(graph))
 
 
 def _basis_for(args, graph):

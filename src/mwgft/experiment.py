@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import importlib.resources
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -56,16 +56,46 @@ from .windows import (
 PAIRING_MODES = ("normalized-synthesis", "same-as-analysis")
 
 
-#: The :class:`GraphSource` fields each graph source reads; setting any other
-#: raises, so an option that does not apply is never silently dropped.
-_SOURCE_FIELDS = {
-    "path": ("source", "size"),
-    "random": ("source", "size", "seed", "extra_edges"),
-    "file": ("source", "path", "coordinates", "largest_component"),
+#: The keys each config section reads: per section, the name of its variants
+#: (for messages), the key that selects one and the other keys each variant
+#: reads, in message order.  The top level and ``tolerances`` have one variant.
+_KEYS = {
+    "": (None, None, {None: ("name", "graph", "laplacian", "signal", "windows", "tolerances")}),
+    "graph": ("graph source", "source", {"path": ("size",),
+                                         "file": ("file", "coordinates", "largest_component"),
+                                         "random": ("size", "seed", "extra_edges")}),
+    "signal": ("signal type", "type", {"impulse": ("center",),
+                                       "heat": ("tau",),
+                                       "chirp": ("center", "width", "rate"),
+                                       "spectral": ("path",),
+                                       "random": ("seed", "complex")}),
+    "windows": ("window kernel", "kernel", {"rbf": ("count", "l_fac", "shifts", "pairing"),
+                                            "file": ("file",)}),
+    "tolerances": (None, None, {None: ("nondegeneracy",)}),
 }
 
-# config key of a GraphSource field, where the two names differ
-_GRAPH_KEYS = {"path": "file"}
+
+def _variant(section: str, m: dict, default=None):
+    """The variant that config section ``section`` selects (None for one
+    without variants), once every key of ``m`` is one that variant reads.
+
+    An unknown variant, a key no variant reads (``unknown config key
+    graph.sise``) and a key only another variant reads (``graph source 'path'
+    does not use seed``) raise :class:`InvalidParameter`.
+    """
+    noun, selector, variants = _KEYS[section]
+    variant = m.get(selector, default) if selector else None
+    if selector and not (isinstance(variant, str) and variant in variants):
+        raise InvalidParameter(f"unknown {noun} {variant!r}")
+    known = dict.fromkeys(key for keys in variants.values() for key in keys)
+    prefix = f"{section}." if section else ""
+    unknown = [f"{prefix}{key}" for key in m if key != selector and key not in known]
+    if unknown:
+        raise InvalidParameter(f"unknown config key {', '.join(unknown)}")
+    stray = [key for key in known if key in m and key not in variants[variant]]
+    if stray:
+        raise InvalidParameter(f"{noun} {variant!r} does not use {', '.join(stray)}")
+    return variant
 
 
 @dataclass(frozen=True)
@@ -82,14 +112,8 @@ class GraphSource:
     extra_edges: int | None = None
 
     def __post_init__(self):
-        if self.source not in _SOURCE_FIELDS:
+        if self.source not in _KEYS["graph"][2]:
             raise InvalidParameter(f"unknown graph source {self.source!r}")
-        stray = [_GRAPH_KEYS.get(f.name, f.name) for f in fields(self)
-                 if f.name not in _SOURCE_FIELDS[self.source] and getattr(self, f.name) != f.default]
-        if stray:
-            raise InvalidParameter(
-                f"graph source {self.source!r} does not use {', '.join(stray)}"
-            )
         if self.source in ("path", "random") and not self.size:
             raise InvalidParameter(f"graph source {self.source!r} needs a size")
         if self.source == "random" and self.seed is None:
@@ -108,7 +132,7 @@ class WindowDesign:
     path: str | None = None
 
     def __post_init__(self):
-        if self.kernel not in ("rbf", "file"):
+        if self.kernel not in _KEYS["windows"][2]:
             raise InvalidParameter(f"unknown window kernel {self.kernel!r}")
         if self.kernel == "file" and not self.path:
             raise InvalidParameter("window kernel 'file' needs a path")
@@ -160,73 +184,64 @@ def _boolean(value) -> bool:
     return value
 
 
-def _only(m: dict, prefix: str, *keys: str) -> None:
-    """Raise :class:`InvalidParameter` naming ``prefix + key`` for every key
-    of ``m`` outside ``keys``: a misspelt key must not fall back to a default."""
-    unknown = [f"{prefix}{key}" for key in m if key not in keys]
-    if unknown:
-        raise InvalidParameter(f"unknown config key {', '.join(unknown)}")
-
-
 def _signal_spec_from_mapping(m: dict) -> _signals.SignalSpec:
-    kind = m.get("type")
+    kind = _variant("signal", m)
     if kind == "impulse":
-        _only(m, "signal.", "type", "center")
         return _signals.ImpulseSpec(center=_value(m, "signal", "center", _integer, ...))
     if kind == "heat":
-        _only(m, "signal.", "type", "tau")
         return _signals.HeatSpec(tau=_value(m, "signal", "tau", float))
     if kind == "chirp":
-        _only(m, "signal.", "type", "center", "width", "rate")
         return _signals.ChirpSpec(
             center=_value(m, "signal", "center", _integer, ...),
             width=_value(m, "signal", "width", float, 6.0),
             rate=_value(m, "signal", "rate", float, 0.3),
         )
     if kind == "spectral":
-        _only(m, "signal.", "type", "path")
         return _signals.SpectralProfileSpec(path=m.get("path"))
-    if kind == "random":
-        _only(m, "signal.", "type", "seed", "complex")
-        return _signals.RandomSpec(
-            seed=_value(m, "signal", "seed", _integer, ...),
-            complex_values=_value(m, "signal", "complex", _boolean, True),
-        )
-    raise InvalidParameter(f"unknown signal type {kind!r}")
+    return _signals.RandomSpec(
+        seed=_value(m, "signal", "seed", _integer, ...),
+        complex_values=_value(m, "signal", "complex", _boolean, True),
+    )
+
+
+def _graph_source(m: dict) -> GraphSource:
+    """The :class:`GraphSource` of a ``graph`` config section; ``mwgft
+    graph-info`` and ``eig`` pass their options through here as config keys."""
+    return GraphSource(
+        source=_variant("graph", m, "path"),
+        size=_value(m, "graph", "size", _integer),
+        path=m.get("file"),
+        coordinates=m.get("coordinates"),
+        largest_component=_value(m, "graph", "largest_component", _boolean, False),
+        seed=_value(m, "graph", "seed", _integer),
+        extra_edges=_value(m, "graph", "extra_edges", _integer),
+    )
 
 
 def config_from_mapping(mapping: dict) -> ExperimentConfig:
     """Validate a raw (YAML-shaped) mapping into an :class:`ExperimentConfig`."""
     if not isinstance(mapping, dict):
         raise InvalidParameter("experiment config must be a mapping")
-    _only(mapping, "", "name", "graph", "laplacian", "signal", "windows", "tolerances")
+    _variant("", mapping)
     sections = []
     for name, default in (("graph", None), ("signal", None), ("windows", {}), ("tolerances", {})):
         sections.append(mapping.get(name, default))
         if not isinstance(sections[-1], dict):
             raise InvalidParameter(f"config section {name} must be a mapping, got {sections[-1]!r}")
     graph_map, signal_map, window_map, tolerance_map = sections
-    _only(graph_map, "graph.", "source", "size", "file", "coordinates", "largest_component",
-          "seed", "extra_edges")
-    _only(window_map, "windows.", "kernel", "count", "l_fac", "shifts", "pairing", "file")
-    _only(tolerance_map, "tolerances.", "nondegeneracy")
-    graph = GraphSource(
-        source=str(graph_map.get("source", "path")),
-        size=_value(graph_map, "graph", "size", _integer),
-        path=graph_map.get("file"),
-        coordinates=graph_map.get("coordinates"),
-        largest_component=_value(graph_map, "graph", "largest_component", _boolean, False),
-        seed=_value(graph_map, "graph", "seed", _integer),
-        extra_edges=_value(graph_map, "graph", "extra_edges", _integer),
-    )
+    graph = _graph_source(graph_map)
+    kernel = _variant("windows", window_map, "rbf")
+    if "count" in window_map and window_map.get("shifts") is not None:
+        raise InvalidParameter("config key windows.count: windows.shifts sets the window count")
     design = WindowDesign(
-        kernel=str(window_map.get("kernel", "rbf")),
+        kernel=kernel,
         count=_value(window_map, "windows", "count", _integer, 3),
         l_fac=_value(window_map, "windows", "l_fac", float, 0.7),
         shifts=_value(window_map, "windows", "shifts", lambda v: tuple(float(s) for s in v)),
         pairing=str(window_map.get("pairing", "normalized-synthesis")),
         path=window_map.get("file"),
     )
+    _variant("tolerances", tolerance_map)
     return ExperimentConfig(
         name=str(mapping.get("name", "experiment")),
         graph=graph,
@@ -293,11 +308,9 @@ def build_family(design: WindowDesign, basis: SpectralBasis) -> WindowFamily:
             )
         return family
     prototype = rbf_prototype(basis.lambda_max, design.l_fac)
-    shifts = (
-        np.asarray(design.shifts, dtype=float)
-        if design.shifts is not None
-        else uniform_shifts(basis.lambda_max, design.count)
-    )
+    shifts = design.shifts  # the count is read only without explicit shifts
+    if shifts is None:
+        shifts = uniform_shifts(basis.lambda_max, design.count)
     analysis = shifted_family(prototype, shifts, basis)
     if design.pairing == "same-as-analysis":
         return WindowFamily.with_same_synthesis(analysis)

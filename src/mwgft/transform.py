@@ -31,7 +31,7 @@ Synthesis divides p by ``N d(n)``, with the per-vertex denominator d from
 from __future__ import annotations
 
 import zipfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -254,24 +254,24 @@ def frame_bounds(
 
     The analysis energy of any f is ``N sum_i |f(i)|^2 ||T_i g||^2``, so the
     best constants are ``N min_i ||T_i g||^2`` and ``N max_i ||T_i g||^2``
-    (delta signals attain both).  Raises :class:`NotAFrame` when the smallest
-    translate norm vanishes within tolerance.
+    (delta signals attain both).  They are d(n) of the one-window family
+    ``(g, g)``, so its verdict decides: ``tolerance`` applies to
+    ``||T_i g||^2`` (default: that family's denominator tolerance), and
+    :class:`NotAFrame` names the vertices where ``||T_i g||^2 > tolerance``
+    does not hold.
     """
     g_hat = _window_spectrum(basis, window)
-    energies = translate_norms_sq(basis, g_hat)
-    if tolerance is None:
-        tolerance = 1e-10 * np.sqrt(basis.size) * float(np.linalg.norm(g_hat))
-    if np.sqrt(max(energies.min(), 0.0)) <= tolerance:
-        worst = int(np.argmin(energies)) + 1
+    family = WindowFamily.with_same_synthesis([SpectralWindow(g_hat)])
+    d, tolerance, vanishing = _verdict(basis, family, tolerance)
+    if vanishing.size:
         raise NotAFrame(
-            f"translate norm at vertex {worst} is below tolerance; atoms do not span"
+            f"||T_i g||^2 <= {tolerance:.3e}; atoms do not span "
+            f"(vertices: {', '.join(str(int(i) + 1) for i in vanishing)})"
         )
+    energies = d.real
     n = basis.size
-    bounds = FrameBounds(
-        lower=float(n * energies.min()),
-        upper=float(n * energies.max()),
-        translate_energies=energies,
-    )
+    bounds = FrameBounds(lower=float(n * energies.min()), upper=float(n * energies.max()),
+                         translate_energies=energies)
     if dual_window is None:
         return bounds
     gamma_hat = _window_spectrum(basis, dual_window)
@@ -281,13 +281,7 @@ def frame_bounds(
         ratios = np.where(dual_energies > 0, np.abs(cross) / np.sqrt(dual_energies), 0.0)
     a = float(np.min(ratios))
     b = float(np.sqrt(energies.max()))
-    return FrameBounds(
-        lower=bounds.lower,
-        upper=bounds.upper,
-        translate_energies=energies,
-        loose_lower=a * a * n,
-        loose_upper=b * b * n,
-    )
+    return replace(bounds, loose_lower=a * a * n, loose_upper=b * b * n)
 
 
 def spectrogram(coeffs: WgftCoefficients) -> Spectrogram:
@@ -379,22 +373,12 @@ def save_spectrogram_pgm(path, matrix: np.ndarray) -> None:
         fh.write(pixels.tobytes())
 
 
-def save_spectrogram_files(out_dir, spec: Spectrogram, pgm: bool = False) -> dict[str, Path]:
+def save_spectrogram_files(out_dir, spec: Spectrogram, pgm: bool = False) -> None:
     """Write ``spectrogram_w{j}.csv`` per window, ``spectrogram_avg.csv`` and,
-    with ``pgm``, ``spectrogram_avg.pgm`` into ``out_dir``.
-
-    Returns the written paths under the keys ``spectrogram_w{j}``,
-    ``spectrogram_avg`` and ``spectrogram_pgm``, in writing order.
-    """
+    with ``pgm``, ``spectrogram_avg.pgm`` into ``out_dir``."""
     out = Path(out_dir)
-    written: dict[str, Path] = {}
     for j, matrix in enumerate(spec.per_window, start=1):
-        key = f"spectrogram_w{j}"
-        written[key] = out / f"{key}.csv"
-        save_spectrogram_csv(written[key], matrix)
-    written["spectrogram_avg"] = out / "spectrogram_avg.csv"
-    save_spectrogram_csv(written["spectrogram_avg"], spec.averaged)
+        save_spectrogram_csv(out / f"spectrogram_w{j}.csv", matrix)
+    save_spectrogram_csv(out / "spectrogram_avg.csv", spec.averaged)
     if pgm:
-        written["spectrogram_pgm"] = out / "spectrogram_avg.pgm"
-        save_spectrogram_pgm(written["spectrogram_pgm"], spec.averaged)
-    return written
+        save_spectrogram_pgm(out / "spectrogram_avg.pgm", spec.averaged)

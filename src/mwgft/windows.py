@@ -30,7 +30,8 @@ from .operators import _at_vertices
 from .spectral import SpectralBasis, spectral_magnitudes
 from .tables import _float_row, complex_column, re_im, read_table, write_table
 
-#: energy responses at or below this are treated as no coverage at all
+#: energy responses at or below this fraction of their peak are treated as
+#: no coverage at all
 ENERGY_FLOOR = 1e-12
 
 
@@ -154,14 +155,15 @@ def energy_response(windows: Sequence[SpectralWindow]) -> np.ndarray:
     """Stacked energy ``m(lambda_ell) = sum_k |ghat_k(lambda_ell)|^2``.
 
     Raises :class:`DegenerateCoverage` when the minimum drops to
-    :data:`ENERGY_FLOOR` or below — normalizing by such an m would be
-    ill-conditioned.
+    :data:`ENERGY_FLOOR` times the maximum or below — normalizing by such an
+    m would be ill-conditioned.  The floor is relative, so the verdict does
+    not depend on the windows' overall scale.
     """
     if len(windows) == 0:
         raise InvalidParameter("window family is empty")
     stack = np.stack([w.samples for w in windows])
     m = np.sum(np.abs(stack) ** 2, axis=0)
-    if m.min() <= ENERGY_FLOOR:
+    if m.min() <= ENERGY_FLOOR * m.max():
         worst = int(np.argmin(m))
         raise DegenerateCoverage(
             f"energy response is {m[worst]:.3e} at frequency {worst}; "

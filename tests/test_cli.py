@@ -69,6 +69,18 @@ def disjoint_family_csv(tmp_path, n=6):
     return str(target)
 
 
+# window keys that nothing reads, and the message that names each
+UNREAD_WINDOW_KEYS = [
+    pytest.param({"kernel": "file", "file": "w.csv", "count": 5, "pairing": "same-as-analysis"},
+                 "window kernel 'file' does not use count, pairing", id="file-count"),
+    pytest.param({"kernel": "rbf", "file": "w.csv"}, "window kernel 'rbf' does not use file",
+                 id="rbf-file"),
+    pytest.param({"count": 5, "shifts": [0.0, 1.0]},
+                 "config key windows.count: windows.shifts sets the window count",
+                 id="count-shifts"),
+]
+
+
 class TestConfigMapping:
     def test_defaults(self):
         config = config_from_mapping(minimal_mapping())
@@ -84,7 +96,7 @@ class TestConfigMapping:
                 "graph": {"source": "random", "size": 12, "seed": 9, "extra_edges": 4},
                 "laplacian": "normalized",
                 "signal": {"type": "chirp", "center": 6, "width": 2.0, "rate": 0.1},
-                "windows": {"kernel": "rbf", "count": 4, "l_fac": 0.5,
+                "windows": {"kernel": "rbf", "l_fac": 0.5,
                             "shifts": [0.0, 1.0], "pairing": "same-as-analysis"},
                 "tolerances": {"nondegeneracy": 1e-6},
             }
@@ -108,28 +120,32 @@ class TestConfigMapping:
             config_from_mapping(minimal_mapping(signal={"type": "sawtooth"}))
 
     @pytest.mark.parametrize(
-        "overrides, key",
+        "overrides, message",
         [
-            pytest.param({"laplacain": "normalized"}, "laplacain", id="top-level"),
-            pytest.param({"output": "elsewhere"}, "output", id="removed-output"),
-            pytest.param({"graph": {"source": "path", "size": 8, "sise": 9}}, "graph.sise",
-                         id="graph"),
-            pytest.param({"windows": {"cout": 5}}, "windows.cout", id="windows"),
-            pytest.param({"tolerances": {"nondegenerate": 1.0}}, "tolerances.nondegenerate",
-                         id="tolerances"),
-            pytest.param({"signal": {"type": "impulse", "center": 4, "rate": 0.3}}, "signal.rate",
-                         id="impulse"),
-            pytest.param({"signal": {"type": "heat", "center": 4}}, "signal.center", id="heat"),
-            pytest.param({"signal": {"type": "chirp", "center": 4, "seed": 1}}, "signal.seed",
-                         id="chirp"),
+            pytest.param({"laplacain": "normalized"}, "unknown config key laplacain",
+                         id="top-level"),
+            pytest.param({"output": "elsewhere"}, "unknown config key output",
+                         id="removed-output"),
+            pytest.param({"graph": {"source": "path", "size": 8, "sise": 9}},
+                         "unknown config key graph.sise", id="graph"),
+            pytest.param({"windows": {"cout": 5}}, "unknown config key windows.cout",
+                         id="windows"),
+            pytest.param({"tolerances": {"nondegenerate": 1.0}},
+                         "unknown config key tolerances.nondegenerate", id="tolerances"),
+            pytest.param({"signal": {"type": "impulse", "center": 4, "rate": 0.3}},
+                         "signal type 'impulse' does not use rate", id="impulse"),
+            pytest.param({"signal": {"type": "heat", "center": 4}},
+                         "signal type 'heat' does not use center", id="heat"),
+            pytest.param({"signal": {"type": "chirp", "center": 4, "seed": 1}},
+                         "signal type 'chirp' does not use seed", id="chirp"),
             pytest.param({"signal": {"type": "spectral", "path": "s.csv", "values": [1]}},
-                         "signal.values", id="spectral"),
+                         "unknown config key signal.values", id="spectral"),
             pytest.param({"signal": {"type": "random", "seed": 1, "complex_values": False}},
-                         "signal.complex_values", id="random"),
+                         "unknown config key signal.complex_values", id="random"),
         ],
     )
-    def test_unknown_key_rejected(self, overrides, key):
-        with pytest.raises(InvalidParameter, match=f"unknown config key {key}$"):
+    def test_unknown_key_rejected(self, overrides, message):
+        with pytest.raises(InvalidParameter, match=f"^{message}$"):
             config_from_mapping(minimal_mapping(**overrides))
 
     @pytest.mark.parametrize(
@@ -221,6 +237,13 @@ class TestConfigMapping:
         with pytest.raises(InvalidParameter, match=f"does not use {stray}$"):
             config_from_mapping(minimal_mapping(graph=graph))
 
+    @pytest.mark.parametrize("windows, message", UNREAD_WINDOW_KEYS)
+    def test_window_keys_that_nothing_reads_rejected(self, windows, message):
+        # each of these used to run without a word: the file kernel dropped
+        # count and pairing, rbf dropped the file, and two shifts ran J=2
+        with pytest.raises(InvalidParameter, match=f"^{message}$"):
+            config_from_mapping(minimal_mapping(windows=windows))
+
     def test_file_kernel_needs_path(self):
         with pytest.raises(InvalidParameter):
             WindowDesign(kernel="file")
@@ -243,6 +266,14 @@ class TestLoadConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_config(tmp_path / "absent.yaml")
+
+    def test_readme_example_parses(self):
+        # the documented config must stay one the key table accepts
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Config format\n", 1)[1]
+        block = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+        config = config_from_mapping(yaml.safe_load(block))
+        assert config.name == "my-experiment" and config.windows.count == 3
 
 
 class TestPresets:
@@ -434,6 +465,13 @@ class TestCliRun:
                "size-not-a-number": "graph.size", "impulse-without-center": "signal.center",
                "misspelt-key": "windows.cout", "out-is-a-file": "File exists"}[case]
         assert key in err
+
+    @pytest.mark.parametrize("windows, message", UNREAD_WINDOW_KEYS)
+    def test_window_keys_that_nothing_reads_exit_1(self, tmp_path, capsys, windows, message):
+        config = write_yaml(tmp_path / "cfg.yaml", minimal_mapping(windows=windows))
+        assert main(["run", "--config", config, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.yaml")]) == 1

@@ -295,6 +295,16 @@ class TestFrameBounds:
         with pytest.raises(NotAFrame):
             frame_bounds(basis, np.zeros(basis.size))
 
+    def test_vanishing_translate_follows_the_denominator_verdict(self):
+        # ||T_4 g||^2 is 7e-12 here, which the denominator check of (g, g)
+        # calls vanishing; frame_bounds used to report a lower bound of 4.9e-11
+        basis = basis_for(path_graph(7))
+        g = SpectralWindow(np.eye(7)[1] + 1e-6)
+        report = check_nondegeneracy(basis, WindowFamily.with_same_synthesis([g]))
+        assert report.failing_vertices == [4]
+        with pytest.raises(NotAFrame, match=r"\(vertices: 4\)$"):
+            frame_bounds(basis, g)
+
     def test_loose_pair_brackets_tight_pair(self, rng):
         basis = random_basis(162, size=10)
         g_hat = np.abs(random_complex(rng, 10)) + 0.2

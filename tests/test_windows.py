@@ -108,6 +108,17 @@ class TestEnergyResponse:
         )
         assert energy_response(family).min() > 0
 
+    @pytest.mark.parametrize("scale", [1e-7, 1.0, 1e7])
+    def test_floor_is_relative_to_the_peak(self, scale):
+        # the 1e-7 scaling (m down to 1.6e-14) used to raise DegenerateCoverage
+        basis = basis_for(path_graph(20), NORM)
+        family = shifted_family(
+            rbf_prototype(basis.lambda_max, 0.7), uniform_shifts(basis.lambda_max, 3), basis
+        )
+        scaled = [SpectralWindow(scale * w.samples) for w in family]
+        d = denominator(basis, WindowFamily.with_normalized_synthesis(scaled))
+        assert np.allclose(d, 20.0, rtol=0, atol=1e-10)
+
     def test_coverage_hole_detected(self):
         with pytest.raises(DegenerateCoverage):
             energy_response([indicator_window(5, 1)])
