@@ -19,7 +19,10 @@ import numpy as np
 from . import __version__
 from .errors import InvalidParameter, MwgftError, NumericalError
 from .experiment import (
-    _graph_source,
+    _SECTIONS,
+    FileSource,
+    RandomSource,
+    _section,
     build_family,
     build_graph_from_source,
     list_presets,
@@ -61,17 +64,18 @@ def _config(args):
     config = load_preset(args.preset) if args.preset else load_config(args.config)
     graph, signal = config.graph, config.signal
     if args.graph_file is not None:
-        if graph.source != "file":
+        if not isinstance(graph, FileSource):
+            source = next(k for k, v in _SECTIONS["graph"][3].items() if isinstance(graph, v))
             raise InvalidParameter(
-                f"--graph-file needs graph source 'file', the config's is {graph.source!r}"
+                f"--graph-file needs graph source 'file', the config's is {source!r}"
             )
-        graph = dataclasses.replace(graph, path=args.graph_file)
+        graph = dataclasses.replace(graph, file=args.graph_file)
     if args.seed is not None:
-        if graph.source != "random" and not isinstance(signal, RandomSpec):
+        if not isinstance(graph, RandomSource) and not isinstance(signal, RandomSpec):
             raise InvalidParameter(
                 "--seed needs a random graph source or a random signal; this config has neither"
             )
-        if graph.source == "random":
+        if isinstance(graph, RandomSource):
             graph = dataclasses.replace(graph, seed=args.seed)
         if isinstance(signal, RandomSpec):
             signal = dataclasses.replace(signal, seed=args.seed)
@@ -104,7 +108,7 @@ def _graph_from_args(args):
     for key in ("seed", "extra_edges", "coordinates", "largest_component"):
         if getattr(args, key) is not None:
             graph[key] = getattr(args, key)
-    return build_graph_from_source(_graph_source(graph))
+    return build_graph_from_source(_section("graph", graph))
 
 
 def _basis_for(args, graph):
@@ -154,6 +158,8 @@ def _cmd_graph_info(args) -> int:
 
 
 def _cmd_eig(args) -> int:
+    if args.limit is not None and args.limit < 0:
+        raise InvalidParameter(f"--limit must be at least 0, got {args.limit}")
     graph = _graph_from_args(args)
     basis = _basis_for(args, graph)
     limit = args.limit if args.limit is not None else basis.size

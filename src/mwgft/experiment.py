@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import importlib.resources
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -56,101 +56,66 @@ from .windows import (
 PAIRING_MODES = ("normalized-synthesis", "same-as-analysis")
 
 
-#: The keys each config section reads: per section, the name of its variants
-#: (for messages), the key that selects one and the other keys each variant
-#: reads, in message order.  The top level and ``tolerances`` have one variant.
-_KEYS = {
-    "": (None, None, {None: ("name", "graph", "laplacian", "signal", "windows", "tolerances")}),
-    "graph": ("graph source", "source", {"path": ("size",),
-                                         "file": ("file", "coordinates", "largest_component"),
-                                         "random": ("size", "seed", "extra_edges")}),
-    "signal": ("signal type", "type", {"impulse": ("center",),
-                                       "heat": ("tau",),
-                                       "chirp": ("center", "width", "rate"),
-                                       "spectral": ("path",),
-                                       "random": ("seed", "complex")}),
-    "windows": ("window kernel", "kernel", {"rbf": ("count", "l_fac", "shifts", "pairing"),
-                                            "file": ("file",)}),
-    "tolerances": (None, None, {None: ("nondegeneracy",)}),
-}
+@dataclass(frozen=True)
+class PathSource:
+    """The unweighted path 1 - 2 - ... - N."""
 
-
-def _variant(section: str, m: dict, default=None):
-    """The variant that config section ``section`` selects (None for one
-    without variants), once every key of ``m`` is one that variant reads.
-
-    An unknown variant, a key no variant reads (``unknown config key
-    graph.sise``) and a key only another variant reads (``graph source 'path'
-    does not use seed``) raise :class:`InvalidParameter`.
-    """
-    noun, selector, variants = _KEYS[section]
-    variant = m.get(selector, default) if selector else None
-    if selector and not (isinstance(variant, str) and variant in variants):
-        raise InvalidParameter(f"unknown {noun} {variant!r}")
-    known = dict.fromkeys(key for keys in variants.values() for key in keys)
-    prefix = f"{section}." if section else ""
-    unknown = [f"{prefix}{key}" for key in m if key != selector and key not in known]
-    if unknown:
-        raise InvalidParameter(f"unknown config key {', '.join(unknown)}")
-    stray = [key for key in known if key in m and key not in variants[variant]]
-    if stray:
-        raise InvalidParameter(f"{noun} {variant!r} does not use {', '.join(stray)}")
-    return variant
+    size: int
 
 
 @dataclass(frozen=True)
-class GraphSource:
-    """Where the graph comes from: a built-in path, an edge-list file, or a
-    seeded random connected graph."""
+class FileSource:
+    """An edge-list file; ``file`` may come from ``--graph-file`` instead."""
 
-    source: str
-    size: int | None = None
-    path: str | None = None
+    file: str | None = None
     coordinates: str | None = None
     largest_component: bool = False
-    seed: int | None = None
-    extra_edges: int | None = None
-
-    def __post_init__(self):
-        if self.source not in _KEYS["graph"][2]:
-            raise InvalidParameter(f"unknown graph source {self.source!r}")
-        if self.source in ("path", "random") and not self.size:
-            raise InvalidParameter(f"graph source {self.source!r} needs a size")
-        if self.source == "random" and self.seed is None:
-            raise InvalidParameter("random graph source needs a seed")
 
 
 @dataclass(frozen=True)
-class WindowDesign:
-    """How the family is built: shifted RBF windows or a user CSV."""
+class RandomSource:
+    """A seeded random connected graph (:func:`random_connected_graph`)."""
 
-    kernel: str = "rbf"
-    count: int = 3
+    size: int
+    seed: int
+    extra_edges: int | None = None
+
+
+@dataclass(frozen=True)
+class RbfWindows:
+    """Shifted RBF windows: ``shifts``, or ``count`` (default 3) uniform
+    shifts over [0, lambda_max]."""
+
+    count: int | None = None
     l_fac: float = 0.7
     shifts: tuple | None = None
     pairing: str = "normalized-synthesis"
-    path: str | None = None
 
     def __post_init__(self):
-        if self.kernel not in _KEYS["windows"][2]:
-            raise InvalidParameter(f"unknown window kernel {self.kernel!r}")
-        if self.kernel == "file" and not self.path:
-            raise InvalidParameter("window kernel 'file' needs a path")
-        if self.kernel == "rbf" and self.pairing not in PAIRING_MODES:
+        if self.pairing not in PAIRING_MODES:
             raise InvalidParameter(
                 f"pairing must be one of {PAIRING_MODES}, got {self.pairing!r}"
             )
-        if self.kernel == "rbf" and self.count < 1:
+        if self.count is not None and self.shifts is not None:
+            raise InvalidParameter("config key windows.count: windows.shifts sets the window count")
+        if self.count is not None and self.count < 1:
             raise InvalidParameter("window count must be at least 1")
+
+
+@dataclass(frozen=True)
+class FileWindows:
+    """A window family read from a CSV written by :func:`save_family_csv`."""
+
+    file: str
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     name: str
-    graph: GraphSource
+    graph: PathSource | FileSource | RandomSource
     kind: LaplacianKind
     signal: _signals.SignalSpec
-    windows: WindowDesign
+    windows: RbfWindows | FileWindows
     nondegeneracy_tolerance: float | None = None
 
 
@@ -158,15 +123,17 @@ def _value(m: dict, section: str, key: str, convert, default=None):
     """``convert(m[key])``, or ``default`` when the key is absent or empty.
 
     A missing required key (``default=...``) or a value ``convert`` rejects
-    raises :class:`InvalidParameter` naming ``section.key``.
+    raises :class:`InvalidParameter` naming ``section.key`` (a top-level key
+    by its name alone).
     """
     value = m.get(key)
+    name = f"{section}.{key}" if section else key
     if value is None and default is ...:
-        raise InvalidParameter(f"config key {section}.{key} is required")
+        raise InvalidParameter(f"config key {name} is required")
     try:
         return default if value is None else convert(value)
     except (TypeError, ValueError) as exc:
-        raise InvalidParameter(f"config key {section}.{key}: {exc}") from exc
+        raise InvalidParameter(f"config key {name}: {exc}") from exc
 
 
 def _integer(value) -> int:
@@ -184,71 +151,89 @@ def _boolean(value) -> bool:
     return value
 
 
-def _signal_spec_from_mapping(m: dict) -> _signals.SignalSpec:
-    kind = _variant("signal", m)
-    if kind == "impulse":
-        return _signals.ImpulseSpec(center=_value(m, "signal", "center", _integer, ...))
-    if kind == "heat":
-        return _signals.HeatSpec(tau=_value(m, "signal", "tau", float))
-    if kind == "chirp":
-        return _signals.ChirpSpec(
-            center=_value(m, "signal", "center", _integer, ...),
-            width=_value(m, "signal", "width", float, 6.0),
-            rate=_value(m, "signal", "rate", float, 0.3),
-        )
-    if kind == "spectral":
-        return _signals.SpectralProfileSpec(path=m.get("path"))
-    return _signals.RandomSpec(
-        seed=_value(m, "signal", "seed", _integer, ...),
-        complex_values=_value(m, "signal", "complex", _boolean, True),
-    )
+def _string(value) -> str:
+    """``value`` if it is a string; a number (which ``open`` would take for a
+    file descriptor) or a list raises."""
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value!r}")
+    return value
 
 
-def _graph_source(m: dict) -> GraphSource:
-    """The :class:`GraphSource` of a ``graph`` config section; ``mwgft
-    graph-info`` and ``eig`` pass their options through here as config keys."""
-    return GraphSource(
-        source=_variant("graph", m, "path"),
-        size=_value(m, "graph", "size", _integer),
-        path=m.get("file"),
-        coordinates=m.get("coordinates"),
-        largest_component=_value(m, "graph", "largest_component", _boolean, False),
-        seed=_value(m, "graph", "seed", _integer),
-        extra_edges=_value(m, "graph", "extra_edges", _integer),
-    )
+#: Per config section with variants: the noun that names them (for messages),
+#: the key that selects one, its default and the type each variant builds.
+#: The fields of a type are the keys that variant reads; a field without a
+#: default is a required key.
+_SECTIONS = {
+    "graph": ("graph source", "source", "path",
+              {"path": PathSource, "file": FileSource, "random": RandomSource}),
+    "signal": ("signal type", "type", None,
+               {"impulse": _signals.ImpulseSpec, "heat": _signals.HeatSpec,
+                "chirp": _signals.ChirpSpec, "spectral": _signals.SpectralProfileSpec,
+                "random": _signals.RandomSpec}),
+    "windows": ("window kernel", "kernel", "rbf", {"rbf": RbfWindows, "file": FileWindows}),
+}
+
+#: How each key a variant reads is converted; a key means the same in every
+#: section that reads it.
+_CONVERTERS = {
+    "size": _integer, "seed": _integer, "extra_edges": _integer, "center": _integer,
+    "count": _integer, "largest_component": _boolean, "complex": _boolean,
+    "file": _string, "coordinates": _string, "path": _string, "pairing": _string,
+    "tau": float, "width": float, "rate": float, "l_fac": float,
+    "shifts": lambda v: tuple(float(s) for s in v),
+}
+
+
+def _keys(section: str, m, known) -> dict:
+    """``m``, once it is a mapping whose every key is in ``known``; otherwise
+    :class:`InvalidParameter` (``unknown config key graph.sise``)."""
+    if not isinstance(m, dict):
+        raise InvalidParameter(f"config section {section} must be a mapping, got {m!r}")
+    prefix = f"{section}." if section else ""
+    unknown = [f"{prefix}{key}" for key in m if key not in known]
+    if unknown:
+        raise InvalidParameter(f"unknown config key {', '.join(unknown)}")
+    return m
+
+
+def _section(section: str, m):
+    """The variant that config section ``section`` selects, built from ``m``.
+
+    A key no variant reads (``unknown config key graph.sise``), an unknown
+    variant, a key only another variant reads (``graph source 'path' does not
+    use seed``), a missing required key and a value its converter rejects
+    raise :class:`InvalidParameter`.  ``mwgft graph-info`` and ``eig`` pass
+    their options through here as ``graph`` keys.
+    """
+    noun, selector, default, variants = _SECTIONS[section]
+    known = dict.fromkeys(f.name for kind in variants.values() for f in fields(kind))
+    _keys(section, m, {selector, *known})
+    variant = default if m.get(selector) is None else m[selector]
+    if not (isinstance(variant, str) and variant in variants):
+        raise InvalidParameter(f"unknown {noun} {variant!r}")
+    reads = {f.name: f for f in fields(variants[variant])}
+    stray = [key for key in known if key in m and key not in reads]
+    if stray:
+        raise InvalidParameter(f"{noun} {variant!r} does not use {', '.join(stray)}")
+    return variants[variant](**{
+        key: _value(m, section, key, _CONVERTERS[key], ... if f.default is MISSING else f.default)
+        for key, f in reads.items()
+    })
 
 
 def config_from_mapping(mapping: dict) -> ExperimentConfig:
     """Validate a raw (YAML-shaped) mapping into an :class:`ExperimentConfig`."""
     if not isinstance(mapping, dict):
         raise InvalidParameter("experiment config must be a mapping")
-    _variant("", mapping)
-    sections = []
-    for name, default in (("graph", None), ("signal", None), ("windows", {}), ("tolerances", {})):
-        sections.append(mapping.get(name, default))
-        if not isinstance(sections[-1], dict):
-            raise InvalidParameter(f"config section {name} must be a mapping, got {sections[-1]!r}")
-    graph_map, signal_map, window_map, tolerance_map = sections
-    graph = _graph_source(graph_map)
-    kernel = _variant("windows", window_map, "rbf")
-    if "count" in window_map and window_map.get("shifts") is not None:
-        raise InvalidParameter("config key windows.count: windows.shifts sets the window count")
-    design = WindowDesign(
-        kernel=kernel,
-        count=_value(window_map, "windows", "count", _integer, 3),
-        l_fac=_value(window_map, "windows", "l_fac", float, 0.7),
-        shifts=_value(window_map, "windows", "shifts", lambda v: tuple(float(s) for s in v)),
-        pairing=str(window_map.get("pairing", "normalized-synthesis")),
-        path=window_map.get("file"),
-    )
-    _variant("tolerances", tolerance_map)
+    _keys("", mapping, ("name", "graph", "laplacian", "signal", "windows", "tolerances"))
+    tolerances = _keys("tolerances", mapping.get("tolerances", {}), ("nondegeneracy",))
     return ExperimentConfig(
-        name=str(mapping.get("name", "experiment")),
-        graph=graph,
-        kind=LaplacianKind.from_name(str(mapping.get("laplacian", "unnormalized"))),
-        signal=_signal_spec_from_mapping(signal_map),
-        windows=design,
-        nondegeneracy_tolerance=_value(tolerance_map, "tolerances", "nondegeneracy", float),
+        name=_value(mapping, "", "name", _string, "experiment"),
+        graph=_section("graph", mapping.get("graph")),
+        kind=LaplacianKind.from_name(_value(mapping, "", "laplacian", _string, "unnormalized")),
+        signal=_section("signal", mapping.get("signal")),
+        windows=_section("windows", mapping.get("windows", {})),
+        nondegeneracy_tolerance=_value(tolerances, "tolerances", "nondegeneracy", float),
     )
 
 
@@ -276,28 +261,26 @@ def load_preset(name: str) -> ExperimentConfig:
     return config_from_mapping(raw)
 
 
-def build_graph_from_source(source: GraphSource) -> Graph:
+def build_graph_from_source(source: PathSource | FileSource | RandomSource) -> Graph:
     """Materialize the configured graph."""
-    if source.source == "path":
-        return path_graph(int(source.size))
-    if source.source == "random":
-        return random_connected_graph(
-            int(source.size), int(source.seed), extra_edges=source.extra_edges
-        )
-    if not source.path:
+    if isinstance(source, PathSource):
+        return path_graph(source.size)
+    if isinstance(source, RandomSource):
+        return random_connected_graph(source.size, source.seed, extra_edges=source.extra_edges)
+    if not source.file:
         raise InvalidParameter(
             "graph source 'file' needs a path (config graph.file or --graph-file)"
         )
     return load_graph(
-        source.path,
+        source.file,
         coordinates_path=source.coordinates,
         largest_component=source.largest_component,
     )
 
 
-def build_family(design: WindowDesign, basis: SpectralBasis) -> WindowFamily:
-    if design.kernel == "file":
-        family, stored = load_family_csv(design.path)
+def build_family(design: RbfWindows | FileWindows, basis: SpectralBasis) -> WindowFamily:
+    if isinstance(design, FileWindows):
+        family, stored = load_family_csv(design.file)
         if family.size != basis.size:
             raise InvalidParameter(
                 f"window file has {family.size} samples, basis has {basis.size}"
@@ -308,9 +291,9 @@ def build_family(design: WindowDesign, basis: SpectralBasis) -> WindowFamily:
             )
         return family
     prototype = rbf_prototype(basis.lambda_max, design.l_fac)
-    shifts = design.shifts  # the count is read only without explicit shifts
+    shifts = design.shifts
     if shifts is None:
-        shifts = uniform_shifts(basis.lambda_max, design.count)
+        shifts = uniform_shifts(basis.lambda_max, 3 if design.count is None else design.count)
     analysis = shifted_family(prototype, shifts, basis)
     if design.pairing == "same-as-analysis":
         return WindowFamily.with_same_synthesis(analysis)
@@ -422,7 +405,7 @@ def run_experiment(
         num_edges=graph.num_edges,
         kind=config.kind,
         num_windows=family.num_windows,
-        pairing=config.windows.pairing if config.windows.kernel == "rbf" else "from-file",
+        pairing=config.windows.pairing if isinstance(config.windows, RbfWindows) else "from-file",
         min_abs_denominator=report.min_abs,
         nondegeneracy_tolerance=report.tolerance,
         nondegeneracy_satisfied=report.satisfied,

@@ -1,8 +1,8 @@
 """Test-signal generators: impulse, heat profile, chirp, spectral profiles.
 
 Each generator is a pure function; the ``*Spec`` dataclasses are the
-declarative form used by experiment configs, resolved against a basis by
-:func:`build_signal`.
+declarative form used by experiment configs (their fields are the keys each
+signal type reads), resolved against a basis by :func:`build_signal`.
 """
 
 from __future__ import annotations
@@ -92,21 +92,15 @@ class ChirpSpec:
 
 @dataclass(frozen=True)
 class SpectralProfileSpec:
-    """Spectrum either inline (``values``) or from a CSV written by
-    :func:`save_spectrum_csv`."""
+    """Spectrum from a CSV written by :func:`save_spectrum_csv`."""
 
-    values: tuple | None = None
-    path: str | None = None
-
-    def __post_init__(self):
-        if (self.values is None) == (self.path is None):
-            raise InvalidParameter("give exactly one of values/path for a spectral profile")
+    path: str
 
 
 @dataclass(frozen=True)
 class RandomSpec:
     seed: int
-    complex_values: bool = True
+    complex: bool = True
 
 
 SignalSpec = Union[ImpulseSpec, HeatSpec, ChirpSpec, SpectralProfileSpec, RandomSpec]
@@ -122,10 +116,9 @@ def build_signal(spec: SignalSpec, basis: SpectralBasis) -> np.ndarray:
     if isinstance(spec, ChirpSpec):
         return chirp_signal(n, spec.center, spec.width, spec.rate)
     if isinstance(spec, SpectralProfileSpec):
-        spectrum = spec.values if spec.path is None else load_spectrum_csv(spec.path)
-        return spectral_signal(basis, spectrum)
+        return spectral_signal(basis, load_spectrum_csv(spec.path))
     if isinstance(spec, RandomSpec):
-        return random_signal(n, spec.seed, spec.complex_values)
+        return random_signal(n, spec.seed, spec.complex)
     raise InvalidParameter(f"unknown signal spec {spec!r}")
 
 

@@ -220,8 +220,14 @@ def denominator(basis: SpectralBasis, family: WindowFamily) -> np.ndarray:
 
 
 def _tolerance(family: WindowFamily, tolerance: float | None) -> float:
-    """``tolerance``, or :func:`default_nondegeneracy_tolerance` when None."""
-    return default_nondegeneracy_tolerance(family) if tolerance is None else float(tolerance)
+    """``tolerance``, or :func:`default_nondegeneracy_tolerance` when None; a
+    negative or NaN tolerance raises :class:`InvalidParameter`."""
+    if tolerance is None:
+        return default_nondegeneracy_tolerance(family)
+    tolerance = float(tolerance)
+    if not tolerance >= 0.0:
+        raise InvalidParameter(f"nondegeneracy tolerance must be >= 0, got {tolerance!r}")
+    return tolerance
 
 
 def _vanishing(d: np.ndarray, tolerance: float) -> np.ndarray:

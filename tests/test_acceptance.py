@@ -98,7 +98,7 @@ def test_irregular_graph_stability(record, tmp_path):
     road_file = _road_network_file()
     if road_file is not None:
         road = load_preset("minnesota-heat")
-        road = dataclasses.replace(road, graph=dataclasses.replace(road.graph, path=str(road_file)))
+        road = dataclasses.replace(road, graph=dataclasses.replace(road.graph, file=str(road_file)))
         extra = run_experiment(road, out_dir=tmp_path / "road")
         ok = ok and extra.nondegeneracy_satisfied and extra.relative_error <= 1e-9
         details.append(f"road network: relative_error={extra.relative_error:.2e}")

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import os
 import subprocess
@@ -26,11 +27,12 @@ from mwgft import (
     save_graph,
     spectrogram,
 )
+from mwgft import experiment
 from mwgft.cli import main
 from mwgft.experiment import (
     ExperimentConfig,
-    GraphSource,
-    WindowDesign,
+    PathSource,
+    RbfWindows,
     config_from_mapping,
     list_presets,
     load_config,
@@ -85,7 +87,7 @@ class TestConfigMapping:
     def test_defaults(self):
         config = config_from_mapping(minimal_mapping())
         assert config.kind is LaplacianKind.UNNORMALIZED
-        assert config.windows == WindowDesign()
+        assert config.windows == RbfWindows()
         assert config.signal == ImpulseSpec(center=4)
         assert config.nondegeneracy_tolerance is None
 
@@ -169,7 +171,7 @@ class TestConfigMapping:
             signal={"type": "random", "seed": 1, "complex": False},
         ))
         assert config.graph.largest_component is True
-        assert config.signal == RandomSpec(seed=1, complex_values=False)
+        assert config.signal == RandomSpec(seed=1, complex=False)
 
     @pytest.mark.parametrize(
         "overrides, key",
@@ -214,8 +216,8 @@ class TestConfigMapping:
             config_from_mapping(minimal_mapping(laplacian="combinatorialish"))
 
     def test_random_source_needs_seed(self):
-        with pytest.raises(InvalidParameter):
-            GraphSource(source="random", size=8)
+        with pytest.raises(InvalidParameter, match="^config key graph.seed is required$"):
+            config_from_mapping(minimal_mapping(graph={"source": "random", "size": 8}))
 
     @pytest.mark.parametrize(
         "graph, stray",
@@ -244,9 +246,61 @@ class TestConfigMapping:
         with pytest.raises(InvalidParameter, match=f"^{message}$"):
             config_from_mapping(minimal_mapping(windows=windows))
 
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            pytest.param({"graph": {"source": "file", "file": ["a"]}}, "graph.file", id="file-list"),
+            pytest.param({"graph": {"source": "file", "file": 99}}, "graph.file", id="file-number"),
+            pytest.param({"graph": {"source": "file", "file": "g.txt", "coordinates": 99}},
+                         "graph.coordinates", id="coordinates"),
+            pytest.param({"windows": {"kernel": "file", "file": 99}}, "windows.file",
+                         id="window-file"),
+            pytest.param({"signal": {"type": "spectral", "path": 99}}, "signal.path",
+                         id="spectrum-path"),
+            pytest.param({"windows": {"pairing": 5}}, "windows.pairing", id="pairing"),
+            pytest.param({"name": ["a"]}, "name", id="name"),
+            pytest.param({"laplacian": 5}, "laplacian", id="laplacian"),
+        ],
+    )
+    def test_string_keys_need_strings(self, overrides, key):
+        # a number used to be opened as a file descriptor, a list to escape
+        # as a TypeError
+        with pytest.raises(InvalidParameter, match=f"^config key {key}: expected a string, got "):
+            config_from_mapping(minimal_mapping(**overrides))
+
+    def test_empty_name_laplacian_and_pairing_mean_the_default(self):
+        config = config_from_mapping(minimal_mapping(
+            name=None, laplacian=None, windows={"kernel": None, "pairing": None}
+        ))
+        assert config.name == "experiment"
+        assert config.kind is LaplacianKind.UNNORMALIZED
+        assert config.windows == RbfWindows()
+
+    def test_spectral_signal_needs_path(self):
+        with pytest.raises(InvalidParameter, match="^config key signal.path is required$"):
+            config_from_mapping(minimal_mapping(signal={"type": "spectral"}))
+
+    def test_variant_types_hold_only_their_keys(self):
+        # PathSource(size=8, file=...) used to be a GraphSource that built
+        # the path and ignored the file without a word
+        with pytest.raises(TypeError):
+            PathSource(size=8, file="/nonexistent")
+        with pytest.raises(InvalidParameter,
+                           match="^config key windows.count: windows.shifts sets the window count$"):
+            RbfWindows(count=5, shifts=(0.0, 1.0))
+        with pytest.raises(InvalidParameter, match="^window count must be at least 1$"):
+            RbfWindows(count=0)
+
+    def test_every_key_has_one_converter(self):
+        # a field without a converter would surface as an uncaught KeyError,
+        # a converter without a field is a key nothing reads
+        read = {f.name for _, _, _, variants in experiment._SECTIONS.values()
+                for kind in variants.values() for f in dataclasses.fields(kind)}
+        assert read == set(experiment._CONVERTERS)
+
     def test_file_kernel_needs_path(self):
-        with pytest.raises(InvalidParameter):
-            WindowDesign(kernel="file")
+        with pytest.raises(InvalidParameter, match="^config key windows.file is required$"):
+            config_from_mapping(minimal_mapping(windows={"kernel": "file"}))
 
 
 class TestLoadConfig:
@@ -296,7 +350,7 @@ class TestPresets:
 
     def test_impulse_preset_shape(self):
         config = load_preset("path-impulse")
-        assert config.graph == GraphSource(source="path", size=50)
+        assert config.graph == PathSource(size=50)
         assert config.kind is LaplacianKind.SYMMETRIC_NORMALIZED
         assert config.signal == ImpulseSpec(center=25)
         assert config.windows.count == 3 and config.windows.l_fac == 0.7
@@ -411,6 +465,11 @@ class TestCliBasics:
         values = [float(line.split(": ")[1]) for line in lines]
         assert values == pytest.approx([0.0, 2.0], abs=1e-12)
 
+    def test_eig_negative_limit(self, capsys):
+        # --limit -1 used to print no eigenvalue and exit 0
+        assert main(["eig", "--path-size", "4", "--limit", "-1"]) == 1
+        assert capsys.readouterr().err == "error: --limit must be at least 0, got -1\n"
+
     def test_eig_limit_and_out(self, tmp_path, capsys):
         out = tmp_path / "eig"
         code = main(["eig", "--path-size", "10", "--kind", "normalized",
@@ -515,6 +574,36 @@ class TestCliRun:
         argv = ["spectrogram", "--coefficients", "c.npz", "--out", str(tmp_path)]
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: numerical trouble\n"
+
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            pytest.param({"graph": {"source": "file", "file": ["a"]}}, "graph.file", id="graph"),
+            pytest.param({"windows": {"kernel": "file", "file": 99}}, "windows.file",
+                         id="windows"),
+        ],
+    )
+    def test_non_string_path_exits_1(self, tmp_path, capsys, overrides, key):
+        config = write_yaml(tmp_path / "cfg.yaml", minimal_mapping(**overrides))
+        assert main(["windows-check", "--config", config]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config key {key}: expected a string") and "Traceback" not in err
+
+    @pytest.mark.parametrize("tolerance", [-1.0, float("nan")])
+    def test_negative_or_nan_tolerance_exits_1(self, tmp_path, capsys, tolerance):
+        # d is 0 at every vertex of this family: a tolerance of -1 used to
+        # print "satisfied: true" and exit 0, and NaN exited 2 as degenerate
+        mapping = minimal_mapping(
+            graph={"source": "path", "size": 6},
+            signal={"type": "impulse", "center": 3},
+            windows={"kernel": "file", "file": disjoint_family_csv(tmp_path)},
+            tolerances={"nondegeneracy": tolerance},
+        )
+        cfg = write_yaml(tmp_path / "cfg.yaml", mapping)
+        assert main(["windows-check", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: nondegeneracy tolerance must be >= 0, got ")
 
     def test_degenerate_family_exits_2(self, tmp_path, capsys):
         mapping = minimal_mapping(

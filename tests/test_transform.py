@@ -305,6 +305,12 @@ class TestFrameBounds:
         with pytest.raises(NotAFrame, match=r"\(vertices: 4\)$"):
             frame_bounds(basis, g)
 
+    @pytest.mark.parametrize("tolerance", [-1.0, float("nan")])
+    def test_negative_or_nan_tolerance_rejected(self, tolerance):
+        basis = basis_for(path_graph(6))
+        with pytest.raises(InvalidParameter, match="nondegeneracy tolerance must be >= 0"):
+            frame_bounds(basis, np.eye(6)[1], tolerance=tolerance)
+
     def test_loose_pair_brackets_tight_pair(self, rng):
         basis = random_basis(162, size=10)
         g_hat = np.abs(random_complex(rng, 10)) + 0.2

@@ -230,6 +230,22 @@ class TestCheckNondegeneracy:
         assert not strict.satisfied
         assert strict.failing_vertices == list(range(1, 7))
 
+    @pytest.mark.parametrize("tolerance", [-1.0, float("nan")])
+    def test_negative_or_nan_tolerance_rejected(self, tolerance):
+        # a negative tolerance used to pass d = 0 at every vertex, and a NaN
+        # one failed every vertex as if the family were degenerate
+        basis = basis_for(path_graph(6))
+        family = WindowFamily.paired([indicator_window(6, 1)], [indicator_window(6, 2)])
+        with pytest.raises(InvalidParameter, match="nondegeneracy tolerance must be >= 0"):
+            check_nondegeneracy(basis, family, tolerance)
+        with pytest.raises(InvalidParameter, match="nondegeneracy tolerance must be >= 0"):
+            sufficient_conditions(basis, family, tolerance)
+
+    def test_zero_tolerance_accepted(self):
+        basis = basis_for(path_graph(6))
+        family = WindowFamily.with_same_synthesis([SpectralWindow(np.ones(6))])
+        assert check_nondegeneracy(basis, family, 0.0).satisfied
+
     def test_report_text(self):
         basis = basis_for(path_graph(4))
         family = WindowFamily.paired([indicator_window(4, 1)], [indicator_window(4, 2)])
