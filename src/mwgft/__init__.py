@@ -89,7 +89,6 @@ from .spectral import (
 )
 from .transform import (
     FrameBounds,
-    Spectrogram,
     WgftCoefficients,
     frame_bounds,
     load_coefficients,

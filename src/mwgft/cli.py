@@ -40,7 +40,6 @@ from .transform import (
     mwgft_synthesize,
     save_coefficients,
     save_spectrogram_files,
-    spectrogram,
 )
 from .windows import check_nondegeneracy, format_condition_report, save_family_csv
 from . import signals as _signals
@@ -213,11 +212,10 @@ def _cmd_synthesize(args) -> int:
 
 def _cmd_spectrogram(args) -> int:
     coeffs = load_coefficients(args.coefficients)
-    spec = spectrogram(coeffs)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    save_spectrogram_files(out, spec, pgm=args.pgm)
-    peak = np.unravel_index(np.argmax(spec.averaged), spec.averaged.shape)
+    averaged = save_spectrogram_files(out, coeffs, pgm=args.pgm)
+    peak = np.unravel_index(np.argmax(averaged), averaged.shape)
     print(f"argmax_vertex: {int(peak[0]) + 1}")
     print(f"argmax_frequency: {int(peak[1])}")
     print(f"outputs: {out}")
@@ -225,10 +223,10 @@ def _cmd_spectrogram(args) -> int:
 
 
 def _cmd_frame_bounds(args) -> int:
-    _, basis, family = _pipeline(args)
+    config, basis, family = _pipeline(args)
     for j, (g, gam) in enumerate(zip(family.analysis, family.synthesis), start=1):
         dual = None if gam is g else gam
-        bounds = frame_bounds(basis, g, dual_window=dual)
+        bounds = frame_bounds(basis, g, dual_window=dual, tolerance=config.nondegeneracy_tolerance)
         line = f"window={j} lower={bounds.lower!r} upper={bounds.upper!r}"
         if bounds.loose_lower is not None:
             line += f" loose_lower={bounds.loose_lower!r} loose_upper={bounds.loose_upper!r}"

@@ -43,6 +43,7 @@ from .transform import (
 )
 from .windows import (
     WindowFamily,
+    _check_family,
     check_nondegeneracy,
     format_condition_report,
     load_family_csv,
@@ -281,10 +282,7 @@ def build_graph_from_source(source: PathSource | FileSource | RandomSource) -> G
 def build_family(design: RbfWindows | FileWindows, basis: SpectralBasis) -> WindowFamily:
     if isinstance(design, FileWindows):
         family, stored = load_family_csv(design.file)
-        if family.size != basis.size:
-            raise InvalidParameter(
-                f"window file has {family.size} samples, basis has {basis.size}"
-            )
+        _check_family(basis, family)
         if not np.allclose(stored, basis.eigenvalues, atol=1e-8 * max(1.0, basis.lambda_max)):
             raise InvalidParameter(
                 "window file was sampled on different eigenvalues than this graph"
@@ -380,7 +378,7 @@ def run_experiment(
     coeffs = mwgft_analyze(basis, family, signal)
     emit("coefficients", "coefficients.npz", lambda p: save_coefficients(p, coeffs))
 
-    averaged = spectrogram(coeffs).averaged
+    averaged = spectrogram(coeffs)
     if write_pgm:
         emit("spectrogram_pgm", "spectrogram_avg.pgm", lambda p: save_spectrogram_pgm(p, averaged))
     argmax_vertex = int(np.unravel_index(np.argmax(averaged), averaged.shape)[0]) + 1

@@ -63,6 +63,8 @@ def spectral_signal(basis: SpectralBasis, spectrum: np.ndarray) -> np.ndarray:
 
 
 def random_signal(num_vertices: int, seed: int, complex_values: bool = True) -> np.ndarray:
+    if seed < 0:
+        raise InvalidParameter(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     if complex_values:
         return rng.standard_normal(num_vertices) + 1j * rng.standard_normal(num_vertices)

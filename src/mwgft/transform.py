@@ -59,10 +59,7 @@ def _window_spectrum(basis: SpectralBasis, window) -> np.ndarray:
     """
     if isinstance(window, SpectralWindow):
         return _vector(basis, window.samples, "window")
-    spectrum = gft(basis, window)
-    if not np.all(np.isfinite(spectrum)):
-        raise InvalidParameter("window has non-finite values")
-    return spectrum
+    return SpectralWindow(gft(basis, window)).samples
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,10 +93,6 @@ class WgftCoefficients:
     def num_windows(self) -> int:
         return self.matrices.shape[0]
 
-    @property
-    def size(self) -> int:
-        return self.matrices[0].shape[0]
-
 
 @dataclass(frozen=True, eq=False)
 class FrameBounds:
@@ -107,8 +100,8 @@ class FrameBounds:
 
     ``lower``/``upper`` are the optimal constants N*min/max of ``||T_i g||^2``.
     When a synthesis window was supplied, ``loose_lower``/``loose_upper`` hold
-    the coarser two-window pair (a^2 N, b^2 N); they always bracket at least
-    as loosely: loose_lower <= lower and upper <= loose_upper.
+    the coarser two-window pair (a^2 N, b^2 N); b = max_i ||T_i g|| makes
+    loose_upper equal upper, and loose_lower <= lower.
     """
 
     lower: float
@@ -116,15 +109,6 @@ class FrameBounds:
     translate_energies: np.ndarray
     loose_lower: float | None = None
     loose_upper: float | None = None
-
-
-@dataclass(frozen=True, eq=False)
-class Spectrogram:
-    """Squared-magnitude coefficient maps, per window as (J, N, N) and
-    averaged over windows."""
-
-    per_window: np.ndarray
-    averaged: np.ndarray
 
 
 def _left_multiply(u: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -280,15 +264,21 @@ def frame_bounds(
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(dual_energies > 0, np.abs(cross) / np.sqrt(dual_energies), 0.0)
     a = float(np.min(ratios))
-    b = float(np.sqrt(energies.max()))
-    return replace(bounds, loose_lower=a * a * n, loose_upper=b * b * n)
+    return replace(bounds, loose_lower=a * a * n, loose_upper=bounds.upper)
 
 
-def spectrogram(coeffs: WgftCoefficients) -> Spectrogram:
-    """Squared magnitudes per window plus their mean over windows."""
-    per = np.abs(coeffs.matrices)
-    np.square(per, out=per)
-    return Spectrogram(per, per.sum(axis=0) / len(per))
+def spectrogram(coeffs: WgftCoefficients) -> np.ndarray:
+    """Mean over windows of ``|S_j|^2`` as one (N, N) float64 map.
+
+    Windows are squared one at a time and added in window order, so no
+    (J, N, N) copy is made; ``np.abs(coeffs.matrices[j]) ** 2`` is the map
+    of window j alone.
+    """
+    total = np.zeros(coeffs.matrices.shape[1:])
+    for s in coeffs.matrices:
+        total += np.square(np.abs(s))
+    total /= coeffs.num_windows
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -373,12 +363,15 @@ def save_spectrogram_pgm(path, matrix: np.ndarray) -> None:
         fh.write(pixels.tobytes())
 
 
-def save_spectrogram_files(out_dir, spec: Spectrogram, pgm: bool = False) -> None:
-    """Write ``spectrogram_w{j}.csv`` per window, ``spectrogram_avg.csv`` and,
-    with ``pgm``, ``spectrogram_avg.pgm`` into ``out_dir``."""
+def save_spectrogram_files(out_dir, coeffs: WgftCoefficients, pgm: bool = False) -> np.ndarray:
+    """Write ``spectrogram_w{j}.csv`` per window, squared one window at a
+    time, then ``spectrogram_avg.csv`` and, with ``pgm``,
+    ``spectrogram_avg.pgm`` into ``out_dir``; return the averaged map."""
     out = Path(out_dir)
-    for j, matrix in enumerate(spec.per_window, start=1):
-        save_spectrogram_csv(out / f"spectrogram_w{j}.csv", matrix)
-    save_spectrogram_csv(out / "spectrogram_avg.csv", spec.averaged)
+    for j, s in enumerate(coeffs.matrices, start=1):
+        save_spectrogram_csv(out / f"spectrogram_w{j}.csv", np.square(np.abs(s)))
+    averaged = spectrogram(coeffs)
+    save_spectrogram_csv(out / "spectrogram_avg.csv", averaged)
     if pgm:
-        save_spectrogram_pgm(out / "spectrogram_avg.pgm", spec.averaged)
+        save_spectrogram_pgm(out / "spectrogram_avg.pgm", averaged)
+    return averaged

@@ -131,8 +131,6 @@ def uniform_shifts(lambda_max: float, count: int) -> np.ndarray:
     """Default shift rule: ``count`` shifts covering [0, lambda_max] uniformly."""
     if count < 1:
         raise InvalidParameter(f"need at least one shift, got {count}")
-    if count == 1:
-        return np.zeros(1)
     return np.linspace(0.0, float(lambda_max), count)
 
 

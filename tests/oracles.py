@@ -139,6 +139,13 @@ def synthesize_direct(basis: SpectralBasis, family: WindowFamily, matrices) -> n
     return numerator / (size * denominator)
 
 
+def spectrogram_reference(matrices) -> np.ndarray:
+    """Averaged spectrogram as one stacked reduction: ``|S_j|^2`` for all J
+    windows in a (J, N, N) array, summed over axis 0 and divided by J."""
+    matrices = np.asarray(matrices)
+    return np.square(np.abs(matrices)).sum(axis=0) / len(matrices)
+
+
 def rotate_degenerate_eigenspaces(basis: SpectralBasis, rng: np.random.Generator):
     """Apply a random orthogonal rotation inside each repeated eigenspace.
 

@@ -55,6 +55,13 @@ def minimal_mapping(**overrides):
     return base
 
 
+def _readme_block(heading, language):
+    """The first ``language`` code block under README's ``## heading``."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split(f"\n## {heading}\n", 1)[1]
+    return section.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
 def write_yaml(path, mapping):
     path.write_text(yaml.safe_dump(mapping), encoding="utf-8")
     return str(path)
@@ -323,11 +330,16 @@ class TestLoadConfig:
 
     def test_readme_example_parses(self):
         # the documented config must stay one the key table accepts
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-        section = readme.split("\n## Config format\n", 1)[1]
-        block = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+        block = _readme_block("Config format", "yaml")
         config = config_from_mapping(yaml.safe_load(block))
         assert config.name == "my-experiment" and config.windows.count == 3
+
+    def test_readme_library_example_runs(self):
+        # the documented library calls must stay ones the package answers
+        namespace = {}
+        exec(_readme_block("Quick start (library)", "python"), namespace)
+        assert namespace["averaged"].shape == (50, 50)
+        assert np.allclose(namespace["f_rec"], namespace["f"], atol=1e-10)
 
 
 class TestPresets:
@@ -446,6 +458,13 @@ class TestCliBasics:
         # these options used to be dropped without a word
         assert main(["graph-info", *argv]) == 1
         assert capsys.readouterr().err.endswith(f"does not use {stray}\n")
+
+    def test_graph_info_graph_file(self, tmp_path, capsys):
+        edges = tmp_path / "edges.txt"
+        save_graph(edges, path_graph(12))
+        assert main(["graph-info", "--graph-file", str(edges)]) == 0
+        out = capsys.readouterr().out
+        assert "vertices: 12\n" in out and "edges: 11\n" in out
 
     def test_random_size_seed_defaults_to_zero(self, capsys):
         assert main(["graph-info", "--random-size", "30"]) == 0
@@ -624,6 +643,17 @@ class TestCliRun:
         # run unseeded, with output byte-identical to the run without it
         assert main([command, "--preset", "path-impulse", "--seed", "7"]) == 1
         assert "--seed needs a random graph source or a random signal" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["config", "option"])
+    def test_negative_random_signal_seed(self, tmp_path, capsys, where):
+        # a negative signal seed used to escape as numpy's ValueError traceback
+        mapping = minimal_mapping(signal={"type": "random", "seed": -1 if where == "config" else 1})
+        cfg = write_yaml(tmp_path / "cfg.yaml", mapping)
+        argv = ["analyze", "--config", cfg, "--out", str(tmp_path / "out")]
+        if where == "option":
+            argv += ["--seed", "-1"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
 
     def test_seed_override(self, tmp_path, capsys):
         mapping = minimal_mapping(
@@ -807,9 +837,12 @@ class TestCliPipelines:
         assert code == 0
         assert (out / "spectrogram_avg.pgm").read_bytes() == (run / "spectrogram_avg.pgm").read_bytes()
         expected = tmp_path / "expected.csv"
-        averaged = spectrogram(load_coefficients(run / "coefficients.npz")).averaged
-        save_spectrogram_csv_reference(expected, averaged)
+        coeffs = load_coefficients(run / "coefficients.npz")
+        save_spectrogram_csv_reference(expected, spectrogram(coeffs))
         assert (out / "spectrogram_avg.csv").read_bytes() == expected.read_bytes()
+        for j, matrix in enumerate(coeffs.matrices, start=1):
+            save_spectrogram_csv_reference(expected, np.abs(matrix) ** 2)
+            assert (out / f"spectrogram_w{j}.csv").read_bytes() == expected.read_bytes()
         table = np.loadtxt(out / "spectrogram_avg.csv", delimiter=",", skiprows=1)
         peak_row = np.unravel_index(np.argmax(table[:, 1:]), table[:, 1:].shape)[0]
         assert int(table[peak_row, 0]) == report.spectrogram_argmax_vertex
@@ -843,6 +876,35 @@ class TestCliPipelines:
         cfg = write_yaml(tmp_path / "cfg.yaml", mapping)
         assert main(["windows-check", "--config", cfg]) == 1
         assert "different eigenvalues" in capsys.readouterr().err
+
+    def test_window_file_of_other_size_rejected(self, tmp_path, capsys):
+        # a 6-sample window file on the 8-vertex path of minimal_mapping
+        mapping = minimal_mapping(windows={"kernel": "file", "file": disjoint_family_csv(tmp_path)})
+        cfg = write_yaml(tmp_path / "cfg.yaml", mapping)
+        assert main(["windows-check", "--config", cfg]) == 1
+        assert capsys.readouterr().err == "error: family sampled on 6 eigenvalues, basis has 8\n"
+
+    def test_frame_bounds_honours_nondegeneracy_tolerance(self, tmp_path, capsys):
+        # frame-bounds used to print bounds and exit 0 where windows-check failed
+        mapping = minimal_mapping(windows={"kernel": "rbf", "count": 3},
+                                  tolerances={"nondegeneracy": 1.0e9})
+        cfg = write_yaml(tmp_path / "cfg.yaml", mapping)
+        assert main(["windows-check", "--config", cfg]) == 2
+        assert "satisfied: false" in capsys.readouterr().out
+        assert main(["frame-bounds", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: ||T_i g||^2 <= 1.000e+09; atoms do not span "
+                                "(vertices: 1, 2, 3, 4, 5, 6, 7, 8)\n")
+
+    def test_frame_bounds_loose_upper_is_upper(self, capsys):
+        # path-impulse used to print a loose_upper one ulp below upper
+        assert main(["frame-bounds", "--preset", "path-impulse"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines
+        for line in lines:
+            fields = dict(part.split("=", 1) for part in line.split())
+            assert fields["loose_upper"] == fields["upper"]
 
     def test_frame_bounds_flat_window_is_tight(self, tmp_path, capsys):
         n = 8

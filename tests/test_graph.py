@@ -83,6 +83,25 @@ class TestBuildGraph:
         with pytest.raises(InvalidParameter, match="weight matrix has non-finite entries"):
             Graph(2, w)
 
+    @pytest.mark.parametrize(
+        "weights, coordinates, error, message",
+        [
+            pytest.param(np.zeros((2, 3)), None, InvalidSize,
+                         r"weight matrix shape \(2, 3\) does not match 2 vertices", id="non-square"),
+            pytest.param([[0.0, 1.0], [2.0, 0.0]], None, InvalidParameter,
+                         "weight matrix must be exactly symmetric", id="asymmetric"),
+            pytest.param([[1.0, 1.0], [1.0, 0.0]], None, SelfLoop,
+                         "weight matrix has nonzero diagonal entries", id="diagonal"),
+            pytest.param([[0.0, -1.0], [-1.0, 0.0]], None, NegativeWeight,
+                         "weight matrix has negative entries", id="negative"),
+            pytest.param([[0.0, 1.0], [1.0, 0.0]], np.zeros((2, 3)), InvalidSize,
+                         r"coordinates shape \(2, 3\), expected \(2, 2\)", id="coordinates"),
+        ],
+    )
+    def test_graph_checks_its_arrays(self, weights, coordinates, error, message):
+        with pytest.raises(error, match=message):
+            Graph(2, np.asarray(weights), coordinates)
+
     def test_neighbors(self):
         g = build_graph(3, [(1, 2, 2.0), (2, 3, 3.0)])
         assert g.neighbors(2) == [1, 3]

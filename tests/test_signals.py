@@ -134,6 +134,10 @@ class TestRandomSignal:
         assert not np.iscomplexobj(random_signal(10, 5, complex_values=False))
         assert np.iscomplexobj(random_signal(10, 5, complex_values=True))
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidParameter, match="^seed must be non-negative, got -1$"):
+            random_signal(10, -1)
+
 
 class TestBuildSignal:
     def test_dispatch(self, tmp_path, rng):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,6 @@ from mwgft import (
     InvalidParameter,
     NotAFrame,
     ParseError,
-    Spectrogram,
     SpectralWindow,
     WgftCoefficients,
     WindowFamily,
@@ -36,7 +37,12 @@ from mwgft import (
 )
 from mwgft.transform import save_spectrogram_csv, save_spectrogram_pgm
 from helpers import NORM, UNNORM, basis_for, random_basis, random_complex, star_graph
-from oracles import save_spectrogram_csv_reference, synthesize_direct, wgft_direct
+from oracles import (
+    save_spectrogram_csv_reference,
+    spectrogram_reference,
+    synthesize_direct,
+    wgft_direct,
+)
 
 
 def rbf_family(basis, count=3, l_fac=0.7, same=False):
@@ -277,8 +283,8 @@ class TestMwgft:
         family = rbf_family(basis, count=3, l_fac=0.7)
         f = np.zeros(50)
         f[24] = 1.0
-        spec = spectrogram(mwgft_analyze(basis, family, f))
-        peak_vertex = int(np.unravel_index(np.argmax(spec.averaged), spec.averaged.shape)[0]) + 1
+        averaged = spectrogram(mwgft_analyze(basis, family, f))
+        peak_vertex = int(np.unravel_index(np.argmax(averaged), averaged.shape)[0]) + 1
         assert peak_vertex == 25
 
 
@@ -319,7 +325,7 @@ class TestFrameBounds:
         bounds = frame_bounds(basis, analysis[0], dual_window=gamma)
         assert bounds.loose_lower is not None
         assert bounds.loose_lower <= bounds.lower * (1 + 1e-12)
-        assert np.isclose(bounds.loose_upper, bounds.upper, rtol=1e-12)
+        assert bounds.loose_upper == bounds.upper
 
     def test_no_dual_no_loose_pair(self, rng):
         basis = random_basis(163)
@@ -342,17 +348,43 @@ class TestSpectrogram:
     def test_zero_signal(self):
         basis = random_basis(170)
         family = rbf_family(basis)
-        spec = spectrogram(mwgft_analyze(basis, family, np.zeros(basis.size)))
-        assert np.array_equal(spec.averaged, np.zeros((basis.size, basis.size)))
+        averaged = spectrogram(mwgft_analyze(basis, family, np.zeros(basis.size)))
+        assert np.array_equal(averaged, np.zeros((basis.size, basis.size)))
 
     def test_average_recomputed(self, rng):
         basis = random_basis(171, size=9)
         family = rbf_family(basis, count=3)
         coeffs = mwgft_analyze(basis, family, random_complex(rng, 9))
-        spec = spectrogram(coeffs)
+        averaged = spectrogram(coeffs)
         manual = sum(np.abs(m) ** 2 for m in coeffs.matrices) / 3.0
-        assert np.allclose(spec.averaged, manual, rtol=1e-12)
-        assert all(np.all(p >= 0) for p in spec.per_window)
+        assert averaged.shape == (9, 9) and averaged.dtype == np.float64
+        assert np.allclose(averaged, manual, rtol=1e-12)
+        assert np.all(averaged >= 0)
+
+    @pytest.mark.parametrize("num_windows", [1, 3, 8, 9])
+    @pytest.mark.parametrize("complex_values", [False, True], ids=["real", "complex"])
+    def test_matches_stacked_reduction_bit_for_bit(self, rng, num_windows, complex_values):
+        basis = basis_for(path_graph(7))
+        matrices = rng.standard_normal((num_windows, 7, 7)) * 10.0 ** rng.integers(-8, 8, (7, 7))
+        if complex_values:
+            matrices = matrices + 1j * rng.standard_normal((num_windows, 7, 7))
+        averaged = spectrogram(WgftCoefficients(matrices, basis))
+        expected = spectrogram_reference(matrices)
+        assert averaged.dtype == expected.dtype == np.float64
+        assert averaged.tobytes() == expected.tobytes()
+
+    def test_peak_memory_holds_no_per_window_stack(self, rng):
+        # the (J, N, N) stack of |S_j|^2 alone would be J = 8 maps
+        n = 200
+        matrices = rng.standard_normal((8, n, n)) + 1j * rng.standard_normal((8, n, n))
+        coeffs = WgftCoefficients(matrices, basis_for(path_graph(n)))
+        tracemalloc.start()
+        try:
+            spectrogram(coeffs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * n * n * 8
 
 
 class TestRotationRobustness:
@@ -558,8 +590,7 @@ class TestCoefficientsIo:
         coeffs = mwgft_analyze(basis, rbf_family(basis), random_complex(rng, 6))
         assert coeffs.matrices.shape == (3, 6, 6) and coeffs.matrices.flags.owndata
         assert WgftCoefficients(coeffs.matrices, basis).matrices is coeffs.matrices
-        spec = spectrogram(coeffs)
-        assert spec.per_window.shape == (3, 6, 6)
+        assert spectrogram(coeffs).shape == (6, 6)
 
 
 EDGE_FLOATS = [0.0, 5e-324, 1e-05, 0.1, 1 / 3, 1e16, 1.7976931348623157e308, 2.5]
@@ -614,7 +645,6 @@ ARRAY_HOLDERS = {
     "ConditionReport": lambda basis, family: check_nondegeneracy(basis, family),
     "WgftCoefficients": lambda basis, family: WgftCoefficients(np.ones((1, 4, 4)), basis),
     "FrameBounds": lambda basis, family: FrameBounds(1.0, 2.0, np.ones(4)),
-    "Spectrogram": lambda basis, family: Spectrogram(np.ones((1, 4, 4)), np.ones((4, 4))),
 }
 
 

@@ -170,6 +170,16 @@ class TestWindowFamilyType:
 
 
 class TestCheckNondegeneracy:
+    @pytest.mark.parametrize("stage", ["check_nondegeneracy", "mwgft_analyze"])
+    def test_family_of_other_size_rejected(self, stage):
+        basis = basis_for(path_graph(8))
+        family = WindowFamily.with_same_synthesis([SpectralWindow(np.ones(6))])
+        with pytest.raises(DimensionMismatch, match="^family sampled on 6 eigenvalues, basis has 8$"):
+            if stage == "check_nondegeneracy":
+                check_nondegeneracy(basis, family)
+            else:
+                mwgft_analyze(basis, family, np.ones(8))
+
     def test_single_real_window_with_dc(self, rng):
         basis = random_basis(100)
         g_hat = rng.standard_normal(basis.size)
