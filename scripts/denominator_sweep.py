@@ -6,6 +6,10 @@ print min_n |d(n)| for both pairing modes.  With energy-normalized synthesis
 the denominator is pinned at N by construction; with synthesis == analysis it
 grows as more of the spectrum gets covered.
 
+With synthesis == analysis, d(n) = sum_j ||T_n g_j||^2, so the union family
+{M_k T_n g_j} has the frame bounds A = N min_n d(n) and B = N max_n d(n); the
+B/A column prints their ratio, max d / min d (1 is a tight frame).
+
     python scripts/denominator_sweep.py --size 120 --seed 7
 """
 
@@ -39,7 +43,8 @@ def main(argv=None) -> int:
     graph = random_connected_graph(args.size, seed=args.seed)
     basis = eigendecompose(laplacian(graph, kind), kind)
     print(f"graph: N={graph.num_vertices} edges={graph.num_edges} laplacian={kind.value}")
-    print(f"{'J':>3} {'min|d| same-as-analysis':>24} {'min|d| normalized-synthesis':>28}")
+    print(f"{'J':>3} {'min|d| same-as-analysis':>24} {'B/A':>8} "
+          f"{'min|d| normalized-synthesis':>28}")
     for count in args.counts:
         analysis = shifted_family(
             rbf_prototype(basis.lambda_max, args.l_fac),
@@ -50,7 +55,8 @@ def main(argv=None) -> int:
         normalized = check_nondegeneracy(
             basis, WindowFamily.with_normalized_synthesis(analysis)
         )
-        print(f"{count:>3} {same.min_abs:>24.6e} {normalized.min_abs:>28.6e}")
+        ratio = same.denominators.real.max() / same.denominators.real.min()
+        print(f"{count:>3} {same.min_abs:>24.6e} {ratio:>8.4f} {normalized.min_abs:>28.6e}")
         if not same.min_abs > 0:
             print(f"    (J={count}: denominator vanished somewhere)")
     # sanity: the normalized pairing should sit at N up to rounding

@@ -103,7 +103,6 @@ from .transform import (
 )
 from .windows import (
     ConditionReport,
-    SpectralWindow,
     SufficientConditions,
     WindowFamily,
     check_nondegeneracy,

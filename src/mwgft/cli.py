@@ -224,9 +224,10 @@ def _cmd_spectrogram(args) -> int:
 
 def _cmd_frame_bounds(args) -> int:
     config, basis, family = _pipeline(args)
-    for j, (g, gam) in enumerate(zip(family.analysis, family.synthesis), start=1):
-        dual = None if gam is g else gam
-        bounds = frame_bounds(basis, g, dual_window=dual, tolerance=config.nondegeneracy_tolerance)
+    same = family.synthesis is family.analysis
+    for j, (g_hat, gamma_hat) in enumerate(zip(family.analysis, family.synthesis), start=1):
+        bounds = frame_bounds(basis, g_hat, None if same else gamma_hat,
+                              tolerance=config.nondegeneracy_tolerance)
         line = f"window={j} lower={bounds.lower!r} upper={bounds.upper!r}"
         if bounds.loose_lower is not None:
             line += f" loose_lower={bounds.loose_lower!r} loose_upper={bounds.loose_upper!r}"

@@ -138,11 +138,27 @@ def _value(m: dict, section: str, key: str, convert, default=None):
 
 
 def _integer(value) -> int:
-    """``int(value)``, but a boolean or a fractional number raises ``ValueError``
-    instead of becoming 1 or being truncated."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """``int(value)``, but a boolean, a string or a fractional number raises
+    ``ValueError`` instead of becoming 1, being parsed or being truncated."""
+    if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
+
+
+def _real(value) -> float:
+    """``float(value)`` of a YAML int or float (``.inf`` and ``.nan`` included);
+    a boolean or a string raises ``ValueError`` instead of becoming 1.0 or 0.001."""
+    if isinstance(value, (bool, str)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _reals(value) -> tuple:
+    """A YAML list of numbers as floats; a string or a mapping raises instead of
+    being taken apart (``"12"`` into 1.0, 2.0)."""
+    if not isinstance(value, list):
+        raise ValueError(f"expected a list of numbers, got {value!r}")
+    return tuple(map(_real, value))
 
 
 def _boolean(value) -> bool:
@@ -180,8 +196,7 @@ _CONVERTERS = {
     "size": _integer, "seed": _integer, "extra_edges": _integer, "center": _integer,
     "count": _integer, "largest_component": _boolean, "complex": _boolean,
     "file": _string, "coordinates": _string, "path": _string, "pairing": _string,
-    "tau": float, "width": float, "rate": float, "l_fac": float,
-    "shifts": lambda v: tuple(float(s) for s in v),
+    "tau": _real, "width": _real, "rate": _real, "l_fac": _real, "shifts": _reals,
 }
 
 
@@ -234,7 +249,7 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
         kind=LaplacianKind.from_name(_value(mapping, "", "laplacian", _string, "unnormalized")),
         signal=_section("signal", mapping.get("signal")),
         windows=_section("windows", mapping.get("windows", {})),
-        nondegeneracy_tolerance=_value(tolerances, "tolerances", "nondegeneracy", float),
+        nondegeneracy_tolerance=_value(tolerances, "tolerances", "nondegeneracy", _real),
     )
 
 

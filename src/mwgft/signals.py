@@ -37,8 +37,8 @@ def heat_signal(basis: SpectralBasis, tau: float | None = None) -> np.ndarray:
     """
     if tau is None:
         tau = DEFAULT_HEAT_TAU_FACTOR / basis.lambda_max
-    if not tau > 0:
-        raise InvalidParameter(f"diffusion time must be positive, got {tau}")
+    if not (np.isfinite(tau) and tau > 0):
+        raise InvalidParameter(f"diffusion time tau must be finite and positive, got {tau}")
     return igft(basis, np.exp(-tau * basis.eigenvalues))
 
 
@@ -52,6 +52,8 @@ def chirp_signal(num_vertices: int, center: int, width: float, rate: float) -> n
     _check_vertex(center, num_vertices)
     if not width > 0:
         raise InvalidParameter(f"width must be positive, got {width}")
+    if not np.isfinite(rate):
+        raise InvalidParameter(f"rate must be finite, got {rate}")
     offsets = np.arange(1, num_vertices + 1, dtype=float) - center
     envelope = np.exp(-(offsets**2) / (2.0 * width * width))
     return envelope * np.exp(1j * rate * offsets)

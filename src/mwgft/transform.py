@@ -46,20 +46,9 @@ from .errors import (
 )
 from .graph import LaplacianKind
 from .operators import translation_inner_products, translate_norms_sq
-from .spectral import SpectralBasis, _vector, gft
+from .spectral import SpectralBasis, _vector
 from .tables import write_table
-from .windows import SpectralWindow, WindowFamily, _check_family, _verdict
-
-
-def _window_spectrum(basis: SpectralBasis, window) -> np.ndarray:
-    """Accept a window in either domain and return its spectrum.
-
-    A :class:`SpectralWindow` is taken as already-spectral samples; a plain
-    array is treated as a vertex-domain window and transformed once.
-    """
-    if isinstance(window, SpectralWindow):
-        return _vector(basis, window.samples, "window")
-    return SpectralWindow(gft(basis, window)).samples
+from .windows import WindowFamily, _check_family, _verdict
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,7 +88,7 @@ class FrameBounds:
     """Tight frame bounds plus the per-vertex translate energies behind them.
 
     ``lower``/``upper`` are the optimal constants N*min/max of ``||T_i g||^2``.
-    When a synthesis window was supplied, ``loose_lower``/``loose_upper`` hold
+    When a synthesis spectrum was supplied, ``loose_lower``/``loose_upper`` hold
     the coarser two-window pair (a^2 N, b^2 N); b = max_i ||T_i g|| makes
     loose_upper equal upper, and loose_lower <= lower.
     """
@@ -123,62 +112,54 @@ def _left_multiply(u: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) 
     return np.matmul(u, b.view(np.float64), out=real_out).view(np.complex128)
 
 
-def _analyze(basis: SpectralBasis, spectra, signal) -> np.ndarray:
-    """``S_j = N U diag(conj ghat_j) A`` for every window spectrum, as (J, N, N).
+def mwgft_analyze(
+    basis: SpectralBasis, family: WindowFamily, signal: np.ndarray
+) -> WgftCoefficients:
+    """``S_j = N U diag(conj ghat_j) A`` for every analysis window, as (J, N, N).
 
     Real signal and real windows give float64 coefficients, anything else
     complex128.
     """
+    _check_family(basis, family)
     signal = _vector(basis, signal)
     if not np.all(np.isfinite(signal)):
         raise InvalidParameter("signal has non-finite values")
     u, n = basis.vectors, basis.size
-    dtype = np.result_type(signal, *spectra, np.float64)
+    dtype = np.result_type(signal, family.analysis, np.float64)
     shared = _left_multiply(u.T, (n * signal)[:, None] * u).astype(dtype, copy=False)  # N A
-    out = np.empty((len(spectra), n, n), dtype=dtype)
-    last = len(spectra) - 1
-    for j, g_hat in enumerate(spectra):
+    out = np.empty((family.num_windows, n, n), dtype=dtype)
+    last = family.num_windows - 1
+    for j, g_hat in enumerate(family.analysis):
         # the last slot is scratch until the last window, which scales A in place
         scaled = shared if j == last else out[last]
         np.multiply(np.conj(g_hat)[:, None], shared, out=scaled)
         _left_multiply(u, scaled, out=out[j])
-    return out
+    return WgftCoefficients(out, basis)
 
 
-def wgft(basis: SpectralBasis, window, signal: np.ndarray) -> np.ndarray:
-    """Windowed transform ``S(n, k) = <f, g_{n,k}>`` as an N x N matrix."""
-    return _analyze(basis, [_window_spectrum(basis, window)], signal)[0]
+def wgft(basis: SpectralBasis, g_hat, signal: np.ndarray) -> np.ndarray:
+    """Windowed transform ``S(n, k) = <f, g_{n,k}>`` as an N x N matrix: the
+    one-window :func:`mwgft_analyze` of the spectrum ``g_hat`` (``gft(basis, g)``
+    for a vertex-domain window g)."""
+    return mwgft_analyze(basis, WindowFamily.with_same_synthesis([g_hat]), signal).matrices[0]
 
 
 def reconstruct_two_window(
     basis: SpectralBasis,
-    window,
-    dual_window,
+    g_hat,
+    gamma_hat,
     coeffs: np.ndarray,
     tolerance: float | None = None,
 ) -> np.ndarray:
     """Invert a single-window transform with a (possibly different) dual window.
 
     ``f(i) = [N <T_i gamma, T_i g>]^{-1} sum_{n,k} S(n,k) gamma_{n,k}(i)``,
-    i.e. :func:`mwgft_synthesize` for the one-pair family.  Raises
-    :class:`DegenerateDenominator` listing the vertices where the
-    denominator magnitude is at or below tolerance.
+    i.e. :func:`mwgft_synthesize` for the one pair of spectra ``(g_hat,
+    gamma_hat)``.  Raises :class:`DegenerateDenominator` listing the vertices
+    where the denominator magnitude is at or below tolerance.
     """
-    family = WindowFamily(
-        (SpectralWindow(_window_spectrum(basis, window)),),
-        (SpectralWindow(_window_spectrum(basis, dual_window)),),
-    )
     coeffs = WgftCoefficients(np.asarray(coeffs)[None], basis)
-    return mwgft_synthesize(basis, family, coeffs, tolerance)
-
-
-def mwgft_analyze(
-    basis: SpectralBasis, family: WindowFamily, signal: np.ndarray
-) -> WgftCoefficients:
-    """Windowed transform against every analysis window of the family."""
-    _check_family(basis, family)
-    stacked = _analyze(basis, [w.samples for w in family.analysis], signal)
-    return WgftCoefficients(stacked, basis)
+    return mwgft_synthesize(basis, WindowFamily([g_hat], [gamma_hat]), coeffs, tolerance)
 
 
 def mwgft_synthesize(
@@ -211,11 +192,10 @@ def mwgft_synthesize(
         )
 
     u, n = basis.vectors, basis.size
-    gammas = [w.samples for w in family.synthesis]
-    dtype = np.result_type(coeffs.matrices, *gammas, np.float64)
+    dtype = np.result_type(coeffs.matrices, family.synthesis, np.float64)
     acc = np.zeros((n, n), dtype=dtype)  # M
     term = np.empty((n, n), dtype=dtype)
-    for s, gamma_hat in zip(coeffs.matrices, gammas):
+    for s, gamma_hat in zip(coeffs.matrices, family.synthesis):
         _left_multiply(u.T, np.asarray(s, dtype=dtype), out=term)
         term *= gamma_hat[:, None]
         acc += term
@@ -230,11 +210,12 @@ def mwgft_synthesize(
 
 def frame_bounds(
     basis: SpectralBasis,
-    window,
-    dual_window=None,
+    g_hat,
+    gamma_hat=None,
     tolerance: float | None = None,
 ) -> FrameBounds:
-    """Optimal frame bounds of the atom system ``{g_{n,k}}``.
+    """Optimal frame bounds of the atom system ``{g_{n,k}}`` of the window
+    with spectrum ``g_hat``.
 
     The analysis energy of any f is ``N sum_i |f(i)|^2 ||T_i g||^2``, so the
     best constants are ``N min_i ||T_i g||^2`` and ``N max_i ||T_i g||^2``
@@ -242,10 +223,9 @@ def frame_bounds(
     ``(g, g)``, so its verdict decides: ``tolerance`` applies to
     ``||T_i g||^2`` (default: that family's denominator tolerance), and
     :class:`NotAFrame` names the vertices where ``||T_i g||^2 > tolerance``
-    does not hold.
+    does not hold.  A synthesis spectrum ``gamma_hat`` adds the loose pair.
     """
-    g_hat = _window_spectrum(basis, window)
-    family = WindowFamily.with_same_synthesis([SpectralWindow(g_hat)])
+    family = WindowFamily.with_same_synthesis([g_hat])
     d, tolerance, vanishing = _verdict(basis, family, tolerance)
     if vanishing.size:
         raise NotAFrame(
@@ -256,9 +236,9 @@ def frame_bounds(
     n = basis.size
     bounds = FrameBounds(lower=float(n * energies.min()), upper=float(n * energies.max()),
                          translate_energies=energies)
-    if dual_window is None:
+    if gamma_hat is None:
         return bounds
-    gamma_hat = _window_spectrum(basis, dual_window)
+    g_hat, gamma_hat = family.analysis[0], WindowFamily(family.analysis, [gamma_hat]).synthesis[0]
     cross = translation_inner_products(basis, g_hat, gamma_hat)
     dual_energies = translate_norms_sq(basis, gamma_hat)
     with np.errstate(divide="ignore", invalid="ignore"):

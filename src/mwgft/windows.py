@@ -1,9 +1,9 @@
 """Spectral window families and non-degeneracy / sufficient-condition checks.
 
-Windows live in the spectral domain: a window is a vector of samples
-``ghat(lambda_ell)`` on the Laplacian eigenvalues.  A :class:`WindowFamily`
-pairs J analysis windows with J synthesis windows.  Reconstruction from the
-windowed transform works exactly when the per-vertex denominator
+Windows live in the spectral domain: a window is its spectrum, the samples
+``ghat(lambda_ell)`` on the Laplacian eigenvalues, and a :class:`WindowFamily`
+is two (J, N) arrays of them.  Reconstruction from the windowed transform
+works exactly when the per-vertex denominator
 
     d(n) = sum_j <T_n gamma_j, T_n g_j>
 
@@ -25,7 +25,7 @@ from .errors import (
     DimensionMismatch,
     InvalidParameter,
 )
-from .graph import LaplacianKind
+from .graph import LaplacianKind, read_only
 from .operators import _at_vertices
 from .spectral import SpectralBasis, spectral_magnitudes
 from .tables import _float_row, complex_column, re_im, read_table, write_table
@@ -35,68 +35,65 @@ from .tables import _float_row, complex_column, re_im, read_table, write_table
 ENERGY_FLOOR = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralWindow:
-    """A window given by its spectrum sampled at the Laplacian eigenvalues."""
-
-    samples: np.ndarray
-    label: str = ""
-
-    def __post_init__(self):
-        samples = np.asarray(self.samples)
-        if samples.ndim != 1 or samples.size == 0:
-            raise DimensionMismatch(f"window samples must be a 1-d array, got shape {samples.shape}")
-        if not np.all(np.isfinite(samples)):
-            raise InvalidParameter(f"window {self.label or '?'} has non-finite samples")
-        object.__setattr__(self, "samples", samples)
-
-    @property
-    def size(self) -> int:
-        return self.samples.size
+def _spectra(side: str, windows) -> np.ndarray:
+    """``windows`` as a read-only (J, N) float64 or complex128 array; ragged,
+    non-2-d or empty input raises :class:`DimensionMismatch` and a non-finite
+    sample :class:`InvalidParameter` naming ``side`` and the 1-based window."""
+    try:
+        windows = np.asarray(windows)
+    except ValueError as exc:  # rows of different lengths
+        raise DimensionMismatch(f"{side} windows differ in length: {exc}") from exc
+    if windows.ndim != 2 or windows.size == 0:
+        raise DimensionMismatch(
+            f"{side} windows must be a non-empty (J, N) array, got shape {windows.shape}"
+        )
+    windows = windows.astype(np.complex128 if np.iscomplexobj(windows) else np.float64, copy=False)
+    finite = np.isfinite(windows).all(axis=1)
+    if not finite.all():
+        raise InvalidParameter(f"{side} window {int(np.argmin(finite)) + 1} has non-finite samples")
+    return read_only(windows)
 
 
 @dataclass(frozen=True, eq=False)
 class WindowFamily:
-    """J analysis windows paired index-by-index with J synthesis windows."""
+    """J analysis and J synthesis windows as two read-only (J, N) arrays, float64
+    or complex128: row j of ``analysis`` and ``synthesis`` holds ``ghat_j`` and
+    ``gammahat_j`` on the N eigenvalues.  Given one array twice, as by
+    :meth:`with_same_synthesis`, the family keeps it on both sides."""
 
-    analysis: tuple[SpectralWindow, ...]
-    synthesis: tuple[SpectralWindow, ...]
+    analysis: np.ndarray
+    synthesis: np.ndarray
 
     def __post_init__(self):
-        analysis = tuple(self.analysis)
-        synthesis = tuple(self.synthesis)
-        if len(analysis) == 0 or len(analysis) != len(synthesis):
+        analysis = _spectra("analysis", self.analysis)
+        synthesis = (analysis if self.synthesis is self.analysis
+                     else _spectra("synthesis", self.synthesis))
+        if analysis.shape != synthesis.shape:
             raise DimensionMismatch(
-                f"need equally many analysis and synthesis windows (>= 1), "
-                f"got {len(analysis)} and {len(synthesis)}"
+                f"analysis windows {analysis.shape} and synthesis windows "
+                f"{synthesis.shape} differ in shape"
             )
-        sizes = {w.size for w in analysis} | {w.size for w in synthesis}
-        if len(sizes) != 1:
-            raise DimensionMismatch(f"windows have inconsistent lengths: {sorted(sizes)}")
         object.__setattr__(self, "analysis", analysis)
         object.__setattr__(self, "synthesis", synthesis)
 
     @property
     def num_windows(self) -> int:
-        return len(self.analysis)
+        return self.analysis.shape[0]
 
     @property
     def size(self) -> int:
-        return self.analysis[0].size
+        return self.analysis.shape[1]
 
     @classmethod
-    def paired(cls, analysis: Sequence[SpectralWindow], synthesis: Sequence[SpectralWindow]):
-        return cls(tuple(analysis), tuple(synthesis))
-
-    @classmethod
-    def with_normalized_synthesis(cls, analysis: Sequence[SpectralWindow]):
+    def with_normalized_synthesis(cls, analysis):
         """Pair each analysis window with its energy-normalized dual."""
-        return cls(tuple(analysis), tuple(synthesis_family(analysis)))
+        analysis = _spectra("analysis", analysis)
+        return cls(analysis, synthesis_family(analysis))
 
     @classmethod
-    def with_same_synthesis(cls, analysis: Sequence[SpectralWindow]):
+    def with_same_synthesis(cls, analysis):
         """Use the analysis windows themselves for synthesis."""
-        return cls(tuple(analysis), tuple(analysis))
+        return cls(analysis, analysis)
 
 
 # ---------------------------------------------------------------------------
@@ -138,19 +135,17 @@ def shifted_family(
     prototype: Callable[[np.ndarray], np.ndarray],
     shifts: Sequence[float],
     basis: SpectralBasis,
-) -> list[SpectralWindow]:
-    """Sample ``prototype(lambda - shift)`` on the eigenvalues for each shift."""
+) -> np.ndarray:
+    """Sample ``prototype(lambda - shift)`` on the eigenvalues for each shift:
+    row k of the (J, N) result is the window of ``shifts[k]``."""
     shifts = np.asarray(shifts, dtype=float)
     if shifts.ndim != 1 or shifts.size == 0:
         raise InvalidParameter("shifts must be a non-empty 1-d sequence")
-    return [
-        SpectralWindow(np.asarray(prototype(basis.eigenvalues - tau), dtype=float), f"g{k + 1}")
-        for k, tau in enumerate(shifts)
-    ]
+    return np.array([prototype(basis.eigenvalues - tau) for tau in shifts], dtype=float)
 
 
-def energy_response(windows: Sequence[SpectralWindow]) -> np.ndarray:
-    """Stacked energy ``m(lambda_ell) = sum_k |ghat_k(lambda_ell)|^2``.
+def energy_response(windows: np.ndarray) -> np.ndarray:
+    """Energy ``m(lambda_ell) = sum_k |ghat_k(lambda_ell)|^2`` of (J, N) window spectra.
 
     Raises :class:`DegenerateCoverage` when the minimum drops to
     :data:`ENERGY_FLOOR` times the maximum or below — normalizing by such an
@@ -159,8 +154,7 @@ def energy_response(windows: Sequence[SpectralWindow]) -> np.ndarray:
     """
     if len(windows) == 0:
         raise InvalidParameter("window family is empty")
-    stack = np.stack([w.samples for w in windows])
-    m = np.sum(np.abs(stack) ** 2, axis=0)
+    m = np.sum(np.abs(windows) ** 2, axis=0)
     if m.min() <= ENERGY_FLOOR * m.max():
         worst = int(np.argmin(m))
         raise DegenerateCoverage(
@@ -170,15 +164,15 @@ def energy_response(windows: Sequence[SpectralWindow]) -> np.ndarray:
     return m
 
 
-def synthesis_family(analysis: Sequence[SpectralWindow]) -> list[SpectralWindow]:
-    """Energy-normalized duals ``gammahat_k = ghat_k / m``.
+def synthesis_family(analysis: np.ndarray) -> np.ndarray:
+    """Energy-normalized duals ``gammahat_k = ghat_k / m`` of the (J, N)
+    analysis spectra, as a (J, N) array.
 
     For real windows this makes ``sum_k gammahat_k * ghat_k`` identically 1
     at every sampled eigenvalue, which in turn makes the reconstruction
     denominator exactly N at every vertex.
     """
-    m = energy_response(analysis)
-    return [SpectralWindow(w.samples / m, f"gamma{k + 1}") for k, w in enumerate(analysis)]
+    return analysis / energy_response(analysis)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +184,7 @@ def default_nondegeneracy_tolerance(family: WindowFamily) -> float:
     and bilinearly in the window magnitudes."""
     n = family.size
     worst = max(
-        float(np.linalg.norm(g.samples) * np.linalg.norm(gam.samples))
+        float(np.linalg.norm(g) * np.linalg.norm(gam))
         for g, gam in zip(family.analysis, family.synthesis)
     )
     return 1e-10 * n * max(worst, np.finfo(float).tiny)
@@ -208,13 +202,11 @@ def _check_family(basis: SpectralBasis, family: WindowFamily) -> None:
 def denominator(basis: SpectralBasis, family: WindowFamily) -> np.ndarray:
     """``d(n) = sum_j <T_n gamma_j, T_n g_j>`` at every vertex (entry n-1).
 
-    Summing the pair spectra first makes it one matvec,
+    Summing the pair spectra first, row after row, makes it one matvec,
     ``d = N (U * U) @ sum_j gammahat_j conj(ghat_j)``.
     """
     _check_family(basis, family)
-    spectrum = sum(gam.samples * np.conj(g.samples)
-                   for g, gam in zip(family.analysis, family.synthesis))
-    return _at_vertices(basis, spectrum)
+    return _at_vertices(basis, (family.synthesis * np.conj(family.analysis)).sum(axis=0))
 
 
 def _tolerance(family: WindowFamily, tolerance: float | None) -> float:
@@ -289,8 +281,7 @@ def sufficient_conditions(
     _check_family(basis, family)
     tolerance = _tolerance(family, tolerance)
     n = basis.size
-    g = np.stack([w.samples for w in family.analysis])
-    gam = np.stack([w.samples for w in family.synthesis])
+    g, gam = family.analysis, family.synthesis
     prod = gam * np.conj(g)  # (J, N): the per-frequency terms of d(n)
     re, im = prod.real, prod.imag
 
@@ -403,17 +394,20 @@ def save_family_csv(path, basis: SpectralBasis, family: WindowFamily) -> None:
     header, columns = ["ell", "eigenvalue"], [basis.eigenvalues]
     for j, (g, gam) in enumerate(zip(family.analysis, family.synthesis), start=1):
         header += [f"g{j}_re", f"g{j}_im", f"gamma{j}_re", f"gamma{j}_im"]
-        columns += [re_im(g.samples), re_im(gam.samples)]
+        columns += [re_im(g), re_im(gam)]
     write_table(path, header, np.column_stack(columns), 0, "\r\n")
 
 
 def load_family_csv(path) -> tuple[WindowFamily, np.ndarray]:
-    """Read a window family back; returns (family, eigenvalues as stored)."""
+    """Read a window family back; returns (family, eigenvalues as stored).
+
+    Each side is float64 when all of its imaginary columns are zero, else
+    complex128.
+    """
     header, table = read_table(
         path, 0, lambda h: h[:2] == ["ell", "eigenvalue"] and len(h) > 2 and len(h) % 4 == 2
     )
-    analysis, synth = [], []
-    for j in range((len(header) - 2) // 4):
-        analysis.append(SpectralWindow(complex_column(table, 1 + 4 * j), label=f"g{j + 1}"))
-        synth.append(SpectralWindow(complex_column(table, 3 + 4 * j), label=f"gamma{j + 1}"))
-    return WindowFamily.paired(analysis, synth), table[:, 0]
+    columns = range(1, len(header) - 1, 4)
+    analysis = [complex_column(table, c) for c in columns]
+    synthesis = [complex_column(table, c + 2) for c in columns]
+    return WindowFamily(analysis, synthesis), table[:, 0]

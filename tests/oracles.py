@@ -128,15 +128,35 @@ def synthesize_direct(basis: SpectralBasis, family: WindowFamily, matrices) -> n
     size = basis.size
     numerator = np.zeros(size, dtype=complex)
     denominator = np.zeros(size, dtype=complex)
-    for g_win, gamma_win, coeffs in zip(family.analysis, family.synthesis, matrices):
-        g = basis.vectors @ g_win.samples
-        gamma = basis.vectors @ gamma_win.samples
+    for g_hat, gamma_hat, coeffs in zip(family.analysis, family.synthesis, matrices):
+        g = basis.vectors @ g_hat
+        gamma = basis.vectors @ gamma_hat
         for n in range(1, size + 1):
             for k in range(size):
                 numerator += coeffs[n - 1, k] * atom(basis, gamma, n, k)
         for i in range(1, size + 1):
             denominator[i - 1] += tip_direct(basis, g, gamma, i)
     return numerator / (size * denominator)
+
+
+def denominator_reference(basis: SpectralBasis, family: WindowFamily) -> np.ndarray:
+    """d(n) from the pair spectra folded left, one pair at a time:
+    ``N (U * U) @ (gammahat_1 conj(ghat_1) + gammahat_2 conj(ghat_2) + ...)``."""
+    spectrum = family.synthesis[0] * np.conj(family.analysis[0])
+    for g_hat, gamma_hat in zip(family.analysis[1:], family.synthesis[1:]):
+        spectrum = spectrum + gamma_hat * np.conj(g_hat)
+    return basis.size * (np.square(basis.vectors) @ spectrum)
+
+
+def default_tolerance_reference(family: WindowFamily) -> float:
+    """The default nondegeneracy tolerance from one norm per window pair:
+    ``1e-10 N max_j ||ghat_j|| ||gammahat_j||`` (at least the smallest
+    normal float)."""
+    worst = max(
+        float(np.linalg.norm(g_hat) * np.linalg.norm(gamma_hat))
+        for g_hat, gamma_hat in zip(family.analysis, family.synthesis)
+    )
+    return 1e-10 * family.size * max(worst, np.finfo(float).tiny)
 
 
 def spectrogram_reference(matrices) -> np.ndarray:
@@ -230,7 +250,7 @@ def save_family_csv_reference(path, basis: SpectralBasis, family: WindowFamily) 
         for ell in range(basis.size):
             row = [ell, repr(float(basis.eigenvalues[ell]))]
             for g, gam in zip(family.analysis, family.synthesis):
-                gs, cs = complex(g.samples[ell]), complex(gam.samples[ell])
+                gs, cs = complex(g[ell]), complex(gam[ell])
                 row += [repr(gs.real), repr(gs.imag), repr(cs.real), repr(cs.imag)]
             writer.writerow(row)
 

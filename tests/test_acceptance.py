@@ -13,10 +13,10 @@ from pathlib import Path
 import numpy as np
 
 from mwgft import (
-    SpectralWindow,
     WindowFamily,
     check_nondegeneracy,
     frame_bounds,
+    gft,
     igft,
     load_preset,
     mwgft_analyze,
@@ -121,7 +121,7 @@ def test_analysis_energy_identity_suite(record):
         basis = random_basis(4000 + case, kind=UNNORM if case % 2 else NORM, max_size=20)
         g_hat = random_complex(rng, basis.size)
         f = random_complex(rng, basis.size)
-        lhs = float(np.sum(np.abs(wgft(basis, SpectralWindow(g_hat), f)) ** 2))
+        lhs = float(np.sum(np.abs(wgft(basis, g_hat, f)) ** 2))
         rhs = float(basis.size * np.sum(np.abs(f) ** 2 * translate_norms_sq(basis, g_hat)))
         worst = max(worst, abs(lhs - rhs) / rhs)
     ok = worst <= 1e-8
@@ -186,34 +186,31 @@ def _condition_suite_family(rng, basis, archetype):
     n = basis.size
     if archetype == 0:  # strictly positive products: sign conditions
         count = int(rng.integers(1, 3))
-        analysis = [SpectralWindow(rng.uniform(0.1, 1.0, n)) for _ in range(count)]
-        synthesis = [SpectralWindow(rng.uniform(0.1, 1.0, n)) for _ in range(count)]
-        return WindowFamily.paired(analysis, synthesis)
+        analysis = [rng.uniform(0.1, 1.0, n) for _ in range(count)]
+        synthesis = [rng.uniform(0.1, 1.0, n) for _ in range(count)]
+        return WindowFamily(analysis, synthesis)
     if archetype == 1:  # negated synthesis: flipped sign condition
         g = rng.uniform(0.1, 1.0, n)
-        return WindowFamily.paired([SpectralWindow(g)], [SpectralWindow(-rng.uniform(0.1, 1.0, n))])
+        return WindowFamily([g], [-rng.uniform(0.1, 1.0, n)])
     if archetype == 2:  # purely imaginary products, alternating orientation
         g = rng.uniform(0.1, 1.0, n)
         phase = 1j if rng.integers(2) else -1j
-        return WindowFamily.paired([SpectralWindow(g)], [SpectralWindow(phase * rng.uniform(0.1, 1.0, n))])
+        return WindowFamily([g], [phase * rng.uniform(0.1, 1.0, n)])
     if archetype == 3:  # DC-dominant near-identical pair
         g = rng.uniform(0.2, 1.0, n)
         g[0] = 2.0
         p = random_complex(rng, n)
         eps = 0.4 * g[0] / (np.sqrt(n) * spectral_magnitudes(basis).overall * np.linalg.norm(p))
-        return WindowFamily.paired([SpectralWindow(g)], [SpectralWindow(g + eps * p)])
+        return WindowFamily([g], [g + eps * p])
     if archetype == 4:  # one strict DC pair plus one borderline (equality) pair
         strict = _condition_suite_family(rng, basis, 3)
         flat = rng.uniform(0.2, 1.0, n)
         flat[0] = 0.0
-        extra = SpectralWindow(flat)
-        return WindowFamily.paired(
-            list(strict.analysis) + [extra], list(strict.synthesis) + [extra]
-        )
+        return WindowFamily(np.vstack([strict.analysis, flat]), np.vstack([strict.synthesis, flat]))
     count = int(rng.integers(1, 3))  # unconstrained random families
-    analysis = [SpectralWindow(random_complex(rng, n)) for _ in range(count)]
-    synthesis = [SpectralWindow(random_complex(rng, n)) for _ in range(count)]
-    return WindowFamily.paired(analysis, synthesis)
+    analysis = [random_complex(rng, n) for _ in range(count)]
+    synthesis = [random_complex(rng, n) for _ in range(count)]
+    return WindowFamily(analysis, synthesis)
 
 
 def test_sufficient_condition_implications(record):
@@ -245,11 +242,11 @@ def test_frame_sandwich_with_tight_bounds(record):
     for gseed in range(10):
         basis = random_basis(80000 + gseed)
         rng = np.random.default_rng(81000 + gseed)
-        g = random_complex(rng, basis.size)
-        bounds = frame_bounds(basis, g)
+        g_hat = gft(basis, random_complex(rng, basis.size))
+        bounds = frame_bounds(basis, g_hat)
         for _ in range(10):
             f = random_complex(rng, basis.size)
-            energy = float(np.sum(np.abs(wgft(basis, g, f)) ** 2))
+            energy = float(np.sum(np.abs(wgft(basis, g_hat, f)) ** 2))
             norm_sq = float(np.linalg.norm(f) ** 2)
             if energy < bounds.lower * norm_sq * (1 - 1e-10):
                 sandwich_violations += 1
@@ -263,7 +260,7 @@ def test_frame_sandwich_with_tight_bounds(record):
         ):
             delta = np.zeros(basis.size)
             delta[vertex - 1] = 1.0
-            attained = float(np.sum(np.abs(wgft(basis, g, delta)) ** 2))
+            attained = float(np.sum(np.abs(wgft(basis, g_hat, delta)) ** 2))
             worst_attain = max(worst_attain, abs(attained - target) / target)
     ok = sandwich_violations == 0 and worst_attain <= 1e-8
     record(
@@ -319,15 +316,13 @@ def test_two_window_round_trip(record):
             np.sqrt(n) * spectral_magnitudes(basis).overall * np.linalg.norm(perturbation)
         )
         gamma_hat = g_hat + eps * perturbation
-        family = WindowFamily.paired([SpectralWindow(g_hat)], [SpectralWindow(gamma_hat)])
+        family = WindowFamily([g_hat], [gamma_hat])
         if not sufficient_conditions(basis, family).csuff2:
             continue
         pairs += 1
         f = random_complex(rng, n)
-        coeffs = wgft(basis, SpectralWindow(g_hat), f)
-        rec = reconstruct_two_window(
-            basis, SpectralWindow(g_hat), SpectralWindow(gamma_hat), coeffs
-        )
+        coeffs = wgft(basis, g_hat, f)
+        rec = reconstruct_two_window(basis, g_hat, gamma_hat, coeffs)
         worst = max(worst, float(np.linalg.norm(rec - f) / np.linalg.norm(f)))
     ok = pairs == 50 and worst <= 1e-10
     record(10, ok, f"{pairs} certified pairs in {attempts} draws, worst error {worst:.2e}")

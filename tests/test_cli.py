@@ -19,13 +19,17 @@ from mwgft import (
     NotAFrame,
     NumericalError,
     ParseError,
-    SpectralWindow,
     WindowFamily,
+    check_nondegeneracy,
     load_coefficients,
     load_signal_csv,
+    random_connected_graph,
+    rbf_prototype,
     save_family_csv,
     save_graph,
+    shifted_family,
     spectrogram,
+    uniform_shifts,
 )
 from mwgft import experiment
 from mwgft.cli import main
@@ -72,7 +76,7 @@ def disjoint_family_csv(tmp_path, n=6):
     basis = basis_for(path_graph(n))
     e1, e2 = np.zeros(n), np.zeros(n)
     e1[1], e2[2] = 1.0, 1.0
-    family = WindowFamily.paired([SpectralWindow(e1)], [SpectralWindow(e2)])
+    family = WindowFamily([e1], [e2])
     target = tmp_path / "degenerate_windows.csv"
     save_family_csv(target, basis, family)
     return str(target)
@@ -206,9 +210,61 @@ class TestConfigMapping:
 
     def test_integer_keys_take_whole_numbers(self):
         config = config_from_mapping(minimal_mapping(
-            graph={"source": "path", "size": 8.0}, windows={"count": "4"}
+            graph={"source": "path", "size": 8.0}, windows={"count": 4}
         ))
         assert config.graph.size == 8 and config.windows.count == 4
+
+    @pytest.mark.parametrize(
+        "overrides, key, expected",
+        [
+            pytest.param({"graph": {"source": "path", "size": "8"}}, "graph.size",
+                         "an integer", id="size-string"),
+            pytest.param({"signal": {"type": "impulse", "center": "3"}}, "signal.center",
+                         "an integer", id="center-string"),
+            pytest.param({"windows": {"count": "4"}}, "windows.count", "an integer",
+                         id="count-string"),
+            pytest.param({"windows": {"l_fac": True}}, "windows.l_fac", "a number",
+                         id="l-fac-bool"),
+            pytest.param({"windows": {"l_fac": "0.7"}}, "windows.l_fac", "a number",
+                         id="l-fac-string"),
+            pytest.param({"tolerances": {"nondegeneracy": "1e-3"}}, "tolerances.nondegeneracy",
+                         "a number", id="tolerance-string"),
+            pytest.param({"tolerances": {"nondegeneracy": False}}, "tolerances.nondegeneracy",
+                         "a number", id="tolerance-bool"),
+            pytest.param({"signal": {"type": "heat", "tau": "2.0"}}, "signal.tau", "a number",
+                         id="tau-string"),
+            pytest.param({"signal": {"type": "chirp", "center": 4, "width": True}},
+                         "signal.width", "a number", id="width-bool"),
+            pytest.param({"signal": {"type": "chirp", "center": 4, "rate": "0.3"}},
+                         "signal.rate", "a number", id="rate-string"),
+            pytest.param({"windows": {"shifts": "12"}}, "windows.shifts", "a list of numbers",
+                         id="shifts-string"),
+            pytest.param({"windows": {"shifts": {"a": 1.0}}}, "windows.shifts",
+                         "a list of numbers", id="shifts-mapping"),
+            pytest.param({"windows": {"shifts": [0.0, "1.0"]}}, "windows.shifts", "a number",
+                         id="shift-string"),
+            pytest.param({"windows": {"shifts": [0.0, True]}}, "windows.shifts", "a number",
+                         id="shift-bool"),
+        ],
+    )
+    def test_strict_number_keys(self, overrides, key, expected):
+        # each of these used to run: "8" as 8, true as 1.0, "1e-3" as 0.001
+        # and shifts "12" as windows at 1.0 and 2.0
+        with pytest.raises(InvalidParameter, match=f"^config key {key}: expected {expected}, got "):
+            config_from_mapping(minimal_mapping(**overrides))
+
+    def test_real_keys_take_yaml_ints_and_floats(self):
+        config = config_from_mapping(minimal_mapping(
+            signal={"type": "chirp", "center": 4, "width": 2, "rate": 0},
+            windows={"l_fac": 1, "shifts": [0, 1.5]},
+            tolerances={"nondegeneracy": 0},
+        ))
+        assert config.signal == ChirpSpec(center=4, width=2.0, rate=0.0)
+        assert config.windows.l_fac == 1.0 and config.windows.shifts == (0.0, 1.5)
+        assert config.nondegeneracy_tolerance == 0.0
+        assert all(type(v) is float for v in (config.signal.width, config.signal.rate,
+                                              config.windows.l_fac, *config.windows.shifts,
+                                              config.nondegeneracy_tolerance))
 
     def test_unknown_graph_source(self):
         with pytest.raises(InvalidParameter):
@@ -624,6 +680,30 @@ class TestCliRun:
         assert captured.out == ""
         assert captured.err.startswith("error: nondegeneracy tolerance must be >= 0, got ")
 
+    @pytest.mark.parametrize(
+        "signal, message",
+        [
+            pytest.param({"type": "heat", "tau": float("inf")},
+                         "diffusion time tau must be finite and positive, got inf", id="tau-inf"),
+            pytest.param({"type": "heat", "tau": float("nan")},
+                         "diffusion time tau must be finite and positive, got nan", id="tau-nan"),
+            pytest.param({"type": "chirp", "center": 4, "rate": float("inf")},
+                         "rate must be finite, got inf", id="rate-inf"),
+            pytest.param({"type": "chirp", "center": 4, "rate": float("-inf")},
+                         "rate must be finite, got -inf", id="rate-minus-inf"),
+        ],
+    )
+    def test_non_finite_signal_parameter_exits_1_before_signal_csv(
+        self, tmp_path, capsys, signal, message
+    ):
+        # tau: .inf used to write a NaN signal.csv and then fail with
+        # "signal has non-finite values", which names no key
+        cfg = write_yaml(tmp_path / "cfg.yaml", minimal_mapping(signal=signal))
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (out / "signal.csv").exists()
+
     def test_degenerate_family_exits_2(self, tmp_path, capsys):
         mapping = minimal_mapping(
             graph={"source": "path", "size": 6},
@@ -909,8 +989,8 @@ class TestCliPipelines:
     def test_frame_bounds_flat_window_is_tight(self, tmp_path, capsys):
         n = 8
         basis = basis_for(path_graph(n))
-        flat = SpectralWindow(np.ones(n) / np.sqrt(n))
-        family = WindowFamily.paired([flat], [SpectralWindow(flat.samples.copy())])
+        flat = np.ones(n) / np.sqrt(n)
+        family = WindowFamily([flat], [flat.copy()])
         family_file = tmp_path / "flat.csv"
         save_family_csv(family_file, basis, family)
         mapping = minimal_mapping(
@@ -950,7 +1030,19 @@ def test_shipped_scripts_run(tmp_path, capsys):
         assert (tmp_path / name / "coefficients.npz").is_file(), name
     sweep = _load_script("denominator_sweep")
     assert sweep.main(["--size", "40", "--counts", "1", "3"]) == 0
-    assert "N = 40" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "N = 40" in out
+    header, *rows = [line.split() for line in out.splitlines()
+                     if line[:3].strip() in ("J", "1", "3")]
+    assert header[3] == "B/A" and [row[0] for row in rows] == ["1", "3"]
+    # same-as-analysis pairing: B/A of the union frame is max d / min d
+    basis = basis_for(random_connected_graph(40, seed=7), LaplacianKind.SYMMETRIC_NORMALIZED)
+    for row in rows:
+        analysis = shifted_family(rbf_prototype(basis.lambda_max, 0.7),
+                                  uniform_shifts(basis.lambda_max, int(row[0])), basis)
+        d = check_nondegeneracy(basis, WindowFamily.with_same_synthesis(analysis)).denominators
+        assert float(row[2]) == pytest.approx(d.max() / d.min(), abs=1e-4)
+        assert float(row[2]) >= 1.0
 
 
 def test_run_presets_script_writes_no_spectrogram_csv(tmp_path, capsys):

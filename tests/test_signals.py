@@ -88,6 +88,13 @@ class TestHeatSignal:
         with pytest.raises(InvalidParameter):
             heat_signal(basis, tau=0.0)
 
+    @pytest.mark.parametrize("tau", [np.inf, np.nan, -np.inf])
+    def test_non_finite_tau_rejected(self, tau):
+        # tau = inf used to compute -inf * 0 and return a NaN signal
+        basis = basis_for(path_graph(5))
+        with pytest.raises(InvalidParameter, match="^diffusion time tau must be finite"):
+            heat_signal(basis, tau=tau)
+
 
 class TestChirpSignal:
     def test_envelope_and_center(self):
@@ -107,6 +114,12 @@ class TestChirpSignal:
             chirp_signal(30, 10, 0.0, 0.3)
         with pytest.raises(IndexOutOfRange):
             chirp_signal(30, 31, 6.0, 0.3)
+
+    @pytest.mark.parametrize("rate", [np.inf, -np.inf, np.nan])
+    def test_non_finite_rate_rejected(self, rate):
+        # rate = inf used to return NaN off the center (inf * 0 at it)
+        with pytest.raises(InvalidParameter, match="^rate must be finite, got "):
+            chirp_signal(30, 10, 6.0, rate)
 
 
 class TestSpectralSignal:

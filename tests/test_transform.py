@@ -13,13 +13,11 @@ from mwgft import (
     InvalidParameter,
     NotAFrame,
     ParseError,
-    SpectralWindow,
     WgftCoefficients,
     WindowFamily,
     check_nondegeneracy,
     frame_bounds,
     gft,
-    igft,
     load_coefficients,
     mwgft_analyze,
     mwgft_synthesize,
@@ -63,7 +61,7 @@ def oracle_case(rng, graph, complex_signal, complex_windows, num_windows):
     analysis = []
     for _ in range(num_windows):
         g_hat = random_complex(rng, n) if complex_windows else rng.uniform(0.2, 1.2, n)
-        analysis.append(SpectralWindow(g_hat))
+        analysis.append(g_hat)
     family = WindowFamily.with_normalized_synthesis(analysis)
     f = random_complex(rng, n) if complex_signal else rng.standard_normal(n)
     return basis, family, f
@@ -72,7 +70,7 @@ def oracle_case(rng, graph, complex_signal, complex_windows, num_windows):
 class TestWgft:
     def test_zero_signal(self):
         basis = random_basis(130)
-        coeffs = wgft(basis, np.ones(basis.size), np.zeros(basis.size))
+        coeffs = wgft(basis, gft(basis, np.ones(basis.size)), np.zeros(basis.size))
         assert np.array_equal(coeffs, np.zeros((basis.size, basis.size)))
 
     @pytest.mark.parametrize("num_windows", [1, 3])
@@ -86,30 +84,22 @@ class TestWgft:
         coeffs = mwgft_analyze(basis, family, f)
         real = not (complex_signal or complex_windows)
         assert coeffs.matrices[0].dtype == (np.float64 if real else np.complex128)
-        for w, fast in zip(family.analysis, coeffs.matrices):
-            g = basis.vectors @ w.samples
+        for g_hat, fast in zip(family.analysis, coeffs.matrices):
+            g = basis.vectors @ g_hat
             direct = wgft_direct(basis, g, f)
             scale = np.abs(direct).max()
-            for got in (fast, wgft(basis, g, f)):
+            for got in (fast, wgft(basis, gft(basis, g), f)):
                 assert np.allclose(got, direct, atol=1e-10 * scale)
 
     def test_energy_identity(self, rng):
         basis = random_basis(132, size=18)
         g = random_complex(rng, 18)
         f = random_complex(rng, 18)
-        coeffs = wgft(basis, g, f)
+        coeffs = wgft(basis, gft(basis, g), f)
         lhs = np.sum(np.abs(coeffs) ** 2)
         energies = translate_norms_sq(basis, gft(basis, g))
         rhs = basis.size * np.sum(np.abs(f) ** 2 * energies)
         assert np.isclose(lhs, rhs, rtol=1e-8)
-
-    def test_spectral_window_argument(self, rng):
-        basis = random_basis(133, size=10)
-        g_hat = random_complex(rng, 10)
-        f = random_complex(rng, 10)
-        via_spectrum = wgft(basis, SpectralWindow(g_hat), f)
-        via_vertex = wgft(basis, igft(basis, g_hat), f)
-        assert np.allclose(via_spectrum, via_vertex, atol=1e-12)
 
     def test_shape_check(self, rng):
         basis = random_basis(134)
@@ -130,41 +120,37 @@ class TestReconstructTwoWindow:
         # |ghat| = 1/sqrt(N) makes every denominator exactly 1
         basis = random_basis(140, size=16)
         phases = rng.uniform(0, 2 * np.pi, 16)
-        g = igft(basis, np.exp(1j * phases) / 4.0)
+        g_hat = np.exp(1j * phases) / 4.0
         f = random_complex(rng, 16)
-        coeffs = wgft(basis, g, f)
-        rec = reconstruct_two_window(basis, g, g, coeffs)
+        coeffs = wgft(basis, g_hat, f)
+        rec = reconstruct_two_window(basis, g_hat, g_hat, coeffs)
         assert np.linalg.norm(rec - f) <= 1e-12 * np.linalg.norm(f)
 
     def test_random_self_dual_round_trip(self, rng):
         basis = random_basis(141, size=20)
         g_hat = random_complex(rng, 20)
         g_hat[0] = 1.0  # keep a DC component
-        g = igft(basis, g_hat)
         f = random_complex(rng, 20)
-        rec = reconstruct_two_window(basis, g, g, wgft(basis, g, f))
+        rec = reconstruct_two_window(basis, g_hat, g_hat, wgft(basis, g_hat, f))
         assert np.linalg.norm(rec - f) <= 1e-10 * np.linalg.norm(f)
 
     def test_disjoint_supports_degenerate(self):
         basis = basis_for(path_graph(6))
         e1, e2 = np.zeros(6), np.zeros(6)
         e1[1], e2[2] = 1.0, 1.0
-        coeffs = wgft(basis, SpectralWindow(e1), impulse_like(6))
+        coeffs = wgft(basis, e1, impulse_like(6))
         with pytest.raises(DegenerateDenominator) as err:
-            reconstruct_two_window(basis, SpectralWindow(e1), SpectralWindow(e2), coeffs)
+            reconstruct_two_window(basis, e1, e2, coeffs)
         assert err.value.vertices == tuple(range(1, 7))
 
     def test_matches_single_window_family(self, rng):
         basis = random_basis(142, size=12)
         g_hat = np.abs(random_complex(rng, 12)) + 0.2
-        analysis = [SpectralWindow(g_hat)]
-        family = WindowFamily.paired(analysis, synthesis_family(analysis))
+        family = WindowFamily.with_normalized_synthesis([g_hat])
         f = random_complex(rng, 12)
         coeffs = mwgft_analyze(basis, family, f)
         via_family = mwgft_synthesize(basis, family, coeffs)
-        via_pair = reconstruct_two_window(
-            basis, SpectralWindow(g_hat), family.synthesis[0], coeffs.matrices[0]
-        )
+        via_pair = reconstruct_two_window(basis, g_hat, family.synthesis[0], coeffs.matrices[0])
         assert np.allclose(via_family, via_pair, atol=1e-12 * np.linalg.norm(f))
 
 
@@ -178,10 +164,10 @@ class TestMwgft:
     def test_single_window_reduces_to_wgft(self, rng):
         basis = random_basis(150)
         g_hat = random_complex(rng, basis.size)
-        family = WindowFamily.with_same_synthesis([SpectralWindow(g_hat)])
+        family = WindowFamily.with_same_synthesis([g_hat])
         f = random_complex(rng, basis.size)
         coeffs = mwgft_analyze(basis, family, f)
-        assert np.array_equal(coeffs.matrices[0], wgft(basis, SpectralWindow(g_hat), f))
+        assert np.array_equal(coeffs.matrices[0], wgft(basis, g_hat, f))
 
     def test_linearity(self, rng):
         basis = random_basis(151, size=10)
@@ -209,11 +195,9 @@ class TestMwgft:
     def test_zero_window_pair_is_inert(self, rng):
         basis = random_basis(152, size=10)
         g_hat = np.abs(random_complex(rng, 10)) + 0.2
-        base_analysis = [SpectralWindow(g_hat)]
-        base = WindowFamily.paired(base_analysis, synthesis_family(base_analysis))
-        zero = SpectralWindow(np.zeros(10))
-        padded = WindowFamily.paired(
-            list(base.analysis) + [zero], list(base.synthesis) + [zero]
+        base = WindowFamily.with_normalized_synthesis([g_hat])
+        padded = WindowFamily(
+            np.vstack([base.analysis, np.zeros(10)]), np.vstack([base.synthesis, np.zeros(10)])
         )
         f = random_complex(rng, 10)
         rec_base = mwgft_synthesize(basis, base, mwgft_analyze(basis, base, f))
@@ -271,7 +255,7 @@ class TestMwgft:
         basis = basis_for(path_graph(6))
         e1, e2 = np.zeros(6), np.zeros(6)
         e1[1], e2[2] = 1.0, 1.0
-        family = WindowFamily.paired([SpectralWindow(e1)], [SpectralWindow(e2)])
+        family = WindowFamily([e1], [e2])
         coeffs = mwgft_analyze(basis, family, random_complex(rng, 6))
         with pytest.raises(DegenerateDenominator) as err:
             mwgft_synthesize(basis, family, coeffs)
@@ -291,7 +275,7 @@ class TestMwgft:
 class TestFrameBounds:
     def test_flat_window_is_tight_frame(self):
         basis = random_basis(160, size=12)
-        flat = SpectralWindow(np.ones(12) / np.sqrt(12))
+        flat = np.ones(12) / np.sqrt(12)
         bounds = frame_bounds(basis, flat)
         assert np.isclose(bounds.lower, 12.0, rtol=1e-10)
         assert np.isclose(bounds.upper, 12.0, rtol=1e-10)
@@ -299,13 +283,13 @@ class TestFrameBounds:
     def test_zero_window_not_a_frame(self):
         basis = random_basis(161)
         with pytest.raises(NotAFrame):
-            frame_bounds(basis, np.zeros(basis.size))
+            frame_bounds(basis, gft(basis, np.zeros(basis.size)))
 
     def test_vanishing_translate_follows_the_denominator_verdict(self):
         # ||T_4 g||^2 is 7e-12 here, which the denominator check of (g, g)
         # calls vanishing; frame_bounds used to report a lower bound of 4.9e-11
         basis = basis_for(path_graph(7))
-        g = SpectralWindow(np.eye(7)[1] + 1e-6)
+        g = np.eye(7)[1] + 1e-6
         report = check_nondegeneracy(basis, WindowFamily.with_same_synthesis([g]))
         assert report.failing_vertices == [4]
         with pytest.raises(NotAFrame, match=r"\(vertices: 4\)$"):
@@ -315,30 +299,41 @@ class TestFrameBounds:
     def test_negative_or_nan_tolerance_rejected(self, tolerance):
         basis = basis_for(path_graph(6))
         with pytest.raises(InvalidParameter, match="nondegeneracy tolerance must be >= 0"):
-            frame_bounds(basis, np.eye(6)[1], tolerance=tolerance)
+            frame_bounds(basis, gft(basis, np.eye(6)[1]), tolerance=tolerance)
 
     def test_loose_pair_brackets_tight_pair(self, rng):
         basis = random_basis(162, size=10)
         g_hat = np.abs(random_complex(rng, 10)) + 0.2
-        analysis = [SpectralWindow(g_hat)]
-        gamma = synthesis_family(analysis)[0]
-        bounds = frame_bounds(basis, analysis[0], dual_window=gamma)
+        gamma_hat = synthesis_family(g_hat[None])[0]
+        bounds = frame_bounds(basis, g_hat, gamma_hat=gamma_hat)
         assert bounds.loose_lower is not None
         assert bounds.loose_lower <= bounds.lower * (1 + 1e-12)
         assert bounds.loose_upper == bounds.upper
 
     def test_no_dual_no_loose_pair(self, rng):
         basis = random_basis(163)
-        bounds = frame_bounds(basis, random_complex(rng, basis.size))
+        bounds = frame_bounds(basis, gft(basis, random_complex(rng, basis.size)))
         assert bounds.loose_lower is None and bounds.loose_upper is None
+
+    def test_old_dual_window_keyword_is_gone(self, rng):
+        basis = random_basis(165, size=8)
+        g_hat = np.abs(random_complex(rng, 8)) + 0.2
+        with pytest.raises(TypeError):
+            frame_bounds(basis, g_hat, dual_window=g_hat)
+
+    def test_non_finite_dual_rejected(self, rng):
+        basis = random_basis(166, size=8)
+        g_hat = np.abs(random_complex(rng, 8)) + 0.2
+        with pytest.raises(InvalidParameter, match="^synthesis window 1 has non-finite samples$"):
+            frame_bounds(basis, g_hat, np.full(8, np.nan))
 
     def test_sandwich_on_random_signals(self, rng):
         basis = random_basis(164, size=15)
-        g = random_complex(rng, 15)
-        bounds = frame_bounds(basis, g)
+        g_hat = gft(basis, random_complex(rng, 15))
+        bounds = frame_bounds(basis, g_hat)
         for _ in range(20):
             f = random_complex(rng, 15)
-            energy = np.sum(np.abs(wgft(basis, g, f)) ** 2)
+            energy = np.sum(np.abs(wgft(basis, g_hat, f)) ** 2)
             norm_sq = np.linalg.norm(f) ** 2
             assert bounds.lower * norm_sq * (1 - 1e-10) <= energy
             assert energy <= bounds.upper * norm_sq * (1 + 1e-10)
@@ -640,7 +635,6 @@ class TestSpectrogramFiles:
 ARRAY_HOLDERS = {
     "SpectralBasis": lambda basis, family: basis_for(path_graph(4)),
     "SpectralMagnitudes": lambda basis, family: spectral_magnitudes(basis),
-    "SpectralWindow": lambda basis, family: SpectralWindow(np.ones(4)),
     "WindowFamily": lambda basis, family: WindowFamily.with_same_synthesis(family.analysis),
     "ConditionReport": lambda basis, family: check_nondegeneracy(basis, family),
     "WgftCoefficients": lambda basis, family: WgftCoefficients(np.ones((1, 4, 4)), basis),
@@ -651,7 +645,7 @@ ARRAY_HOLDERS = {
 @pytest.mark.parametrize("name", ARRAY_HOLDERS)
 def test_array_holders_compare_by_identity(name):
     basis = basis_for(path_graph(4))
-    family = WindowFamily.with_same_synthesis([SpectralWindow(np.ones(4))])
+    family = WindowFamily.with_same_synthesis([np.ones(4)])
     a, b = (ARRAY_HOLDERS[name](basis, family) for _ in range(2))
     assert type(a).__name__ == name
     assert a == a and a != b

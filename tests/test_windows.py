@@ -10,7 +10,6 @@ from mwgft import (
     DimensionMismatch,
     InvalidParameter,
     ParseError,
-    SpectralWindow,
     WindowFamily,
     check_nondegeneracy,
     default_nondegeneracy_tolerance,
@@ -35,13 +34,18 @@ from mwgft.windows import (
     save_condition_report_csv,
 )
 from helpers import NORM, UNNORM, basis_for, random_basis, random_complex
-from oracles import save_condition_report_csv_reference, save_family_csv_reference
+from oracles import (
+    default_tolerance_reference,
+    denominator_reference,
+    save_condition_report_csv_reference,
+    save_family_csv_reference,
+)
 
 
-def indicator_window(size, position, label=""):
+def indicator_window(size, position):
     samples = np.zeros(size)
     samples[position] = 1.0
-    return SpectralWindow(samples, label=label)
+    return samples
 
 
 class TestRbfPrototype:
@@ -80,26 +84,26 @@ class TestShiftsAndFamilies:
         basis = basis_for(path_graph(10))
         proto = rbf_prototype(basis.lambda_max, 0.7)
         family = shifted_family(proto, [0.0], basis)
-        assert len(family) == 1
-        assert np.allclose(family[0].samples, proto(basis.eigenvalues))
+        assert family.shape == (1, 10)
+        assert np.allclose(family[0], proto(basis.eigenvalues))
 
     def test_family_metadata_and_positivity(self):
         basis = basis_for(path_graph(12))
         proto = rbf_prototype(basis.lambda_max, 0.5)
         family = shifted_family(proto, uniform_shifts(basis.lambda_max, 4), basis)
-        assert [w.label for w in family] == ["g1", "g2", "g3", "g4"]
-        assert all(np.all(w.samples > 0) for w in family)
+        assert family.shape == (4, 12) and family.dtype == np.float64
+        assert np.all(family > 0)
 
 
 class TestEnergyResponse:
     def test_flat_single_window(self):
-        m = energy_response([SpectralWindow(np.ones(6))])
+        m = energy_response(np.ones((1, 6)))
         assert np.array_equal(m, np.ones(6))
 
     def test_two_identical_windows(self, rng):
         samples = random_complex(rng, 8)
-        w = SpectralWindow(samples)
-        assert np.allclose(energy_response([w, w]), 2.0 * np.abs(samples) ** 2)
+        assert np.allclose(energy_response(np.array([samples, samples])),
+                           2.0 * np.abs(samples) ** 2)
 
     def test_rbf_families_cover(self):
         basis = basis_for(path_graph(20), NORM)
@@ -115,8 +119,7 @@ class TestEnergyResponse:
         family = shifted_family(
             rbf_prototype(basis.lambda_max, 0.7), uniform_shifts(basis.lambda_max, 3), basis
         )
-        scaled = [SpectralWindow(scale * w.samples) for w in family]
-        d = denominator(basis, WindowFamily.with_normalized_synthesis(scaled))
+        d = denominator(basis, WindowFamily.with_normalized_synthesis(scale * family))
         assert np.allclose(d, 20.0, rtol=0, atol=1e-10)
 
     def test_coverage_hole_detected(self):
@@ -130,8 +133,8 @@ class TestEnergyResponse:
 
 class TestSynthesisFamily:
     def test_constant_window_inverts(self):
-        duals = synthesis_family([SpectralWindow(3.0 * np.ones(7))])
-        assert np.allclose(duals[0].samples, np.ones(7) / 3.0)
+        duals = synthesis_family(3.0 * np.ones((1, 7)))
+        assert np.allclose(duals[0], np.ones(7) / 3.0)
 
     def test_partition_identity(self):
         basis = basis_for(path_graph(50), NORM)
@@ -139,7 +142,7 @@ class TestSynthesisFamily:
             rbf_prototype(basis.lambda_max, 0.7), uniform_shifts(basis.lambda_max, 3), basis
         )
         duals = synthesis_family(analysis)
-        total = sum(d.samples * a.samples for a, d in zip(analysis, duals))
+        total = (duals * analysis).sum(axis=0)
         assert np.allclose(total, 1.0, atol=1e-12)
 
     def test_coverage_failure_propagates(self):
@@ -149,31 +152,62 @@ class TestSynthesisFamily:
 
 class TestWindowFamilyType:
     def test_validation(self):
-        w5, w6 = SpectralWindow(np.ones(5)), SpectralWindow(np.ones(6))
-        with pytest.raises(DimensionMismatch):
-            WindowFamily((w5,), (w6,))
-        with pytest.raises(DimensionMismatch):
+        # each message names the side
+        w5, w6 = np.ones(5), np.ones(6)
+        with pytest.raises(DimensionMismatch, match=r"^analysis windows \(1, 5\) and synthesis "
+                                                    r"windows \(1, 6\) differ in shape$"):
+            WindowFamily([w5], [w6])
+        with pytest.raises(DimensionMismatch, match=r"^analysis windows must be a non-empty "
+                                                    r"\(J, N\) array, got shape \(0,\)$"):
             WindowFamily((), ())
-        with pytest.raises(DimensionMismatch):
-            WindowFamily((w5,), (w5, w5))
-
-    def test_accessors(self):
-        w = SpectralWindow(np.ones(5))
-        family = WindowFamily.with_same_synthesis([w, w])
-        assert family.num_windows == 2
-        assert family.size == 5
-        assert family.synthesis[0] is w
+        with pytest.raises(DimensionMismatch, match=r"got shape \(0, 5\)$"):
+            WindowFamily(np.ones((0, 5)), np.ones((0, 5)))
+        with pytest.raises(DimensionMismatch, match=r"^synthesis windows must be a non-empty "
+                                                    r"\(J, N\) array, got shape \(5,\)$"):
+            WindowFamily([w5], w5)
+        with pytest.raises(DimensionMismatch, match="^analysis windows differ in length"):
+            WindowFamily([w5, w6], [w5, w5])
+        with pytest.raises(DimensionMismatch, match="differ in shape$"):
+            WindowFamily([w5], [w5, w5])
 
     def test_non_finite_rejected(self):
-        with pytest.raises(InvalidParameter):
-            SpectralWindow(np.array([1.0, np.nan]))
+        with pytest.raises(InvalidParameter, match="^analysis window 2 has non-finite samples$"):
+            WindowFamily([np.ones(2), [1.0, np.nan]], np.ones((2, 2)))
+        with pytest.raises(InvalidParameter, match="^synthesis window 1 has non-finite samples$"):
+            WindowFamily(np.ones((1, 2)), [[np.inf, 1.0]])
+
+    def test_accessors(self):
+        family = WindowFamily.with_same_synthesis([np.ones(5), np.ones(5)])
+        assert family.num_windows == 2
+        assert family.size == 5
+
+    def test_same_synthesis_keeps_one_array(self):
+        analysis = np.ones((2, 5))
+        family = WindowFamily.with_same_synthesis(analysis)
+        assert family.synthesis is family.analysis
+        other = WindowFamily(analysis, analysis.copy())
+        assert other.synthesis is not other.analysis
+
+    def test_arrays_are_read_only(self):
+        analysis, synthesis = np.ones((2, 5)), np.full((2, 5), 2.0 + 1.0j)
+        family = WindowFamily(analysis, synthesis)
+        for side in (family.analysis, family.synthesis):
+            assert not side.flags.writeable
+            with pytest.raises(ValueError):
+                side[0, 0] = 7.0
+        assert analysis.flags.writeable  # the caller's array keeps its flag
+
+    def test_dtypes(self):
+        family = WindowFamily([[1, 2]], [[1.0, 2.0j]])
+        assert family.analysis.dtype == np.float64
+        assert family.synthesis.dtype == np.complex128
 
 
 class TestCheckNondegeneracy:
     @pytest.mark.parametrize("stage", ["check_nondegeneracy", "mwgft_analyze"])
     def test_family_of_other_size_rejected(self, stage):
         basis = basis_for(path_graph(8))
-        family = WindowFamily.with_same_synthesis([SpectralWindow(np.ones(6))])
+        family = WindowFamily.with_same_synthesis([np.ones(6)])
         with pytest.raises(DimensionMismatch, match="^family sampled on 6 eigenvalues, basis has 8$"):
             if stage == "check_nondegeneracy":
                 check_nondegeneracy(basis, family)
@@ -184,7 +218,7 @@ class TestCheckNondegeneracy:
         basis = random_basis(100)
         g_hat = rng.standard_normal(basis.size)
         g_hat[0] = 1.0
-        family = WindowFamily.with_same_synthesis([SpectralWindow(g_hat)])
+        family = WindowFamily.with_same_synthesis([g_hat])
         report = check_nondegeneracy(basis, family)
         assert report.satisfied
         assert report.min_abs > 0
@@ -204,12 +238,12 @@ class TestCheckNondegeneracy:
 
     def test_denominator_sums_pairwise_translation_products(self, rng):
         basis = random_basis(103, size=11)
-        family = WindowFamily.paired(
-            [SpectralWindow(random_complex(rng, 11)) for _ in range(3)],
-            [SpectralWindow(random_complex(rng, 11)) for _ in range(3)],
+        family = WindowFamily(
+            [random_complex(rng, 11) for _ in range(3)],
+            [random_complex(rng, 11) for _ in range(3)],
         )
         pairwise = sum(
-            translation_inner_products(basis, g.samples, gam.samples)
+            translation_inner_products(basis, g, gam)
             for g, gam in zip(family.analysis, family.synthesis)
         )
         assert np.allclose(denominator(basis, family), pairwise, rtol=1e-12, atol=0)
@@ -218,9 +252,7 @@ class TestCheckNondegeneracy:
 
     def test_disjoint_supports_fail_everywhere(self):
         basis = basis_for(path_graph(6))
-        family = WindowFamily.paired(
-            [indicator_window(6, 1)], [indicator_window(6, 2)]
-        )
+        family = WindowFamily([indicator_window(6, 1)], [indicator_window(6, 2)])
         report = check_nondegeneracy(basis, family)
         assert not report.satisfied
         assert report.min_abs <= report.tolerance
@@ -229,13 +261,13 @@ class TestCheckNondegeneracy:
     def test_satisfied_iff_margin(self, rng):
         basis = random_basis(102)
         g_hat = random_complex(rng, basis.size)
-        family = WindowFamily.with_same_synthesis([SpectralWindow(g_hat)])
+        family = WindowFamily.with_same_synthesis([g_hat])
         report = check_nondegeneracy(basis, family)
         assert report.satisfied == (report.min_abs > report.tolerance)
 
     def test_tolerance_override(self):
         basis = basis_for(path_graph(6))
-        family = WindowFamily.with_same_synthesis([SpectralWindow(np.ones(6))])
+        family = WindowFamily.with_same_synthesis([np.ones(6)])
         strict = check_nondegeneracy(basis, family, tolerance=1e9)
         assert not strict.satisfied
         assert strict.failing_vertices == list(range(1, 7))
@@ -245,7 +277,7 @@ class TestCheckNondegeneracy:
         # a negative tolerance used to pass d = 0 at every vertex, and a NaN
         # one failed every vertex as if the family were degenerate
         basis = basis_for(path_graph(6))
-        family = WindowFamily.paired([indicator_window(6, 1)], [indicator_window(6, 2)])
+        family = WindowFamily([indicator_window(6, 1)], [indicator_window(6, 2)])
         with pytest.raises(InvalidParameter, match="nondegeneracy tolerance must be >= 0"):
             check_nondegeneracy(basis, family, tolerance)
         with pytest.raises(InvalidParameter, match="nondegeneracy tolerance must be >= 0"):
@@ -253,12 +285,12 @@ class TestCheckNondegeneracy:
 
     def test_zero_tolerance_accepted(self):
         basis = basis_for(path_graph(6))
-        family = WindowFamily.with_same_synthesis([SpectralWindow(np.ones(6))])
+        family = WindowFamily.with_same_synthesis([np.ones(6)])
         assert check_nondegeneracy(basis, family, 0.0).satisfied
 
     def test_report_text(self):
         basis = basis_for(path_graph(4))
-        family = WindowFamily.paired([indicator_window(4, 1)], [indicator_window(4, 2)])
+        family = WindowFamily([indicator_window(4, 1)], [indicator_window(4, 2)])
         text = format_condition_report(check_nondegeneracy(basis, family))
         assert "satisfied: false" in text
         assert "failing_vertices: 1 2 3 4" in text
@@ -270,7 +302,7 @@ class TestSufficientConditions:
         basis = random_basis(110)
         g_hat = rng.standard_normal(basis.size)
         g_hat[0] = 0.8
-        family = WindowFamily.with_same_synthesis([SpectralWindow(g_hat)])
+        family = WindowFamily.with_same_synthesis([g_hat])
         conditions = sufficient_conditions(basis, family)
         assert conditions.csuff1
         assert conditions.csuff3
@@ -282,20 +314,18 @@ class TestSufficientConditions:
         basis = random_basis(111)
         with_dc = np.zeros(basis.size)
         with_dc[0] = 1.0
-        family = WindowFamily.with_same_synthesis([SpectralWindow(with_dc)])
+        family = WindowFamily.with_same_synthesis([with_dc])
         assert sufficient_conditions(basis, family).csuff2
         without_dc = np.zeros(basis.size)
         without_dc[1] = 1.0
-        family = WindowFamily.with_same_synthesis([SpectralWindow(without_dc)])
+        family = WindowFamily.with_same_synthesis([without_dc])
         assert not sufficient_conditions(basis, family).csuff2
 
     def test_negated_family(self, rng):
         basis = random_basis(112)
         g_hat = rng.standard_normal(basis.size)
         g_hat[0] = 0.8
-        family = WindowFamily.paired(
-            [SpectralWindow(g_hat)], [SpectralWindow(-g_hat)]
-        )
+        family = WindowFamily([g_hat], [-g_hat])
         conditions = sufficient_conditions(basis, family)
         assert conditions.csuff1a and not conditions.csuff1
         assert conditions.implies_nondegenerate
@@ -304,9 +334,7 @@ class TestSufficientConditions:
         basis = random_basis(113)
         g_hat = rng.standard_normal(basis.size)
         g_hat[0] = 0.8
-        family = WindowFamily.paired(
-            [SpectralWindow(g_hat)], [SpectralWindow(1j * g_hat)]
-        )
+        family = WindowFamily([g_hat], [1j * g_hat])
         conditions = sufficient_conditions(basis, family)
         assert conditions.csuff1b and not conditions.csuff1c
         assert conditions.implies_nondegenerate
@@ -314,8 +342,8 @@ class TestSufficientConditions:
     def test_scale_invariant_verdicts(self, rng):
         basis = random_basis(114)
         g_hat = np.abs(rng.standard_normal(basis.size)) + 0.1
-        family = WindowFamily.with_same_synthesis([SpectralWindow(g_hat)])
-        tiny = WindowFamily.with_same_synthesis([SpectralWindow(1e-8 * g_hat)])
+        family = WindowFamily.with_same_synthesis([g_hat])
+        tiny = WindowFamily.with_same_synthesis([1e-8 * g_hat])
         assert sufficient_conditions(basis, family).csuff1
         assert sufficient_conditions(basis, tiny).csuff1
 
@@ -326,7 +354,7 @@ class TestSufficientConditions:
         g_hat[0] = 1.0
         gamma_hat = g_hat.copy()
         gamma_hat[1] = -1e-6  # flips one product sign; DC gap stays huge
-        family = WindowFamily.paired([SpectralWindow(g_hat)], [SpectralWindow(gamma_hat)])
+        family = WindowFamily([g_hat], [gamma_hat])
         conditions = sufficient_conditions(basis, family)
         assert not conditions.csuff1
         assert conditions.csuff2 and conditions.csuff4
@@ -339,10 +367,7 @@ class TestSufficientConditions:
         strong[0] = 1.0
         weak = rng.standard_normal(n) * 1e-3
         weak_gamma = weak.copy()  # identical pair: zero spread, zero gap
-        family = WindowFamily.paired(
-            [SpectralWindow(strong), SpectralWindow(weak)],
-            [SpectralWindow(strong), SpectralWindow(weak_gamma)],
-        )
+        family = WindowFamily([strong, weak], [strong, weak_gamma])
         conditions = sufficient_conditions(basis, family)
         assert conditions.csufff5
         assert conditions.implies_nondegenerate
@@ -351,15 +376,13 @@ class TestSufficientConditions:
 class TestFamilyCsv:
     def test_round_trip_complex(self, tmp_path, rng):
         basis = basis_for(path_graph(8))
-        analysis = [SpectralWindow(random_complex(rng, 8), label="g1")]
-        synthesis = [SpectralWindow(random_complex(rng, 8), label="gamma1")]
-        family = WindowFamily.paired(analysis, synthesis)
+        family = WindowFamily([random_complex(rng, 8)], [random_complex(rng, 8)])
         target = tmp_path / "family.csv"
         save_family_csv(target, basis, family)
         loaded, eigenvalues = load_family_csv(target)
         assert np.array_equal(eigenvalues, basis.eigenvalues)
-        assert np.array_equal(loaded.analysis[0].samples, analysis[0].samples)
-        assert np.array_equal(loaded.synthesis[0].samples, synthesis[0].samples)
+        assert np.array_equal(loaded.analysis, family.analysis)
+        assert np.array_equal(loaded.synthesis, family.synthesis)
 
     def test_round_trip_real_stays_real(self, tmp_path):
         basis = basis_for(path_graph(6))
@@ -371,8 +394,23 @@ class TestFamilyCsv:
         save_family_csv(target, basis, family)
         loaded, _ = load_family_csv(target)
         assert loaded.num_windows == 2
-        assert not np.iscomplexobj(loaded.analysis[0].samples)
-        assert np.array_equal(loaded.analysis[1].samples, family.analysis[1].samples)
+        assert loaded.analysis.dtype == loaded.synthesis.dtype == np.float64
+        assert np.array_equal(loaded.analysis, family.analysis)
+        assert np.array_equal(loaded.synthesis, family.synthesis)
+
+    def test_each_side_real_when_its_imaginary_columns_are_zero(self, tmp_path, rng):
+        # one complex synthesis window makes that side complex; the analysis
+        # side, whose imaginary columns are all zero, loads as float64
+        basis = basis_for(path_graph(6))
+        analysis = rng.standard_normal((2, 6))
+        synthesis = np.array([rng.standard_normal(6), random_complex(rng, 6)])
+        target = tmp_path / "family.csv"
+        save_family_csv(target, basis, WindowFamily(analysis, synthesis))
+        loaded, _ = load_family_csv(target)
+        assert loaded.analysis.dtype == np.float64
+        assert loaded.synthesis.dtype == np.complex128
+        assert np.array_equal(loaded.analysis, analysis)
+        assert np.array_equal(loaded.synthesis, synthesis)
 
     def test_bad_header(self, tmp_path):
         target = tmp_path / "bad.csv"
@@ -396,9 +434,9 @@ class TestFamilyCsv:
             )
             family = WindowFamily.with_normalized_synthesis(analysis)
         else:
-            family = WindowFamily.paired(
-                [SpectralWindow(random_complex(rng, 7)), SpectralWindow(rng.standard_normal(7))],
-                [SpectralWindow(random_complex(rng, 7)), SpectralWindow(-0.0 * np.ones(7))],
+            family = WindowFamily(
+                [random_complex(rng, 7), rng.standard_normal(7)],
+                [random_complex(rng, 7), -0.0 * np.ones(7)],
             )
         target, expected = tmp_path / "family.csv", tmp_path / "oracle.csv"
         save_family_csv(target, basis, family)
@@ -440,7 +478,7 @@ class TestFamilyCsv:
         )
         family, eigenvalues = load_family_csv(target)
         assert eigenvalues.tolist() == [0.0, 2.0]
-        assert family.analysis[0].samples.tolist() == [1.0, 0.5]
+        assert family.analysis.tolist() == [[1.0, 0.5]]
 
 
 class TestConditionReportCsv:
@@ -460,8 +498,8 @@ class TestConditionReportCsv:
 
 
 def test_default_tolerance_scales_with_norms():
-    family = WindowFamily.with_same_synthesis([SpectralWindow(np.ones(10))])
-    bigger = WindowFamily.with_same_synthesis([SpectralWindow(10.0 * np.ones(10))])
+    family = WindowFamily.with_same_synthesis([np.ones(10)])
+    bigger = WindowFamily.with_same_synthesis([10.0 * np.ones(10)])
     assert np.isclose(
         default_nondegeneracy_tolerance(bigger),
         100.0 * default_nondegeneracy_tolerance(family),
@@ -471,7 +509,7 @@ def test_default_tolerance_scales_with_norms():
 @pytest.mark.parametrize(
     "analysis, synthesis, tolerance",
     [
-        pytest.param(indicator_window(6, 1).samples, indicator_window(6, 2).samples, None,
+        pytest.param(indicator_window(6, 1), indicator_window(6, 2), None,
                      id="disjoint-supports"),
         # +-1e200 products overflow to +-inf, so d(n) is inf - inf = NaN
         pytest.param(np.full(6, 1e200), np.tile([1e200, -1e200], 3), 1.0, id="nan"),
@@ -480,7 +518,7 @@ def test_default_tolerance_scales_with_norms():
 )
 def test_every_verdict_reader_agrees(tmp_path, analysis, synthesis, tolerance):
     basis = basis_for(path_graph(6))
-    family = WindowFamily.paired([SpectralWindow(analysis)], [SpectralWindow(synthesis)])
+    family = WindowFamily([analysis], [synthesis])
     with np.errstate(over="ignore", invalid="ignore"):
         report = check_nondegeneracy(basis, family, tolerance)
         coeffs = mwgft_analyze(basis, family, np.ones(6))
@@ -492,3 +530,27 @@ def test_every_verdict_reader_agrees(tmp_path, analysis, synthesis, tolerance):
         not_ok = [int(row["vertex"]) for row in csv.DictReader(fh) if row["ok"] == "0"]
     assert not report.satisfied
     assert report.failing_vertices == not_ok == list(err.value.vertices) == list(range(1, 7))
+
+
+def _random_family(rng, num_windows, complex_values, size=9):
+    """J random pairs with entries over 16 decades, so that the order in
+    which they are added shows in the last bits."""
+    def side():
+        values = rng.standard_normal((num_windows, size)) * 10.0 ** rng.integers(-8, 8, size)
+        if complex_values:
+            values = values + 1j * rng.standard_normal((num_windows, size))
+        return values
+    return WindowFamily(side(), side())
+
+
+@pytest.mark.parametrize("num_windows", [1, 3, 8])
+@pytest.mark.parametrize("complex_values", [False, True], ids=["real", "complex"])
+def test_denominator_and_tolerance_bit_for_bit(num_windows, complex_values):
+    # d(n) adds the pair spectra one pair at a time, and the tolerance takes
+    # one norm per window row; np.linalg.norm(..., axis=1) differs in the
+    # last bits, and the tolerance is printed in summary.txt
+    basis = random_basis(190, size=9)
+    for seed in range(20):
+        family = _random_family(np.random.default_rng(seed), num_windows, complex_values)
+        assert denominator(basis, family).tobytes() == denominator_reference(basis, family).tobytes()
+        assert default_nondegeneracy_tolerance(family) == default_tolerance_reference(family)
