@@ -34,11 +34,12 @@ from .graph import LaplacianKind, laplacian
 from .signals import RandomSpec, save_signal_csv
 from .spectral import check_basis, eigendecompose, save_eigenvalues_csv, save_vectors_csv
 from .transform import (
+    _analysis,
+    _mean_power,
+    _read_coefficients,
+    _synthesis,
+    _write_coefficients,
     frame_bounds,
-    load_coefficients,
-    mwgft_analyze,
-    mwgft_synthesize,
-    save_coefficients,
     save_spectrogram_files,
 )
 from .windows import check_nondegeneracy, format_condition_report, save_family_csv
@@ -184,25 +185,27 @@ def _cmd_windows_check(args) -> int:
     return 0 if report.satisfied else 2
 
 
+# The coefficient stages hold one window of the (J, N, N) coefficients at a
+# time: analyze streams the analysis into the file, and synthesize and
+# spectrogram stream the file's windows, each checked as it is read.
+
 def _cmd_analyze(args) -> int:
     config, basis, family = _pipeline(args)
     signal = _signals.build_signal(config.signal, basis)
-    coeffs = mwgft_analyze(basis, family, signal)
+    windows = _analysis(basis, family, signal)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_signal_csv(out / "signal.csv", signal)
     save_family_csv(out / "windows.csv", basis, family)
-    save_coefficients(out / "coefficients.npz", coeffs)
+    _write_coefficients(out / "coefficients.npz", basis, windows)
     print(f"outputs: {out}")
     return 0
 
 
 def _cmd_synthesize(args) -> int:
-    coeffs = load_coefficients(args.coefficients)
-    config, basis, family = _pipeline(args, coeffs.basis)
-    reconstructed = mwgft_synthesize(
-        basis, family, coeffs, tolerance=config.nondegeneracy_tolerance
-    )
+    stored, windows = _read_coefficients(args.coefficients)
+    config, basis, family = _pipeline(args, stored)
+    reconstructed = _synthesis(basis, family, windows, config.nondegeneracy_tolerance)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_signal_csv(out / "reconstructed.csv", reconstructed)
@@ -211,10 +214,13 @@ def _cmd_synthesize(args) -> int:
 
 
 def _cmd_spectrogram(args) -> int:
-    coeffs = load_coefficients(args.coefficients)
+    _, windows = _read_coefficients(args.coefficients)
+    # a first pass reads and checks every window, so a damaged file is
+    # refused before anything is written
+    averaged = _mean_power(windows)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    averaged = save_spectrogram_files(out, coeffs, pgm=args.pgm)
+    save_spectrogram_files(out, windows, averaged, pgm=args.pgm)
     peak = np.unravel_index(np.argmax(averaged), averaged.shape)
     print(f"argmax_vertex: {int(peak[0]) + 1}")
     print(f"argmax_frequency: {int(peak[1])}")

@@ -11,12 +11,18 @@ with vertices n down the rows (1-based) and frequencies k across the columns
 
 and the complex-symmetric factor A does not depend on the window.  Analysis
 of J windows therefore costs J + 1 dense N^3 products: one for A (with the
-factor N folded in) and one per window, written into a single (J, N, N)
-buffer, which :class:`WgftCoefficients` holds and ``coefficients.npz`` stores
-as is, beside the basis U it was analyzed against.  Synthesis is the adjoint: ``M = sum_j diag(gammahat_j) U^T S_j`` is
-accumulated in one N x N buffer, U is applied once, and
-``p(i) = N sum_k U(i, k) (U M)(i, k)``; again J + 1 products.  The
-atom-by-atom path survives only as a test oracle.
+factor N folded in) and one per window.  Synthesis is the adjoint:
+``M = sum_j diag(gammahat_j) U^T S_j`` is accumulated in one N x N buffer, U
+is applied once, and ``p(i) = N sum_k U(i, k) (U M)(i, k)``; again J + 1
+products.  The atom-by-atom path survives only as a test oracle.
+
+Both run one window at a time: the analysis yields S_j in window order and
+the synthesis sums windows in the order they come.  :func:`mwgft_analyze`
+writes them into one (J, N, N) buffer, which :class:`WgftCoefficients`
+holds.  ``coefficients.npz`` stores that array in C order beside the basis
+U, in the bytes ``np.savez`` writes, but its writer and reader move one
+window at a time, so the ``analyze``, ``synthesize`` and ``spectrogram``
+commands never hold the whole array.
 
 Every product has the real U (or U^T) on the left.  A C-contiguous complex
 matrix read as float64 holds its real and imaginary parts in interleaved
@@ -31,6 +37,7 @@ Synthesis divides p by ``N d(n)``, with the per-vertex denominator d from
 from __future__ import annotations
 
 import zipfile
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -64,14 +71,7 @@ class WgftCoefficients:
             matrices = np.asarray(self.matrices)
         except ValueError as exc:  # ragged stack of matrices
             raise DimensionMismatch(f"coefficient matrices differ in shape: {exc}") from exc
-        if matrices.ndim != 3 or matrices.shape[0] < 1 or matrices.shape[1] != matrices.shape[2]:
-            raise DimensionMismatch(
-                f"coefficients must be (J, N, N) with J >= 1, got shape {matrices.shape}"
-            )
-        if matrices.shape[1] != self.basis.size:
-            raise DimensionMismatch(
-                f"{matrices.shape[1]}-vertex coefficients for a {self.basis.size}-vertex basis"
-            )
+        _check_shape(matrices.shape, self.basis)
         object.__setattr__(self, "matrices", matrices)
 
     @property
@@ -81,6 +81,15 @@ class WgftCoefficients:
     @property
     def num_windows(self) -> int:
         return self.matrices.shape[0]
+
+
+def _check_shape(shape: tuple, basis: SpectralBasis) -> None:
+    """Raise :class:`DimensionMismatch` unless ``shape`` is (J, N, N), J >= 1,
+    with the N of ``basis``."""
+    if len(shape) != 3 or shape[0] < 1 or shape[1] != shape[2]:
+        raise DimensionMismatch(f"coefficients must be (J, N, N) with J >= 1, got shape {shape}")
+    if shape[1] != basis.size:
+        raise DimensionMismatch(f"{shape[1]}-vertex coefficients for a {basis.size}-vertex basis")
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,13 +121,41 @@ def _left_multiply(u: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) 
     return np.matmul(u, b.view(np.float64), out=real_out).view(np.complex128)
 
 
-def mwgft_analyze(
-    basis: SpectralBasis, family: WindowFamily, signal: np.ndarray
-) -> WgftCoefficients:
-    """``S_j = N U diag(conj ghat_j) A`` for every analysis window, as (J, N, N).
+@dataclass(frozen=True, eq=False)
+class _Windows:
+    """A (J, N, N) coefficient stack made or read one window at a time.
 
-    Real signal and real windows give float64 coefficients, anything else
-    complex128.
+    It has the ``shape`` and ``dtype`` of the array it stands for, and
+    ``produce(out=None)`` yields its N x N windows in window order: into
+    ``out[j]`` when a (J, N, N) ``out`` is given, else into buffers that the
+    next window overwrites.  Iterating it is ``produce()``, so the consumers
+    below take a (J, N, N) array or one of these alike.
+    """
+
+    shape: tuple[int, int, int]
+    dtype: np.dtype
+    produce: Callable[..., Iterator[np.ndarray]]
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        return self.produce()
+
+    def collect(self) -> np.ndarray:
+        """Every window, in one (J, N, N) array."""
+        out = np.empty(self.shape, self.dtype)
+        for _ in self.produce(out):
+            pass
+        return out
+
+
+def _analysis(basis: SpectralBasis, family: WindowFamily, signal: np.ndarray) -> _Windows:
+    """The analysis as a :class:`_Windows` stack: the inputs are checked and
+    ``N A`` is formed now, and each window ``S_j`` costs one GEMM as it is
+    produced.  It can be produced once, since the last window scales ``N A``
+    in place.
+
+    Producing into ``out``, the last slot holds ``diag(conj ghat_j) N A``
+    until the last window; otherwise one window buffer and one such scratch
+    serve every window.
     """
     _check_family(basis, family)
     signal = _vector(basis, signal)
@@ -127,14 +164,32 @@ def mwgft_analyze(
     u, n = basis.vectors, basis.size
     dtype = np.result_type(signal, family.analysis, np.float64)
     shared = _left_multiply(u.T, (n * signal)[:, None] * u).astype(dtype, copy=False)  # N A
-    out = np.empty((family.num_windows, n, n), dtype=dtype)
     last = family.num_windows - 1
-    for j, g_hat in enumerate(family.analysis):
-        # the last slot is scratch until the last window, which scales A in place
-        scaled = shared if j == last else out[last]
-        np.multiply(np.conj(g_hat)[:, None], shared, out=scaled)
-        _left_multiply(u, scaled, out=out[j])
-    return WgftCoefficients(out, basis)
+
+    def produce(out=None):
+        if out is None:
+            window, scratch = np.empty((n, n), dtype), np.empty((n, n), dtype)
+        else:
+            scratch = out[last]
+        for j, g_hat in enumerate(family.analysis):
+            scaled = shared if j == last else scratch
+            np.multiply(np.conj(g_hat)[:, None], shared, out=scaled)
+            target = window if out is None else out[j]
+            _left_multiply(u, scaled, out=target)
+            yield target
+
+    return _Windows((family.num_windows, n, n), dtype, produce)
+
+
+def mwgft_analyze(
+    basis: SpectralBasis, family: WindowFamily, signal: np.ndarray
+) -> WgftCoefficients:
+    """``S_j = N U diag(conj ghat_j) A`` for every analysis window, as (J, N, N).
+
+    Real signal and real windows give float64 coefficients, anything else
+    complex128.
+    """
+    return WgftCoefficients(_analysis(basis, family, signal).collect(), basis)
 
 
 def wgft(basis: SpectralBasis, g_hat, signal: np.ndarray) -> np.ndarray:
@@ -181,9 +236,15 @@ def mwgft_synthesize(
         raise FingerprintMismatch(
             "coefficients were produced against a different spectral basis"
         )
-    if coeffs.num_windows != family.num_windows:
+    return _synthesis(basis, family, coeffs.matrices, tolerance)
+
+
+def _synthesis(basis: SpectralBasis, family: WindowFamily, windows, tolerance) -> np.ndarray:
+    """:func:`mwgft_synthesize` of a (J, N, N) array or a :class:`_Windows`
+    stack, whose windows are used in order as they come."""
+    if windows.shape[0] != family.num_windows:
         raise DimensionMismatch(
-            f"{coeffs.num_windows} coefficient matrices for {family.num_windows} windows"
+            f"{windows.shape[0]} coefficient matrices for {family.num_windows} windows"
         )
     d, tolerance, vanishing = _verdict(basis, family, tolerance)
     if vanishing.size:
@@ -192,10 +253,11 @@ def mwgft_synthesize(
         )
 
     u, n = basis.vectors, basis.size
-    dtype = np.result_type(coeffs.matrices, family.synthesis, np.float64)
+    dtype = np.result_type(windows.dtype, family.synthesis, np.float64)
     acc = np.zeros((n, n), dtype=dtype)  # M
     term = np.empty((n, n), dtype=dtype)
-    for s, gamma_hat in zip(coeffs.matrices, family.synthesis):
+    # windows lead the zip, so a stream is run to its end and its last checks
+    for s, gamma_hat in zip(windows, family.synthesis):
         _left_multiply(u.T, np.asarray(s, dtype=dtype), out=term)
         term *= gamma_hat[:, None]
         acc += term
@@ -254,10 +316,15 @@ def spectrogram(coeffs: WgftCoefficients) -> np.ndarray:
     (J, N, N) copy is made; ``np.abs(coeffs.matrices[j]) ** 2`` is the map
     of window j alone.
     """
-    total = np.zeros(coeffs.matrices.shape[1:])
-    for s in coeffs.matrices:
+    return _mean_power(coeffs.matrices)
+
+
+def _mean_power(windows) -> np.ndarray:
+    """:func:`spectrogram` of a (J, N, N) array or a :class:`_Windows` stack."""
+    total = np.zeros(windows.shape[1:])
+    for s in windows:
         total += np.square(np.abs(s))
-    total /= coeffs.num_windows
+    total /= windows.shape[0]
     return total
 
 
@@ -267,21 +334,137 @@ def spectrogram(coeffs: WgftCoefficients) -> np.ndarray:
 
 _BASIS_KEYS = ("eigenvalues", "vectors", "kind")
 
+# bytes read per call while a window is filled, so a read never stages a
+# whole window in a second buffer
+_READ_CHUNK = 1 << 20
+
+
+def _put_member(archive: zipfile.ZipFile, name: str, header: dict, blocks) -> None:
+    """One ``.npy`` member as ``np.savez`` writes it: a format 1.0 header, then
+    the bytes of each C-contiguous block, straight from array memory."""
+    with archive.open(f"{name}.npy", "w", force_zip64=True) as fh:
+        np.lib.format.write_array_header_1_0(fh, header)
+        for block in blocks:
+            fh.write(np.ascontiguousarray(block).data)
+
+
+def _put_array(archive: zipfile.ZipFile, name: str, array: np.ndarray) -> None:
+    header = np.lib.format.header_data_from_array_1_0(array)
+    _put_member(archive, name, header, [array.T if header["fortran_order"] else array])
+
+
+def _write_coefficients(path, basis: SpectralBasis, windows) -> None:
+    """Write a (J, N, N) array or a :class:`_Windows` stack, one window at a
+    time, and ``basis`` into the uncompressed ``.npz`` at ``path``."""
+    header = {"descr": np.lib.format.dtype_to_descr(windows.dtype),
+              "fortran_order": False, "shape": windows.shape}
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED, allowZip64=True) as archive:
+        _put_member(archive, "coefficients", header, windows)
+        _put_array(archive, "eigenvalues", basis.eigenvalues)
+        _put_array(archive, "vectors", basis.vectors)
+        _put_array(archive, "kind", np.array(basis.kind.value))
+
+
+def _npy_header(fh) -> tuple[tuple, bool, np.dtype]:
+    """(shape, fortran_order, dtype) from the head of an ``.npy`` stream."""
+    version = np.lib.format.read_magic(fh)
+    if version == (1, 0):
+        return np.lib.format.read_array_header_1_0(fh)
+    if version == (2, 0):
+        return np.lib.format.read_array_header_2_0(fh)
+    raise ValueError(f"unsupported .npy format version {version}")
+
+
+def _read_member(archive: zipfile.ZipFile, name: str) -> np.ndarray:
+    with archive.open(f"{name}.npy") as fh:
+        return np.lib.format.read_array(fh, allow_pickle=False)
+
+
+def _fill(fh, array: np.ndarray) -> None:
+    """Read ``array.nbytes`` bytes from ``fh`` into the C-contiguous ``array``."""
+    flat = array.reshape(-1).view(np.uint8)
+    for start in range(0, flat.size, _READ_CHUNK):
+        part = flat[start:start + _READ_CHUNK]
+        if fh.readinto(part) != part.size:
+            raise EOFError("coefficient data ends early")
+
+
+def _read_coefficients(path) -> tuple[SpectralBasis, _Windows]:
+    """The basis of a coefficient file and its coefficients as a
+    :class:`_Windows` stack, never unpickling.
+
+    The basis members, the kind and the coefficient member's header are read
+    and checked here; each pass over the stack then reads the windows in
+    order, checks each for NaN and infinity, and ends where the zip CRC of
+    the member is checked.  Errors are those of :func:`load_coefficients`.
+    """
+    name = "coefficients.npy"
+    try:
+        with zipfile.ZipFile(path) as archive:
+            present = archive.namelist()
+            missing = [key for key in _BASIS_KEYS if f"{key}.npy" not in present]
+            if missing:
+                raise ParseError(
+                    f"coefficient file {path} does not carry its spectral basis "
+                    f"(no {', '.join(missing)}); re-run `mwgft analyze` to write it again"
+                )
+            vals, vecs, kind = (_read_member(archive, key) for key in _BASIS_KEYS)
+            with archive.open(name) as fh:
+                header = _npy_header(fh)
+    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
+        raise ParseError(f"could not read coefficient file {path}: {exc}") from exc
+    shape, fortran_order, dtype = header
+    if dtype not in (np.float64, np.complex128):
+        raise ParseError(f"coefficients have dtype {dtype}, expected float64 or complex128")
+    for label, array in (("eigenvalues", vals), ("vectors", vecs)):
+        if array.dtype != np.float64:
+            raise ParseError(f"stored {label} have dtype {array.dtype}, expected float64")
+        if not np.isfinite(array).all():
+            raise ParseError(f"coefficient file {path} holds NaN or infinite {label}")
+    try:
+        kind = LaplacianKind.from_name(str(kind))
+    except InvalidParameter as exc:
+        raise ParseError(f"coefficient file {path}: {exc}") from exc
+    # the shape contracts: (N,) and (N, N) in the basis constructor, (J, N, N)
+    # with the basis's N in _check_shape, both before any window is read
+    basis = SpectralBasis(vals, vecs, kind)
+    _check_shape(shape, basis)
+
+    def produce(out=None):
+        window = np.empty(shape[1:], dtype) if out is None else None
+        try:
+            with zipfile.ZipFile(path) as archive, archive.open(name) as fh:
+                if _npy_header(fh) != header:
+                    raise ValueError("coefficient header changed while the file was read")
+                if fortran_order:  # a foreign layout, not window by window: read it whole
+                    whole = np.empty(shape, dtype, order="F")
+                    _fill(fh, whole.T)
+                for j in range(shape[0]):
+                    target = window if out is None else out[j]
+                    if fortran_order:
+                        target[...] = whole[j]
+                    else:
+                        _fill(fh, target)
+                    if not np.isfinite(target).all():
+                        raise ParseError(
+                            f"coefficient file {path} holds NaN or infinite coefficients "
+                            f"(window {j + 1})"
+                        )
+                    yield target
+                if fh.read(1):
+                    raise ValueError("coefficient data runs past its (J, N, N) shape")
+        except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+            raise ParseError(f"could not read coefficient file {path}: {exc}") from exc
+
+    return basis, _Windows(shape, dtype, produce)
+
 
 def save_coefficients(path, coeffs: WgftCoefficients) -> None:
     """Coefficients and their basis as one uncompressed ``.npz``: the (J, N, N)
-    array, dtype kept, under ``coefficients``; the basis under
-    ``eigenvalues``, ``vectors`` (memory order kept) and ``kind``."""
-    basis = coeffs.basis
-    # an open handle keeps numpy from appending ".npz" to the caller's path
-    with open(path, "wb") as fh:
-        np.savez(
-            fh,
-            coefficients=coeffs.matrices,
-            eigenvalues=basis.eigenvalues,
-            vectors=basis.vectors,
-            kind=np.array(basis.kind.value),
-        )
+    array, dtype kept, in C order under ``coefficients``; the basis under
+    ``eigenvalues``, ``vectors`` (memory order kept) and ``kind``.  The bytes
+    are those ``np.savez`` writes for a C-ordered array."""
+    _write_coefficients(path, coeffs.basis, coeffs.matrices)
 
 
 def load_coefficients(path) -> WgftCoefficients:
@@ -293,35 +476,8 @@ def load_coefficients(path) -> WgftCoefficients:
     :class:`DimensionMismatch`.  The basis keeps the stored memory order, and
     its fingerprint is computed from it, never read from the file.
     """
-    try:
-        archive = np.load(path, allow_pickle=False)
-        if not isinstance(archive, np.lib.npyio.NpzFile):
-            raise ValueError("a single .npy array, not an .npz archive")
-        with archive:
-            missing = [key for key in _BASIS_KEYS if key not in archive.files]
-            if missing:
-                raise ParseError(
-                    f"coefficient file {path} does not carry its spectral basis "
-                    f"(no {', '.join(missing)}); re-run `mwgft analyze` to write it again"
-                )
-            matrices, vals, vecs, kind = (archive[key] for key in ("coefficients", *_BASIS_KEYS))
-    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
-        raise ParseError(f"could not read coefficient file {path}: {exc}") from exc
-    if matrices.dtype not in (np.float64, np.complex128):
-        raise ParseError(f"coefficients have dtype {matrices.dtype}, expected float64 or complex128")
-    for name, array in (("eigenvalues", vals), ("vectors", vecs)):
-        if array.dtype != np.float64:
-            raise ParseError(f"stored {name} have dtype {array.dtype}, expected float64")
-    for name, array in (("coefficients", matrices), ("eigenvalues", vals), ("vectors", vecs)):
-        if not np.isfinite(array).all():
-            raise ParseError(f"coefficient file {path} holds NaN or infinite {name}")
-    try:
-        kind = LaplacianKind.from_name(str(kind))
-    except InvalidParameter as exc:
-        raise ParseError(f"coefficient file {path}: {exc}") from exc
-    # the constructors hold the shape contracts: (N,) and (N, N) for the
-    # basis, (J, N, N) with the basis's N for the coefficients
-    return WgftCoefficients(matrices, SpectralBasis(vals, vecs, kind))
+    basis, windows = _read_coefficients(path)
+    return WgftCoefficients(windows.collect(), basis)
 
 
 def save_spectrogram_csv(path, matrix: np.ndarray) -> None:
@@ -343,15 +499,14 @@ def save_spectrogram_pgm(path, matrix: np.ndarray) -> None:
         fh.write(pixels.tobytes())
 
 
-def save_spectrogram_files(out_dir, coeffs: WgftCoefficients, pgm: bool = False) -> np.ndarray:
-    """Write ``spectrogram_w{j}.csv`` per window, squared one window at a
-    time, then ``spectrogram_avg.csv`` and, with ``pgm``,
-    ``spectrogram_avg.pgm`` into ``out_dir``; return the averaged map."""
+def save_spectrogram_files(out_dir, windows, averaged: np.ndarray, pgm: bool = False) -> None:
+    """Write ``spectrogram_w{j}.csv`` for each window of a (J, N, N) array or
+    a :class:`_Windows` stack, squared one window at a time, then the
+    ``averaged`` map as ``spectrogram_avg.csv`` and, with ``pgm``,
+    ``spectrogram_avg.pgm`` into ``out_dir``."""
     out = Path(out_dir)
-    for j, s in enumerate(coeffs.matrices, start=1):
+    for j, s in enumerate(windows, start=1):
         save_spectrogram_csv(out / f"spectrogram_w{j}.csv", np.square(np.abs(s)))
-    averaged = spectrogram(coeffs)
     save_spectrogram_csv(out / "spectrogram_avg.csv", averaged)
     if pgm:
         save_spectrogram_pgm(out / "spectrogram_avg.pgm", averaged)
-    return averaged

@@ -119,8 +119,8 @@ class RbfPrototype:
 def rbf_prototype(lambda_max: float, l_fac: float) -> RbfPrototype:
     if not lambda_max > 0:
         raise InvalidParameter(f"lambda_max must be positive, got {lambda_max}")
-    if not l_fac > 0:
-        raise InvalidParameter(f"l_fac must be positive, got {l_fac}")
+    if not (np.isfinite(l_fac) and l_fac > 0):
+        raise InvalidParameter(f"l_fac must be finite and positive, got {l_fac}")
     return RbfPrototype(float(lambda_max), float(l_fac))
 
 
@@ -141,6 +141,8 @@ def shifted_family(
     shifts = np.asarray(shifts, dtype=float)
     if shifts.ndim != 1 or shifts.size == 0:
         raise InvalidParameter("shifts must be a non-empty 1-d sequence")
+    if not np.all(np.isfinite(shifts)):
+        raise InvalidParameter(f"shifts must be finite, got {shifts.tolist()}")
     return np.array([prototype(basis.eigenvalues - tau) for tau in shifts], dtype=float)
 
 

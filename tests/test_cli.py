@@ -3,6 +3,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -645,7 +646,7 @@ class TestCliRun:
         def fail(path):
             raise error("numerical trouble")
 
-        monkeypatch.setattr("mwgft.cli.load_coefficients", fail)
+        monkeypatch.setattr("mwgft.cli._read_coefficients", fail)
         argv = ["spectrogram", "--coefficients", "c.npz", "--out", str(tmp_path)]
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: numerical trouble\n"
@@ -703,6 +704,27 @@ class TestCliRun:
         assert main(["run", "--config", cfg, "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (out / "signal.csv").exists()
+
+    @pytest.mark.parametrize(
+        "windows, message",
+        [
+            # built an all-zero second window and reported satisfied: true
+            pytest.param({"shifts": [0.0, float("inf")]},
+                         "shifts must be finite, got [0.0, inf]", id="shifts-0-inf"),
+            # turned every window into the constant 1 (`not inf > 0` is false)
+            pytest.param({"l_fac": float("inf")},
+                         "l_fac must be finite and positive, got inf", id="l_fac-inf"),
+            # failed on a zero energy response, naming no key
+            pytest.param({"shifts": [float("inf")]},
+                         "shifts must be finite, got [inf]", id="shifts-inf"),
+        ],
+    )
+    def test_non_finite_window_parameter_exits_1(self, tmp_path, capsys, windows, message):
+        cfg = write_yaml(tmp_path / "cfg.yaml", minimal_mapping(windows=windows))
+        assert main(["windows-check", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_degenerate_family_exits_2(self, tmp_path, capsys):
         mapping = minimal_mapping(
@@ -907,6 +929,95 @@ class TestCliPipelines:
         assert code == 1
         assert "NaN or infinite" in capsys.readouterr().err
         assert not refused.exists()
+
+    @pytest.mark.parametrize("command", ["synthesize", "spectrogram"])
+    @pytest.mark.parametrize("damage, message", [
+        ("flipped-byte", "Bad CRC-32"),
+        ("nan", "NaN or infinite coefficients (window 3)"),
+    ])
+    def test_damage_in_last_window_refused(self, tmp_path, capsys, command, damage, message):
+        # the windows stream in order, so this damage shows only after the
+        # first two windows were used; nothing may be written all the same
+        stage1 = tmp_path / "analysis"
+        assert main(["analyze", "--preset", "path-impulse", "--out", str(stage1)]) == 0
+        coefficients = stage1 / "coefficients.npz"
+        last = load_coefficients(coefficients).matrices[-1]
+        assert last.shape == (50, 50)
+        if damage == "flipped-byte":
+            blob = coefficients.read_bytes()
+            at = blob.index(last.tobytes()) + last.nbytes // 2
+            coefficients.write_bytes(blob[:at] + bytes([blob[at] ^ 0xFF]) + blob[at + 1:])
+        else:
+            with np.load(coefficients) as archive:
+                arrays = dict(archive)
+            arrays["coefficients"][-1, -1, -1] = np.nan
+            np.savez(coefficients, **arrays)
+        capsys.readouterr()
+        out = tmp_path / "out"
+        argv = [command, "--coefficients", str(coefficients), "--out", str(out)]
+        if command == "synthesize":
+            argv += ["--preset", "path-impulse"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
+    def test_fortran_ordered_foreign_file(self, tmp_path, capsys):
+        # np.savez of a Fortran-ordered array stores it in Fortran order; its
+        # windows are not contiguous in the file, so it is read whole
+        stage1 = tmp_path / "analysis"
+        assert main(["analyze", "--preset", "path-chirp", "--out", str(stage1)]) == 0
+        with np.load(stage1 / "coefficients.npz") as archive:
+            arrays = dict(archive)
+        arrays["coefficients"] = np.asfortranarray(arrays["coefficients"])
+        foreign = tmp_path / "foreign.npz"
+        np.savez(foreign, **arrays)
+        assert load_coefficients(foreign).matrices.tolist() == arrays["coefficients"].tolist()
+        for name, target in (("own", stage1 / "coefficients.npz"), ("foreign", foreign)):
+            assert main(["synthesize", "--preset", "path-chirp", "--coefficients", str(target),
+                         "--out", str(tmp_path / name)]) == 0
+            assert main(["spectrogram", "--coefficients", str(target),
+                         "--out", str(tmp_path / name)]) == 0
+        original = load_signal_csv(stage1 / "signal.csv")
+        rebuilt = load_signal_csv(tmp_path / "foreign" / "reconstructed.csv")
+        assert np.linalg.norm(rebuilt - original) <= 1e-12 * np.linalg.norm(original)
+        for name in ("reconstructed.csv", "spectrogram_w6.csv", "spectrogram_avg.csv"):
+            assert (tmp_path / "foreign" / name).read_bytes() == (tmp_path / "own" / name).read_bytes()
+
+    def test_coefficient_stages_hold_one_window(self, tmp_path, capsys):
+        # analyze and synthesize hold one N x N window of the (J, N, N)
+        # coefficients at a time: going from 4 to 24 windows must not raise
+        # their traced peak by two windows (the whole array would add 20)
+        n = 150
+
+        def peaks(count):
+            cfg = write_yaml(tmp_path / f"j{count}.yaml", minimal_mapping(
+                graph={"source": "random", "size": n, "seed": 3, "extra_edges": n},
+                signal={"type": "random", "seed": 1},
+                laplacian="normalized",
+                windows={"kernel": "rbf", "count": count},
+            ))
+            stage = tmp_path / f"j{count}"
+            coefficients = str(stage / "a" / "coefficients.npz")
+            peak = {}
+            for command, argv in (
+                ("analyze", ["--out", str(stage / "a")]),
+                ("synthesize", ["--coefficients", coefficients, "--out", str(stage / "s")]),
+            ):
+                tracemalloc.start()
+                try:
+                    assert main([command, "--config", cfg, *argv]) == 0
+                    peak[command] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            return peak
+
+        peaks(4)  # first calls import and cache what later calls reuse
+        few, many = peaks(4), peaks(24)
+        window = n * n * np.dtype(np.complex128).itemsize
+        assert load_coefficients(tmp_path / "j24" / "a" / "coefficients.npz").matrices.shape == (24, n, n)
+        for command in ("analyze", "synthesize"):
+            assert many[command] - few[command] < 2 * window, (command, few, many)
 
     def test_spectrogram_command_rebuilds_run_spectrogram(self, tmp_path):
         run = tmp_path / "run"

@@ -1,4 +1,6 @@
+import time
 import tracemalloc
+import zipfile
 
 import numpy as np
 import pytest
@@ -568,6 +570,48 @@ class TestCoefficientsIo:
             load_coefficients(target)
         if kind in ("no-fingerprint", "fingerprint-only", "no-vectors"):
             assert "re-run `mwgft analyze`" in str(err.value)
+
+    @pytest.mark.parametrize("complex_signal", [False, True], ids=["float64", "complex128"])
+    def test_file_is_what_savez_writes(self, tmp_path, rng, monkeypatch, complex_signal):
+        # the window-by-window writer keeps the format: ZIP_STORED members
+        # with forced zip64 extras and .npy 1.0 headers, byte for byte
+        monkeypatch.setattr(time, "time", lambda: 1.7e9)  # the members' zip timestamp
+        basis = random_basis(186, size=10)
+        f = random_complex(rng, 10) if complex_signal else rng.standard_normal(10)
+        coeffs = mwgft_analyze(basis, rbf_family(basis), f)
+        target, reference = tmp_path / "coefficients.npz", tmp_path / "reference.npz"
+        save_coefficients(target, coeffs)
+        _savez(reference, coeffs)
+        assert target.read_bytes() == reference.read_bytes()
+
+    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    def test_non_contiguous_coefficients_saved_in_c_order(self, tmp_path, rng, layout):
+        basis = random_basis(187, size=8)
+        matrices = mwgft_analyze(basis, rbf_family(basis), random_complex(rng, 8)).matrices
+        if layout == "fortran":
+            stored = np.asfortranarray(matrices)
+        else:
+            stored = np.repeat(matrices, 2, axis=2)[:, :, ::2]
+        assert np.array_equal(stored, matrices) and not stored.flags.c_contiguous
+        target, reference = tmp_path / "coefficients.npz", tmp_path / "reference.npz"
+        save_coefficients(target, WgftCoefficients(stored, basis))
+        _savez(reference, WgftCoefficients(matrices, basis))
+        with zipfile.ZipFile(target) as got, zipfile.ZipFile(reference) as expected:
+            assert got.namelist() == expected.namelist()
+            for name in got.namelist():
+                assert got.read(name) == expected.read(name), name
+        loaded = load_coefficients(target).matrices
+        assert loaded.flags.c_contiguous and np.array_equal(loaded, matrices)
+
+    def test_fortran_ordered_foreign_file_loads(self, tmp_path, rng):
+        basis = random_basis(188, size=7)
+        coeffs = mwgft_analyze(basis, rbf_family(basis), random_complex(rng, 7))
+        target = tmp_path / "coefficients.npz"
+        _savez(target, coeffs, coefficients=np.asfortranarray(coeffs.matrices))
+        loaded = load_coefficients(target)
+        assert np.array_equal(loaded.matrices, coeffs.matrices)
+        assert np.array_equal(mwgft_synthesize(basis, rbf_family(basis), loaded),
+                              mwgft_synthesize(basis, rbf_family(basis), coeffs))
 
     def test_validation(self):
         basis = basis_for(path_graph(3))

@@ -66,6 +66,9 @@ class TestRbfPrototype:
             rbf_prototype(2.0, 0.0)
         with pytest.raises(InvalidParameter):
             rbf_prototype(-1.0, 0.7)
+        for l_fac in (np.inf, np.nan):
+            with pytest.raises(InvalidParameter, match="l_fac"):
+                rbf_prototype(2.0, l_fac)
 
 
 class TestShiftsAndFamilies:
@@ -79,6 +82,12 @@ class TestShiftsAndFamilies:
     def test_count_validation(self):
         with pytest.raises(InvalidParameter):
             uniform_shifts(2.0, 0)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_shift_rejected(self, bad):
+        basis = basis_for(path_graph(6))
+        with pytest.raises(InvalidParameter, match="shifts must be finite"):
+            shifted_family(rbf_prototype(basis.lambda_max, 0.7), [0.0, bad], basis)
 
     def test_single_window_family_is_prototype(self):
         basis = basis_for(path_graph(10))
