@@ -5,9 +5,14 @@ Configs are YAML mappings (see the shipped presets under ``presets/``), and
 :func:`run_experiment` writes a fixed set of CSV artifacts (the table layout
 of :mod:`mwgft.tables`) plus ``coefficients.npz`` and a plain-text summary
 whose values are byte-identical across reruns at a fixed BLAS thread count.
-The spectrogram stays in memory: the summary takes its argmax vertex from
-the averaged |S|^2, ``write_pgm`` saves that map as a grayscale image, and
-``mwgft spectrogram`` writes its CSVs from ``coefficients.npz``.
+Analysis, spectrogram and synthesis are one pass over the windows: each
+S_j is written to ``coefficients.npz``, squared into the spectrogram sum
+and added into the synthesis sum as it is produced, so the run never holds
+the (J, N, N) array.  Its bytes are those of the whole-array functions of
+:mod:`mwgft.transform`.  The spectrogram stays in memory: the summary takes
+its argmax vertex from the averaged |S|^2, ``write_pgm`` saves that map as
+a grayscale image, and ``mwgft spectrogram`` writes its CSVs from
+``coefficients.npz``.
 Malformed config values and keys that nothing reads raise
 :class:`InvalidParameter` naming their key.
 """
@@ -35,11 +40,11 @@ from .graph import (
 from .spectral import SpectralBasis, eigendecompose, save_eigenvalues_csv
 from .tables import write_table
 from .transform import (
-    mwgft_analyze,
-    mwgft_synthesize,
-    save_coefficients,
+    _analysis,
+    _degenerate,
+    _summed,
+    _write_coefficients,
     save_spectrogram_pgm,
-    spectrogram,
 )
 from .windows import (
     WindowFamily,
@@ -354,9 +359,9 @@ def run_experiment(
 ) -> ExperimentReport:
     """Run one configured experiment and write its artifacts.
 
-    Raises the underlying module error if the family is degenerate; the
-    condition report is written to disk before that happens so failures are
-    inspectable.
+    A degenerate family raises :class:`DegenerateDenominator` after
+    ``coefficients.npz`` (and the PGM) and before ``reconstructed.csv``, so
+    the condition report and the coefficients are on disk to inspect.
     """
     started = time.perf_counter()
     out = Path(out_dir if out_dir is not None else f"out/{config.name}")
@@ -390,19 +395,22 @@ def run_experiment(
     signal = _signals.build_signal(config.signal, basis)
     emit("signal", "signal.csv", lambda p: _signals.save_signal_csv(p, signal))
 
-    coeffs = mwgft_analyze(basis, family, signal)
-    emit("coefficients", "coefficients.npz", lambda p: save_coefficients(p, coeffs))
+    # one pass: each window is written, then added into the spectrogram sum
+    # and, if the report finds d(n) clear of its tolerance, the synthesis sum
+    windows, power, synthesis = _summed(
+        basis, family, _analysis(basis, family, signal), synthesize=report.satisfied
+    )
+    emit("coefficients", "coefficients.npz", lambda p: _write_coefficients(p, basis, windows))
+    del windows  # frees N A and the scratch before the PGM and the synthesis
 
-    averaged = spectrogram(coeffs)
+    averaged = power.mean()
     if write_pgm:
         emit("spectrogram_pgm", "spectrogram_avg.pgm", lambda p: save_spectrogram_pgm(p, averaged))
     argmax_vertex = int(np.unravel_index(np.argmax(averaged), averaged.shape)[0]) + 1
 
-    # synthesize after the condition report exists on disk, so a degenerate
-    # family still leaves an inspectable trail when this raises
-    reconstructed = mwgft_synthesize(
-        basis, family, coeffs, tolerance=config.nondegeneracy_tolerance
-    )
+    if synthesis is None:
+        raise _degenerate(report.tolerance, report.failing_vertices)
+    reconstructed = synthesis.reconstruct(report.denominators)
     emit("reconstructed", "reconstructed.csv", lambda p: _signals.save_signal_csv(p, reconstructed))
 
     residual = np.abs(reconstructed - signal)

@@ -95,6 +95,8 @@ class Graph:
             coords = np.asarray(self.coordinates, dtype=float)
             if coords.shape != (n, 2):
                 raise InvalidSize(f"coordinates shape {coords.shape}, expected ({n}, 2)")
+            if not np.isfinite(coords).all():
+                raise InvalidParameter("coordinates have non-finite entries")
             object.__setattr__(self, "coordinates", read_only(coords))
 
     @property
@@ -346,7 +348,12 @@ def load_graph(
 
 
 def _load_coordinates(path, num_vertices: int) -> np.ndarray:
+    """The ``i x y`` lines of a coordinate file as an (N, 2) array.  A
+    malformed line, a NaN or infinite x or y, and a vertex given twice raise
+    :class:`ParseError` with the line number; a vertex given no line raises
+    it naming the vertex."""
     coords = np.full((num_vertices, 2), np.nan)
+    placed: dict[int, int] = {}  # vertex -> line
     for lineno, tokens in _data_lines(path):
         if len(tokens) != 3:
             raise ParseError(f"expected 'i x y', got {' '.join(tokens)!r}", lineno)
@@ -355,9 +362,14 @@ def _load_coordinates(path, num_vertices: int) -> np.ndarray:
             x, y = float(tokens[1]), float(tokens[2])
         except ValueError:
             raise ParseError(f"could not parse coordinate line {' '.join(tokens)!r}", lineno)
+        if not (np.isfinite(x) and np.isfinite(y)):
+            raise ParseError(f"NaN or infinite coordinate in {' '.join(tokens)!r}", lineno)
         _check_vertex(i, num_vertices)
+        if i in placed:
+            raise ParseError(f"vertex {i} repeats line {placed[i]}", lineno)
+        placed[i] = lineno
         coords[i - 1] = (x, y)
-    if np.isnan(coords).any():
+    if len(placed) < num_vertices:
         missing = np.flatnonzero(np.isnan(coords).any(axis=1)) + 1
         raise ParseError(f"missing coordinates for vertices {missing.tolist()}")
     return coords

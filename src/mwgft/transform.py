@@ -16,13 +16,15 @@ factor N folded in) and one per window.  Synthesis is the adjoint:
 is applied once, and ``p(i) = N sum_k U(i, k) (U M)(i, k)``; again J + 1
 products.  The atom-by-atom path survives only as a test oracle.
 
-Both run one window at a time: the analysis yields S_j in window order and
-the synthesis sums windows in the order they come.  :func:`mwgft_analyze`
-writes them into one (J, N, N) buffer, which :class:`WgftCoefficients`
-holds.  ``coefficients.npz`` stores that array in C order beside the basis
-U, in the bytes ``np.savez`` writes, but its writer and reader move one
-window at a time, so the ``analyze``, ``synthesize`` and ``spectrogram``
-commands never hold the whole array.
+Both run one window at a time: the analysis yields S_j in window order, and
+the spectrogram and the synthesis are running sums, :class:`_PowerSum` and
+:class:`_SynthesisSum`, that take the windows in the order they come.
+:func:`mwgft_analyze` writes them into one (J, N, N) buffer, which
+:class:`WgftCoefficients` holds.  ``coefficients.npz`` stores that array in
+C order beside the basis U, in the bytes ``np.savez`` writes, but its writer
+and reader move one window at a time.  So ``mwgft run`` (one pass that
+writes, squares and sums each window, :func:`_summed`) and the ``analyze``,
+``synthesize`` and ``spectrogram`` commands never hold the whole array.
 
 Every product has the real U (or U^T) on the left.  A C-contiguous complex
 matrix read as float64 holds its real and imaginary parts in interleaved
@@ -129,7 +131,8 @@ class _Windows:
     ``produce(out=None)`` yields its N x N windows in window order: into
     ``out[j]`` when a (J, N, N) ``out`` is given, else into buffers that the
     next window overwrites.  Iterating it is ``produce()``, so the consumers
-    below take a (J, N, N) array or one of these alike.
+    below take a (J, N, N) array or one of these alike.  The analysis's
+    ``produce`` also takes ``scratch``, see :func:`_analysis`.
     """
 
     shape: tuple[int, int, int]
@@ -155,7 +158,8 @@ def _analysis(basis: SpectralBasis, family: WindowFamily, signal: np.ndarray) ->
 
     Producing into ``out``, the last slot holds ``diag(conj ghat_j) N A``
     until the last window; otherwise one window buffer and one such scratch
-    serve every window.
+    serve every window.  The scratch, an N x N buffer of the stack's dtype,
+    may be passed in as ``scratch``; it is free while a window is out.
     """
     _check_family(basis, family)
     signal = _vector(basis, signal)
@@ -166,9 +170,11 @@ def _analysis(basis: SpectralBasis, family: WindowFamily, signal: np.ndarray) ->
     shared = _left_multiply(u.T, (n * signal)[:, None] * u).astype(dtype, copy=False)  # N A
     last = family.num_windows - 1
 
-    def produce(out=None):
+    def produce(out=None, scratch=None):
         if out is None:
-            window, scratch = np.empty((n, n), dtype), np.empty((n, n), dtype)
+            window = np.empty((n, n), dtype)
+            if scratch is None:
+                scratch = np.empty((n, n), dtype)
         else:
             scratch = out[last]
         for j, g_hat in enumerate(family.analysis):
@@ -239,6 +245,48 @@ def mwgft_synthesize(
     return _synthesis(basis, family, coeffs.matrices, tolerance)
 
 
+def _degenerate(tolerance: float, vertices) -> DegenerateDenominator:
+    """The error of a synthesis whose d(n) vanishes at the 1-based ``vertices``."""
+    return DegenerateDenominator(
+        f"sum_j |<T_i gamma_j, T_i g_j>| <= {tolerance:.3e}", vertices=vertices
+    )
+
+
+class _SynthesisSum:
+    """The synthesis as a running sum: :meth:`add` adds window j's term
+    ``diag(gammahat_j) U^T S_j`` into ``M`` for the windows in window order,
+    and :meth:`reconstruct` turns ``M`` into ``p(i) / (N d(i))``."""
+
+    def __init__(self, basis: SpectralBasis, family: WindowFamily, dtype):
+        self.u = basis.vectors
+        self.spectra = family.synthesis
+        self.dtype = np.result_type(dtype, family.synthesis, np.float64)
+        self.acc = np.zeros((basis.size, basis.size), self.dtype)  # M
+        self.count = 0
+
+    def add(self, s: np.ndarray, buffer: np.ndarray) -> None:
+        """Add the next window's term, formed in ``buffer``, an N x N
+        C-contiguous array of the sum's dtype."""
+        _left_multiply(self.u.T, np.asarray(s, dtype=self.dtype), out=buffer)
+        buffer *= self.spectra[self.count][:, None]
+        self.acc += buffer
+        self.count += 1
+
+    def reconstruct(self, d: np.ndarray, buffer: np.ndarray | None = None) -> np.ndarray:
+        """``p / d`` from the sum of every window, with ``U M`` formed in
+        ``buffer`` (by default a new one); :class:`InvalidParameter` when it is
+        not finite, which is how non-finite coefficients surface without
+        scanning all J N^2 of them."""
+        term = np.empty_like(self.acc) if buffer is None else buffer
+        _left_multiply(self.u, self.acc, out=term)
+        term *= self.u
+        # p = N * rowsum(U * UM); its factor N cancels the N of the denominator
+        reconstructed = term.sum(axis=1) / d
+        if not np.all(np.isfinite(reconstructed)):
+            raise InvalidParameter("reconstruction is not finite; coefficients hold NaN or inf")
+        return reconstructed
+
+
 def _synthesis(basis: SpectralBasis, family: WindowFamily, windows, tolerance) -> np.ndarray:
     """:func:`mwgft_synthesize` of a (J, N, N) array or a :class:`_Windows`
     stack, whose windows are used in order as they come."""
@@ -248,26 +296,12 @@ def _synthesis(basis: SpectralBasis, family: WindowFamily, windows, tolerance) -
         )
     d, tolerance, vanishing = _verdict(basis, family, tolerance)
     if vanishing.size:
-        raise DegenerateDenominator(
-            f"sum_j |<T_i gamma_j, T_i g_j>| <= {tolerance:.3e}", vertices=vanishing + 1
-        )
-
-    u, n = basis.vectors, basis.size
-    dtype = np.result_type(windows.dtype, family.synthesis, np.float64)
-    acc = np.zeros((n, n), dtype=dtype)  # M
-    term = np.empty((n, n), dtype=dtype)
-    # windows lead the zip, so a stream is run to its end and its last checks
-    for s, gamma_hat in zip(windows, family.synthesis):
-        _left_multiply(u.T, np.asarray(s, dtype=dtype), out=term)
-        term *= gamma_hat[:, None]
-        acc += term
-    _left_multiply(u, acc, out=term)
-    term *= u
-    # p = N * rowsum(U * UM); its factor N cancels the N of the denominator
-    reconstructed = term.sum(axis=1) / d
-    if not np.all(np.isfinite(reconstructed)):
-        raise InvalidParameter("reconstruction is not finite; coefficients hold NaN or inf")
-    return reconstructed
+        raise _degenerate(tolerance, vanishing + 1)
+    synthesis = _SynthesisSum(basis, family, windows.dtype)
+    term = np.empty_like(synthesis.acc)
+    for s in windows:  # a stream is run to its end and its last checks
+        synthesis.add(s, term)
+    return synthesis.reconstruct(d, term)
 
 
 def frame_bounds(
@@ -319,13 +353,68 @@ def spectrogram(coeffs: WgftCoefficients) -> np.ndarray:
     return _mean_power(coeffs.matrices)
 
 
+class _PowerSum:
+    """The spectrogram as a running sum: :meth:`add` adds ``|S_j|^2`` of
+    each window in the order given, and :meth:`mean` divides by their count."""
+
+    def __init__(self, n: int):
+        self.total = np.zeros((n, n))
+        self.count = 0
+
+    def add(self, s: np.ndarray, buffer: np.ndarray) -> None:
+        """Add ``|s|^2``, formed in the first N^2 float64 values of the
+        C-contiguous ``buffer`` (an N x N float64 or complex128 array)."""
+        square = buffer.reshape(-1).view(np.float64)[:s.size].reshape(s.shape)
+        np.square(np.abs(s, out=square), out=square)
+        self.total += square
+        self.count += 1
+
+    def mean(self) -> np.ndarray:
+        self.total /= self.count
+        return self.total
+
+
 def _mean_power(windows) -> np.ndarray:
     """:func:`spectrogram` of a (J, N, N) array or a :class:`_Windows` stack."""
-    total = np.zeros(windows.shape[1:])
+    power = _PowerSum(windows.shape[1])
+    buffer = np.empty(windows.shape[1:])
     for s in windows:
-        total += np.square(np.abs(s))
-    total /= windows.shape[0]
-    return total
+        power.add(s, buffer)
+    return power.mean()
+
+
+def _summed(
+    basis: SpectralBasis, family: WindowFamily, windows: _Windows, synthesize: bool
+) -> tuple[_Windows, _PowerSum, _SynthesisSum | None]:
+    """The analysis stack ``windows`` made into one pass that also sums: every
+    window, once the consumer of the returned stack is done with it, is added
+    into the returned :class:`_PowerSum` and, with ``synthesize``, into the
+    returned :class:`_SynthesisSum` (else None).
+
+    ``|S_j|^2`` and the synthesis term are formed in the analysis scratch,
+    which is free between windows, so the pass holds five N x N buffers
+    whatever J is: ``N A``, the window, the scratch, ``M`` and the power sum.
+    Only real windows with complex synthesis spectra need a sixth, for the
+    complex term.
+    """
+    n = basis.size
+    # the scratch before the sums: it can take the N x N block that forming
+    # N A has just freed, which keeps the peak RSS one buffer lower
+    scratch = np.empty((n, n), windows.dtype)
+    power = _PowerSum(n)
+    synthesis = _SynthesisSum(basis, family, windows.dtype) if synthesize else None
+    term = scratch
+    if synthesis is not None and synthesis.dtype != windows.dtype:
+        term = np.empty_like(synthesis.acc)
+
+    def produce(out=None):
+        for s in windows.produce(out, scratch=scratch):
+            yield s
+            power.add(s, scratch)
+            if synthesis is not None:
+                synthesis.add(s, term)
+
+    return replace(windows, produce=produce), power, synthesis
 
 
 # ---------------------------------------------------------------------------

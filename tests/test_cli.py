@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -22,10 +23,15 @@ from mwgft import (
     ParseError,
     WindowFamily,
     check_nondegeneracy,
+    eigendecompose,
+    laplacian,
     load_coefficients,
     load_signal_csv,
+    mwgft_analyze,
+    mwgft_synthesize,
     random_connected_graph,
     rbf_prototype,
+    save_coefficients,
     save_family_csv,
     save_graph,
     shifted_family,
@@ -44,7 +50,15 @@ from mwgft.experiment import (
     load_preset,
     run_experiment,
 )
-from mwgft.signals import ChirpSpec, HeatSpec, ImpulseSpec, RandomSpec
+from mwgft.signals import (
+    ChirpSpec,
+    HeatSpec,
+    ImpulseSpec,
+    RandomSpec,
+    build_signal,
+    save_signal_csv,
+)
+from mwgft.transform import save_spectrogram_pgm
 from helpers import basis_for
 from oracles import save_spectrogram_csv_reference
 from mwgft.graph import path_graph
@@ -460,6 +474,51 @@ class TestRunExperiment:
         assert report.outputs["coefficients"] == tmp_path / "out" / "coefficients.npz"
         assert load_coefficients(report.outputs["coefficients"]).matrices.shape == (1, 201, 201)
 
+    @pytest.mark.parametrize("signal, complex_synthesis", [
+        ({"type": "heat"}, False),
+        ({"type": "random", "seed": 3, "complex": True}, False),
+        ({"type": "heat"}, True),
+    ], ids=["heat", "complex", "real-windows-complex-duals"])
+    def test_one_pass_matches_whole_array_functions(self, tmp_path, signal, complex_synthesis):
+        # run_experiment streams each window through the file, the spectrogram
+        # sum and the synthesis sum; the whole-array library path is the reference
+        config = config_from_mapping(minimal_mapping(
+            graph={"source": "random", "size": 40, "seed": 7, "extra_edges": 80},
+            signal=signal,
+            laplacian="normalized",
+            windows={"kernel": "rbf", "count": 5},
+        ))
+        graph = experiment.build_graph_from_source(config.graph)
+        basis = eigendecompose(laplacian(graph, config.kind), config.kind)
+        family = experiment.build_family(config.windows, basis)
+        if complex_synthesis:  # real coefficients summed into a complex M
+            family = WindowFamily(family.analysis, family.synthesis * np.exp(0.3j))
+            save_family_csv(tmp_path / "windows.csv", basis, family)
+            config = dataclasses.replace(
+                config, windows=experiment.FileWindows(str(tmp_path / "windows.csv")))
+        run, ref = tmp_path / "run", tmp_path / "ref"
+        ref.mkdir()
+        report = run_experiment(config, out_dir=run, write_pgm=True)
+        assert report.relative_error < 1e-12
+
+        original = build_signal(config.signal, basis)
+        coeffs = mwgft_analyze(basis, family, original)
+        save_coefficients(ref / "coefficients.npz", coeffs)
+        save_signal_csv(ref / "reconstructed.csv", mwgft_synthesize(
+            basis, family, coeffs, tolerance=config.nondegeneracy_tolerance))
+        averaged = spectrogram(coeffs)
+        save_spectrogram_pgm(ref / "spectrogram_avg.pgm", averaged)
+
+        with zipfile.ZipFile(run / "coefficients.npz") as got, \
+                zipfile.ZipFile(ref / "coefficients.npz") as expected:
+            assert got.namelist() == expected.namelist()
+            for name in expected.namelist():
+                assert got.read(name) == expected.read(name), name
+        for name in ("reconstructed.csv", "spectrogram_avg.pgm"):
+            assert (run / name).read_bytes() == (ref / name).read_bytes(), name
+        peak = np.unravel_index(np.argmax(averaged), averaged.shape)
+        assert report.spectrogram_argmax_vertex == int(peak[0]) + 1
+
     def test_coordinates_written_for_path_graph(self, tmp_path):
         config = config_from_mapping(minimal_mapping())
         report = run_experiment(config, out_dir=tmp_path / "out")
@@ -735,9 +794,17 @@ class TestCliRun:
         cfg = write_yaml(tmp_path / "cfg.yaml", mapping)
         out = tmp_path / "out"
         assert main(["run", "--config", cfg, "--out", str(out)]) == 2
-        # the condition report is already on disk even though synthesis failed
+        assert capsys.readouterr().err == (
+            "error: sum_j |<T_i gamma_j, T_i g_j>| <= 6.000e-10 (vertices: 1, 2, 3, 4, 5, 6)\n"
+        )
+        # the trail up to the coefficients is on disk, nothing after them
+        assert sorted(path.name for path in out.iterdir()) == [
+            "coefficients.npz", "condition_report.csv", "condition_report.txt",
+            "coordinates.csv", "eigenvalues.csv", "signal.csv", "windows.csv",
+        ]
         assert "satisfied: false" in (out / "condition_report.txt").read_text()
-        assert not (out / "summary.txt").exists()
+        for name in ("reconstructed.csv", "error.csv", "summary.txt"):
+            assert not (out / name).exists(), name
 
     @pytest.mark.parametrize("command", ["windows-check", "frame-bounds"])
     def test_seed_without_anything_random(self, capsys, command):
@@ -985,24 +1052,27 @@ class TestCliPipelines:
             assert (tmp_path / "foreign" / name).read_bytes() == (tmp_path / "own" / name).read_bytes()
 
     def test_coefficient_stages_hold_one_window(self, tmp_path, capsys):
-        # analyze and synthesize hold one N x N window of the (J, N, N)
+        # analyze, synthesize and run hold one N x N window of the (J, N, N)
         # coefficients at a time: going from 4 to 24 windows must not raise
         # their traced peak by two windows (the whole array would add 20)
         n = 150
+        signals = {"heat": ({"type": "heat"}, np.float64),
+                   "complex": ({"type": "random", "seed": 1, "complex": True}, np.complex128)}
 
-        def peaks(count):
-            cfg = write_yaml(tmp_path / f"j{count}.yaml", minimal_mapping(
+        def peaks(label, count):
+            cfg = write_yaml(tmp_path / f"{label}{count}.yaml", minimal_mapping(
                 graph={"source": "random", "size": n, "seed": 3, "extra_edges": n},
-                signal={"type": "random", "seed": 1},
+                signal=signals[label][0],
                 laplacian="normalized",
                 windows={"kernel": "rbf", "count": count},
             ))
-            stage = tmp_path / f"j{count}"
+            stage = tmp_path / f"{label}{count}"
             coefficients = str(stage / "a" / "coefficients.npz")
             peak = {}
             for command, argv in (
                 ("analyze", ["--out", str(stage / "a")]),
                 ("synthesize", ["--coefficients", coefficients, "--out", str(stage / "s")]),
+                ("run", ["--out", str(stage / "r")]),
             ):
                 tracemalloc.start()
                 try:
@@ -1012,12 +1082,15 @@ class TestCliPipelines:
                     tracemalloc.stop()
             return peak
 
-        peaks(4)  # first calls import and cache what later calls reuse
-        few, many = peaks(4), peaks(24)
-        window = n * n * np.dtype(np.complex128).itemsize
-        assert load_coefficients(tmp_path / "j24" / "a" / "coefficients.npz").matrices.shape == (24, n, n)
-        for command in ("analyze", "synthesize"):
-            assert many[command] - few[command] < 2 * window, (command, few, many)
+        peaks("heat", 4)  # first calls import and cache what later calls reuse
+        for label, (_, dtype) in signals.items():
+            few, many = peaks(label, 4), peaks(label, 24)
+            window = n * n * np.dtype(dtype).itemsize
+            for stage in ("a", "r"):
+                stored = load_coefficients(tmp_path / f"{label}24" / stage / "coefficients.npz")
+                assert stored.matrices.shape == (24, n, n) and stored.matrices.dtype == dtype
+            for command in ("analyze", "synthesize", "run"):
+                assert many[command] - few[command] < 2 * window, (label, command, few, many)
 
     def test_spectrogram_command_rebuilds_run_spectrogram(self, tmp_path):
         run = tmp_path / "run"

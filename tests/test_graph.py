@@ -96,6 +96,8 @@ class TestBuildGraph:
                          "weight matrix has negative entries", id="negative"),
             pytest.param([[0.0, 1.0], [1.0, 0.0]], np.zeros((2, 3)), InvalidSize,
                          r"coordinates shape \(2, 3\), expected \(2, 2\)", id="coordinates"),
+            pytest.param([[0.0, 1.0], [1.0, 0.0]], [[0.0, 0.0], [np.inf, 0.0]], InvalidParameter,
+                         "coordinates have non-finite entries", id="non-finite-coordinates"),
         ],
     )
     def test_graph_checks_its_arrays(self, weights, coordinates, error, message):
@@ -241,6 +243,19 @@ class TestLoadGraph:
         gfile = self._write(tmp_path, "2\n1 2 1\n")
         cfile = self._write(tmp_path, "1 0.0 0.0\n", "c.txt")
         with pytest.raises(ParseError):
+            load_graph(gfile, coordinates_path=cfile)
+
+    @pytest.mark.parametrize("text, message", [
+        ("1 0 0\n2 inf 0\n3 1 1\n", r"line 2: NaN or infinite coordinate in '2 inf 0'"),
+        ("1 0 0\n2 nan 0\n3 1 1\n", r"line 2: NaN or infinite coordinate in '2 nan 0'"),
+        ("1 0 0\n2 1 0\n1 5 5\n3 1 1\n", r"line 3: vertex 1 repeats line 1"),
+    ], ids=["infinite", "nan", "repeated-vertex"])
+    def test_bad_coordinate_line_names_its_line(self, tmp_path, text, message):
+        # an infinite x used to reach coordinates.csv, a NaN one was reported
+        # as a missing vertex, and a repeated vertex replaced the earlier line
+        gfile = self._write(tmp_path, "3\n1 2\n2 3\n")
+        cfile = self._write(tmp_path, text, "c.txt")
+        with pytest.raises(ParseError, match=f"^{message}$"):
             load_graph(gfile, coordinates_path=cfile)
 
     def test_save_round_trip(self, tmp_path):
