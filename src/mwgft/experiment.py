@@ -188,10 +188,7 @@ def _string(value) -> str:
 _SECTIONS = {
     "graph": ("graph source", "source", "path",
               {"path": PathSource, "file": FileSource, "random": RandomSource}),
-    "signal": ("signal type", "type", None,
-               {"impulse": _signals.ImpulseSpec, "heat": _signals.HeatSpec,
-                "chirp": _signals.ChirpSpec, "spectral": _signals.SpectralProfileSpec,
-                "random": _signals.RandomSpec}),
+    "signal": ("signal type", "type", None, _signals.SIGNAL_TYPES),
     "windows": ("window kernel", "kernel", "rbf", {"rbf": RbfWindows, "file": FileWindows}),
 }
 
@@ -401,7 +398,7 @@ def run_experiment(
         basis, family, _analysis(basis, family, signal), synthesize=report.satisfied
     )
     emit("coefficients", "coefficients.npz", lambda p: _write_coefficients(p, basis, windows))
-    del windows  # frees N A and the scratch before the PGM and the synthesis
+    del windows  # frees N A before the PGM; the sums keep the analysis scratch
 
     averaged = power.mean()
     if write_pgm:

@@ -109,21 +109,40 @@ class RandomSpec:
 
 SignalSpec = Union[ImpulseSpec, HeatSpec, ChirpSpec, SpectralProfileSpec, RandomSpec]
 
+#: each spec type by the config name of its signal type
+SIGNAL_TYPES = {"impulse": ImpulseSpec, "heat": HeatSpec, "chirp": ChirpSpec,
+                "spectral": SpectralProfileSpec, "random": RandomSpec}
+
 
 def build_signal(spec: SignalSpec, basis: SpectralBasis) -> np.ndarray:
-    """Resolve a declarative signal spec against a concrete basis."""
+    """Resolve a declarative signal spec against a concrete basis.
+
+    A signal with NaN or infinite values (a chirp of vanishing width, a
+    spectrum whose inverse transform overflows) raises
+    :class:`InvalidParameter` naming the signal type and the first such
+    vertices, before anything is written.
+    """
     n = basis.size
-    if isinstance(spec, ImpulseSpec):
-        return impulse(n, spec.center)
-    if isinstance(spec, HeatSpec):
-        return heat_signal(basis, spec.tau)
-    if isinstance(spec, ChirpSpec):
-        return chirp_signal(n, spec.center, spec.width, spec.rate)
-    if isinstance(spec, SpectralProfileSpec):
-        return spectral_signal(basis, load_spectrum_csv(spec.path))
-    if isinstance(spec, RandomSpec):
-        return random_signal(n, spec.seed, spec.complex)
-    raise InvalidParameter(f"unknown signal spec {spec!r}")
+    with np.errstate(all="ignore"):  # the check below reports what overflowed
+        if isinstance(spec, ImpulseSpec):
+            signal = impulse(n, spec.center)
+        elif isinstance(spec, HeatSpec):
+            signal = heat_signal(basis, spec.tau)
+        elif isinstance(spec, ChirpSpec):
+            signal = chirp_signal(n, spec.center, spec.width, spec.rate)
+        elif isinstance(spec, SpectralProfileSpec):
+            signal = spectral_signal(basis, load_spectrum_csv(spec.path))
+        elif isinstance(spec, RandomSpec):
+            signal = random_signal(n, spec.seed, spec.complex)
+        else:
+            raise InvalidParameter(f"unknown signal spec {spec!r}")
+    bad = np.flatnonzero(~np.isfinite(signal))
+    if bad.size:
+        name = next(name for name, kind in SIGNAL_TYPES.items() if isinstance(spec, kind))
+        more = f" and {bad.size - 10} more" if bad.size > 10 else ""
+        raise InvalidParameter(f"signal type {name!r} gives non-finite values at vertices "
+                               f"{(bad[:10] + 1).tolist()}{more}")
+    return signal
 
 
 # ---------------------------------------------------------------------------

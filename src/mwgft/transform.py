@@ -18,7 +18,9 @@ products.  The atom-by-atom path survives only as a test oracle.
 
 Both run one window at a time: the analysis yields S_j in window order, and
 the spectrogram and the synthesis are running sums, :class:`_PowerSum` and
-:class:`_SynthesisSum`, that take the windows in the order they come.
+:class:`_SynthesisSum`, that take the windows in the order they come.  The
+analysis forms every diag(conj ghat_j) N A in one scratch buffer, which is
+free between windows and is lent to the running sums of ``mwgft run``.
 :func:`mwgft_analyze` writes them into one (J, N, N) buffer, which
 :class:`WgftCoefficients` holds.  ``coefficients.npz`` stores that array in
 C order beside the basis U, in the bytes ``np.savez`` writes, but its writer
@@ -38,6 +40,7 @@ Synthesis divides p by ``N d(n)``, with the per-vertex denominator d from
 
 from __future__ import annotations
 
+import math
 import zipfile
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
@@ -62,8 +65,9 @@ from .windows import WindowFamily, _check_family, _verdict
 
 @dataclass(frozen=True, eq=False)
 class WgftCoefficients:
-    """Per-window coefficient matrices as one (J, N, N) array, plus the
-    spectral basis they were analyzed against."""
+    """Per-window coefficient matrices as one (J, N, N) float64 or complex128
+    array (other dtypes are cast, so every instance can be saved and loaded
+    back), plus the spectral basis they were analyzed against."""
 
     matrices: np.ndarray
     basis: SpectralBasis
@@ -74,7 +78,8 @@ class WgftCoefficients:
         except ValueError as exc:  # ragged stack of matrices
             raise DimensionMismatch(f"coefficient matrices differ in shape: {exc}") from exc
         _check_shape(matrices.shape, self.basis)
-        object.__setattr__(self, "matrices", matrices)
+        dtype = np.complex128 if np.iscomplexobj(matrices) else np.float64
+        object.__setattr__(self, "matrices", matrices.astype(dtype, copy=False))
 
     @property
     def basis_fingerprint(self) -> str:
@@ -131,13 +136,15 @@ class _Windows:
     ``produce(out=None)`` yields its N x N windows in window order: into
     ``out[j]`` when a (J, N, N) ``out`` is given, else into buffers that the
     next window overwrites.  Iterating it is ``produce()``, so the consumers
-    below take a (J, N, N) array or one of these alike.  The analysis's
-    ``produce`` also takes ``scratch``, see :func:`_analysis`.
+    below take a (J, N, N) array or one of these alike.  One pass runs at a
+    time.  ``spare``, if any, is an N x N buffer of the stack's dtype that is
+    free while a window is out; producing the next window overwrites it.
     """
 
     shape: tuple[int, int, int]
     dtype: np.dtype
     produce: Callable[..., Iterator[np.ndarray]]
+    spare: np.ndarray | None = None
 
     def __iter__(self) -> Iterator[np.ndarray]:
         return self.produce()
@@ -153,13 +160,9 @@ class _Windows:
 def _analysis(basis: SpectralBasis, family: WindowFamily, signal: np.ndarray) -> _Windows:
     """The analysis as a :class:`_Windows` stack: the inputs are checked and
     ``N A`` is formed now, and each window ``S_j`` costs one GEMM as it is
-    produced.  It can be produced once, since the last window scales ``N A``
-    in place.
-
-    Producing into ``out``, the last slot holds ``diag(conj ghat_j) N A``
-    until the last window; otherwise one window buffer and one such scratch
-    serve every window.  The scratch, an N x N buffer of the stack's dtype,
-    may be passed in as ``scratch``; it is free while a window is out.
+    produced from ``diag(conj ghat_j) N A``, formed in the stack's one
+    scratch.  That scratch, lent out as ``spare``, is allocated right after
+    ``N A`` so that it can take the block that forming ``N A`` has just freed.
     """
     _check_family(basis, family)
     signal = _vector(basis, signal)
@@ -168,23 +171,17 @@ def _analysis(basis: SpectralBasis, family: WindowFamily, signal: np.ndarray) ->
     u, n = basis.vectors, basis.size
     dtype = np.result_type(signal, family.analysis, np.float64)
     shared = _left_multiply(u.T, (n * signal)[:, None] * u).astype(dtype, copy=False)  # N A
-    last = family.num_windows - 1
+    scratch = np.empty((n, n), dtype)
 
-    def produce(out=None, scratch=None):
-        if out is None:
-            window = np.empty((n, n), dtype)
-            if scratch is None:
-                scratch = np.empty((n, n), dtype)
-        else:
-            scratch = out[last]
+    def produce(out=None):
+        window = np.empty((n, n), dtype) if out is None else None
         for j, g_hat in enumerate(family.analysis):
-            scaled = shared if j == last else scratch
-            np.multiply(np.conj(g_hat)[:, None], shared, out=scaled)
+            np.multiply(np.conj(g_hat)[:, None], shared, out=scratch)
             target = window if out is None else out[j]
-            _left_multiply(u, scaled, out=target)
+            _left_multiply(u, scratch, out=target)
             yield target
 
-    return _Windows((family.num_windows, n, n), dtype, produce)
+    return _Windows((family.num_windows, n, n), dtype, produce, spare=scratch)
 
 
 def mwgft_analyze(
@@ -255,33 +252,33 @@ def _degenerate(tolerance: float, vertices) -> DegenerateDenominator:
 class _SynthesisSum:
     """The synthesis as a running sum: :meth:`add` adds window j's term
     ``diag(gammahat_j) U^T S_j`` into ``M`` for the windows in window order,
-    and :meth:`reconstruct` turns ``M`` into ``p(i) / (N d(i))``."""
+    and :meth:`reconstruct` turns ``M`` into ``p(i) / (N d(i))``.  Terms are
+    formed in ``spare`` if it has the sum's dtype, else in a buffer of its own."""
 
-    def __init__(self, basis: SpectralBasis, family: WindowFamily, dtype):
+    def __init__(self, basis: SpectralBasis, family: WindowFamily, dtype,
+                 spare: np.ndarray | None = None):
         self.u = basis.vectors
         self.spectra = family.synthesis
         self.dtype = np.result_type(dtype, family.synthesis, np.float64)
         self.acc = np.zeros((basis.size, basis.size), self.dtype)  # M
+        fits = spare is not None and spare.dtype == self.dtype
+        self.term = spare if fits else np.empty_like(self.acc)
         self.count = 0
 
-    def add(self, s: np.ndarray, buffer: np.ndarray) -> None:
-        """Add the next window's term, formed in ``buffer``, an N x N
-        C-contiguous array of the sum's dtype."""
-        _left_multiply(self.u.T, np.asarray(s, dtype=self.dtype), out=buffer)
-        buffer *= self.spectra[self.count][:, None]
-        self.acc += buffer
+    def add(self, s: np.ndarray) -> None:
+        _left_multiply(self.u.T, np.asarray(s, dtype=self.dtype), out=self.term)
+        self.term *= self.spectra[self.count][:, None]
+        self.acc += self.term
         self.count += 1
 
-    def reconstruct(self, d: np.ndarray, buffer: np.ndarray | None = None) -> np.ndarray:
-        """``p / d`` from the sum of every window, with ``U M`` formed in
-        ``buffer`` (by default a new one); :class:`InvalidParameter` when it is
-        not finite, which is how non-finite coefficients surface without
-        scanning all J N^2 of them."""
-        term = np.empty_like(self.acc) if buffer is None else buffer
-        _left_multiply(self.u, self.acc, out=term)
-        term *= self.u
+    def reconstruct(self, d: np.ndarray) -> np.ndarray:
+        """``p / d`` from the sum of every window; :class:`InvalidParameter`
+        when it is not finite, which is how non-finite coefficients surface
+        without scanning all J N^2 of them."""
+        _left_multiply(self.u, self.acc, out=self.term)
+        self.term *= self.u
         # p = N * rowsum(U * UM); its factor N cancels the N of the denominator
-        reconstructed = term.sum(axis=1) / d
+        reconstructed = self.term.sum(axis=1) / d
         if not np.all(np.isfinite(reconstructed)):
             raise InvalidParameter("reconstruction is not finite; coefficients hold NaN or inf")
         return reconstructed
@@ -298,10 +295,9 @@ def _synthesis(basis: SpectralBasis, family: WindowFamily, windows, tolerance) -
     if vanishing.size:
         raise _degenerate(tolerance, vanishing + 1)
     synthesis = _SynthesisSum(basis, family, windows.dtype)
-    term = np.empty_like(synthesis.acc)
     for s in windows:  # a stream is run to its end and its last checks
-        synthesis.add(s, term)
-    return synthesis.reconstruct(d, term)
+        synthesis.add(s)
+    return synthesis.reconstruct(d)
 
 
 def frame_bounds(
@@ -355,18 +351,19 @@ def spectrogram(coeffs: WgftCoefficients) -> np.ndarray:
 
 class _PowerSum:
     """The spectrogram as a running sum: :meth:`add` adds ``|S_j|^2`` of
-    each window in the order given, and :meth:`mean` divides by their count."""
+    each window in the order given, and :meth:`mean` divides by their count.
+    Squares are formed in the first N^2 float64 values of ``spare`` (N x N,
+    float64 or complex128), else in a buffer of its own."""
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, spare: np.ndarray | None = None):
         self.total = np.zeros((n, n))
+        self.square = (np.empty((n, n)) if spare is None
+                       else spare.reshape(-1).view(np.float64)[:n * n].reshape(n, n))
         self.count = 0
 
-    def add(self, s: np.ndarray, buffer: np.ndarray) -> None:
-        """Add ``|s|^2``, formed in the first N^2 float64 values of the
-        C-contiguous ``buffer`` (an N x N float64 or complex128 array)."""
-        square = buffer.reshape(-1).view(np.float64)[:s.size].reshape(s.shape)
-        np.square(np.abs(s, out=square), out=square)
-        self.total += square
+    def add(self, s: np.ndarray) -> None:
+        np.square(np.abs(s, out=self.square), out=self.square)
+        self.total += self.square
         self.count += 1
 
     def mean(self) -> np.ndarray:
@@ -377,9 +374,8 @@ class _PowerSum:
 def _mean_power(windows) -> np.ndarray:
     """:func:`spectrogram` of a (J, N, N) array or a :class:`_Windows` stack."""
     power = _PowerSum(windows.shape[1])
-    buffer = np.empty(windows.shape[1:])
     for s in windows:
-        power.add(s, buffer)
+        power.add(s)
     return power.mean()
 
 
@@ -391,28 +387,21 @@ def _summed(
     into the returned :class:`_PowerSum` and, with ``synthesize``, into the
     returned :class:`_SynthesisSum` (else None).
 
-    ``|S_j|^2`` and the synthesis term are formed in the analysis scratch,
-    which is free between windows, so the pass holds five N x N buffers
-    whatever J is: ``N A``, the window, the scratch, ``M`` and the power sum.
-    Only real windows with complex synthesis spectra need a sixth, for the
-    complex term.
+    Both sums work in the stack's ``spare``, so the pass holds five N x N
+    buffers whatever J is: ``N A``, the window, the spare, ``M`` and the
+    power sum.  Only real windows with complex synthesis spectra need a
+    sixth, for the complex term.
     """
-    n = basis.size
-    # the scratch before the sums: it can take the N x N block that forming
-    # N A has just freed, which keeps the peak RSS one buffer lower
-    scratch = np.empty((n, n), windows.dtype)
-    power = _PowerSum(n)
-    synthesis = _SynthesisSum(basis, family, windows.dtype) if synthesize else None
-    term = scratch
-    if synthesis is not None and synthesis.dtype != windows.dtype:
-        term = np.empty_like(synthesis.acc)
+    power = _PowerSum(basis.size, windows.spare)
+    synthesis = (_SynthesisSum(basis, family, windows.dtype, windows.spare)
+                 if synthesize else None)
 
     def produce(out=None):
-        for s in windows.produce(out, scratch=scratch):
+        for s in windows.produce(out):
             yield s
-            power.add(s, scratch)
+            power.add(s)
             if synthesis is not None:
-                synthesis.add(s, term)
+                synthesis.add(s)
 
     return replace(windows, produce=produce), power, synthesis
 
@@ -500,6 +489,11 @@ def _read_coefficients(path) -> tuple[SpectralBasis, _Windows]:
             vals, vecs, kind = (_read_member(archive, key) for key in _BASIS_KEYS)
             with archive.open(name) as fh:
                 header = _npy_header(fh)
+                # a header that promises more than the member holds is refused
+                # before its (J, N, N) shape sizes any allocation
+                shape, _, dtype = header
+                if archive.getinfo(name).file_size < fh.tell() + math.prod(shape) * dtype.itemsize:
+                    raise EOFError("coefficient data ends early")
     except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
         raise ParseError(f"could not read coefficient file {path}: {exc}") from exc
     shape, fortran_order, dtype = header
@@ -580,8 +574,11 @@ def save_spectrogram_pgm(path, matrix: np.ndarray) -> None:
     """Binary PGM preview: linear grayscale, normalized by the matrix maximum."""
     matrix = np.asarray(matrix, dtype=float)
     peak = matrix.max()
-    scaled = matrix / peak if peak > 0 else matrix
-    pixels = np.round(255.0 * scaled).astype(np.uint8)
+    # one N x N temporary, scaled and rounded in place: ``mwgft run`` writes
+    # the image while its synthesis sum still holds M and the analysis scratch
+    scaled = matrix / (peak if peak > 0 else 1.0)
+    scaled *= 255.0
+    pixels = np.round(scaled, out=scaled).astype(np.uint8)
     rows, cols = pixels.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{cols} {rows}\n255\n".encode("ascii"))

@@ -24,6 +24,7 @@ from mwgft import (
     WindowFamily,
     check_nondegeneracy,
     eigendecompose,
+    igft,
     laplacian,
     load_coefficients,
     load_signal_csv,
@@ -57,6 +58,7 @@ from mwgft.signals import (
     RandomSpec,
     build_signal,
     save_signal_csv,
+    save_spectrum_csv,
 )
 from mwgft.transform import save_spectrogram_pgm
 from helpers import basis_for
@@ -751,13 +753,33 @@ class TestCliRun:
                          "rate must be finite, got inf", id="rate-inf"),
             pytest.param({"type": "chirp", "center": 4, "rate": float("-inf")},
                          "rate must be finite, got -inf", id="rate-minus-inf"),
+            # finite parameters whose signal is not: 0/0 at the chirp's centre,
+            # a phase that overflows, an inverse transform that overflows
+            pytest.param({"type": "chirp", "center": 4, "width": 1.0e-300},
+                         "signal type 'chirp' gives non-finite values at vertices [4]",
+                         id="width-tiny"),
+            pytest.param({"type": "chirp", "center": 4, "rate": 1.7e308},
+                         "signal type 'chirp' gives non-finite values at vertices "
+                         "[1, 2, 6, 7, 8]", id="rate-huge"),
+            pytest.param({"type": "spectral", "path": "huge.csv"},
+                         "signal type 'spectral' gives non-finite values at vertices {}",
+                         id="spectrum-huge"),
         ],
     )
     def test_non_finite_signal_parameter_exits_1_before_signal_csv(
         self, tmp_path, capsys, signal, message
     ):
         # tau: .inf used to write a NaN signal.csv and then fail with
-        # "signal has non-finite values", which names no key
+        # "signal has non-finite values", which names no key; so did the
+        # finite parameters until the built signal was checked
+        if signal["type"] == "spectral":
+            spectrum = np.full(8, 1.7e308)
+            save_spectrum_csv(tmp_path / signal["path"], spectrum)
+            signal = {**signal, "path": str(tmp_path / signal["path"])}
+            with np.errstate(over="ignore"):  # which vertices overflow is up to the BLAS
+                overflowed = ~np.isfinite(igft(basis_for(path_graph(8)), spectrum))
+            assert overflowed.any()
+            message = message.format((np.flatnonzero(overflowed) + 1).tolist())
         cfg = write_yaml(tmp_path / "cfg.yaml", minimal_mapping(signal=signal))
         out = tmp_path / "out"
         assert main(["run", "--config", cfg, "--out", str(out)]) == 1
@@ -1051,11 +1073,14 @@ class TestCliPipelines:
         for name in ("reconstructed.csv", "spectrogram_w6.csv", "spectrogram_avg.csv"):
             assert (tmp_path / "foreign" / name).read_bytes() == (tmp_path / "own" / name).read_bytes()
 
-    def test_coefficient_stages_hold_one_window(self, tmp_path, capsys):
-        # analyze, synthesize and run hold one N x N window of the (J, N, N)
-        # coefficients at a time: going from 4 to 24 windows must not raise
-        # their traced peak by two windows (the whole array would add 20)
+    def test_coefficient_stages_hold_one_window(self, tmp_path, capsys, monkeypatch):
+        # analyze, synthesize, spectrogram and run hold one N x N window of the
+        # (J, N, N) coefficients at a time: going from 4 to 24 windows must not
+        # raise their traced peak by two windows (the whole array would add 20)
         n = 150
+        # spectrogram still squares every window for its CSV, but the CSV is not
+        # formatted: cell by cell under tracing, that took seconds per stage
+        monkeypatch.setattr("mwgft.transform.save_spectrogram_csv", lambda path, matrix: None)
         signals = {"heat": ({"type": "heat"}, np.float64),
                    "complex": ({"type": "random", "seed": 1, "complex": True}, np.complex128)}
 
@@ -1070,13 +1095,15 @@ class TestCliPipelines:
             coefficients = str(stage / "a" / "coefficients.npz")
             peak = {}
             for command, argv in (
-                ("analyze", ["--out", str(stage / "a")]),
-                ("synthesize", ["--coefficients", coefficients, "--out", str(stage / "s")]),
-                ("run", ["--out", str(stage / "r")]),
+                ("analyze", ["--config", cfg, "--out", str(stage / "a")]),
+                ("synthesize", ["--config", cfg, "--coefficients", coefficients,
+                                "--out", str(stage / "s")]),
+                ("spectrogram", ["--coefficients", coefficients, "--out", str(stage / "g")]),
+                ("run", ["--config", cfg, "--out", str(stage / "r")]),
             ):
                 tracemalloc.start()
                 try:
-                    assert main([command, "--config", cfg, *argv]) == 0
+                    assert main([command, *argv]) == 0
                     peak[command] = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
@@ -1089,7 +1116,7 @@ class TestCliPipelines:
             for stage in ("a", "r"):
                 stored = load_coefficients(tmp_path / f"{label}24" / stage / "coefficients.npz")
                 assert stored.matrices.shape == (24, n, n) and stored.matrices.dtype == dtype
-            for command in ("analyze", "synthesize", "run"):
+            for command in ("analyze", "synthesize", "spectrogram", "run"):
                 assert many[command] - few[command] < 2 * window, (label, command, few, many)
 
     def test_spectrogram_command_rebuilds_run_spectrogram(self, tmp_path):

@@ -1,3 +1,4 @@
+import io
 import time
 import tracemalloc
 import zipfile
@@ -35,7 +36,7 @@ from mwgft import (
     uniform_shifts,
     wgft,
 )
-from mwgft.transform import save_spectrogram_csv, save_spectrogram_pgm
+from mwgft.transform import _analysis, save_spectrogram_csv, save_spectrogram_pgm
 from helpers import NORM, UNNORM, basis_for, random_basis, random_complex, star_graph
 from oracles import (
     save_spectrogram_csv_reference,
@@ -219,6 +220,33 @@ class TestMwgft:
         naive = synthesize_direct(basis, family, coeffs.matrices)
         assert np.allclose(fast, naive, atol=1e-8 * np.linalg.norm(f))
         assert np.linalg.norm(fast - f) <= 1e-10 * np.linalg.norm(f)
+
+    @pytest.mark.parametrize("complex_signal", [False, True], ids=["real", "complex"])
+    def test_analysis_peak_is_the_result_and_three_windows(self, rng, complex_signal):
+        # the (J, N, N) result, N A, the one scratch and what forming N A
+        # leaves over; copying each window into the result would add one more
+        n, count = 120, 6
+        basis = random_basis(158, size=n)
+        family = rbf_family(basis, count=count)
+        f = random_complex(rng, n) if complex_signal else rng.standard_normal(n)
+        tracemalloc.start()
+        try:
+            coeffs = mwgft_analyze(basis, family, f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        window = n * n * coeffs.matrices.itemsize
+        assert peak <= (count + 3) * window, peak / window
+
+    def test_analysis_stack_produced_twice_gives_the_same_windows(self, rng):
+        basis = random_basis(159, size=9)
+        family = rbf_family(basis)
+        f = random_complex(rng, 9)
+        windows = _analysis(basis, family, f)
+        first = windows.collect()
+        second = np.array([s.copy() for s in windows])
+        assert first.tobytes() == second.tobytes()
+        assert first.tobytes() == mwgft_analyze(basis, family, f).matrices.tobytes()
 
     def test_non_finite_signal_rejected(self, rng):
         basis = random_basis(156, size=10)
@@ -489,6 +517,14 @@ def _damage(kind, target, coeffs):
         _savez(target, coeffs, coefficients=np.zeros((2, 7, 7)))
     elif kind in ("nan", "inf"):
         _savez(target, coeffs, coefficients=_with(coeffs.matrices, (-1, 2, 1), float(kind)))
+    elif kind == "huge-header":  # a (2**50, 4, 4) header over one 4 x 4 window
+        small = WgftCoefficients(np.ones((1, 4, 4), complex), basis_for(path_graph(4)))
+        _savez(target, small, coefficients=None)
+        header = io.BytesIO()
+        np.lib.format.write_array_header_1_0(
+            header, {"descr": "<c16", "fortran_order": False, "shape": (2**50, 4, 4)})
+        with zipfile.ZipFile(target, "a") as archive:
+            archive.writestr("coefficients.npy", header.getvalue() + small.matrices.tobytes())
     elif kind in BASIS_DAMAGE:
         _savez(target, coeffs, **BASIS_DAMAGE[kind](coeffs.basis))
 
@@ -556,7 +592,7 @@ class TestCoefficientsIo:
     @pytest.mark.parametrize("kind", [
         "missing", "truncated", "flipped-byte", "csv", "empty", "single-npy",
         "no-fingerprint", "fingerprint-only", "integer-dtype", "not-square", "wrong-size",
-        "nan", "inf", *BASIS_DAMAGE,
+        "nan", "inf", "huge-header", *BASIS_DAMAGE,
     ])
     def test_damaged_file(self, tmp_path, rng, kind):
         shape_damage = ("not-square", "wrong-size", *SHAPE_DAMAGE)
@@ -570,6 +606,19 @@ class TestCoefficientsIo:
             load_coefficients(target)
         if kind in ("no-fingerprint", "fingerprint-only", "no-vectors"):
             assert "re-run `mwgft analyze`" in str(err.value)
+
+    @pytest.mark.parametrize("dtype, stored", [
+        (np.int64, np.float64), (np.float32, np.float64),
+        (np.complex64, np.complex128), (np.bool_, np.float64),
+    ])
+    def test_any_dtype_saves_what_loads(self, tmp_path, dtype, stored):
+        # these dtypes used to be saved as they were and then refused on load
+        coeffs = WgftCoefficients(np.ones((2, 4, 4), dtype), basis_for(path_graph(4)))
+        target = tmp_path / "coefficients.npz"
+        save_coefficients(target, coeffs)
+        loaded = load_coefficients(target)
+        assert coeffs.matrices.dtype == loaded.matrices.dtype == stored
+        assert np.array_equal(loaded.matrices, np.ones((2, 4, 4)))
 
     @pytest.mark.parametrize("complex_signal", [False, True], ids=["float64", "complex128"])
     def test_file_is_what_savez_writes(self, tmp_path, rng, monkeypatch, complex_signal):
