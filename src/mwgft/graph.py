@@ -27,6 +27,18 @@ from .errors import (
     ZeroDegree,
 )
 
+MAX_VERTICES = 10_000
+"""Most vertices a graph may have.  One dense N x N float64 matrix is then
+800 MB, and the spectral methods hold several; every constructor checks the
+count against this cap before it allocates anything."""
+
+
+def _check_size(num_vertices: int) -> None:
+    if num_vertices > MAX_VERTICES:
+        raise InvalidSize(
+            f"graph has {num_vertices} vertices, more than the cap of {MAX_VERTICES}"
+        )
+
 
 class LaplacianKind(Enum):
     """Which Laplacian to build from the weight matrix."""
@@ -179,6 +191,7 @@ def build_graph(
     """Build a graph from an edge list of (i, j, weight) with 1-based vertices."""
     if num_vertices < 1:
         raise InvalidSize(f"graph needs at least one vertex, got {num_vertices}")
+    _check_size(num_vertices)
     weights = _assemble(num_vertices, _collect_edges(num_vertices, edges))
     return Graph(num_vertices, weights, coordinates)
 
@@ -187,9 +200,75 @@ def path_graph(num_vertices: int) -> Graph:
     """Unweighted path on ``num_vertices`` vertices, 1 - 2 - ... - N."""
     if num_vertices < 2:
         raise InvalidSize("path graph needs at least two vertices")
+    _check_size(num_vertices)
     edges = [(i, i + 1, 1.0) for i in range(1, num_vertices)]
     coords = np.column_stack([np.arange(num_vertices, dtype=float), np.zeros(num_vertices)])
     return build_graph(num_vertices, edges, coords)
+
+
+class _Draws:
+    """The draws of ``np.random.default_rng(seed)`` that
+    :func:`random_connected_graph` makes, computed from the generator's raw
+    64-bit PCG64 words, bit for bit as numpy's ``Generator`` computes them.
+
+    A 32-bit draw takes the low half of a fresh word and the next 32-bit draw
+    its high half; a double always takes a fresh word and leaves a pending
+    high half for the next 32-bit draw.  Every bound stays below 2**32 (the
+    vertex cap sees to it), so only numpy's 32-bit branches are needed.
+    """
+
+    _CHUNK = 1024  # raw words fetched per call into numpy
+
+    def __init__(self, seed: int):
+        self._raw = np.random.default_rng(seed).bit_generator.random_raw
+        self._words: list[int] = []
+        self._next = 0
+        self._high: int | None = None  # high half of the last word split
+
+    def _word(self) -> int:
+        if self._next == len(self._words):
+            self._words = self._raw(self._CHUNK).tolist()
+            self._next = 0
+        self._next += 1
+        return self._words[self._next - 1]
+
+    def _uint32(self) -> int:
+        high = self._high
+        if high is not None:
+            self._high = None
+            return high
+        word = self._word()
+        self._high = word >> 32
+        return word & 0xFFFFFFFF
+
+    def below(self, bound: int) -> int:
+        """``integers(0, bound)``: Lemire's multiply-and-reject, and no draw
+        at all when ``bound`` is 1."""
+        if bound == 1:
+            return 0
+        m = self._uint32() * bound
+        if m & 0xFFFFFFFF < bound:
+            threshold = (2**32 - bound) % bound
+            while m & 0xFFFFFFFF < threshold:
+                m = self._uint32() * bound
+        return m >> 32
+
+    def random(self) -> float:
+        """``random()``: the top 53 bits of a fresh word, scaled to [0, 1)."""
+        return (self._word() >> 11) * 2.0**-53
+
+    def permutation(self, n: int) -> list[int]:
+        """``permutation(n).tolist()``: Fisher-Yates from index n - 1 down to
+        1, each swap index drawn by masked rejection."""
+        order = list(range(n))
+        uint32 = self._uint32
+        for i in range(n - 1, 0, -1):
+            mask = (1 << i.bit_length()) - 1
+            j = uint32() & mask
+            while j > i:
+                j = uint32() & mask
+            order[i], order[j] = order[j], order[i]
+        return order
 
 
 def random_connected_graph(
@@ -205,7 +284,11 @@ def random_connected_graph(
     of vertex pairs still unconnected) are thrown in.  Weights are drawn
     uniformly from ``weight_range``.
 
-    ``seed`` and ``extra_edges`` must be non-negative.  A given
+    ``seed`` and ``extra_edges`` must be non-negative.  The edges come only
+    from the raw PCG64 words of ``np.random.default_rng(seed)``, which numpy's
+    random compatibility policy (NEP 19) keeps fixed across releases, where
+    it lets ``Generator`` method streams change; the draws reproduce
+    ``permutation``, ``integers`` and ``random`` bit for bit.  So a given
     ``(num_vertices, seed, extra_edges, weight_range)`` yields the same edges
     across releases.  The weight bits match too wherever numpy computes
     ``uniform`` without a fused multiply-add (the x86-64 wheels do);
@@ -222,21 +305,22 @@ def random_connected_graph(
     lo, hi = map(float, weight_range)
     if not (0 < lo <= hi):
         raise InvalidParameter(f"weight range {weight_range} must be positive")
-    # The same draws, in the same order, as rng.integers(0, idx),
-    # rng.integers(0, n, size=2) and rng.uniform(lo, hi), made as scalar calls
-    # to skip numpy's per-call overhead: uniform computes lo + span * u itself.
-    rng = np.random.default_rng(seed)
-    integers, uniform01 = rng.integers, rng.random
+    _check_size(num_vertices)
+    # The draws of rng.permutation(n), rng.integers(0, idx),
+    # rng.integers(0, n, size=2) and rng.uniform(lo, hi), in the same order;
+    # uniform computes lo + span * u itself.
+    draws = _Draws(seed)
+    below, uniform01 = draws.below, draws.random
     span = hi - lo
-    order = (rng.permutation(num_vertices) + 1).tolist()
+    order = [v + 1 for v in draws.permutation(num_vertices)]
     edge_dict: dict[tuple[int, int], float] = {}
     for idx in range(1, num_vertices):
-        a, b = order[idx], order[integers(0, idx)]
+        a, b = order[idx], order[below(idx)]
         edge_dict[(a, b) if a < b else (b, a)] = lo + span * uniform01()
     capacity = num_vertices * (num_vertices - 1) // 2 - len(edge_dict)
     remaining = min(int(extra_edges), capacity)
     while remaining:
-        a, b = int(integers(0, num_vertices)) + 1, int(integers(0, num_vertices)) + 1
+        a, b = below(num_vertices) + 1, below(num_vertices) + 1
         key = (a, b) if a < b else (b, a)
         if a == b or key in edge_dict:
             continue
@@ -327,6 +411,7 @@ def load_graph(
     n = declared if declared is not None else max_seen
     if n < 1:
         raise ParseError("file contains no vertices")
+    _check_size(n)
     edge_dict = _collect_edges(n, edges)
     weights = _assemble(n, edge_dict)
 

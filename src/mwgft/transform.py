@@ -79,7 +79,11 @@ class WgftCoefficients:
             raise DimensionMismatch(f"coefficient matrices differ in shape: {exc}") from exc
         _check_shape(matrices.shape, self.basis)
         dtype = np.complex128 if np.iscomplexobj(matrices) else np.float64
-        object.__setattr__(self, "matrices", matrices.astype(dtype, copy=False))
+        try:
+            matrices = matrices.astype(dtype, copy=False)
+        except (ValueError, TypeError) as exc:  # strings, objects, ...
+            raise InvalidParameter(f"coefficients must be numbers: {exc}") from exc
+        object.__setattr__(self, "matrices", matrices)
 
     @property
     def basis_fingerprint(self) -> str:

@@ -662,6 +662,26 @@ class TestCliRun:
                "misspelt-key": "windows.cout", "out-is-a-file": "File exists"}[case]
         assert key in err
 
+    @pytest.mark.parametrize("source", ["random", "file"])
+    def test_graph_over_the_vertex_cap_exits_1_before_allocating(self, tmp_path, capsys, source):
+        # a billion vertices used to reach a MemoryError that escaped as a traceback
+        huge = 1_000_000_000
+        if source == "random":
+            graph = {"source": "random", "size": huge, "seed": 1}
+        else:
+            (tmp_path / "g.txt").write_text(f"{huge}\n1 2\n", encoding="utf-8")
+            graph = {"source": "file", "file": str(tmp_path / "g.txt")}
+        config = write_yaml(tmp_path / "cfg.yaml", minimal_mapping(graph=graph))
+        tracemalloc.start()
+        try:
+            assert main(["run", "--config", config, "--out", str(tmp_path / "out")]) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert err == f"error: graph has {huge} vertices, more than the cap of 10000\n"
+        assert peak < 2**22, peak
+
     @pytest.mark.parametrize("windows, message", UNREAD_WINDOW_KEYS)
     def test_window_keys_that_nothing_reads_exit_1(self, tmp_path, capsys, windows, message):
         config = write_yaml(tmp_path / "cfg.yaml", minimal_mapping(windows=windows))

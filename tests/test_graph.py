@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,8 @@ from mwgft import (
     random_connected_graph,
     save_graph,
 )
+from mwgft import graph as graph_module
+from mwgft.graph import MAX_VERTICES, _Draws
 from helpers import NORM, UNNORM
 from oracles import bfs_component_count, random_connected_weights_reference
 
@@ -172,6 +175,90 @@ class TestRandomConnectedGraph:
     def test_negative_seed_or_extra_edges_rejected(self, kwargs):
         with pytest.raises(InvalidParameter):
             random_connected_graph(10, **kwargs)
+
+
+class TestDraws:
+    """The raw-word draws against numpy's own ``Generator`` methods."""
+
+    SEEDS = (0, 1, 7, 20240917, 2**31 - 1)
+    BIG = 2**31 + 1  # rejects about half its 32-bit draws, so the retry runs
+    # rejects a quarter (threshold 2**30); a threshold of the bound itself
+    # would reject three quarters
+    THIRDS = 3 * 2**30
+
+    @pytest.mark.parametrize("n", [2, 3, 300, 1000])
+    def test_permutation(self, n):
+        for seed in self.SEEDS:
+            draws, rng = _Draws(seed), np.random.default_rng(seed)
+            assert draws.permutation(n) == rng.permutation(n).tolist(), seed
+            # the permutation leaves the stream, pending high half too, where numpy does
+            assert [draws.below(self.BIG) for _ in range(5)] == [
+                int(rng.integers(0, self.BIG)) for _ in range(5)
+            ], seed
+            assert draws.random() == rng.random(), seed
+
+    @pytest.mark.parametrize("pending", [False, True], ids=["fresh-word", "pending-high-half"])
+    def test_interleaved_integers_and_doubles(self, pending):
+        # None is a random() draw, any other entry an integers(0, k) draw; k = 1
+        # takes no draw, and a double takes a fresh word past a pending half
+        pattern = [1, 7, None, 7, 1, self.BIG, None, None, 300, 1, 1, 2, self.BIG, 7,
+                   None, 1, self.BIG, self.THIRDS, self.BIG, 10_000, None, self.THIRDS]
+        for seed in self.SEEDS:
+            draws, rng = _Draws(seed), np.random.default_rng(seed)
+            if pending:
+                assert draws.below(5) == rng.integers(0, 5)
+            for step, bound in enumerate(pattern * 20):
+                if bound is None:
+                    mine, theirs = draws.random(), rng.random()
+                else:
+                    mine, theirs = draws.below(bound), int(rng.integers(0, bound))
+                assert mine == theirs, (seed, step, bound)
+
+
+class TestVertexCap:
+    HUGE = 1_000_000_000
+
+    @staticmethod
+    def _refused_without_allocating(build, *args):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidSize) as err:
+                build(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+        return str(err.value)
+
+    @pytest.mark.parametrize("build, args", [
+        (path_graph, ()), (random_connected_graph, (1,)), (build_graph, ([(1, 2, 1.0)],)),
+    ], ids=["path", "random", "edges"])
+    def test_constructors_refuse_before_allocating(self, build, args):
+        message = self._refused_without_allocating(build, self.HUGE, *args)
+        assert message == f"graph has {self.HUGE} vertices, more than the cap of {MAX_VERTICES}"
+
+    @pytest.mark.parametrize("text", [f"{HUGE}\n1 2\n", f"1 2\n2 {HUGE}\n"],
+                             ids=["declared", "largest-index"])
+    def test_edge_list_refused_before_allocating(self, tmp_path, text):
+        target = tmp_path / "g.txt"
+        target.write_text(text, encoding="utf-8")
+        message = self._refused_without_allocating(load_graph, target)
+        assert f"{self.HUGE} vertices" in message and str(MAX_VERTICES) in message
+
+    def test_cap_is_inclusive(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(graph_module, "MAX_VERTICES", 6)
+        target = tmp_path / "g.txt"
+        for n, fits in ((6, True), (7, False)):
+            target.write_text(f"{n}\n" + "".join(f"{i} {i + 1}\n" for i in range(1, n)),
+                              encoding="utf-8")
+            for build in (path_graph, lambda n: random_connected_graph(n, 3),
+                          lambda n: build_graph(n, [(i, i + 1, 1.0) for i in range(1, n)]),
+                          lambda n: load_graph(target)):
+                if fits:
+                    assert build(n).num_vertices == n
+                else:
+                    with pytest.raises(InvalidSize, match="more than the cap of 6$"):
+                        build(n)
 
 
 class TestLoadGraph:

@@ -673,6 +673,13 @@ class TestCoefficientsIo:
         with pytest.raises(DimensionMismatch):
             WgftCoefficients(np.zeros((1, 4, 4)), basis)
 
+    @pytest.mark.parametrize("values", [np.full((1, 2, 2), "x"), np.full((1, 2, 2), {}, object)],
+                             ids=["string", "object"])
+    def test_non_numeric_matrices_raise_invalid_parameter(self, values):
+        # the float64 cast used to leak numpy's bare ValueError or TypeError
+        with pytest.raises(InvalidParameter, match="^coefficients must be numbers: "):
+            WgftCoefficients(values, basis_for(path_graph(2)))
+
     def test_analysis_buffer_is_not_copied(self, rng):
         basis = random_basis(183, size=6)
         coeffs = mwgft_analyze(basis, rbf_family(basis), random_complex(rng, 6))
