@@ -35,12 +35,12 @@ from .signals import RandomSpec, save_signal_csv
 from .spectral import check_basis, eigendecompose, save_eigenvalues_csv, save_vectors_csv
 from .transform import (
     _analysis,
-    _mean_power,
     _read_coefficients,
-    _synthesis,
-    _write_coefficients,
     frame_bounds,
+    mwgft_synthesize,
+    save_coefficients,
     save_spectrogram_files,
+    spectrogram,
 )
 from .windows import check_nondegeneracy, format_condition_report, save_family_csv
 from . import signals as _signals
@@ -197,15 +197,15 @@ def _cmd_analyze(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     save_signal_csv(out / "signal.csv", signal)
     save_family_csv(out / "windows.csv", basis, family)
-    _write_coefficients(out / "coefficients.npz", basis, windows)
+    save_coefficients(out / "coefficients.npz", windows)
     print(f"outputs: {out}")
     return 0
 
 
 def _cmd_synthesize(args) -> int:
-    stored, windows = _read_coefficients(args.coefficients)
-    config, basis, family = _pipeline(args, stored)
-    reconstructed = _synthesis(basis, family, windows, config.nondegeneracy_tolerance)
+    windows = _read_coefficients(args.coefficients)
+    config, basis, family = _pipeline(args, windows.basis)
+    reconstructed = mwgft_synthesize(basis, family, windows, config.nondegeneracy_tolerance)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_signal_csv(out / "reconstructed.csv", reconstructed)
@@ -214,10 +214,10 @@ def _cmd_synthesize(args) -> int:
 
 
 def _cmd_spectrogram(args) -> int:
-    _, windows = _read_coefficients(args.coefficients)
+    windows = _read_coefficients(args.coefficients)
     # a first pass reads and checks every window, so a damaged file is
     # refused before anything is written
-    averaged = _mean_power(windows)
+    averaged = spectrogram(windows)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_spectrogram_files(out, windows, averaged, pgm=args.pgm)

@@ -43,7 +43,7 @@ from .transform import (
     _analysis,
     _degenerate,
     _summed,
-    _write_coefficients,
+    save_coefficients,
     save_spectrogram_pgm,
 )
 from .windows import (
@@ -356,11 +356,18 @@ def run_experiment(
 ) -> ExperimentReport:
     """Run one configured experiment and write its artifacts.
 
-    A degenerate family raises :class:`DegenerateDenominator` after
+    Every input is built before the first write, so a refused config writes
+    nothing.  A degenerate family raises :class:`DegenerateDenominator` after
     ``coefficients.npz`` (and the PGM) and before ``reconstructed.csv``, so
     the condition report and the coefficients are on disk to inspect.
     """
     started = time.perf_counter()
+    graph = build_graph_from_source(config.graph)
+    basis = eigendecompose(laplacian(graph, config.kind), config.kind)
+    family = build_family(config.windows, basis)
+    report = check_nondegeneracy(basis, family, config.nondegeneracy_tolerance)
+    signal = _signals.build_signal(config.signal, basis)
+
     out = Path(out_dir if out_dir is not None else f"out/{config.name}")
     out.mkdir(parents=True, exist_ok=True)
     outputs: dict[str, Path] = {}
@@ -371,33 +378,25 @@ def run_experiment(
         outputs[key] = target
         return target
 
-    graph = build_graph_from_source(config.graph)
-    basis = eigendecompose(laplacian(graph, config.kind), config.kind)
     if graph.coordinates is not None:
         emit("coordinates", "coordinates.csv",
              lambda p: write_table(p, ["vertex", "x", "y"], graph.coordinates, 1, "\n"))
     emit("eigenvalues", "eigenvalues.csv", lambda p: save_eigenvalues_csv(p, basis))
-
-    family = build_family(config.windows, basis)
     emit("windows", "windows.csv", lambda p: save_family_csv(p, basis, family))
-
-    report = check_nondegeneracy(basis, family, config.nondegeneracy_tolerance)
     emit("condition_report", "condition_report.csv", lambda p: save_condition_report_csv(p, report))
     emit(
         "condition_summary",
         "condition_report.txt",
         lambda p: Path(p).write_text(format_condition_report(report), encoding="utf-8"),
     )
-
-    signal = _signals.build_signal(config.signal, basis)
     emit("signal", "signal.csv", lambda p: _signals.save_signal_csv(p, signal))
 
     # one pass: each window is written, then added into the spectrogram sum
     # and, if the report finds d(n) clear of its tolerance, the synthesis sum
     windows, power, synthesis = _summed(
-        basis, family, _analysis(basis, family, signal), synthesize=report.satisfied
+        family, _analysis(basis, family, signal), synthesize=report.satisfied
     )
-    emit("coefficients", "coefficients.npz", lambda p: _write_coefficients(p, basis, windows))
+    emit("coefficients", "coefficients.npz", lambda p: save_coefficients(p, windows))
     del windows  # frees N A before the PGM; the sums keep the analysis scratch
 
     averaged = power.mean()

@@ -21,12 +21,16 @@ the spectrogram and the synthesis are running sums, :class:`_PowerSum` and
 :class:`_SynthesisSum`, that take the windows in the order they come.  The
 analysis forms every diag(conj ghat_j) N A in one scratch buffer, which is
 free between windows and is lent to the running sums of ``mwgft run``.
-:func:`mwgft_analyze` writes them into one (J, N, N) buffer, which
-:class:`WgftCoefficients` holds.  ``coefficients.npz`` stores that array in
-C order beside the basis U, in the bytes ``np.savez`` writes, but its writer
-and reader move one window at a time.  So ``mwgft run`` (one pass that
-writes, squares and sums each window, :func:`_summed`) and the ``analyze``,
-``synthesize`` and ``spectrogram`` commands never hold the whole array.
+Coefficients are a stack: a ``basis``, the ``shape`` (J, N, N) and
+``dtype`` of their array, and the windows in window order when iterated.
+:class:`WgftCoefficients` holds one in an array, a :class:`_Windows` stack
+makes it a window at a time, and :func:`save_coefficients`,
+:func:`spectrogram` and :func:`mwgft_synthesize` take either.
+``coefficients.npz`` holds the array in C order beside the basis U, in the
+bytes ``np.savez`` writes, but is written and read one window at a time.
+So ``mwgft run`` (one pass that writes, squares and sums each window,
+:func:`_summed`) and the ``analyze``, ``synthesize`` and ``spectrogram``
+commands never hold the whole array.
 
 Every product has the real U (or U^T) on the left.  A C-contiguous complex
 matrix read as float64 holds its real and imaginary parts in interleaved
@@ -67,7 +71,7 @@ from .windows import WindowFamily, _check_family, _verdict
 class WgftCoefficients:
     """Per-window coefficient matrices as one (J, N, N) float64 or complex128
     array (other dtypes are cast, so every instance can be saved and loaded
-    back), plus the spectral basis they were analyzed against."""
+    back) and the basis they were analyzed against, as one coefficient stack."""
 
     matrices: np.ndarray
     basis: SpectralBasis
@@ -92,6 +96,17 @@ class WgftCoefficients:
     @property
     def num_windows(self) -> int:
         return self.matrices.shape[0]
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        return self.matrices.shape
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.matrices.dtype
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        return iter(self.matrices)
 
 
 def _check_shape(shape: tuple, basis: SpectralBasis) -> None:
@@ -136,15 +151,16 @@ def _left_multiply(u: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) 
 class _Windows:
     """A (J, N, N) coefficient stack made or read one window at a time.
 
-    It has the ``shape`` and ``dtype`` of the array it stands for, and
-    ``produce(out=None)`` yields its N x N windows in window order: into
-    ``out[j]`` when a (J, N, N) ``out`` is given, else into buffers that the
-    next window overwrites.  Iterating it is ``produce()``, so the consumers
-    below take a (J, N, N) array or one of these alike.  One pass runs at a
-    time.  ``spare``, if any, is an N x N buffer of the stack's dtype that is
-    free while a window is out; producing the next window overwrites it.
+    Like :class:`WgftCoefficients` it has a ``basis``, a ``shape`` and a
+    ``dtype``, and ``produce(out=None)`` yields its N x N windows in window
+    order: into ``out[j]`` when a (J, N, N) ``out`` is given, else into
+    buffers that the next window overwrites.  Iterating it is ``produce()``.
+    One pass runs at a time.  ``spare``, if any, is an N x N buffer of the
+    stack's dtype that is free while a window is out; producing the next
+    window overwrites it.
     """
 
+    basis: SpectralBasis
     shape: tuple[int, int, int]
     dtype: np.dtype
     produce: Callable[..., Iterator[np.ndarray]]
@@ -185,7 +201,7 @@ def _analysis(basis: SpectralBasis, family: WindowFamily, signal: np.ndarray) ->
             _left_multiply(u, scratch, out=target)
             yield target
 
-    return _Windows((family.num_windows, n, n), dtype, produce, spare=scratch)
+    return _Windows(basis, (family.num_windows, n, n), dtype, produce, spare=scratch)
 
 
 def mwgft_analyze(
@@ -227,23 +243,34 @@ def reconstruct_two_window(
 def mwgft_synthesize(
     basis: SpectralBasis,
     family: WindowFamily,
-    coeffs: WgftCoefficients,
+    coeffs: WgftCoefficients | _Windows,
     tolerance: float | None = None,
 ) -> np.ndarray:
     """Exact multi-window reconstruction ``f(i) = p(i) / (N d(i))``.
 
-    Window contributions are accumulated in fixed window order.  Raises
+    Window contributions are accumulated in fixed window order.  Another
+    basis or window count raises before any window is used.  Raises
     :class:`DegenerateDenominator`, before any product, at the vertices where
     ``|d(n)| > tolerance`` does not hold (NaN included), and
     :class:`InvalidParameter` when the result is not finite, which is how
     non-finite coefficients surface without scanning all J N^2 of them.
     """
     # the same object needs no hash; the fingerprint covers size and vectors
-    if coeffs.basis is not basis and coeffs.basis_fingerprint != basis.fingerprint:
+    if coeffs.basis is not basis and coeffs.basis.fingerprint != basis.fingerprint:
         raise FingerprintMismatch(
             "coefficients were produced against a different spectral basis"
         )
-    return _synthesis(basis, family, coeffs.matrices, tolerance)
+    if coeffs.shape[0] != family.num_windows:
+        raise DimensionMismatch(
+            f"{coeffs.shape[0]} coefficient matrices for {family.num_windows} windows"
+        )
+    d, tolerance, vanishing = _verdict(basis, family, tolerance)
+    if vanishing.size:
+        raise _degenerate(tolerance, vanishing + 1)
+    synthesis = _SynthesisSum(basis, family, coeffs.dtype)
+    for s in coeffs:  # a stream is run to its end and its last checks
+        synthesis.add(s)
+    return synthesis.reconstruct(d)
 
 
 def _degenerate(tolerance: float, vertices) -> DegenerateDenominator:
@@ -288,22 +315,6 @@ class _SynthesisSum:
         return reconstructed
 
 
-def _synthesis(basis: SpectralBasis, family: WindowFamily, windows, tolerance) -> np.ndarray:
-    """:func:`mwgft_synthesize` of a (J, N, N) array or a :class:`_Windows`
-    stack, whose windows are used in order as they come."""
-    if windows.shape[0] != family.num_windows:
-        raise DimensionMismatch(
-            f"{windows.shape[0]} coefficient matrices for {family.num_windows} windows"
-        )
-    d, tolerance, vanishing = _verdict(basis, family, tolerance)
-    if vanishing.size:
-        raise _degenerate(tolerance, vanishing + 1)
-    synthesis = _SynthesisSum(basis, family, windows.dtype)
-    for s in windows:  # a stream is run to its end and its last checks
-        synthesis.add(s)
-    return synthesis.reconstruct(d)
-
-
 def frame_bounds(
     basis: SpectralBasis,
     g_hat,
@@ -343,14 +354,17 @@ def frame_bounds(
     return replace(bounds, loose_lower=a * a * n, loose_upper=bounds.upper)
 
 
-def spectrogram(coeffs: WgftCoefficients) -> np.ndarray:
+def spectrogram(coeffs: WgftCoefficients | _Windows) -> np.ndarray:
     """Mean over windows of ``|S_j|^2`` as one (N, N) float64 map.
 
     Windows are squared one at a time and added in window order, so no
     (J, N, N) copy is made; ``np.abs(coeffs.matrices[j]) ** 2`` is the map
     of window j alone.
     """
-    return _mean_power(coeffs.matrices)
+    power = _PowerSum(coeffs.shape[1])
+    for s in coeffs:
+        power.add(s)
+    return power.mean()
 
 
 class _PowerSum:
@@ -375,16 +389,8 @@ class _PowerSum:
         return self.total
 
 
-def _mean_power(windows) -> np.ndarray:
-    """:func:`spectrogram` of a (J, N, N) array or a :class:`_Windows` stack."""
-    power = _PowerSum(windows.shape[1])
-    for s in windows:
-        power.add(s)
-    return power.mean()
-
-
 def _summed(
-    basis: SpectralBasis, family: WindowFamily, windows: _Windows, synthesize: bool
+    family: WindowFamily, windows: _Windows, synthesize: bool
 ) -> tuple[_Windows, _PowerSum, _SynthesisSum | None]:
     """The analysis stack ``windows`` made into one pass that also sums: every
     window, once the consumer of the returned stack is done with it, is added
@@ -396,8 +402,8 @@ def _summed(
     power sum.  Only real windows with complex synthesis spectra need a
     sixth, for the complex term.
     """
-    power = _PowerSum(basis.size, windows.spare)
-    synthesis = (_SynthesisSum(basis, family, windows.dtype, windows.spare)
+    power = _PowerSum(windows.basis.size, windows.spare)
+    synthesis = (_SynthesisSum(windows.basis, family, windows.dtype, windows.spare)
                  if synthesize else None)
 
     def produce(out=None):
@@ -435,18 +441,6 @@ def _put_array(archive: zipfile.ZipFile, name: str, array: np.ndarray) -> None:
     _put_member(archive, name, header, [array.T if header["fortran_order"] else array])
 
 
-def _write_coefficients(path, basis: SpectralBasis, windows) -> None:
-    """Write a (J, N, N) array or a :class:`_Windows` stack, one window at a
-    time, and ``basis`` into the uncompressed ``.npz`` at ``path``."""
-    header = {"descr": np.lib.format.dtype_to_descr(windows.dtype),
-              "fortran_order": False, "shape": windows.shape}
-    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED, allowZip64=True) as archive:
-        _put_member(archive, "coefficients", header, windows)
-        _put_array(archive, "eigenvalues", basis.eigenvalues)
-        _put_array(archive, "vectors", basis.vectors)
-        _put_array(archive, "kind", np.array(basis.kind.value))
-
-
 def _npy_header(fh) -> tuple[tuple, bool, np.dtype]:
     """(shape, fortran_order, dtype) from the head of an ``.npy`` stream."""
     version = np.lib.format.read_magic(fh)
@@ -471,8 +465,8 @@ def _fill(fh, array: np.ndarray) -> None:
             raise EOFError("coefficient data ends early")
 
 
-def _read_coefficients(path) -> tuple[SpectralBasis, _Windows]:
-    """The basis of a coefficient file and its coefficients as a
+def _read_coefficients(path) -> _Windows:
+    """The coefficients of a file, with the basis stored beside them, as a
     :class:`_Windows` stack, never unpickling.
 
     The basis members, the kind and the coefficient member's header are read
@@ -543,15 +537,22 @@ def _read_coefficients(path) -> tuple[SpectralBasis, _Windows]:
         except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
             raise ParseError(f"could not read coefficient file {path}: {exc}") from exc
 
-    return basis, _Windows(shape, dtype, produce)
+    return _Windows(basis, shape, dtype, produce)
 
 
-def save_coefficients(path, coeffs: WgftCoefficients) -> None:
+def save_coefficients(path, coeffs: WgftCoefficients | _Windows) -> None:
     """Coefficients and their basis as one uncompressed ``.npz``: the (J, N, N)
     array, dtype kept, in C order under ``coefficients``; the basis under
     ``eigenvalues``, ``vectors`` (memory order kept) and ``kind``.  The bytes
     are those ``np.savez`` writes for a C-ordered array."""
-    _write_coefficients(path, coeffs.basis, coeffs.matrices)
+    header = {"descr": np.lib.format.dtype_to_descr(coeffs.dtype),
+              "fortran_order": False, "shape": coeffs.shape}
+    basis = coeffs.basis
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED, allowZip64=True) as archive:
+        _put_member(archive, "coefficients", header, coeffs)
+        _put_array(archive, "eigenvalues", basis.eigenvalues)
+        _put_array(archive, "vectors", basis.vectors)
+        _put_array(archive, "kind", np.array(basis.kind.value))
 
 
 def load_coefficients(path) -> WgftCoefficients:
@@ -563,8 +564,8 @@ def load_coefficients(path) -> WgftCoefficients:
     :class:`DimensionMismatch`.  The basis keeps the stored memory order, and
     its fingerprint is computed from it, never read from the file.
     """
-    basis, windows = _read_coefficients(path)
-    return WgftCoefficients(windows.collect(), basis)
+    windows = _read_coefficients(path)
+    return WgftCoefficients(windows.collect(), windows.basis)
 
 
 def save_spectrogram_csv(path, matrix: np.ndarray) -> None:
@@ -591,7 +592,7 @@ def save_spectrogram_pgm(path, matrix: np.ndarray) -> None:
 
 def save_spectrogram_files(out_dir, windows, averaged: np.ndarray, pgm: bool = False) -> None:
     """Write ``spectrogram_w{j}.csv`` for each window of a (J, N, N) array or
-    a :class:`_Windows` stack, squared one window at a time, then the
+    a coefficient stack, squared one window at a time, then the
     ``averaged`` map as ``spectrogram_avg.csv`` and, with ``pgm``,
     ``spectrogram_avg.pgm`` into ``out_dir``."""
     out = Path(out_dir)

@@ -24,6 +24,7 @@ from .errors import (
     DegenerateCoverage,
     DimensionMismatch,
     InvalidParameter,
+    InvalidSize,
 )
 from .graph import LaplacianKind, read_only
 from .operators import _at_vertices
@@ -33,6 +34,19 @@ from .tables import _float_row, complex_column, re_im, read_table, write_table
 #: energy responses at or below this fraction of their peak are treated as
 #: no coverage at all
 ENERGY_FLOOR = 1e-12
+
+#: most windows J a family may have: each window costs two N x N GEMMs and
+#: one N x N coefficient matrix, and :func:`uniform_shifts`,
+#: :func:`shifted_family` and :class:`WindowFamily` check J against this cap
+#: before they allocate anything
+MAX_WINDOWS = 1000
+
+
+def _check_count(count: int) -> None:
+    if count > MAX_WINDOWS:
+        raise InvalidSize(
+            f"window family has {count} windows, more than the cap of {MAX_WINDOWS}"
+        )
 
 
 def _spectra(side: str, windows) -> np.ndarray:
@@ -47,6 +61,7 @@ def _spectra(side: str, windows) -> np.ndarray:
         raise DimensionMismatch(
             f"{side} windows must be a non-empty (J, N) array, got shape {windows.shape}"
         )
+    _check_count(windows.shape[0])
     windows = windows.astype(np.complex128 if np.iscomplexobj(windows) else np.float64, copy=False)
     finite = np.isfinite(windows).all(axis=1)
     if not finite.all():
@@ -128,6 +143,7 @@ def uniform_shifts(lambda_max: float, count: int) -> np.ndarray:
     """Default shift rule: ``count`` shifts covering [0, lambda_max] uniformly."""
     if count < 1:
         raise InvalidParameter(f"need at least one shift, got {count}")
+    _check_count(count)
     return np.linspace(0.0, float(lambda_max), count)
 
 
@@ -141,6 +157,7 @@ def shifted_family(
     shifts = np.asarray(shifts, dtype=float)
     if shifts.ndim != 1 or shifts.size == 0:
         raise InvalidParameter("shifts must be a non-empty 1-d sequence")
+    _check_count(shifts.size)
     if not np.all(np.isfinite(shifts)):
         raise InvalidParameter(f"shifts must be finite, got {shifts.tolist()}")
     return np.array([prototype(basis.eigenvalues - tau) for tau in shifts], dtype=float)

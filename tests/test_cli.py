@@ -681,6 +681,38 @@ class TestCliRun:
         err = capsys.readouterr().err
         assert err == f"error: graph has {huge} vertices, more than the cap of 10000\n"
         assert peak < 2**22, peak
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("windows, count", [
+        ({"count": 1_000_000_000}, 1_000_000_000),
+        ({"shifts": [0.0] * 1001}, 1001),
+    ], ids=["count", "shifts"])
+    def test_window_count_over_the_cap_exits_1_before_allocating(
+        self, tmp_path, capsys, windows, count
+    ):
+        # a billion windows used to ask np.linspace for 8 GB of shifts
+        config = write_yaml(tmp_path / "cfg.yaml", minimal_mapping(windows=windows))
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            assert main(["run", "--config", config, "--out", str(out)]) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert err == f"error: window family has {count} windows, more than the cap of 1000\n"
+        assert peak < 2**22, peak
+        assert not out.exists()
+
+    def test_refused_signal_writes_nothing(self, tmp_path, capsys):
+        # the eigenvalues, windows and condition report used to be written
+        # before the signal was built
+        config = write_yaml(tmp_path / "cfg.yaml", minimal_mapping(
+            graph={"source": "path", "size": 10}, signal={"type": "impulse", "center": 99}))
+        out = tmp_path / "out"
+        assert main(["run", "--config", config, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: vertex 99 outside 1..10\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("windows, message", UNREAD_WINDOW_KEYS)
     def test_window_keys_that_nothing_reads_exit_1(self, tmp_path, capsys, windows, message):
@@ -804,7 +836,7 @@ class TestCliRun:
         out = tmp_path / "out"
         assert main(["run", "--config", cfg, "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
-        assert not (out / "signal.csv").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "windows, message",

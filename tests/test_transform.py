@@ -36,7 +36,12 @@ from mwgft import (
     uniform_shifts,
     wgft,
 )
-from mwgft.transform import _analysis, save_spectrogram_csv, save_spectrogram_pgm
+from mwgft.transform import (
+    _analysis,
+    _read_coefficients,
+    save_spectrogram_csv,
+    save_spectrogram_pgm,
+)
 from helpers import NORM, UNNORM, basis_for, random_basis, random_complex, star_graph
 from oracles import (
     save_spectrogram_csv_reference,
@@ -686,6 +691,61 @@ class TestCoefficientsIo:
         assert coeffs.matrices.shape == (3, 6, 6) and coeffs.matrices.flags.owndata
         assert WgftCoefficients(coeffs.matrices, basis).matrices is coeffs.matrices
         assert spectrogram(coeffs).shape == (6, 6)
+
+
+class TestCoefficientStacks:
+    """save_coefficients, spectrogram and mwgft_synthesize take a
+    WgftCoefficients and the streamed stacks of the analysis and of the
+    coefficient file alike."""
+
+    @pytest.mark.parametrize("complex_signal", [False, True], ids=["float64", "complex128"])
+    def test_stream_and_its_array_give_the_same_bits(
+        self, tmp_path, rng, monkeypatch, complex_signal
+    ):
+        monkeypatch.setattr(time, "time", lambda: 1.7e9)  # the members' zip timestamp
+        basis = random_basis(189, size=10)
+        family = rbf_family(basis, count=4)
+        f = random_complex(rng, 10) if complex_signal else rng.standard_normal(10)
+        stream = _analysis(basis, family, f)
+        coeffs = WgftCoefficients(stream.collect(), basis)
+        save_coefficients(tmp_path / "stream.npz", stream)
+        save_coefficients(tmp_path / "array.npz", coeffs)
+        assert (tmp_path / "stream.npz").read_bytes() == (tmp_path / "array.npz").read_bytes()
+        assert spectrogram(stream).tobytes() == spectrogram(coeffs).tobytes()
+        expected = mwgft_synthesize(basis, family, coeffs)
+        for stack in (stream, _read_coefficients(tmp_path / "stream.npz")):
+            got = mwgft_synthesize(basis, family, stack)
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+    def test_file_stream_is_refused_before_any_window_is_read(self, tmp_path, rng):
+        basis = random_basis(190, size=9)
+        family = rbf_family(basis, count=3)
+        target = tmp_path / "coefficients.npz"
+        save_coefficients(target, _analysis(basis, family, random_complex(rng, 9)))
+        stream = _read_coefficients(target)
+        target.unlink()  # from here on, reading a window raises ParseError
+        other = random_basis(191, size=9)
+        with pytest.raises(FingerprintMismatch):
+            mwgft_synthesize(other, rbf_family(other, count=3), stream)
+        with pytest.raises(DimensionMismatch, match="^3 coefficient matrices for 2 windows$"):
+            mwgft_synthesize(basis, rbf_family(basis, count=2), stream)
+        with pytest.raises(ParseError):
+            mwgft_synthesize(basis, family, stream)
+
+    def test_save_copies_no_member_whole(self, tmp_path, rng):
+        # every member is written straight from array memory; the .npy writer
+        # of numpy copies the Fortran-ordered vectors into one N x N buffer
+        n = 400
+        basis = random_basis(192, size=n)
+        assert basis.vectors.flags.f_contiguous
+        coeffs = mwgft_analyze(basis, rbf_family(basis, count=1), rng.standard_normal(n))
+        tracemalloc.start()
+        try:
+            save_coefficients(tmp_path / "coefficients.npz", coeffs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 2, peak
 
 
 EDGE_FLOATS = [0.0, 5e-324, 1e-05, 0.1, 1 / 3, 1e16, 1.7976931348623157e308, 2.5]

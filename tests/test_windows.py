@@ -9,6 +9,7 @@ from mwgft import (
     DegenerateDenominator,
     DimensionMismatch,
     InvalidParameter,
+    InvalidSize,
     ParseError,
     WindowFamily,
     check_nondegeneracy,
@@ -28,6 +29,7 @@ from mwgft import (
     uniform_shifts,
 )
 from mwgft.windows import (
+    MAX_WINDOWS,
     ConditionReport,
     SufficientConditions,
     format_condition_report,
@@ -82,6 +84,20 @@ class TestShiftsAndFamilies:
     def test_count_validation(self):
         with pytest.raises(InvalidParameter):
             uniform_shifts(2.0, 0)
+
+    @pytest.mark.parametrize("build", ["uniform_shifts", "shifted_family", "WindowFamily"])
+    def test_window_count_is_capped(self, build):
+        basis = basis_for(path_graph(3))
+        family = {
+            "uniform_shifts": lambda j: uniform_shifts(1.0, j),
+            "shifted_family": lambda j: shifted_family(
+                rbf_prototype(basis.lambda_max, 0.7), np.zeros(j), basis),
+            "WindowFamily": lambda j: WindowFamily.with_same_synthesis(np.ones((j, 3))).analysis,
+        }[build]
+        assert len(family(MAX_WINDOWS)) == MAX_WINDOWS
+        with pytest.raises(InvalidSize, match=f"^window family has {MAX_WINDOWS + 1} windows, "
+                                              f"more than the cap of {MAX_WINDOWS}$"):
+            family(MAX_WINDOWS + 1)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_shift_rejected(self, bad):
