@@ -441,19 +441,32 @@ def _put_array(archive: zipfile.ZipFile, name: str, array: np.ndarray) -> None:
     _put_member(archive, name, header, [array.T if header["fortran_order"] else array])
 
 
-def _npy_header(fh) -> tuple[tuple, bool, np.dtype]:
-    """(shape, fortran_order, dtype) from the head of an ``.npy`` stream."""
+def _npy_header(archive: zipfile.ZipFile, name: str, fh) -> tuple[tuple, bool, np.dtype]:
+    """(shape, fortran_order, dtype) from the head of the ``.npy`` member
+    ``name`` open in ``fh``: object dtypes are refused, and so is a shape that
+    needs more bytes than the member holds, before it sizes any allocation."""
     version = np.lib.format.read_magic(fh)
     if version == (1, 0):
-        return np.lib.format.read_array_header_1_0(fh)
-    if version == (2, 0):
-        return np.lib.format.read_array_header_2_0(fh)
-    raise ValueError(f"unsupported .npy format version {version}")
+        header = np.lib.format.read_array_header_1_0(fh)
+    elif version == (2, 0):
+        header = np.lib.format.read_array_header_2_0(fh)
+    else:
+        raise ValueError(f"unsupported .npy format version {version}")
+    shape, _, dtype = header
+    if dtype.hasobject:
+        raise ValueError(f"{name} holds Python objects, which are never unpickled")
+    if archive.getinfo(name).file_size < fh.tell() + math.prod(shape) * dtype.itemsize:
+        raise EOFError(f"{name} data ends early")
+    return header
 
 
-def _read_member(archive: zipfile.ZipFile, name: str) -> np.ndarray:
-    with archive.open(f"{name}.npy") as fh:
-        return np.lib.format.read_array(fh, allow_pickle=False)
+def _read_member(fh, header) -> np.ndarray:
+    """The data that follows ``header`` in ``fh``, as an array in the
+    stored memory order."""
+    shape, fortran_order, dtype = header
+    array = np.empty(shape, dtype, order="F" if fortran_order else "C")
+    _fill(fh, array.T if fortran_order else array)
+    return array
 
 
 def _fill(fh, array: np.ndarray) -> None:
@@ -462,17 +475,19 @@ def _fill(fh, array: np.ndarray) -> None:
     for start in range(0, flat.size, _READ_CHUNK):
         part = flat[start:start + _READ_CHUNK]
         if fh.readinto(part) != part.size:
-            raise EOFError("coefficient data ends early")
+            raise EOFError("member data ends early")
 
 
 def _read_coefficients(path) -> _Windows:
     """The coefficients of a file, with the basis stored beside them, as a
     :class:`_Windows` stack, never unpickling.
 
-    The basis members, the kind and the coefficient member's header are read
-    and checked here; each pass over the stack then reads the windows in
-    order, checks each for NaN and infinity, and ends where the zip CRC of
-    the member is checked.  Errors are those of :func:`load_coefficients`.
+    Every member's header passes :func:`_npy_header` before anything is
+    allocated for it, and ``vectors`` must be N x N for the N of
+    ``eigenvalues``.  The basis members and the kind are read and checked
+    here; each pass over the stack then reads the windows in order, checks
+    each for NaN and infinity, and ends where the zip CRC of the member is
+    checked.  Errors are those of :func:`load_coefficients`.
     """
     name = "coefficients.npy"
     try:
@@ -484,16 +499,21 @@ def _read_coefficients(path) -> _Windows:
                     f"coefficient file {path} does not carry its spectral basis "
                     f"(no {', '.join(missing)}); re-run `mwgft analyze` to write it again"
                 )
-            vals, vecs, kind = (_read_member(archive, key) for key in _BASIS_KEYS)
+            members = {}
+            for key in _BASIS_KEYS:
+                with archive.open(f"{key}.npy") as fh:
+                    stored = _npy_header(archive, f"{key}.npy", fh)
+                    vals = members.get("eigenvalues")
+                    if key == "vectors" and (vals.ndim != 1 or stored[0] != (vals.size,) * 2):
+                        # the basis constructor's check, before vectors are allocated
+                        raise DimensionMismatch(
+                            f"eigenvalues {vals.shape} and vectors {stored[0]} are inconsistent")
+                    members[key] = _read_member(fh, stored)
             with archive.open(name) as fh:
-                header = _npy_header(fh)
-                # a header that promises more than the member holds is refused
-                # before its (J, N, N) shape sizes any allocation
-                shape, _, dtype = header
-                if archive.getinfo(name).file_size < fh.tell() + math.prod(shape) * dtype.itemsize:
-                    raise EOFError("coefficient data ends early")
+                header = _npy_header(archive, name, fh)
     except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
         raise ParseError(f"could not read coefficient file {path}: {exc}") from exc
+    vals, vecs, kind = members.values()
     shape, fortran_order, dtype = header
     if dtype not in (np.float64, np.complex128):
         raise ParseError(f"coefficients have dtype {dtype}, expected float64 or complex128")
@@ -506,8 +526,7 @@ def _read_coefficients(path) -> _Windows:
         kind = LaplacianKind.from_name(str(kind))
     except InvalidParameter as exc:
         raise ParseError(f"coefficient file {path}: {exc}") from exc
-    # the shape contracts: (N,) and (N, N) in the basis constructor, (J, N, N)
-    # with the basis's N in _check_shape, both before any window is read
+    # the (J, N, N) shape contract with the basis's N, before any window is read
     basis = SpectralBasis(vals, vecs, kind)
     _check_shape(shape, basis)
 
@@ -515,11 +534,10 @@ def _read_coefficients(path) -> _Windows:
         window = np.empty(shape[1:], dtype) if out is None else None
         try:
             with zipfile.ZipFile(path) as archive, archive.open(name) as fh:
-                if _npy_header(fh) != header:
+                if _npy_header(archive, name, fh) != header:
                     raise ValueError("coefficient header changed while the file was read")
-                if fortran_order:  # a foreign layout, not window by window: read it whole
-                    whole = np.empty(shape, dtype, order="F")
-                    _fill(fh, whole.T)
+                # a foreign layout, not window by window: read it whole
+                whole = _read_member(fh, header) if fortran_order else None
                 for j in range(shape[0]):
                     target = window if out is None else out[j]
                     if fortran_order:
@@ -558,8 +576,10 @@ def save_coefficients(path, coeffs: WgftCoefficients | _Windows) -> None:
 def load_coefficients(path) -> WgftCoefficients:
     """Read a file written by :func:`save_coefficients`, never unpickling.
 
-    A missing, damaged or foreign file, one without its basis, or one holding
-    NaN, infinite or non-float64 values raises :class:`ParseError`; arrays
+    Every member's header is checked before anything is allocated for it.  A
+    missing, damaged or foreign file, one without its basis, a member header
+    that stores Python objects or promises more bytes than the member holds,
+    or NaN, infinite or non-float64 values raise :class:`ParseError`; arrays
     whose shapes are not (J, N, N), (N,) and (N, N) raise
     :class:`DimensionMismatch`.  The basis keeps the stored memory order, and
     its fingerprint is computed from it, never read from the file.

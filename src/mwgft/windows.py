@@ -128,7 +128,9 @@ class RbfPrototype:
 
     def __call__(self, lam):
         scale = self.l_fac * self.lambda_max
-        return np.exp(-((np.asarray(lam, dtype=float) / scale) ** 4))
+        # a tiny scale overflows (lam / scale)**4 to inf: the kernel's limit 0
+        with np.errstate(over="ignore"):
+            return np.exp(-((np.asarray(lam, dtype=float) / scale) ** 4))
 
 
 def rbf_prototype(lambda_max: float, l_fac: float) -> RbfPrototype:

@@ -61,7 +61,7 @@ from mwgft.signals import (
     save_spectrum_csv,
 )
 from mwgft.transform import save_spectrogram_pgm
-from helpers import basis_for
+from helpers import FORGED_MEMBERS, basis_for, forge_member
 from oracles import save_spectrogram_csv_reference
 from mwgft.graph import path_graph
 
@@ -859,6 +859,25 @@ class TestCliRun:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("l_fac", [1.0e-100, 1.0e-320])
+    def test_tiny_rbf_scale_prints_only_the_error(self, tmp_path, l_fac):
+        # (lambda / scale)**4 overflowed, and numpy printed an overflow warning
+        # and its source line before the error; run as a process, so stderr
+        # is what a user sees
+        cfg = write_yaml(tmp_path / "cfg.yaml", minimal_mapping(
+            graph={"source": "path", "size": 12}, signal={"type": "impulse", "center": 3},
+            windows={"kernel": "rbf", "count": 3, "l_fac": l_fac}))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "mwgft.cli", "run", "--config", cfg,
+             "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 2
+        assert done.stderr == ("error: energy response is 0.000e+00 at frequency 1; "
+                               "family does not cover the spectrum\n")
+
     def test_degenerate_family_exits_2(self, tmp_path, capsys):
         mapping = minimal_mapping(
             graph={"source": "path", "size": 6},
@@ -1101,6 +1120,34 @@ class TestCliPipelines:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["synthesize", "spectrogram"])
+    @pytest.mark.parametrize("case", FORGED_MEMBERS)
+    def test_forged_member_header_refused(self, tmp_path, capsys, command, case):
+        # every member header is checked before it sizes an allocation: a
+        # basis member's shape used to be allocated as promised, so forged
+        # headers ended in a MemoryError (74.5 GiB, 7.28 TiB) or, for
+        # vectors-3000, in exit 1 after 68.7 MiB
+        stage1 = tmp_path / "analysis"
+        assert main(["analyze", "--preset", "path-impulse", "--out", str(stage1)]) == 0
+        coefficients = stage1 / "coefficients.npz"
+        forge_member(coefficients, case)
+        capsys.readouterr()
+        out = tmp_path / "out"
+        argv = [command, "--coefficients", str(coefficients), "--out", str(out)]
+        if command == "synthesize":
+            argv += ["--preset", "path-impulse"]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        message = "Python objects" if FORGED_MEMBERS[case][1] == "|O" else "data ends early"
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
+        assert peak < 2**20
         assert not out.exists()
 
     def test_fortran_ordered_foreign_file(self, tmp_path, capsys):

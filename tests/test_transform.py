@@ -36,13 +36,23 @@ from mwgft import (
     uniform_shifts,
     wgft,
 )
+from mwgft import transform
 from mwgft.transform import (
     _analysis,
     _read_coefficients,
     save_spectrogram_csv,
     save_spectrogram_pgm,
 )
-from helpers import NORM, UNNORM, basis_for, random_basis, random_complex, star_graph
+from helpers import (
+    FORGED_MEMBERS,
+    NORM,
+    UNNORM,
+    basis_for,
+    forge_member,
+    random_basis,
+    random_complex,
+    star_graph,
+)
 from oracles import (
     save_spectrogram_csv_reference,
     spectrogram_reference,
@@ -532,6 +542,8 @@ def _damage(kind, target, coeffs):
             archive.writestr("coefficients.npy", header.getvalue() + small.matrices.tobytes())
     elif kind in BASIS_DAMAGE:
         _savez(target, coeffs, **BASIS_DAMAGE[kind](coeffs.basis))
+    elif kind in FORGED_MEMBERS:
+        forge_member(target, kind)
 
 
 class TestCoefficientsIo:
@@ -597,9 +609,9 @@ class TestCoefficientsIo:
     @pytest.mark.parametrize("kind", [
         "missing", "truncated", "flipped-byte", "csv", "empty", "single-npy",
         "no-fingerprint", "fingerprint-only", "integer-dtype", "not-square", "wrong-size",
-        "nan", "inf", "huge-header", *BASIS_DAMAGE,
+        "nan", "inf", "huge-header", *BASIS_DAMAGE, *FORGED_MEMBERS,
     ])
-    def test_damaged_file(self, tmp_path, rng, kind):
+    def test_damaged_file(self, tmp_path, rng, monkeypatch, kind):
         shape_damage = ("not-square", "wrong-size", *SHAPE_DAMAGE)
         error = DimensionMismatch if kind in shape_damage else ParseError
         basis = random_basis(182, size=8)
@@ -607,10 +619,27 @@ class TestCoefficientsIo:
         target = tmp_path / "coefficients.npz"
         save_coefficients(target, coeffs)
         _damage(kind, target, coeffs)
-        with pytest.raises(error) as err:
-            load_coefficients(target)
+        shapes_read = []
+        read_member = transform._read_member
+        monkeypatch.setattr(transform, "_read_member", lambda fh, header: (
+            shapes_read.append(header[0]) or read_member(fh, header)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(error) as err:
+                load_coefficients(target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a forged header sized an allocation before the read failed: 68.7 MiB
+        # for vectors-3000, a MemoryError for the larger ones
+        assert peak < 2**20
         if kind in ("no-fingerprint", "fingerprint-only", "no-vectors"):
             assert "re-run `mwgft analyze`" in str(err.value)
+        if kind in FORGED_MEMBERS:
+            descr = FORGED_MEMBERS[kind][1]
+            assert ("Python objects" if descr == "|O" else "data ends early") in str(err.value)
+        if kind == "vectors-wrong-size":  # refused from its header, before its data
+            assert (9, 9) not in shapes_read
 
     @pytest.mark.parametrize("dtype, stored", [
         (np.int64, np.float64), (np.float32, np.float64),

@@ -1,4 +1,5 @@
 import csv
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -71,6 +72,13 @@ class TestRbfPrototype:
         for l_fac in (np.inf, np.nan):
             with pytest.raises(InvalidParameter, match="l_fac"):
                 rbf_prototype(2.0, l_fac)
+
+    def test_tiny_scale_saturates_without_warning(self):
+        # (lam / scale)**4 overflows to inf for l_fac below about 1e-77; the
+        # kernel's limit there is 0, and numpy's overflow warning leaked to stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert rbf_prototype(2.0, 1e-100)([0.0, 1.0]).tolist() == [1.0, 0.0]
 
 
 class TestShiftsAndFamilies:
