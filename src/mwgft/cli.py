@@ -18,20 +18,9 @@ import numpy as np
 
 from . import __version__
 from .errors import InvalidParameter, MwgftError, NumericalError
-from .experiment import (
-    _SECTIONS,
-    FileSource,
-    RandomSource,
-    _section,
-    build_family,
-    build_graph_from_source,
-    list_presets,
-    load_config,
-    load_preset,
-    run_experiment,
-)
+from .experiment import _SECTIONS, _section, list_presets, load_config, load_preset, run_experiment
 from .graph import LaplacianKind, laplacian
-from .signals import RandomSpec, save_signal_csv
+from .signals import save_signal_csv
 from .spectral import check_basis, eigendecompose, save_eigenvalues_csv, save_vectors_csv
 from .transform import (
     _analysis,
@@ -57,29 +46,30 @@ def _add_config_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _config(args):
-    """The ``--config`` or ``--preset`` config with ``--graph-file`` and
-    ``--seed`` applied; ``--graph-file`` on a graph source other than
-    ``file``, or ``--seed`` on a config with neither a random graph nor a
-    random signal, raises :class:`InvalidParameter`."""
+    """The ``--config`` or ``--preset`` config, with ``--graph-file`` as the
+    graph source's ``file`` and ``--seed`` as the ``seed`` of the graph source
+    and of the signal, wherever that field exists; an option with no such
+    field to set raises :class:`InvalidParameter`."""
     config = load_preset(args.preset) if args.preset else load_config(args.config)
     graph, signal = config.graph, config.signal
     if args.graph_file is not None:
-        if not isinstance(graph, FileSource):
+        if not _reads(graph, "file"):
             source = next(k for k, v in _SECTIONS["graph"][3].items() if isinstance(graph, v))
             raise InvalidParameter(
-                f"--graph-file needs graph source 'file', the config's is {source!r}"
-            )
+                f"--graph-file needs graph source 'file', the config's is {source!r}")
         graph = dataclasses.replace(graph, file=args.graph_file)
     if args.seed is not None:
-        if not isinstance(graph, RandomSource) and not isinstance(signal, RandomSpec):
+        if not (_reads(graph, "seed") or _reads(signal, "seed")):
             raise InvalidParameter(
-                "--seed needs a random graph source or a random signal; this config has neither"
-            )
-        if isinstance(graph, RandomSource):
-            graph = dataclasses.replace(graph, seed=args.seed)
-        if isinstance(signal, RandomSpec):
-            signal = dataclasses.replace(signal, seed=args.seed)
+                "--seed needs a random graph source or a random signal; this config has neither")
+        graph, signal = (dataclasses.replace(part, seed=args.seed) if _reads(part, "seed")
+                         else part for part in (graph, signal))
     return dataclasses.replace(config, graph=graph, signal=signal)
+
+
+def _reads(variant, key: str) -> bool:
+    """Whether a config variant reads ``key``, that is has a field of that name."""
+    return any(f.name == key for f in dataclasses.fields(variant))
 
 
 def _add_graph_options(parser: argparse.ArgumentParser) -> None:
@@ -108,7 +98,7 @@ def _graph_from_args(args):
     for key in ("seed", "extra_edges", "coordinates", "largest_component"):
         if getattr(args, key) is not None:
             graph[key] = getattr(args, key)
-    return build_graph_from_source(_section("graph", graph))
+    return _section("graph", graph).build()
 
 
 def _basis_for(args, graph):
@@ -124,13 +114,12 @@ def _pipeline(args, basis=None):
     the config's Laplacian.
     """
     config = _config(args)
-    lap = laplacian(build_graph_from_source(config.graph), config.kind)
+    lap = laplacian(config.graph.build(), config.kind)
     if basis is None:
         basis = eigendecompose(lap, config.kind)
     else:
         check_basis(basis, lap, config.kind)
-    family = build_family(config.windows, basis)
-    return config, basis, family
+    return config, basis, config.windows.build(basis)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import importlib.resources
 import time
+import typing
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
@@ -59,7 +60,11 @@ from .windows import (
     uniform_shifts,
 )
 
-PAIRING_MODES = ("normalized-synthesis", "same-as-analysis")
+#: each pairing by name, with the constructor that adds the synthesis windows
+PAIRING_MODES = {
+    "normalized-synthesis": WindowFamily.with_normalized_synthesis,
+    "same-as-analysis": WindowFamily.with_same_synthesis,
+}
 
 
 @dataclass(frozen=True)
@@ -67,6 +72,9 @@ class PathSource:
     """The unweighted path 1 - 2 - ... - N."""
 
     size: int
+
+    def build(self) -> Graph:
+        return path_graph(self.size)
 
 
 @dataclass(frozen=True)
@@ -77,6 +85,13 @@ class FileSource:
     coordinates: str | None = None
     largest_component: bool = False
 
+    def build(self) -> Graph:
+        if not self.file:
+            raise InvalidParameter(
+                "graph source 'file' needs a path (config graph.file or --graph-file)")
+        return load_graph(self.file, coordinates_path=self.coordinates,
+                          largest_component=self.largest_component)
+
 
 @dataclass(frozen=True)
 class RandomSource:
@@ -85,6 +100,9 @@ class RandomSource:
     size: int
     seed: int
     extra_edges: int | None = None
+
+    def build(self) -> Graph:
+        return random_connected_graph(self.size, self.seed, extra_edges=self.extra_edges)
 
 
 @dataclass(frozen=True)
@@ -100,12 +118,17 @@ class RbfWindows:
     def __post_init__(self):
         if self.pairing not in PAIRING_MODES:
             raise InvalidParameter(
-                f"pairing must be one of {PAIRING_MODES}, got {self.pairing!r}"
-            )
+                f"pairing must be one of {tuple(PAIRING_MODES)}, got {self.pairing!r}")
         if self.count is not None and self.shifts is not None:
             raise InvalidParameter("config key windows.count: windows.shifts sets the window count")
         if self.count is not None and self.count < 1:
             raise InvalidParameter("window count must be at least 1")
+
+    def build(self, basis: SpectralBasis) -> WindowFamily:
+        prototype = rbf_prototype(basis.lambda_max, self.l_fac)
+        shifts = (self.shifts if self.shifts is not None
+                  else uniform_shifts(basis.lambda_max, 3 if self.count is None else self.count))
+        return PAIRING_MODES[self.pairing](shifted_family(prototype, shifts, basis))
 
 
 @dataclass(frozen=True)
@@ -113,6 +136,14 @@ class FileWindows:
     """A window family read from a CSV written by :func:`save_family_csv`."""
 
     file: str
+
+    def build(self, basis: SpectralBasis) -> WindowFamily:
+        family, stored = load_family_csv(self.file)
+        _check_family(basis, family)
+        if not np.allclose(stored, basis.eigenvalues, atol=1e-8 * max(1.0, basis.lambda_max)):
+            raise InvalidParameter(
+                "window file was sampled on different eigenvalues than this graph")
+        return family
 
 
 @dataclass(frozen=True)
@@ -181,10 +212,20 @@ def _string(value) -> str:
     return value
 
 
+def _name(value) -> str:
+    """``value`` if it is a string that names one directory of ``out/``; ``""``,
+    ``.``, ``..`` or a path separator would write elsewhere."""
+    name = _string(value)
+    if name in ("", ".", "..") or "/" in name or "\\" in name:
+        raise ValueError(f"expected a directory name, got {name!r}")
+    return name
+
+
 #: Per config section with variants: the noun that names them (for messages),
-#: the key that selects one, its default and the type each variant builds.
-#: The fields of a type are the keys that variant reads; a field without a
-#: default is a required key.
+#: the key that selects one, its default and the dataclass of each variant.
+#: A dataclass's fields are the keys that variant reads (a field without a
+#: default is a required key), their annotations pick the converters, and its
+#: ``build`` makes the graph, or the signal or window family on a basis.
 _SECTIONS = {
     "graph": ("graph source", "source", "path",
               {"path": PathSource, "file": FileSource, "random": RandomSource}),
@@ -192,14 +233,13 @@ _SECTIONS = {
     "windows": ("window kernel", "kernel", "rbf", {"rbf": RbfWindows, "file": FileWindows}),
 }
 
-#: How each key a variant reads is converted; a key means the same in every
-#: section that reads it.
-_CONVERTERS = {
-    "size": _integer, "seed": _integer, "extra_edges": _integer, "center": _integer,
-    "count": _integer, "largest_component": _boolean, "complex": _boolean,
-    "file": _string, "coordinates": _string, "path": _string, "pairing": _string,
-    "tau": _real, "width": _real, "rate": _real, "l_fac": _real, "shifts": _reals,
-}
+#: How a key is converted, by the type its field is annotated with.
+_CONVERTERS = {int: _integer, float: _real, bool: _boolean, str: _string, tuple: _reals}
+
+
+def _converter(hint):
+    """The converter of a field annotated ``hint``, ``int`` and ``int | None`` alike."""
+    return _CONVERTERS[next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))]
 
 
 def _keys(section: str, m, known) -> dict:
@@ -229,13 +269,15 @@ def _section(section: str, m):
     variant = default if m.get(selector) is None else m[selector]
     if not (isinstance(variant, str) and variant in variants):
         raise InvalidParameter(f"unknown {noun} {variant!r}")
-    reads = {f.name: f for f in fields(variants[variant])}
-    stray = [key for key in known if key in m and key not in reads]
+    kind = variants[variant]
+    hints = typing.get_type_hints(kind)
+    stray = [key for key in known if key in m and key not in hints]
     if stray:
         raise InvalidParameter(f"{noun} {variant!r} does not use {', '.join(stray)}")
-    return variants[variant](**{
-        key: _value(m, section, key, _CONVERTERS[key], ... if f.default is MISSING else f.default)
-        for key, f in reads.items()
+    return kind(**{
+        f.name: _value(m, section, f.name, _converter(hints[f.name]),
+                       ... if f.default is MISSING else f.default)
+        for f in fields(kind)
     })
 
 
@@ -246,7 +288,7 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
     _keys("", mapping, ("name", "graph", "laplacian", "signal", "windows", "tolerances"))
     tolerances = _keys("tolerances", mapping.get("tolerances", {}), ("nondegeneracy",))
     return ExperimentConfig(
-        name=_value(mapping, "", "name", _string, "experiment"),
+        name=_value(mapping, "", "name", _name, "experiment"),
         graph=_section("graph", mapping.get("graph")),
         kind=LaplacianKind.from_name(_value(mapping, "", "laplacian", _string, "unnormalized")),
         signal=_section("signal", mapping.get("signal")),
@@ -277,42 +319,6 @@ def load_preset(name: str) -> ExperimentConfig:
         )
     raw = yaml.safe_load(resource.read_text(encoding="utf-8"))
     return config_from_mapping(raw)
-
-
-def build_graph_from_source(source: PathSource | FileSource | RandomSource) -> Graph:
-    """Materialize the configured graph."""
-    if isinstance(source, PathSource):
-        return path_graph(source.size)
-    if isinstance(source, RandomSource):
-        return random_connected_graph(source.size, source.seed, extra_edges=source.extra_edges)
-    if not source.file:
-        raise InvalidParameter(
-            "graph source 'file' needs a path (config graph.file or --graph-file)"
-        )
-    return load_graph(
-        source.file,
-        coordinates_path=source.coordinates,
-        largest_component=source.largest_component,
-    )
-
-
-def build_family(design: RbfWindows | FileWindows, basis: SpectralBasis) -> WindowFamily:
-    if isinstance(design, FileWindows):
-        family, stored = load_family_csv(design.file)
-        _check_family(basis, family)
-        if not np.allclose(stored, basis.eigenvalues, atol=1e-8 * max(1.0, basis.lambda_max)):
-            raise InvalidParameter(
-                "window file was sampled on different eigenvalues than this graph"
-            )
-        return family
-    prototype = rbf_prototype(basis.lambda_max, design.l_fac)
-    shifts = design.shifts
-    if shifts is None:
-        shifts = uniform_shifts(basis.lambda_max, 3 if design.count is None else design.count)
-    analysis = shifted_family(prototype, shifts, basis)
-    if design.pairing == "same-as-analysis":
-        return WindowFamily.with_same_synthesis(analysis)
-    return WindowFamily.with_normalized_synthesis(analysis)
 
 
 @dataclass
@@ -362,9 +368,9 @@ def run_experiment(
     the condition report and the coefficients are on disk to inspect.
     """
     started = time.perf_counter()
-    graph = build_graph_from_source(config.graph)
+    graph = config.graph.build()
     basis = eigendecompose(laplacian(graph, config.kind), config.kind)
-    family = build_family(config.windows, basis)
+    family = config.windows.build(basis)
     report = check_nondegeneracy(basis, family, config.nondegeneracy_tolerance)
     signal = _signals.build_signal(config.signal, basis)
 
@@ -422,7 +428,7 @@ def run_experiment(
         num_edges=graph.num_edges,
         kind=config.kind,
         num_windows=family.num_windows,
-        pairing=config.windows.pairing if isinstance(config.windows, RbfWindows) else "from-file",
+        pairing=getattr(config.windows, "pairing", "from-file"),
         min_abs_denominator=report.min_abs,
         nondegeneracy_tolerance=report.tolerance,
         nondegeneracy_satisfied=report.satisfied,

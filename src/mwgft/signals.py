@@ -2,7 +2,8 @@
 
 Each generator is a pure function; the ``*Spec`` dataclasses are the
 declarative form used by experiment configs (their fields are the keys each
-signal type reads), resolved against a basis by :func:`build_signal`.
+signal type reads); each builds its signal on a basis, and
+:func:`build_signal` checks what it builds.
 """
 
 from __future__ import annotations
@@ -81,10 +82,16 @@ def random_signal(num_vertices: int, seed: int, complex_values: bool = True) -> 
 class ImpulseSpec:
     center: int
 
+    def build(self, basis: SpectralBasis) -> np.ndarray:
+        return impulse(basis.size, self.center)
+
 
 @dataclass(frozen=True)
 class HeatSpec:
     tau: float | None = None
+
+    def build(self, basis: SpectralBasis) -> np.ndarray:
+        return heat_signal(basis, self.tau)
 
 
 @dataclass(frozen=True)
@@ -93,6 +100,9 @@ class ChirpSpec:
     width: float = 6.0
     rate: float = 0.3
 
+    def build(self, basis: SpectralBasis) -> np.ndarray:
+        return chirp_signal(basis.size, self.center, self.width, self.rate)
+
 
 @dataclass(frozen=True)
 class SpectralProfileSpec:
@@ -100,11 +110,17 @@ class SpectralProfileSpec:
 
     path: str
 
+    def build(self, basis: SpectralBasis) -> np.ndarray:
+        return spectral_signal(basis, load_spectrum_csv(self.path))
+
 
 @dataclass(frozen=True)
 class RandomSpec:
     seed: int
     complex: bool = True
+
+    def build(self, basis: SpectralBasis) -> np.ndarray:
+        return random_signal(basis.size, self.seed, self.complex)
 
 
 SignalSpec = Union[ImpulseSpec, HeatSpec, ChirpSpec, SpectralProfileSpec, RandomSpec]
@@ -122,23 +138,13 @@ def build_signal(spec: SignalSpec, basis: SpectralBasis) -> np.ndarray:
     :class:`InvalidParameter` naming the signal type and the first such
     vertices, before anything is written.
     """
-    n = basis.size
+    name = next((name for name, kind in SIGNAL_TYPES.items() if isinstance(spec, kind)), None)
+    if name is None:
+        raise InvalidParameter(f"unknown signal spec {spec!r}")
     with np.errstate(all="ignore"):  # the check below reports what overflowed
-        if isinstance(spec, ImpulseSpec):
-            signal = impulse(n, spec.center)
-        elif isinstance(spec, HeatSpec):
-            signal = heat_signal(basis, spec.tau)
-        elif isinstance(spec, ChirpSpec):
-            signal = chirp_signal(n, spec.center, spec.width, spec.rate)
-        elif isinstance(spec, SpectralProfileSpec):
-            signal = spectral_signal(basis, load_spectrum_csv(spec.path))
-        elif isinstance(spec, RandomSpec):
-            signal = random_signal(n, spec.seed, spec.complex)
-        else:
-            raise InvalidParameter(f"unknown signal spec {spec!r}")
+        signal = spec.build(basis)
     bad = np.flatnonzero(~np.isfinite(signal))
     if bad.size:
-        name = next(name for name, kind in SIGNAL_TYPES.items() if isinstance(spec, kind))
         more = f" and {bad.size - 10} more" if bad.size > 10 else ""
         raise InvalidParameter(f"signal type {name!r} gives non-finite values at vertices "
                                f"{(bad[:10] + 1).tolist()}{more}")

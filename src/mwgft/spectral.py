@@ -141,12 +141,10 @@ def eigendecompose(lap: np.ndarray, kind: LaplacianKind) -> SpectralBasis:
         vals, vecs = np.linalg.eigh(lap)
     except np.linalg.LinAlgError as exc:
         raise EigSolverFailure(str(exc)) from exc
-    # eigh already sorts ascending, but keep this: the fancy-indexed copy makes
-    # the vectors Fortran-ordered, and the GEMMs downstream round differently
-    # on that layout, so dropping it changes every preset artifact's last digits
-    order = np.argsort(vals, kind="stable")
-    vals = vals[order]
-    vecs = _fix_signs(vecs[:, order])
+    # eigh sorts ascending and returns C-ordered vectors; the GEMMs downstream
+    # round differently on a Fortran-ordered U, and every artifact's last
+    # digits were fixed on that layout, so the copy keeps it
+    vecs = _fix_signs(np.asfortranarray(vecs))
     zero_tol = ZERO_EIGENVALUE_RTOL * max(1.0, float(vals[-1]))
     if abs(vals[0]) > zero_tol:
         raise InvalidParameter(

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import typing
 import zipfile
 from pathlib import Path
 
@@ -288,7 +289,8 @@ class TestConfigMapping:
             config_from_mapping(minimal_mapping(graph={"source": "torus", "size": 4}))
 
     def test_unknown_pairing(self):
-        with pytest.raises(InvalidParameter):
+        with pytest.raises(InvalidParameter, match=r"^pairing must be one of "
+                           r"\('normalized-synthesis', 'same-as-analysis'\), got 'dualless'$"):
             config_from_mapping(minimal_mapping(windows={"pairing": "dualless"}))
 
     def test_unknown_laplacian(self):
@@ -372,11 +374,19 @@ class TestConfigMapping:
             RbfWindows(count=0)
 
     def test_every_key_has_one_converter(self):
-        # a field without a converter would surface as an uncaught KeyError,
-        # a converter without a field is a key nothing reads
-        read = {f.name for _, _, _, variants in experiment._SECTIONS.values()
-                for kind in variants.values() for f in dataclasses.fields(kind)}
-        assert read == set(experiment._CONVERTERS)
+        # a field whose annotated type has no converter would surface as an
+        # uncaught KeyError, and a converter no field's type picks is dead
+        # code; a key that several variants read converts alike in all of them
+        picked = {}
+        for _, _, _, variants in experiment._SECTIONS.values():
+            for kind in variants.values():
+                for key, hint in typing.get_type_hints(kind).items():
+                    picked.setdefault(key, []).append(experiment._converter(hint))
+        shared = {key for key, found in picked.items() if len(found) > 1}
+        assert shared >= {"seed", "size", "file", "center"}
+        assert all(len(set(found)) == 1 for found in picked.values()), picked
+        assert {c for found in picked.values() for c in found} == set(
+            experiment._CONVERTERS.values())
 
     def test_file_kernel_needs_path(self):
         with pytest.raises(InvalidParameter, match="^config key windows.file is required$"):
@@ -490,9 +500,9 @@ class TestRunExperiment:
             laplacian="normalized",
             windows={"kernel": "rbf", "count": 5},
         ))
-        graph = experiment.build_graph_from_source(config.graph)
+        graph = config.graph.build()
         basis = eigendecompose(laplacian(graph, config.kind), config.kind)
-        family = experiment.build_family(config.windows, basis)
+        family = config.windows.build(basis)
         if complex_synthesis:  # real coefficients summed into a complex M
             family = WindowFamily(family.analysis, family.synthesis * np.exp(0.3j))
             save_family_csv(tmp_path / "windows.csv", basis, family)
@@ -933,6 +943,31 @@ class TestCliRun:
         assert default != seeded
         assert seeded == repeated
 
+    def test_new_graph_source_is_one_dataclass(self, tmp_path, capsys, monkeypatch):
+        # a source in _SECTIONS takes its converters from its field annotations,
+        # --seed through its seed field, and builds its own graph
+        built = []
+
+        @dataclasses.dataclass(frozen=True)
+        class SeededPath:
+            size: int
+            seed: int
+
+            def build(self):
+                built.append(self)
+                return path_graph(self.size)
+
+        monkeypatch.setitem(experiment._SECTIONS["graph"][3], "seeded-path", SeededPath)
+        config = write_yaml(tmp_path / "cfg.yaml", minimal_mapping(
+            graph={"source": "seeded-path", "size": 8, "seed": 1}))
+        assert main(["run", "--config", config, "--seed", "5", "--out", str(tmp_path / "out")]) == 0
+        assert built == [SeededPath(size=8, seed=5)]
+        assert "vertices: 8\n" in capsys.readouterr().out
+        bad = write_yaml(tmp_path / "bad.yaml", minimal_mapping(
+            graph={"source": "seeded-path", "size": 8, "seed": "1"}))
+        assert main(["run", "--config", bad, "--out", str(tmp_path / "bad")]) == 1
+        assert capsys.readouterr().err == (
+            "error: config key graph.seed: expected an integer, got '1'\n")
 
     def test_every_config_command_takes_seed(self, tmp_path, capsys):
         mapping = minimal_mapping(
@@ -960,6 +995,152 @@ class TestCliRun:
         # without --seed the graph, and so its basis, is a different one
         assert main(["synthesize", "--config", cfg, "--coefficients", coefficients,
                      "--out", str(tmp_path / "other")]) == 1
+
+
+# The hostile-config table: every field of every config variant, and the
+# top-level keys, takes each of these values in turn through `mwgft run`.
+# yaml.safe_dump writes each value as its id; PyYAML reads `1.0e308`, whose
+# exponent has no sign, as a string, so the huge number is `1.0e+308`.
+HOSTILE_VALUES = {
+    ".inf": float("inf"), "-.inf": float("-inf"), ".nan": float("nan"), "-1": -1, "0": 0,
+    "1.0e+308": 1.0e308, '"1"': "1", "true": True, "[]": [], "{}": {},
+}
+
+# names that would put `out/{name}` somewhere other than its own directory
+# under `out/`: the working directory, `out/` itself, or a path below it
+HOSTILE_NAMES = {'""': "", '"."': ".", '".."': "..", '"/tmp/x"': "/tmp/x", '"a/b"': "a/b"}
+
+# a config section of each variant that runs; file names are relative to the
+# case's working directory, where _hostile_inputs writes them
+HOSTILE_BASES = {
+    ("graph", "path"): {"source": "path", "size": 8},
+    ("graph", "file"): {"source": "file", "file": "edges.txt"},
+    ("graph", "random"): {"source": "random", "size": 8, "seed": 1},
+    ("signal", "impulse"): {"type": "impulse", "center": 4},
+    ("signal", "heat"): {"type": "heat"},
+    ("signal", "chirp"): {"type": "chirp", "center": 4},
+    ("signal", "spectral"): {"type": "spectral", "path": "spectrum.csv"},
+    ("signal", "random"): {"type": "random", "seed": 1},
+    ("windows", "rbf"): {"kernel": "rbf"},
+    ("windows", "file"): {"kernel": "file", "file": "windows.csv"},
+}
+
+# the keys outside the variant sections, as (section, variant, key)
+HOSTILE_TOP_LEVEL = [(None, None, "name"), (None, None, "laplacian"),
+                     ("tolerances", None, "nondegeneracy")]
+
+# names the config must refuse (exit 1)
+HOSTILE_REFUSED = {f"name={value_id}" for value_id in HOSTILE_NAMES}
+
+# cases that legitimately end in a numerical error (exit 2): a tolerance no
+# denominator can clear stops the run after the coefficients are written
+HOSTILE_EXIT_2 = {
+    "tolerances.nondegeneracy=1.0e+308", "tolerances.nondegeneracy=.inf",
+}
+
+# refused cases whose error line names the refused value, not the key
+HOSTILE_NAMED_BY_VALUE = {
+    **{f"graph.{source}.size={value}": "needs at least two vertices"
+       for source in ("path", "random") for value in ("-1", "0")},
+    **{f"graph.{source}.size=1.0e+308": "vertices, more than the cap"
+       for source in ("path", "random")},
+    **{f"signal.{kind}.center={value}": "outside 1..8"
+       for kind in ("impulse", "chirp") for value in ("-1", "0", "1.0e+308")},
+    **{f"{key}=\"1\"": "No such file or directory: '1'"
+       for key in ("graph.file.file", "graph.file.coordinates", "signal.spectral.path",
+                   "windows.file.file")},
+    "signal.chirp.rate=1.0e+308": "signal type 'chirp' gives non-finite values",
+    "windows.rbf.count=1.0e+308": "windows, more than the cap",
+}
+
+
+def _hostile_cases():
+    keys = [(section, variant, f.name)
+            for section, (_, _, _, variants) in experiment._SECTIONS.items()
+            for variant, kind in variants.items() for f in dataclasses.fields(kind)]
+    keys += HOSTILE_TOP_LEVEL
+    values = [(key, value_id, value) for key in keys for value_id, value in HOSTILE_VALUES.items()]
+    values += [((None, None, "name"), value_id, value) for value_id, value in HOSTILE_NAMES.items()]
+    return [pytest.param(key, value, id=f"{'.'.join(filter(None, key))}={value_id}")
+            for key, value_id, value in values]
+
+
+def _hostile_inputs(directory):
+    """The edge list, spectrum and window files the file-reading variants
+    read, all on the 8-vertex path."""
+    graph = path_graph(8)
+    save_graph(directory / "edges.txt", graph)
+    basis = basis_for(graph)
+    save_spectrum_csv(directory / "spectrum.csv", np.exp(-basis.eigenvalues))
+    family = WindowFamily.with_normalized_synthesis(shifted_family(
+        rbf_prototype(basis.lambda_max, 0.7), uniform_shifts(basis.lambda_max, 3), basis))
+    save_family_csv(directory / "windows.csv", basis, family)
+
+
+def _numbers_are_finite(path):
+    """Every number of a CSV artifact or a `.npz` member is finite."""
+    if path.suffix == ".npz":
+        with np.load(path, allow_pickle=False) as archive:
+            return all(np.isfinite(archive[name]).all() for name in archive.files
+                       if archive[name].dtype.kind in "fc")
+    if path.suffix != ".csv":
+        return True
+    rows = path.read_text(encoding="utf-8").splitlines()[1:]
+    return all(np.isfinite(float(cell)) for row in rows for cell in row.split(","))
+
+
+class TestHostileConfig:
+    def test_every_variant_has_a_base(self):
+        # a new variant joins the table once it has a base config here
+        assert set(HOSTILE_BASES) == {
+            (section, variant) for section, (_, _, _, variants) in experiment._SECTIONS.items()
+            for variant in variants}
+
+    @pytest.mark.parametrize("key, value", _hostile_cases())
+    def test_hostile_value(self, tmp_path, capsys, monkeypatch, request, key, value):
+        section, variant, field = key
+        case = request.node.callspec.id
+        monkeypatch.chdir(tmp_path)
+        _hostile_inputs(tmp_path)
+        mapping = minimal_mapping()
+        if variant is not None:
+            mapping[section] = {**HOSTILE_BASES[section, variant], field: value}
+        elif section is not None:
+            mapping[section] = {field: value}
+        else:
+            mapping[field] = value
+        config = write_yaml(tmp_path / "cfg.yaml", mapping)
+        out = tmp_path / "out"
+
+        code = main(["run", "--config", config, "--out", str(out)])
+
+        captured = capsys.readouterr()
+        if code == 0:
+            assert case not in HOSTILE_EXIT_2 | HOSTILE_REFUSED and captured.err == ""
+            summary = dict(line.split(": ", 1)
+                           for line in (out / "summary.txt").read_text().splitlines())
+            assert float(summary["relative_l2_error"]) <= 1e-12
+            for path in out.iterdir():
+                assert _numbers_are_finite(path), path.name
+            return
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+        if code == 2:
+            assert case in HOSTILE_EXIT_2, captured.err
+            assert sorted(path.name for path in out.iterdir()) == [
+                "coefficients.npz", "condition_report.csv", "condition_report.txt",
+                "coordinates.csv", "eigenvalues.csv", "signal.csv", "windows.csv"]
+            return
+        assert code == 1 and case not in HOSTILE_EXIT_2
+        assert HOSTILE_NAMED_BY_VALUE.get(case, field) in captured.err, captured.err
+        assert not out.exists()
+
+    def test_name_without_out_stays_under_out(self, tmp_path, capsys, monkeypatch):
+        # `name: ..` used to write every artifact into the working directory
+        monkeypatch.chdir(tmp_path)
+        config = write_yaml(tmp_path / "cfg.yaml", minimal_mapping(name=".."))
+        assert main(["run", "--config", config]) == 1
+        assert capsys.readouterr().err.startswith("error: config key name: ")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.yaml"]
 
 
 class TestCliPipelines:
