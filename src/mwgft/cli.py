@@ -18,8 +18,8 @@ import numpy as np
 
 from . import __version__
 from .errors import InvalidParameter, MwgftError, NumericalError
-from .experiment import _SECTIONS, _section, list_presets, load_config, load_preset, run_experiment
-from .graph import LaplacianKind, laplacian
+from .experiment import _SECTIONS, list_presets, load_config, load_preset, run_experiment
+from .graph import laplacian
 from .signals import save_signal_csv
 from .spectral import check_basis, eigendecompose, save_eigenvalues_csv, save_vectors_csv
 from .transform import (
@@ -72,40 +72,6 @@ def _reads(variant, key: str) -> bool:
     return any(f.name == key for f in dataclasses.fields(variant))
 
 
-def _add_graph_options(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--path-size", type=int, metavar="N", help="built-in path graph")
-    group.add_argument("--random-size", type=int, metavar="N", help="seeded random connected graph")
-    group.add_argument("--graph-file", metavar="PATH", help="edge-list file")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for --random-size (default 0)")
-    parser.add_argument("--extra-edges", type=int, default=None)
-    parser.add_argument("--coordinates", metavar="PATH", default=None)
-    parser.add_argument("--largest-component", action="store_true", default=None)
-
-
-def _graph_from_args(args):
-    """The graph of ``--path-size``, ``--random-size`` or ``--graph-file``;
-    every given option is passed on as its config key, so the config check
-    rejects one the source does not use."""
-    if args.path_size is not None:
-        graph = {"source": "path", "size": args.path_size}
-    elif args.random_size is not None:
-        graph = {"source": "random", "size": args.random_size, "seed": 0}
-    else:
-        graph = {"source": "file", "file": args.graph_file}
-    # `is not None`, not truth: a given --seed 0 must reach the check (0 == False)
-    for key in ("seed", "extra_edges", "coordinates", "largest_component"):
-        if getattr(args, key) is not None:
-            graph[key] = getattr(args, key)
-    return _section("graph", graph).build()
-
-
-def _basis_for(args, graph):
-    kind = LaplacianKind.from_name(args.kind)
-    return eigendecompose(laplacian(graph, kind), kind)
-
-
 def _pipeline(args, basis=None):
     """config -> (config, basis, family) shared by several subcommands.
 
@@ -135,7 +101,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_graph_info(args) -> int:
-    graph = _graph_from_args(args)
+    graph = _config(args).graph.build()
     degrees = graph.degrees
     print(f"vertices: {graph.num_vertices}")
     print(f"edges: {graph.num_edges}")
@@ -149,8 +115,8 @@ def _cmd_graph_info(args) -> int:
 def _cmd_eig(args) -> int:
     if args.limit is not None and args.limit < 0:
         raise InvalidParameter(f"--limit must be at least 0, got {args.limit}")
-    graph = _graph_from_args(args)
-    basis = _basis_for(args, graph)
+    config = _config(args)
+    basis = eigendecompose(laplacian(config.graph.build(), config.kind), config.kind)
     limit = args.limit if args.limit is not None else basis.size
     for ell in range(min(limit, basis.size)):
         print(f"{ell}: {float(basis.eigenvalues[ell])!r}")
@@ -250,14 +216,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pgm", action="store_true", help="also write a PGM spectrogram image")
     p.set_defaults(func=_cmd_run)
 
-    p = sub.add_parser("graph-info", help="summary statistics of a graph")
-    _add_graph_options(p)
+    p = sub.add_parser("graph-info", help="summary statistics of a config's graph")
+    _add_config_options(p)
     p.set_defaults(func=_cmd_graph_info)
 
-    p = sub.add_parser("eig", help="Laplacian eigenvalues of a graph")
-    _add_graph_options(p)
-    p.add_argument("--kind", choices=[k.value for k in LaplacianKind],
-                   default=LaplacianKind.UNNORMALIZED.value)
+    p = sub.add_parser("eig", help="eigenvalues of a config's graph Laplacian")
+    _add_config_options(p)
     p.add_argument("--limit", type=int, default=None, help="print only the first L values")
     p.add_argument("--out", metavar="DIR", default=None, help="also write CSVs here")
     p.add_argument("--vectors", action="store_true", help="also write the eigenvector matrix")

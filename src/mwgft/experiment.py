@@ -89,8 +89,12 @@ class FileSource:
         if not self.file:
             raise InvalidParameter(
                 "graph source 'file' needs a path (config graph.file or --graph-file)")
-        return load_graph(self.file, coordinates_path=self.coordinates,
-                          largest_component=self.largest_component)
+        try:
+            return load_graph(self.file, coordinates_path=self.coordinates,
+                              largest_component=self.largest_component)
+        except OSError as exc:
+            key = "coordinates" if exc.filename == self.coordinates else "file"
+            raise InvalidParameter(f"config key graph.{key}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -138,7 +142,10 @@ class FileWindows:
     file: str
 
     def build(self, basis: SpectralBasis) -> WindowFamily:
-        family, stored = load_family_csv(self.file)
+        try:
+            family, stored = load_family_csv(self.file)
+        except OSError as exc:
+            raise InvalidParameter(f"config key windows.file: {exc}") from exc
         _check_family(basis, family)
         if not np.allclose(stored, basis.eigenvalues, atol=1e-8 * max(1.0, basis.lambda_max)):
             raise InvalidParameter(
@@ -174,9 +181,12 @@ def _value(m: dict, section: str, key: str, convert, default=None):
 
 
 def _integer(value) -> int:
-    """``int(value)``, but a boolean, a string or a fractional number raises
-    ``ValueError`` instead of becoming 1, being parsed or being truncated."""
-    if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
+    """``int(value)``, but a boolean, a string, a fractional number or a float
+    beyond 2**53, where floats stop being exact integers, raises ``ValueError``
+    instead of becoming 1, being parsed, being truncated or becoming a huge
+    int (``1.0e+308`` has 309 digits)."""
+    if isinstance(value, (bool, str)) or (
+            isinstance(value, float) and not (value.is_integer() and abs(value) <= 2**53)):
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
 
@@ -260,8 +270,7 @@ def _section(section: str, m):
     A key no variant reads (``unknown config key graph.sise``), an unknown
     variant, a key only another variant reads (``graph source 'path' does not
     use seed``), a missing required key and a value its converter rejects
-    raise :class:`InvalidParameter`.  ``mwgft graph-info`` and ``eig`` pass
-    their options through here as ``graph`` keys.
+    raise :class:`InvalidParameter`.
     """
     noun, selector, default, variants = _SECTIONS[section]
     known = dict.fromkeys(f.name for kind in variants.values() for f in fields(kind))

@@ -111,7 +111,11 @@ class SpectralProfileSpec:
     path: str
 
     def build(self, basis: SpectralBasis) -> np.ndarray:
-        return spectral_signal(basis, load_spectrum_csv(self.path))
+        try:
+            spectrum = load_spectrum_csv(self.path)
+        except OSError as exc:
+            raise InvalidParameter(f"config key signal.path: {exc}") from exc
+        return spectral_signal(basis, spectrum)
 
 
 @dataclass(frozen=True)
