@@ -45,11 +45,12 @@ def _add_config_options(parser: argparse.ArgumentParser) -> None:
                         help="override random-graph / random-signal seeds")
 
 
-def _config(args):
+def _config(args, builds_signal: bool = False):
     """The ``--config`` or ``--preset`` config, with ``--graph-file`` as the
     graph source's ``file`` and ``--seed`` as the ``seed`` of the graph source
-    and of the signal, wherever that field exists; an option with no such
-    field to set raises :class:`InvalidParameter`."""
+    and, for a command that ``builds_signal``, of the signal, wherever that
+    field exists; an option with no such field to set raises
+    :class:`InvalidParameter`."""
     config = load_preset(args.preset) if args.preset else load_config(args.config)
     graph, signal = config.graph, config.signal
     if args.graph_file is not None:
@@ -59,9 +60,11 @@ def _config(args):
                 f"--graph-file needs graph source 'file', the config's is {source!r}")
         graph = dataclasses.replace(graph, file=args.graph_file)
     if args.seed is not None:
-        if not (_reads(graph, "seed") or _reads(signal, "seed")):
+        if not (_reads(graph, "seed") or builds_signal and _reads(signal, "seed")):
             raise InvalidParameter(
-                "--seed needs a random graph source or a random signal; this config has neither")
+                "--seed needs a random graph source or a random signal; "
+                + ("this config has neither" if builds_signal else
+                   f"`{args.command}` builds no signal and this config's graph has no seed"))
         graph, signal = (dataclasses.replace(part, seed=args.seed) if _reads(part, "seed")
                          else part for part in (graph, signal))
     return dataclasses.replace(config, graph=graph, signal=signal)
@@ -72,14 +75,14 @@ def _reads(variant, key: str) -> bool:
     return any(f.name == key for f in dataclasses.fields(variant))
 
 
-def _pipeline(args, basis=None):
+def _pipeline(args, basis=None, builds_signal: bool = False):
     """config -> (config, basis, family) shared by several subcommands.
 
     A given ``basis`` (one stored with coefficients) replaces the
     eigendecomposition, once :func:`check_basis` has found it to decompose
     the config's Laplacian.
     """
-    config = _config(args)
+    config = _config(args, builds_signal)
     lap = laplacian(config.graph.build(), config.kind)
     if basis is None:
         basis = eigendecompose(lap, config.kind)
@@ -93,7 +96,8 @@ def _pipeline(args, basis=None):
 # ---------------------------------------------------------------------------
 
 def _cmd_run(args) -> int:
-    report = run_experiment(_config(args), out_dir=args.out, write_pgm=args.pgm)
+    report = run_experiment(_config(args, builds_signal=True), out_dir=args.out,
+                            write_pgm=args.pgm)
     print((report.outputs["summary"]).read_text(encoding="utf-8"), end="")
     print(f"elapsed_seconds: {report.elapsed_seconds:.3f}")
     print(f"outputs: {report.outputs['summary'].parent}")
@@ -145,7 +149,7 @@ def _cmd_windows_check(args) -> int:
 # spectrogram stream the file's windows, each checked as it is read.
 
 def _cmd_analyze(args) -> int:
-    config, basis, family = _pipeline(args)
+    config, basis, family = _pipeline(args, builds_signal=True)
     signal = _signals.build_signal(config.signal, basis)
     windows = _analysis(basis, family, signal)
     out = Path(args.out)

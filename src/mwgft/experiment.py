@@ -180,15 +180,26 @@ def _value(m: dict, section: str, key: str, convert, default=None):
         raise InvalidParameter(f"config key {name}: {exc}") from exc
 
 
+def _shown(value) -> str:
+    """``repr(value)`` for an error message, but an int outside the int64
+    range by its digit count: ``1`` and 308 zeros is a valid YAML int."""
+    if isinstance(value, int) and not -2**63 <= value < 2**63:
+        return f"an integer of {len(str(abs(value)))} digits"
+    return repr(value)
+
+
 def _integer(value) -> int:
     """``int(value)``, but a boolean, a string, a fractional number or a float
     beyond 2**53, where floats stop being exact integers, raises ``ValueError``
     instead of becoming 1, being parsed, being truncated or becoming a huge
-    int (``1.0e+308`` has 309 digits)."""
+    int (``1.0e+308`` has 309 digits); so does an int outside the int64 range."""
     if isinstance(value, (bool, str)) or (
             isinstance(value, float) and not (value.is_integer() and abs(value) <= 2**53)):
         raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
+    number = int(value)
+    if not -2**63 <= number < 2**63:
+        raise ValueError(f"expected an integer in the int64 range, got {_shown(number)}")
+    return number
 
 
 def _real(value) -> float:
@@ -203,14 +214,14 @@ def _reals(value) -> tuple:
     """A YAML list of numbers as floats; a string or a mapping raises instead of
     being taken apart (``"12"`` into 1.0, 2.0)."""
     if not isinstance(value, list):
-        raise ValueError(f"expected a list of numbers, got {value!r}")
+        raise ValueError(f"expected a list of numbers, got {_shown(value)}")
     return tuple(map(_real, value))
 
 
 def _boolean(value) -> bool:
     """``value`` if it is a YAML boolean; a string such as ``"false"`` raises."""
     if not isinstance(value, bool):
-        raise ValueError(f"expected true or false, got {value!r}")
+        raise ValueError(f"expected true or false, got {_shown(value)}")
     return value
 
 
@@ -218,7 +229,7 @@ def _string(value) -> str:
     """``value`` if it is a string; a number (which ``open`` would take for a
     file descriptor) or a list raises."""
     if not isinstance(value, str):
-        raise ValueError(f"expected a string, got {value!r}")
+        raise ValueError(f"expected a string, got {_shown(value)}")
     return value
 
 
@@ -306,11 +317,18 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
     )
 
 
+#: libyaml's parser when PyYAML was built with it, else the pure-Python one;
+#: both build values with the same safe constructor and resolver
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_config(path) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
-    except yaml.YAMLError as exc:
+            raw = yaml.load(fh, Loader=_YAML_LOADER)
+    # a ValueError is a scalar Python refuses to build: an int past 4300
+    # digits, a timestamp such as 2024-13-45
+    except (yaml.YAMLError, ValueError) as exc:
         raise ParseError(f"could not parse config {path}: {exc}") from exc
     return config_from_mapping(raw)
 
@@ -326,7 +344,7 @@ def load_preset(name: str) -> ExperimentConfig:
         raise InvalidParameter(
             f"unknown preset {name!r}; available: {', '.join(list_presets())}"
         )
-    raw = yaml.safe_load(resource.read_text(encoding="utf-8"))
+    raw = yaml.load(resource.read_text(encoding="utf-8"), Loader=_YAML_LOADER)
     return config_from_mapping(raw)
 
 

@@ -335,19 +335,32 @@ def laplacian(graph: Graph, kind: LaplacianKind = LaplacianKind.UNNORMALIZED) ->
     ``UNNORMALIZED`` gives ``L = D - W``; ``SYMMETRIC_NORMALIZED`` gives
     ``I - D^{-1/2} W D^{-1/2}`` and requires every degree to be positive.
     The returned matrix is exactly symmetric (it is symmetrized bitwise).
+
+    It holds the bits of ``(L + L.T) / 2`` for ``L = np.diag(d) - W`` or
+    ``np.eye(N) - s[:, None] * W * s``, but builds L in one N x N working
+    array: off-diagonal entries are ``0.0 - x``, so a zero stays +0.0, and
+    the diagonal is set exactly.
     """
     d = graph.degrees
+    w = graph.weights
     if kind is LaplacianKind.UNNORMALIZED:
-        lap = np.diag(d) - graph.weights
+        lap = np.subtract(0.0, w)
+        np.fill_diagonal(lap, d - w.diagonal())
     elif kind is LaplacianKind.SYMMETRIC_NORMALIZED:
         if np.any(d == 0):
             zero = [str(i + 1) for i in np.flatnonzero(d == 0)]
             raise ZeroDegree(f"vertices with zero degree: {', '.join(zero)}")
         s = 1.0 / np.sqrt(d)
-        lap = np.eye(graph.num_vertices) - s[:, None] * graph.weights * s
+        lap = s[:, None] * w
+        lap *= s
+        np.subtract(0.0, lap, out=lap)
+        # 1 - s_i w_ii s_i is 1.0: w_ii is zero and s_i finite
+        np.fill_diagonal(lap, 1.0)
     else:  # pragma: no cover - enum is closed
         raise InvalidParameter(f"unknown laplacian kind {kind!r}")
-    return (lap + lap.T) / 2.0
+    symmetric = lap + lap.T
+    symmetric /= 2.0
+    return symmetric
 
 
 # ---------------------------------------------------------------------------

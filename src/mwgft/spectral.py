@@ -101,21 +101,20 @@ def _vector(basis: SpectralBasis, values, name: str = "signal") -> np.ndarray:
     return values
 
 
-def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Pin each eigenvector's sign: its largest-magnitude entry (lowest index
-    on ties) is made positive.
+def _fix_signs(vectors: np.ndarray) -> None:
+    """Pin each eigenvector's sign, in place: its largest-magnitude entry
+    (lowest index on ties) is made positive.
 
     Ties are resolved with a relative tolerance because symmetric graphs
     produce columns whose extremal magnitudes agree exactly in theory but
     differ by rounding noise in the solver output; a raw argmax would let
     that noise choose the pivot.
     """
-    mags = np.abs(vectors)
-    near_max = mags >= mags.max(axis=0) * (1.0 - PIVOT_TIE_RTOL)
+    top = np.maximum(vectors.max(axis=0), -vectors.min(axis=0)) * (1.0 - PIVOT_TIE_RTOL)
+    near_max = (vectors >= top) | (vectors <= -top)  # |v| >= top, without an N x N |v|
     idx = near_max.argmax(axis=0)  # first near-maximal row per column
     pivot = vectors[idx, np.arange(vectors.shape[1])]
-    flip = np.where(pivot < 0, -1.0, 1.0)
-    return vectors * flip
+    vectors *= np.where(pivot < 0, -1.0, 1.0)
 
 
 def eigendecompose(lap: np.ndarray, kind: LaplacianKind) -> SpectralBasis:
@@ -132,10 +131,16 @@ def eigendecompose(lap: np.ndarray, kind: LaplacianKind) -> SpectralBasis:
     n = lap.shape[0]
     if n < 2:
         raise InvalidSize("need at least two vertices to decompose")
-    if not np.isfinite(lap).all():
+    # a NaN reaches both extremes, so finite extremes mean a finite matrix
+    high, low = float(lap.max()), float(lap.min())
+    if not (np.isfinite(high) and np.isfinite(low)):
         raise InvalidParameter("laplacian has non-finite entries")
-    scale = max(1.0, float(np.abs(lap).max()))
-    if not np.allclose(lap, lap.T, rtol=0.0, atol=1e-12 * scale):
+    scale = max(1.0, high, -low)
+    # np.allclose(lap, lap.T, rtol=0.0, atol=...) with one N x N temporary;
+    # it lives through eigh, since freeing it first left a glibc heap that
+    # raised the transform-loop benchmark's peak RSS by 7 MB
+    asymmetry = np.subtract(lap, lap.T)
+    if not np.abs(asymmetry, out=asymmetry).max() <= 1e-12 * scale:
         raise InvalidParameter("laplacian must be symmetric")
     try:
         vals, vecs = np.linalg.eigh(lap)
@@ -144,7 +149,8 @@ def eigendecompose(lap: np.ndarray, kind: LaplacianKind) -> SpectralBasis:
     # eigh sorts ascending and returns C-ordered vectors; the GEMMs downstream
     # round differently on a Fortran-ordered U, and every artifact's last
     # digits were fixed on that layout, so the copy keeps it
-    vecs = _fix_signs(np.asfortranarray(vecs))
+    vecs = np.asfortranarray(vecs)
+    _fix_signs(vecs)
     zero_tol = ZERO_EIGENVALUE_RTOL * max(1.0, float(vals[-1]))
     if abs(vals[0]) > zero_tol:
         raise InvalidParameter(

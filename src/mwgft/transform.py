@@ -177,12 +177,20 @@ class _Windows:
         return out
 
 
+def _leading_float64(buffer: np.ndarray) -> np.ndarray:
+    """The first N^2 float64 values of the N x N float64 or complex128
+    ``buffer``, as an N x N array."""
+    n = buffer.shape[0]
+    return buffer.reshape(-1).view(np.float64)[:n * n].reshape(n, n)
+
+
 def _analysis(basis: SpectralBasis, family: WindowFamily, signal: np.ndarray) -> _Windows:
     """The analysis as a :class:`_Windows` stack: the inputs are checked and
     ``N A`` is formed now, and each window ``S_j`` costs one GEMM as it is
     produced from ``diag(conj ghat_j) N A``, formed in the stack's one
-    scratch.  That scratch, lent out as ``spare``, is allocated right after
-    ``N A`` so that it can take the block that forming ``N A`` has just freed.
+    scratch.  That scratch, lent out as ``spare``, first holds the
+    ``diag(N f) U`` that ``N A`` is made from (in its first N^2 float64
+    values when a real signal meets complex windows).
     """
     _check_family(basis, family)
     signal = _vector(basis, signal)
@@ -190,8 +198,10 @@ def _analysis(basis: SpectralBasis, family: WindowFamily, signal: np.ndarray) ->
         raise InvalidParameter("signal has non-finite values")
     u, n = basis.vectors, basis.size
     dtype = np.result_type(signal, family.analysis, np.float64)
-    shared = _left_multiply(u.T, (n * signal)[:, None] * u).astype(dtype, copy=False)  # N A
     scratch = np.empty((n, n), dtype)
+    scaled = scratch if np.iscomplexobj(signal) else _leading_float64(scratch)
+    np.multiply((n * signal)[:, None], u, out=scaled)  # diag(N f) U
+    shared = _left_multiply(u.T, scaled).astype(dtype, copy=False)  # N A
 
     def produce(out=None):
         window = np.empty((n, n), dtype) if out is None else None
@@ -375,8 +385,7 @@ class _PowerSum:
 
     def __init__(self, n: int, spare: np.ndarray | None = None):
         self.total = np.zeros((n, n))
-        self.square = (np.empty((n, n)) if spare is None
-                       else spare.reshape(-1).view(np.float64)[:n * n].reshape(n, n))
+        self.square = np.empty((n, n)) if spare is None else _leading_float64(spare)
         self.count = 0
 
     def add(self, s: np.ndarray) -> None:
@@ -423,8 +432,9 @@ def _summed(
 _BASIS_KEYS = ("eigenvalues", "vectors", "kind")
 
 # bytes read per call while a window is filled, so a read never stages a
-# whole window in a second buffer
-_READ_CHUNK = 1 << 20
+# whole window in a second buffer; below glibc's 128 KiB mmap threshold, so
+# each read's staging buffer comes from the heap instead of fresh pages
+_READ_CHUNK = 1 << 16
 
 
 def _put_member(archive: zipfile.ZipFile, name: str, header: dict, blocks) -> None:

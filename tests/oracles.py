@@ -13,8 +13,9 @@ import csv
 
 import numpy as np
 
+from mwgft.graph import Graph, LaplacianKind
 from mwgft.operators import atom, convolve, translate
-from mwgft.spectral import SpectralBasis
+from mwgft.spectral import PIVOT_TIE_RTOL, SpectralBasis
 from mwgft.windows import WindowFamily
 
 
@@ -42,6 +43,28 @@ def bfs_component_count(weights_dense: np.ndarray) -> int:
                     seen[u] = True
                     queue.append(int(u))
     return count
+
+
+def laplacian_reference(graph: Graph, kind: LaplacianKind) -> np.ndarray:
+    """The Laplacian as its textbook expression, symmetrized as ``(L + L.T) / 2``
+    (several N x N temporaries; ``mwgft.laplacian`` must give the same bits)."""
+    d = graph.degrees
+    if kind is LaplacianKind.UNNORMALIZED:
+        lap = np.diag(d) - graph.weights
+    else:
+        s = 1.0 / np.sqrt(d)
+        lap = np.eye(graph.num_vertices) - s[:, None] * graph.weights * s
+    return (lap + lap.T) / 2.0
+
+
+def fix_signs_reference(vectors: np.ndarray) -> np.ndarray:
+    """A sign-pinned copy of ``vectors``: each column times the sign that makes
+    its first entry within ``PIVOT_TIE_RTOL`` of the column's largest
+    magnitude positive."""
+    mags = np.abs(vectors)
+    near_max = mags >= mags.max(axis=0) * (1.0 - PIVOT_TIE_RTOL)
+    pivot = vectors[near_max.argmax(axis=0), np.arange(vectors.shape[1])]
+    return vectors * np.where(pivot < 0, -1.0, 1.0)
 
 
 def random_connected_weights_reference(

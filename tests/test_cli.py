@@ -412,6 +412,20 @@ class TestLoadConfig:
         with pytest.raises(FileNotFoundError):
             load_config(tmp_path / "absent.yaml")
 
+    @pytest.mark.parametrize("text", [
+        pytest.param("graph: {source: path, size: 1" + "0" * 5000 + "}\n", id="int-of-5001-digits"),
+        pytest.param("name: 2024-13-45\n", id="impossible-date"),
+    ])
+    def test_scalar_python_cannot_build(self, tmp_path, capsys, text):
+        # each used to escape `mwgft` as a ValueError traceback from the YAML
+        # constructor, which refuses ints past 4300 digits and such dates
+        target = tmp_path / "cfg.yaml"
+        target.write_text(text, encoding="utf-8")
+        assert main(["graph-info", "--config", str(target)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: could not parse config {target}: ") and err.count("\n") == 1
+        assert "0" * 20 not in err
+
     def test_readme_example_parses(self):
         # the documented config must stay one the key table accepts
         block = _readme_block("Config format", "yaml")
@@ -962,6 +976,25 @@ class TestCliRun:
         assert capsys.readouterr().err == (
             "error: config key graph.seed: expected an integer, got '1'\n")
 
+    @pytest.mark.parametrize(
+        "command", ["graph-info", "eig", "windows-check", "frame-bounds", "synthesize"])
+    def test_seed_only_the_signal_would_read(self, tmp_path, capsys, command):
+        # these commands build no signal, so a random signal's seed field does
+        # not take --seed; on a path graph it used to exit 0, output unseeded
+        cfg = write_yaml(tmp_path / "cfg.yaml",
+                         minimal_mapping(signal={"type": "random", "seed": 1}))
+        argv = [command, "--config", cfg, "--seed", "7"]
+        if command == "synthesize":
+            assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+            argv += ["--coefficients", str(tmp_path / "a" / "coefficients.npz"),
+                     "--out", str(tmp_path / "s")]
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: --seed needs a random graph source or a random signal; "
+            f"`{command}` builds no signal and this config's graph has no seed\n")
+        assert not (tmp_path / "s").exists()
+
     def test_every_config_command_takes_seed(self, tmp_path, capsys):
         mapping = minimal_mapping(
             graph={"source": "random", "size": 20, "seed": 1},
@@ -992,11 +1025,12 @@ class TestCliRun:
 
 # The hostile-config table: every field of every config variant, and the
 # top-level keys, takes each of these values in turn through `mwgft run`.
-# yaml.safe_dump writes each value as its id; PyYAML reads `1.0e308`, whose
-# exponent has no sign, as a string, so the huge number is `1.0e+308`.
+# yaml.safe_dump writes each value as its id, except `10**308`, which it
+# writes as a 1 and 308 zeros; PyYAML reads `1.0e308`, whose exponent has no
+# sign, as a string, so the huge float is `1.0e+308`.
 HOSTILE_VALUES = {
     ".inf": float("inf"), "-.inf": float("-inf"), ".nan": float("nan"), "-1": -1, "0": 0,
-    "1.0e+308": 1.0e308, '"1"': "1", "true": True, "[]": [], "{}": {},
+    "1.0e+308": 1.0e308, "10**308": 10**308, '"1"': "1", "true": True, "[]": [], "{}": {},
 }
 
 # names that would put `out/{name}` somewhere other than its own directory
@@ -1028,7 +1062,8 @@ HOSTILE_REFUSED = {f"name={value_id}" for value_id in HOSTILE_NAMES}
 # cases that legitimately end in a numerical error (exit 2): a tolerance no
 # denominator can clear stops the run after the coefficients are written
 HOSTILE_EXIT_2 = {
-    "tolerances.nondegeneracy=1.0e+308", "tolerances.nondegeneracy=.inf",
+    "tolerances.nondegeneracy=1.0e+308", "tolerances.nondegeneracy=10**308",
+    "tolerances.nondegeneracy=.inf",
 }
 
 # refused cases whose error line names the refused value, not the key
@@ -1037,7 +1072,8 @@ HOSTILE_NAMED_BY_VALUE = {
        for source in ("path", "random") for value in ("-1", "0")},
     **{f"signal.{kind}.center={value}": "outside 1..8"
        for kind in ("impulse", "chirp") for value in ("-1", "0")},
-    "signal.chirp.rate=1.0e+308": "signal type 'chirp' gives non-finite values",
+    **{f"signal.chirp.rate={value}": "signal type 'chirp' gives non-finite values"
+       for value in ("1.0e+308", "10**308")},
 }
 
 
@@ -1111,6 +1147,8 @@ class TestHostileConfig:
                 assert _numbers_are_finite(path), path.name
             return
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+        # a huge int is named by its digit count, never printed in full
+        assert "0" * 20 not in captured.err, captured.err
         if code == 2:
             assert case in HOSTILE_EXIT_2, captured.err
             assert sorted(path.name for path in out.iterdir()) == [
@@ -1120,6 +1158,37 @@ class TestHostileConfig:
         assert code == 1 and case not in HOSTILE_EXIT_2
         assert HOSTILE_NAMED_BY_VALUE.get(case, field) in captured.err, captured.err
         assert not out.exists()
+
+    @pytest.mark.parametrize("section", ["graph", "signal"])
+    @pytest.mark.parametrize("seed", [2**63 - 1, 2**63, -2**63 - 1])
+    def test_seed_at_the_int64_edge(self, tmp_path, capsys, section, seed):
+        # ints past the int64 range used to pass and be printed digit by digit
+        mapping = minimal_mapping()
+        mapping[section] = {**HOSTILE_BASES[section, "random"], "seed": seed}
+        config = write_yaml(tmp_path / "cfg.yaml", mapping)
+        code = main(["run", "--config", config, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        if seed == 2**63 - 1:
+            assert (code, err) == (0, "")
+        else:
+            assert code == 1 and err == (f"error: config key {section}.seed: expected an integer "
+                                         "in the int64 range, got an integer of 19 digits\n")
+
+    def test_libyaml_and_python_loaders_agree(self, tmp_path, monkeypatch):
+        # configs parse with libyaml where PyYAML has it, else with the pure-
+        # Python parser; both must build the same config from every preset
+        # and every variant's base
+        if not yaml.__with_libyaml__:
+            pytest.skip("PyYAML was built without libyaml")
+        assert experiment._YAML_LOADER is yaml.CSafeLoader
+        paths = [write_yaml(tmp_path / f"{section}-{variant}.yaml", minimal_mapping(**{section: base}))
+                 for (section, variant), base in HOSTILE_BASES.items()]
+        loaded = {}
+        for loader in (yaml.CSafeLoader, yaml.SafeLoader):
+            monkeypatch.setattr(experiment, "_YAML_LOADER", loader)
+            loaded[loader] = ([load_preset(name) for name in list_presets()]
+                              + [load_config(path) for path in paths])
+        assert loaded[yaml.CSafeLoader] == loaded[yaml.SafeLoader]
 
     def test_name_without_out_stays_under_out(self, tmp_path, capsys, monkeypatch):
         # `name: ..` used to write every artifact into the working directory

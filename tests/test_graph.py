@@ -31,7 +31,7 @@ from mwgft import (
 from mwgft import graph as graph_module
 from mwgft.graph import MAX_VERTICES, _Draws
 from helpers import NORM, UNNORM
-from oracles import bfs_component_count, random_connected_weights_reference
+from oracles import bfs_component_count, laplacian_reference, random_connected_weights_reference
 
 
 class TestBuildGraph:
@@ -375,6 +375,48 @@ class TestLaplacian:
         for kind in (UNNORM, NORM):
             lap = laplacian(g, kind)
             assert np.array_equal(lap, lap.T)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_same_bits_as_the_textbook_expression(self, data):
+        # bit for bit, so the sign of every zero counts; weights run from
+        # subnormal to where degrees and the symmetrizing sum overflow
+        n = data.draw(st.integers(1, 8))
+        weight = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 1.7e308))
+        w = np.zeros((n, n))
+        for i in range(n):
+            w[i, i] = data.draw(st.sampled_from([0.0, -0.0]))
+            for j in range(i + 1, n):
+                # a path backbone keeps the graph connected
+                w[i, j] = data.draw(st.floats(5e-324, 1.7e308) if j == i + 1 else weight)
+                # the graph's symmetry check takes -0.0 and +0.0 as equal
+                w[j, i] = data.draw(st.sampled_from([0.0, -0.0])) if w[i, j] == 0 else w[i, j]
+        graph = Graph(n, w)
+        for kind in (UNNORM, NORM) if n > 1 else (UNNORM,):
+            with np.errstate(over="ignore"):
+                expected = laplacian_reference(graph, kind)
+                got = laplacian(graph, kind)
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), (kind, w)
+
+    @pytest.mark.parametrize("kind", [UNNORM, NORM])
+    def test_peak_allocation(self, kind):
+        # L and its symmetrized copy, 2 N^2 float64; the textbook expression
+        # peaks one N^2 higher for the normalized kind, and as high for the
+        # unnormalized one, whose division numpy does in place of the sum
+        n = 300
+        graph = random_connected_graph(n, seed=7, extra_edges=600)
+        peaks = {}
+        for build in (laplacian_reference, laplacian):
+            build(graph, kind)  # numpy sets up its lazy state on a first call
+            tracemalloc.start()
+            try:
+                build(graph, kind)
+                peaks[build] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        square = n * n * 8
+        assert peaks[laplacian] <= 2 * square + 80_000, peaks
+        assert peaks[laplacian] <= peaks[laplacian_reference] - (square if kind is NORM else 0), peaks
 
     def test_zero_degree_normalized(self):
         lonely = Graph(1, np.zeros((1, 1)))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,9 +21,10 @@ from mwgft import (
     random_connected_graph,
     spectral_magnitudes,
 )
-from mwgft.spectral import save_eigenvalues_csv, save_vectors_csv
+from mwgft.spectral import _fix_signs, save_eigenvalues_csv, save_vectors_csv
 from helpers import NORM, UNNORM, basis_for, random_basis, random_complex, star_graph
 from oracles import (
+    fix_signs_reference,
     rotate_degenerate_eigenspaces,
     path_eigenvalues,
     path_eigenvectors,
@@ -102,6 +105,55 @@ class TestEigendecompose:
         bad = np.array([[1.0, 2.0], [0.0, 1.0]])
         with pytest.raises(InvalidParameter):
             eigendecompose(bad, UNNORM)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["scale-from-max", "scale-from-min"])
+    def test_asymmetry_tolerance_is_that_of_allclose(self, sign):
+        # an asymmetry of exactly 1e-12 * max(1, max |L|) passes and the next
+        # float up is refused, as np.allclose(L, L.T, rtol=0, atol=...) decided;
+        # eigh reads the lower triangle, so the upper one takes the offset
+        lap = sign * laplacian(path_graph(6), UNNORM)  # max |L| = 2
+        atol = 1e-12 * 2.0
+        for offset, symmetric in ((atol, True), (np.nextafter(atol, np.inf), False)):
+            skewed = lap.copy()
+            skewed[0, 3] = offset
+            assert bool(np.allclose(skewed, skewed.T, rtol=0.0, atol=atol)) is symmetric
+            try:
+                eigendecompose(skewed, UNNORM)
+                refused = False
+            except InvalidParameter as exc:  # -L fails as no Laplacian, after the check
+                refused = "must be symmetric" in str(exc)
+            assert refused is not symmetric
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_fix_signs_is_the_out_of_place_result(self, seed):
+        # exact, near and just-missed magnitude ties, and signed zeros
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 12))
+        vectors = rng.standard_normal((n, n))
+        # row 0 is the pivot when within PIVOT_TIE_RTOL of row 1's magnitude
+        vectors[1] = rng.choice([-4.0, 4.0], n)
+        vectors[0] = -vectors[1] * (1.0 - rng.choice([0.0, 5e-7, 1e-6, 2e-6], n))
+        vectors[rng.random((n, n)) < 0.2] = rng.choice([0.0, -0.0])
+        vectors = np.asfortranarray(vectors)
+        expected = fix_signs_reference(vectors)
+        _fix_signs(vectors)
+        assert vectors.flags.f_contiguous
+        assert np.array_equal(vectors.view(np.uint64), expected.view(np.uint64))
+
+    def test_peak_allocation(self):
+        # |L - L^T| for the symmetry check, eigh's C-ordered vectors and their
+        # Fortran-ordered copy: 3 N^2 float64; the sign fix adds no N x N array
+        n = 300
+        lap = laplacian(random_connected_graph(n, seed=7, extra_edges=600), NORM)
+        eigendecompose(lap, NORM)  # numpy sets up its lazy state on a first call
+        tracemalloc.start()
+        try:
+            eigendecompose(lap, NORM)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * n * n * 8 + 16_000, peak
 
     def test_non_finite_rejected(self):
         # a finite but huge weight overflows to inf in the unnormalized Laplacian

@@ -641,6 +641,30 @@ class TestCoefficientsIo:
         if kind == "vectors-wrong-size":  # refused from its header, before its data
             assert (9, 9) not in shapes_read
 
+    def test_windows_straddle_read_chunks(self, tmp_path, rng):
+        # N=300 float64 windows are 720 000 bytes, 10.99 read chunks each
+        basis = random_basis(187, size=300)
+        coeffs = mwgft_analyze(basis, rbf_family(basis, count=2), rng.standard_normal(300))
+        assert coeffs.matrices[0].nbytes % transform._READ_CHUNK != 0
+        target = tmp_path / "coefficients.npz"
+        save_coefficients(target, coeffs)
+        loaded = load_coefficients(target).matrices
+        assert loaded.view(np.uint64).tobytes() == coeffs.matrices.view(np.uint64).tobytes()
+        # a member cut inside the first window's second chunk is refused
+        with zipfile.ZipFile(target) as archive:
+            blobs = {name: archive.read(name) for name in archive.namelist()}
+        member = blobs["coefficients.npy"]
+        start = len(member) - coeffs.matrices.nbytes
+        cut = start + transform._READ_CHUNK + 1000
+        blobs["coefficients.npy"] = member[:cut]
+        with zipfile.ZipFile(target, "w") as archive:
+            for name, blob in blobs.items():
+                archive.writestr(name, blob)
+        with pytest.raises(ParseError, match="data ends early"):
+            load_coefficients(target)
+        with pytest.raises(EOFError, match="data ends early"):
+            transform._fill(io.BytesIO(member[start:cut]), np.empty((300, 300)))
+
     @pytest.mark.parametrize("dtype, stored", [
         (np.int64, np.float64), (np.float32, np.float64),
         (np.complex64, np.complex128), (np.bool_, np.float64),
