@@ -82,7 +82,15 @@ class FingerprintMismatch(MwgftError):
 # ---------------------------------------------------------------------------
 
 class NumericalError(MwgftError):
-    """Base class of the numerical errors (command line exit code 2)."""
+    """Base class of the numerical errors (command line exit code 2); the
+    1-based ``vertices`` where the quantity failed, if any, end the message."""
+
+    def __init__(self, message: str, vertices=()):
+        vertices = tuple(int(v) for v in vertices)
+        if vertices:
+            message = f"{message} (vertices: {', '.join(map(str, vertices))})"
+        super().__init__(message)
+        self.vertices = vertices
 
 
 class EigSolverFailure(NumericalError):
@@ -102,19 +110,11 @@ class DegenerateCoverage(NumericalError):
 
 
 class DegenerateDenominator(NumericalError):
-    """The reconstruction denominator vanishes at one or more vertices.
-
-    ``vertices`` holds the 1-based indices where the denominator magnitude
-    does not exceed the tolerance, a NaN denominator included.
-    """
-
-    def __init__(self, message: str, vertices=()):
-        vertices = tuple(int(v) for v in vertices)
-        if vertices:
-            message = f"{message} (vertices: {', '.join(map(str, vertices))})"
-        super().__init__(message)
-        self.vertices = vertices
+    """The reconstruction denominator vanishes at one or more vertices:
+    ``vertices`` are those where its magnitude does not exceed the
+    tolerance, a NaN denominator included."""
 
 
 class NotAFrame(NumericalError):
-    """The candidate lower frame bound is zero within tolerance."""
+    """The candidate lower frame bound is zero within tolerance: ``vertices``
+    are those where ``||T_i g||^2`` does not exceed it."""

@@ -40,13 +40,7 @@ from .graph import (
 )
 from .spectral import SpectralBasis, eigendecompose, save_eigenvalues_csv
 from .tables import write_table
-from .transform import (
-    _analysis,
-    _degenerate,
-    _summed,
-    save_coefficients,
-    save_spectrogram_pgm,
-)
+from .transform import _analysis, _summed, save_coefficients, save_spectrogram_pgm
 from .windows import (
     WindowFamily,
     _check_family,
@@ -180,12 +174,24 @@ def _value(m: dict, section: str, key: str, convert, default=None):
         raise InvalidParameter(f"config key {name}: {exc}") from exc
 
 
-def _shown(value) -> str:
+def _shown(value, _enclosing=frozenset()) -> str:
     """``repr(value)`` for an error message, but an int outside the int64
-    range by its digit count: ``1`` and 308 zeros is a valid YAML int."""
+    range by its digit count, at any depth of a list or mapping: ``1`` and
+    308 zeros is a valid YAML int."""
     if isinstance(value, int) and not -2**63 <= value < 2**63:
         return f"an integer of {len(str(abs(value)))} digits"
-    return repr(value)
+    if not (isinstance(value, (list, tuple, set, dict)) and value):
+        return repr(value)
+    if id(value) in _enclosing:  # a YAML alias to a node that holds it
+        return "{...}" if isinstance(value, dict) else "[...]"
+    inner = _enclosing | {id(value)}
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{_shown(k, inner)}: {_shown(v, inner)}"
+                               for k, v in value.items()) + "}"
+    items = ", ".join(_shown(v, inner) for v in value)
+    if isinstance(value, tuple):
+        return f"({items},)" if len(value) == 1 else f"({items})"
+    return f"[{items}]" if isinstance(value, list) else f"{{{items}}}"
 
 
 def _integer(value) -> int:
@@ -204,10 +210,14 @@ def _integer(value) -> int:
 
 def _real(value) -> float:
     """``float(value)`` of a YAML int or float (``.inf`` and ``.nan`` included);
-    a boolean or a string raises ``ValueError`` instead of becoming 1.0 or 0.001."""
+    a boolean or a string raises ``ValueError`` instead of becoming 1.0 or 0.001,
+    and so does an int beyond the float range instead of ``OverflowError``."""
     if isinstance(value, (bool, str)):
         raise ValueError(f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"expected a number in the float range, got {_shown(value)}") from None
 
 
 def _reals(value) -> tuple:
@@ -267,9 +277,10 @@ def _keys(section: str, m, known) -> dict:
     """``m``, once it is a mapping whose every key is in ``known``; otherwise
     :class:`InvalidParameter` (``unknown config key graph.sise``)."""
     if not isinstance(m, dict):
-        raise InvalidParameter(f"config section {section} must be a mapping, got {m!r}")
+        raise InvalidParameter(f"config section {section} must be a mapping, got {_shown(m)}")
     prefix = f"{section}." if section else ""
-    unknown = [f"{prefix}{key}" for key in m if key not in known]
+    unknown = [f"{prefix}{_shown(key) if isinstance(key, int) else key}"
+               for key in m if key not in known]
     if unknown:
         raise InvalidParameter(f"unknown config key {', '.join(unknown)}")
     return m
@@ -288,7 +299,7 @@ def _section(section: str, m):
     _keys(section, m, {selector, *known})
     variant = default if m.get(selector) is None else m[selector]
     if not (isinstance(variant, str) and variant in variants):
-        raise InvalidParameter(f"unknown {noun} {variant!r}")
+        raise InvalidParameter(f"unknown {noun} {_shown(variant)}")
     kind = variants[variant]
     hints = typing.get_type_hints(kind)
     stray = [key for key in known if key in m and key not in hints]
@@ -438,7 +449,7 @@ def run_experiment(
     argmax_vertex = int(np.unravel_index(np.argmax(averaged), averaged.shape)[0]) + 1
 
     if synthesis is None:
-        raise _degenerate(report.tolerance, report.failing_vertices)
+        raise report.error()
     reconstructed = synthesis.reconstruct(report.denominators)
     emit("reconstructed", "reconstructed.csv", lambda p: _signals.save_signal_csv(p, reconstructed))
 

@@ -304,7 +304,7 @@ def random_connected_graph(
         raise InvalidParameter(f"extra_edges must be non-negative, got {extra_edges}")
     lo, hi = map(float, weight_range)
     if not (0 < lo <= hi):
-        raise InvalidParameter(f"weight range {weight_range} must be positive")
+        raise InvalidParameter(f"weight range {weight_range} must satisfy 0 < low <= high")
     _check_size(num_vertices)
     # The draws of rng.permutation(n), rng.integers(0, idx),
     # rng.integers(0, n, size=2) and rng.uniform(lo, hi), in the same order;

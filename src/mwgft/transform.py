@@ -53,7 +53,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
-    DegenerateDenominator,
     DimensionMismatch,
     FingerprintMismatch,
     InvalidParameter,
@@ -61,10 +60,9 @@ from .errors import (
     ParseError,
 )
 from .graph import LaplacianKind
-from .operators import translation_inner_products, translate_norms_sq
 from .spectral import SpectralBasis, _vector
 from .tables import write_table
-from .windows import WindowFamily, _check_family, _verdict
+from .windows import WindowFamily, _check_family, _verdict, denominator
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,20 +272,13 @@ def mwgft_synthesize(
         raise DimensionMismatch(
             f"{coeffs.shape[0]} coefficient matrices for {family.num_windows} windows"
         )
-    d, tolerance, vanishing = _verdict(basis, family, tolerance)
-    if vanishing.size:
-        raise _degenerate(tolerance, vanishing + 1)
+    report = _verdict(basis, family, tolerance)
+    if not report.satisfied:
+        raise report.error()
     synthesis = _SynthesisSum(basis, family, coeffs.dtype)
     for s in coeffs:  # a stream is run to its end and its last checks
         synthesis.add(s)
-    return synthesis.reconstruct(d)
-
-
-def _degenerate(tolerance: float, vertices) -> DegenerateDenominator:
-    """The error of a synthesis whose d(n) vanishes at the 1-based ``vertices``."""
-    return DegenerateDenominator(
-        f"sum_j |<T_i gamma_j, T_i g_j>| <= {tolerance:.3e}", vertices=vertices
-    )
+    return synthesis.reconstruct(report.denominators)
 
 
 class _SynthesisSum:
@@ -340,24 +331,25 @@ def frame_bounds(
     ``(g, g)``, so its verdict decides: ``tolerance`` applies to
     ``||T_i g||^2`` (default: that family's denominator tolerance), and
     :class:`NotAFrame` names the vertices where ``||T_i g||^2 > tolerance``
-    does not hold.  A synthesis spectrum ``gamma_hat`` adds the loose pair.
+    does not hold.  A synthesis spectrum ``gamma_hat`` adds the loose pair,
+    whose cross energies ``<T_i gamma, T_i g>`` and dual energies
+    ``||T_i gamma||^2`` are d(n) of the families ``(g, gamma)`` and
+    ``(gamma, gamma)``.
     """
     family = WindowFamily.with_same_synthesis([g_hat])
-    d, tolerance, vanishing = _verdict(basis, family, tolerance)
-    if vanishing.size:
-        raise NotAFrame(
-            f"||T_i g||^2 <= {tolerance:.3e}; atoms do not span "
-            f"(vertices: {', '.join(str(int(i) + 1) for i in vanishing)})"
-        )
-    energies = d.real
+    report = _verdict(basis, family, tolerance)
+    if not report.satisfied:
+        raise NotAFrame(f"||T_i g||^2 <= {report.tolerance:.3e}; atoms do not span",
+                        vertices=report.failing_vertices)
+    energies = report.denominators.real
     n = basis.size
     bounds = FrameBounds(lower=float(n * energies.min()), upper=float(n * energies.max()),
                          translate_energies=energies)
     if gamma_hat is None:
         return bounds
-    g_hat, gamma_hat = family.analysis[0], WindowFamily(family.analysis, [gamma_hat]).synthesis[0]
-    cross = translation_inner_products(basis, g_hat, gamma_hat)
-    dual_energies = translate_norms_sq(basis, gamma_hat)
+    pair = WindowFamily(family.analysis, [gamma_hat])
+    cross = denominator(basis, pair)
+    dual_energies = denominator(basis, WindowFamily.with_same_synthesis(pair.synthesis)).real
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(dual_energies > 0, np.abs(cross) / np.sqrt(dual_energies), 0.0)
     a = float(np.min(ratios))

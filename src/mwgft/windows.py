@@ -15,13 +15,14 @@ vertex domain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import (
     DegenerateCoverage,
+    DegenerateDenominator,
     DimensionMismatch,
     InvalidParameter,
     InvalidSize,
@@ -241,20 +242,12 @@ def _tolerance(family: WindowFamily, tolerance: float | None) -> float:
     return tolerance
 
 
-def _vanishing(d: np.ndarray, tolerance: float) -> np.ndarray:
-    """0-based vertices where d(n) vanishes: where ``|d(n)| > tolerance``
-    does not hold, so a NaN d(n) vanishes too."""
-    return np.flatnonzero(~(np.abs(d) > tolerance))
-
-
 def _verdict(
     basis: SpectralBasis, family: WindowFamily, tolerance: float | None
-) -> tuple[np.ndarray, float, np.ndarray]:
-    """d(n), the resolved tolerance and the 0-based vertices where d vanishes:
-    the one reconstruction verdict every check and report reads."""
-    d = denominator(basis, family)
-    tolerance = _tolerance(family, tolerance)
-    return d, tolerance, _vanishing(d, tolerance)
+) -> ConditionReport:
+    """d(n) and the resolved tolerance: the one reconstruction verdict every
+    check and report reads."""
+    return ConditionReport(denominator(basis, family), _tolerance(family, tolerance))
 
 
 @dataclass(frozen=True)
@@ -342,46 +335,52 @@ def sufficient_conditions(
 
 @dataclass(frozen=True, eq=False)
 class ConditionReport:
-    """Outcome of the per-vertex denominator check."""
+    """Outcome of the per-vertex denominator check: d(n) (entry n-1), the
+    tolerance it must clear and, from :func:`check_nondegeneracy`, the
+    sufficient conditions.  The rest is read off the first two."""
 
     denominators: np.ndarray
-    min_abs: float
     tolerance: float
-    satisfied: bool
-    conditions: SufficientConditions
+    conditions: SufficientConditions | None = None
 
     @property
     def failing_vertices(self) -> list[int]:
-        """1-based vertices where |d(n)| does not exceed the tolerance (NaN
-        included)."""
-        return [int(i) + 1 for i in _vanishing(self.denominators, self.tolerance)]
+        """1-based vertices where ``|d(n)| > tolerance`` does not hold, so a
+        NaN d(n) fails too."""
+        return [int(i) + 1 for i in np.flatnonzero(~(np.abs(self.denominators) > self.tolerance))]
+
+    @property
+    def satisfied(self) -> bool:
+        """True exactly when no vertex fails."""
+        return not self.failing_vertices
+
+    @property
+    def min_abs(self) -> float:
+        return float(np.abs(self.denominators).min())
+
+    def error(self) -> DegenerateDenominator:
+        """What a synthesis by these d(n) raises when they are not satisfied."""
+        return DegenerateDenominator(f"sum_j |<T_i gamma_j, T_i g_j>| <= {self.tolerance:.3e}",
+                                     vertices=self.failing_vertices)
 
 
 def check_nondegeneracy(
     basis: SpectralBasis, family: WindowFamily, tolerance: float | None = None
 ) -> ConditionReport:
-    """Evaluate ``d(n) = sum_j <T_n gamma_j, T_n g_j>`` at every vertex.
-
-    ``satisfied`` is True exactly when ``|d(n)| > tolerance`` at every
-    vertex, so a NaN d(n) fails it.
-    """
-    d, tolerance, vanishing = _verdict(basis, family, tolerance)
-    return ConditionReport(
-        denominators=d,
-        min_abs=float(np.abs(d).min()),
-        tolerance=tolerance,
-        satisfied=vanishing.size == 0,
-        conditions=sufficient_conditions(basis, family, tolerance),
-    )
+    """Evaluate ``d(n) = sum_j <T_n gamma_j, T_n g_j>`` at every vertex, and
+    the sufficient conditions with the same tolerance."""
+    report = _verdict(basis, family, tolerance)
+    return replace(report, conditions=sufficient_conditions(basis, family, report.tolerance))
 
 
 def format_condition_report(report: ConditionReport) -> str:
+    """The report as ``key: value`` lines, the sufficient conditions only if it has them."""
     lines = [
         f"min_abs_denominator: {report.min_abs!r}",
         f"tolerance: {report.tolerance!r}",
         f"satisfied: {str(report.satisfied).lower()}",
     ]
-    for name, value in report.conditions.as_dict().items():
+    for name, value in (report.conditions.as_dict() if report.conditions else {}).items():
         lines.append(f"{name}: {str(value).lower()}")
     failing = report.failing_vertices
     if failing:

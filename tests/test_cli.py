@@ -1025,12 +1025,16 @@ class TestCliRun:
 
 # The hostile-config table: every field of every config variant, and the
 # top-level keys, takes each of these values in turn through `mwgft run`.
-# yaml.safe_dump writes each value as its id, except `10**308`, which it
-# writes as a 1 and 308 zeros; PyYAML reads `1.0e308`, whose exponent has no
-# sign, as a string, so the huge float is `1.0e+308`.
+# yaml.safe_dump writes each value as its id, except the powers of 10, which
+# it writes as a 1 and their zeros; PyYAML reads `1.0e308`, whose exponent has
+# no sign, as a string, so the huge float is `1.0e+308`.  `10**309` is past
+# the float range, and the lists, the mapping and the `!!set` hold huge ints
+# one level down.
 HOSTILE_VALUES = {
     ".inf": float("inf"), "-.inf": float("-inf"), ".nan": float("nan"), "-1": -1, "0": 0,
-    "1.0e+308": 1.0e308, "10**308": 10**308, '"1"': "1", "true": True, "[]": [], "{}": {},
+    "1.0e+308": 1.0e308, "10**308": 10**308, "10**309": 10**309, '"1"': "1", "true": True,
+    "[]": [], "{}": {}, "[0.0, 10**309]": [0.0, 10**309], "[0, 10**308]": [0, 10**308],
+    "{a: 10**308}": {"a": 10**308}, "!!set {10**308}": {10**308},
 }
 
 # names that would put `out/{name}` somewhere other than its own directory
@@ -1173,6 +1177,22 @@ class TestHostileConfig:
         else:
             assert code == 1 and err == (f"error: config key {section}.seed: expected an integer "
                                          "in the int64 range, got an integer of 19 digits\n")
+
+    @pytest.mark.parametrize("graph, message", [
+        ("[1{0}]", "config section graph must be a mapping, got [an integer of 309 digits]"),
+        ("!!omap [{{a: 1{0}}}]",
+         "config section graph must be a mapping, got [('a', an integer of 309 digits)]"),
+        ("&x [1{0}, *x]",  # an alias to the list that holds it
+         "config section graph must be a mapping, got [an integer of 309 digits, [...]]"),
+        ("{{source: 1{0}}}", "unknown graph source an integer of 309 digits"),
+        ("{{source: path, size: 8, 1{0}: 1}}", "unknown config key graph.an integer of 309 digits"),
+    ], ids=["section", "omap-section", "recursive-section", "selector", "key"])
+    def test_huge_int_outside_a_field_named_by_digit_count(self, tmp_path, capsys, graph, message):
+        config = tmp_path / "cfg.yaml"
+        config.write_text(f"graph: {graph.format('0' * 308)}\n"
+                          "signal: {type: impulse, center: 4}\n", encoding="utf-8")
+        assert main(["graph-info", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_libyaml_and_python_loaders_agree(self, tmp_path, monkeypatch):
         # configs parse with libyaml where PyYAML has it, else with the pure-
@@ -1575,13 +1595,18 @@ def test_shipped_scripts_run(tmp_path, capsys):
     assert run_presets.main(["--out-root", str(tmp_path)]) == 0
     for name in run_presets.SELF_CONTAINED:
         assert (tmp_path / name / "coefficients.npz").is_file(), name
+    # a header, a rule, then one row per preset
+    table = capsys.readouterr().out.splitlines()[2:5]
+    assert [row.split()[0] for row in table] == ["path-impulse", "path-chirp", "random-irregular"]
     sweep = _load_script("denominator_sweep")
-    assert sweep.main(["--size", "40", "--counts", "1", "3"]) == 0
+    assert sweep.main(["--size", "40", "--counts", "1", "2", "3"]) == 0
     out = capsys.readouterr().out
     assert "N = 40" in out
     header, *rows = [line.split() for line in out.splitlines()
-                     if line[:3].strip() in ("J", "1", "3")]
-    assert header[3] == "B/A" and [row[0] for row in rows] == ["1", "3"]
+                     if line[:3].strip() in ("J", "1", "2", "3")]
+    assert header[3] == "B/A" and [row[0] for row in rows] == ["1", "2", "3"]
+    # normalized synthesis pins d(n) at N by construction
+    assert [float(row[3]) for row in rows] == [40.0] * 3
     # same-as-analysis pairing: B/A of the union frame is max d / min d
     basis = basis_for(random_connected_graph(40, seed=7), LaplacianKind.SYMMETRIC_NORMALIZED)
     for row in rows:

@@ -107,6 +107,12 @@ class TestBuildGraph:
         with pytest.raises(error, match=message):
             Graph(2, np.asarray(weights), coordinates)
 
+    @pytest.mark.parametrize("build", [lambda: Graph(0, np.zeros((0, 0))),
+                                       lambda: build_graph(0, [])], ids=["graph", "build-graph"])
+    def test_no_vertices_rejected(self, build):
+        with pytest.raises(InvalidSize, match="^graph needs at least one vertex, got 0$"):
+            build()
+
     def test_neighbors(self):
         g = build_graph(3, [(1, 2, 2.0), (2, 3, 3.0)])
         assert g.neighbors(2) == [1, 3]
@@ -175,6 +181,12 @@ class TestRandomConnectedGraph:
     def test_negative_seed_or_extra_edges_rejected(self, kwargs):
         with pytest.raises(InvalidParameter):
             random_connected_graph(10, **kwargs)
+
+    @pytest.mark.parametrize("weight_range", [(2, 1), (0, 1), (-1, 1)])
+    def test_weight_range_must_be_ordered_and_positive(self, weight_range):
+        # (2, 1) used to be refused as "must be positive", which both ends are
+        with pytest.raises(InvalidParameter, match=r"must satisfy 0 < low <= high$"):
+            random_connected_graph(5, 1, weight_range=weight_range)
 
 
 class TestDraws:
@@ -299,6 +311,15 @@ class TestLoadGraph:
         with pytest.raises(InvalidParameter, match="non-finite"):
             load_graph(self._write(tmp_path, f"3\n1 2 1\n2 3 {weight}\n"))
 
+    @pytest.mark.parametrize("text, message", [
+        ("abc\n1 2\n", "^line 1: expected a vertex count, got 'abc'$"),
+        ("0\n", "^line 1: vertex count must be positive, got 0$"),
+        ("# comments\n\n# only\n", "^file contains no vertices$"),
+    ], ids=["count-not-a-number", "count-zero", "comments-only"])
+    def test_bad_vertex_count_or_no_vertices(self, tmp_path, text, message):
+        with pytest.raises(ParseError, match=message):
+            load_graph(self._write(tmp_path, text))
+
     def test_largest_component_tie_keeps_smallest_vertex(self, tmp_path):
         gfile = self._write(tmp_path, "4\n1 4\n2 3\n")
         cfile = self._write(tmp_path, "1 1 0\n2 2 0\n3 3 0\n4 4 0\n", "c.txt")
@@ -336,7 +357,9 @@ class TestLoadGraph:
         ("1 0 0\n2 inf 0\n3 1 1\n", r"line 2: NaN or infinite coordinate in '2 inf 0'"),
         ("1 0 0\n2 nan 0\n3 1 1\n", r"line 2: NaN or infinite coordinate in '2 nan 0'"),
         ("1 0 0\n2 1 0\n1 5 5\n3 1 1\n", r"line 3: vertex 1 repeats line 1"),
-    ], ids=["infinite", "nan", "repeated-vertex"])
+        ("1 0.0\n2 1 0\n3 1 1\n", r"line 1: expected 'i x y', got '1 0.0'"),
+        ("1 x 0\n2 1 0\n3 1 1\n", r"line 1: could not parse coordinate line '1 x 0'"),
+    ], ids=["infinite", "nan", "repeated-vertex", "two-fields", "not-a-number"])
     def test_bad_coordinate_line_names_its_line(self, tmp_path, text, message):
         # an infinite x used to reach coordinates.csv, a NaN one was reported
         # as a missing vertex, and a repeated vertex replaced the earlier line
@@ -351,6 +374,14 @@ class TestLoadGraph:
         save_graph(out, g)
         loaded = load_graph(out)
         assert np.array_equal(g.weights, loaded.weights)
+
+    def test_save_round_trip_with_coordinates(self, tmp_path):
+        coordinates = np.array([[0.0, -0.0], [1e-300, 2.5], [-3.0, 0.1]])
+        g = build_graph(3, [(1, 2, 0.5), (2, 3, 2.0)], coordinates)
+        save_graph(tmp_path / "g.txt", g, tmp_path / "c.txt")
+        loaded = load_graph(tmp_path / "g.txt", coordinates_path=tmp_path / "c.txt")
+        assert np.array_equal(loaded.weights, g.weights)
+        assert loaded.coordinates.tobytes() == coordinates.tobytes()
 
 
 class TestLaplacian:

@@ -175,6 +175,10 @@ class TestBuildSignal:
         with pytest.raises(TypeError):
             SpectralProfileSpec()
 
+    def test_unknown_spec_rejected(self):
+        with pytest.raises(InvalidParameter, match="^unknown signal spec <object object"):
+            build_signal(object(), basis_for(path_graph(5)))
+
     def test_length_mismatch(self, tmp_path):
         basis = basis_for(path_graph(5))
         target = tmp_path / "spectrum.csv"

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from mwgft import (
     DimensionMismatch,
+    EigSolverFailure,
     FingerprintMismatch,
     InvalidParameter,
+    InvalidSize,
     MultipleZeroEigenvalues,
     SpectralBasis,
     build_graph,
@@ -167,6 +169,26 @@ class TestEigendecompose:
     def test_non_laplacian_rejected(self):
         with pytest.raises(InvalidParameter):
             eigendecompose(np.eye(3), UNNORM)
+
+    @pytest.mark.parametrize("lap, error, message", [
+        (np.zeros((2, 3)), DimensionMismatch, r"^laplacian must be square, got shape \(2, 3\)$"),
+        (np.zeros((1, 1)), InvalidSize, "^need at least two vertices to decompose$"),
+    ], ids=["non-square", "one-vertex"])
+    def test_wrong_shape_rejected(self, lap, error, message):
+        with pytest.raises(error, match=message):
+            eigendecompose(lap, UNNORM)
+
+    def test_solver_failure_is_typed(self, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(EigSolverFailure, match="^Eigenvalues did not converge$"):
+            eigendecompose(laplacian(path_graph(4), UNNORM), UNNORM)
+
+    def test_inconsistent_basis_rejected(self):
+        basis = basis_for(path_graph(4))
+        with pytest.raises(DimensionMismatch, match=r"^eigenvalues \(3,\) and vectors \(4, 4\)"):
+            SpectralBasis(basis.eigenvalues[:3], basis.vectors, basis.kind)
 
     def test_complex_vectors_rejected(self):
         basis = basis_for(path_graph(4))

@@ -33,6 +33,7 @@ from mwgft import (
     spectrogram,
     synthesis_family,
     translate_norms_sq,
+    translation_inner_products,
     uniform_shifts,
     wgft,
 )
@@ -337,8 +338,9 @@ class TestFrameBounds:
         g = np.eye(7)[1] + 1e-6
         report = check_nondegeneracy(basis, WindowFamily.with_same_synthesis([g]))
         assert report.failing_vertices == [4]
-        with pytest.raises(NotAFrame, match=r"\(vertices: 4\)$"):
+        with pytest.raises(NotAFrame, match=r"\(vertices: 4\)$") as err:
             frame_bounds(basis, g)
+        assert err.value.vertices == (4,)
 
     @pytest.mark.parametrize("tolerance", [-1.0, float("nan")])
     def test_negative_or_nan_tolerance_rejected(self, tolerance):
@@ -354,6 +356,20 @@ class TestFrameBounds:
         assert bounds.loose_lower is not None
         assert bounds.loose_lower <= bounds.lower * (1 + 1e-12)
         assert bounds.loose_upper == bounds.upper
+
+    @pytest.mark.parametrize("size", [7, 50, 300])
+    @pytest.mark.parametrize("complex_values", [False, True], ids=["real", "complex"])
+    def test_loose_pair_energies_are_the_translation_products(self, rng, size, complex_values):
+        # the loose pair reads d(n) of (g, gamma) and of (gamma, gamma): bit
+        # for bit the cross and dual energies of mwgft.operators
+        basis = random_basis(167, size=size)
+        g_hat, gamma_hat = (np.abs(random_complex(rng, size)) + 0.2 for _ in range(2))
+        if complex_values:
+            g_hat, gamma_hat = g_hat * random_complex(rng, size), gamma_hat + 0.1j
+        cross = translation_inner_products(basis, g_hat, gamma_hat)
+        dual = translate_norms_sq(basis, gamma_hat)
+        a = float(np.min(np.where(dual > 0, np.abs(cross) / np.sqrt(dual), 0.0)))
+        assert frame_bounds(basis, g_hat, gamma_hat).loose_lower == a * a * size
 
     def test_no_dual_no_loose_pair(self, rng):
         basis = random_basis(163)
@@ -501,6 +517,35 @@ BASIS_DAMAGE = {
 SHAPE_DAMAGE = ("eigenvalues-short", "eigenvalues-2d", "vectors-not-square", "vectors-wrong-size")
 
 
+def _rewrite(target, member, edit):
+    """Replace the bytes of ``member`` in the zip file ``target`` by ``edit`` of them."""
+    with zipfile.ZipFile(target) as archive:
+        blobs = {name: archive.read(name) for name in archive.namelist()}
+    blobs[member] = edit(blobs[member])
+    with zipfile.ZipFile(target, "w") as archive:
+        for name, blob in blobs.items():
+            archive.writestr(name, blob)
+
+
+def _npy_2_0(member):
+    """A format 1.0 ``.npy`` member rewritten with a format 2.0 header."""
+    stored = io.BytesIO(member)
+    np.lib.format.read_magic(stored)
+    shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(stored)
+    header = io.BytesIO()
+    np.lib.format.write_array_header_2_0(header, {
+        "descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": fortran_order,
+        "shape": shape})
+    return header.getvalue() + stored.read()
+
+
+# refusals whose message the damage case pins
+DAMAGE_MESSAGES = {
+    "npy-3.0": "unsupported .npy format version (3, 0)",
+    "trailing-bytes": "coefficient data runs past its (J, N, N) shape",
+}
+
+
 def _damage(kind, target, coeffs):
     """Turn the valid coefficient file at ``target`` into a damaged one."""
     blob = target.read_bytes()
@@ -544,6 +589,10 @@ def _damage(kind, target, coeffs):
         _savez(target, coeffs, **BASIS_DAMAGE[kind](coeffs.basis))
     elif kind in FORGED_MEMBERS:
         forge_member(target, kind)
+    elif kind == "npy-3.0":  # the magic of a format numpy does not define
+        _rewrite(target, "coefficients.npy", lambda blob: blob[:6] + b"\x03\x00" + blob[8:])
+    elif kind == "trailing-bytes":
+        _rewrite(target, "coefficients.npy", lambda blob: blob + bytes(16))
 
 
 class TestCoefficientsIo:
@@ -556,6 +605,7 @@ class TestCoefficientsIo:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["coefficients.npz"]
         loaded = load_coefficients(target)
         assert loaded.basis_fingerprint == coeffs.basis_fingerprint
+        assert loaded.num_windows == coeffs.num_windows == 2
         assert np.array_equal(loaded.matrices, coeffs.matrices)
         rec = mwgft_synthesize(basis, family, loaded)
         assert np.linalg.norm(rec) > 0
@@ -609,7 +659,7 @@ class TestCoefficientsIo:
     @pytest.mark.parametrize("kind", [
         "missing", "truncated", "flipped-byte", "csv", "empty", "single-npy",
         "no-fingerprint", "fingerprint-only", "integer-dtype", "not-square", "wrong-size",
-        "nan", "inf", "huge-header", *BASIS_DAMAGE, *FORGED_MEMBERS,
+        "nan", "inf", "huge-header", *BASIS_DAMAGE, *FORGED_MEMBERS, *DAMAGE_MESSAGES,
     ])
     def test_damaged_file(self, tmp_path, rng, monkeypatch, kind):
         shape_damage = ("not-square", "wrong-size", *SHAPE_DAMAGE)
@@ -640,6 +690,18 @@ class TestCoefficientsIo:
             assert ("Python objects" if descr == "|O" else "data ends early") in str(err.value)
         if kind == "vectors-wrong-size":  # refused from its header, before its data
             assert (9, 9) not in shapes_read
+        assert DAMAGE_MESSAGES.get(kind, "") in str(err.value)
+
+    def test_npy_format_2_0_member_loads(self, tmp_path, rng):
+        basis = random_basis(186, size=7)
+        coeffs = mwgft_analyze(basis, rbf_family(basis), random_complex(rng, 7))
+        target = tmp_path / "coefficients.npz"
+        save_coefficients(target, coeffs)
+        for member in ("coefficients.npy", "vectors.npy"):
+            _rewrite(target, member, _npy_2_0)
+        loaded = load_coefficients(target)
+        assert np.array_equal(loaded.matrices, coeffs.matrices)
+        assert loaded.basis.fingerprint == basis.fingerprint
 
     def test_windows_straddle_read_chunks(self, tmp_path, rng):
         # N=300 float64 windows are 720 000 bytes, 10.99 read chunks each
@@ -652,14 +714,10 @@ class TestCoefficientsIo:
         assert loaded.view(np.uint64).tobytes() == coeffs.matrices.view(np.uint64).tobytes()
         # a member cut inside the first window's second chunk is refused
         with zipfile.ZipFile(target) as archive:
-            blobs = {name: archive.read(name) for name in archive.namelist()}
-        member = blobs["coefficients.npy"]
+            member = archive.read("coefficients.npy")
         start = len(member) - coeffs.matrices.nbytes
         cut = start + transform._READ_CHUNK + 1000
-        blobs["coefficients.npy"] = member[:cut]
-        with zipfile.ZipFile(target, "w") as archive:
-            for name, blob in blobs.items():
-                archive.writestr(name, blob)
+        _rewrite(target, "coefficients.npy", lambda blob: blob[:cut])
         with pytest.raises(ParseError, match="data ends early"):
             load_coefficients(target)
         with pytest.raises(EOFError, match="data ends early"):
@@ -784,6 +842,17 @@ class TestCoefficientStacks:
             mwgft_synthesize(basis, rbf_family(basis, count=2), stream)
         with pytest.raises(ParseError):
             mwgft_synthesize(basis, family, stream)
+
+    def test_file_rewritten_before_a_pass_is_refused(self, tmp_path, rng):
+        # the header is read again at the start of every pass over the file
+        basis = random_basis(192, size=6)
+        family = rbf_family(basis, count=2)
+        target = tmp_path / "coefficients.npz"
+        save_coefficients(target, _analysis(basis, family, rng.standard_normal(6)))
+        stream = _read_coefficients(target)
+        save_coefficients(target, _analysis(basis, family, random_complex(rng, 6)))
+        with pytest.raises(ParseError, match="coefficient header changed while the file was read$"):
+            spectrogram(stream)
 
     def test_save_copies_no_member_whole(self, tmp_path, rng):
         # every member is written straight from array memory; the .npy writer

@@ -328,6 +328,16 @@ class TestCheckNondegeneracy:
         assert "satisfied: false" in text
         assert "failing_vertices: 1 2 3 4" in text
 
+    def test_report_text_without_conditions(self):
+        # the verdict alone, as a caller builds it: every line but the conditions
+        assert [f.name for f in fields(ConditionReport)] == ["denominators", "tolerance",
+                                                             "conditions"]
+        report = ConditionReport(np.array([2.0, -0.5, np.nan]), 1.0)
+        assert not report.satisfied and report.failing_vertices == [2, 3]
+        assert format_condition_report(report) == (
+            "min_abs_denominator: nan\ntolerance: 1.0\nsatisfied: false\n"
+            "failing_vertices: 2 3\n")
+
 
 class TestSufficientConditions:
     def test_real_self_paired_window(self, rng):
@@ -523,7 +533,7 @@ class TestConditionReportCsv:
         d = np.concatenate([[tricky, 1e-300j, -0.0 + 0.0j, 3.0 - 4.0j], random_complex(rng, 6)])
         conditions = SufficientConditions(*([False] * len(fields(SufficientConditions))))
         for denominators in (d, d.real):
-            report = ConditionReport(denominators, 0.0, 1.0, False, conditions)
+            report = ConditionReport(denominators, 1.0, conditions)
             target, expected = tmp_path / "report.csv", tmp_path / "oracle.csv"
             save_condition_report_csv(target, report)
             save_condition_report_csv_reference(expected, report)
