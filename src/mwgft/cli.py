@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .errors import InvalidParameter, MwgftError, NumericalError
-from .experiment import _SECTIONS, list_presets, load_config, load_preset, run_experiment
+from .experiment import _SECTIONS, _bounded, list_presets, load_config, load_preset, run_experiment
 from .graph import laplacian
 from .signals import save_signal_csv
 from .spectral import check_basis, eigendecompose, save_eigenvalues_csv, save_vectors_csv
@@ -49,8 +49,8 @@ def _config(args, builds_signal: bool = False):
     """The ``--config`` or ``--preset`` config, with ``--graph-file`` as the
     graph source's ``file`` and ``--seed`` as the ``seed`` of the graph source
     and, for a command that ``builds_signal``, of the signal, wherever that
-    field exists; an option with no such field to set raises
-    :class:`InvalidParameter`."""
+    field exists; an option with no such field to set, or a seed of more
+    than 63 bits, raises :class:`InvalidParameter`."""
     config = load_preset(args.preset) if args.preset else load_config(args.config)
     graph, signal = config.graph, config.signal
     if args.graph_file is not None:
@@ -60,6 +60,7 @@ def _config(args, builds_signal: bool = False):
                 f"--graph-file needs graph source 'file', the config's is {source!r}")
         graph = dataclasses.replace(graph, file=args.graph_file)
     if args.seed is not None:
+        _bounded(args.seed, "--seed")
         if not (_reads(graph, "seed") or builds_signal and _reads(signal, "seed")):
             raise InvalidParameter(
                 "--seed needs a random graph source or a random signal; "

@@ -174,50 +174,50 @@ def _value(m: dict, section: str, key: str, convert, default=None):
         raise InvalidParameter(f"config key {name}: {exc}") from exc
 
 
-def _shown(value, _enclosing=frozenset()) -> str:
-    """``repr(value)`` for an error message, but an int outside the int64
-    range by its digit count, at any depth of a list or mapping: ``1`` and
-    308 zeros is a valid YAML int."""
-    if isinstance(value, int) and not -2**63 <= value < 2**63:
-        return f"an integer of {len(str(abs(value)))} digits"
-    if not (isinstance(value, (list, tuple, set, dict)) and value):
-        return repr(value)
-    if id(value) in _enclosing:  # a YAML alias to a node that holds it
-        return "{...}" if isinstance(value, dict) else "[...]"
-    inner = _enclosing | {id(value)}
-    if isinstance(value, dict):
-        return "{" + ", ".join(f"{_shown(k, inner)}: {_shown(v, inner)}"
-                               for k, v in value.items()) + "}"
-    items = ", ".join(_shown(v, inner) for v in value)
-    if isinstance(value, tuple):
-        return f"({items},)" if len(value) == 1 else f"({items})"
-    return f"[{items}]" if isinstance(value, list) else f"{{{items}}}"
+def _shown(value) -> str:
+    """A scalar as its ``repr``, a container by its type and size (``a list of 10``)."""
+    if isinstance(value, (list, tuple, set, dict)):
+        return f"a {type(value).__name__} of {len(value)}"
+    return repr(value)
+
+
+def _bounded(raw, where: str = "config key {}") -> None:
+    """Refuse every int of more than 63 bits in ``raw``, as a value or as a
+    mapping key, by ``where`` filled with its key path (``windows.shifts[1]``)
+    and its size in bits: one walk that visits each container once, however
+    many YAML aliases point at it and however deep it nests."""
+    stack, seen = [("", "", raw)], set()
+    while stack:
+        parent, key, value = stack.pop()
+        path = (f"{parent}.{key}" if isinstance(key, str) else f"{parent}[{key}]").removeprefix(".")
+        if isinstance(value, int) and value.bit_length() > 63:
+            raise InvalidParameter(
+                f"{where.format(path)}: an integer of {value.bit_length()} bits, more than 63")
+        if isinstance(value, (list, tuple, set, dict)) and id(value) not in seen:
+            seen.add(id(value))
+            pairs = value.items() if isinstance(value, dict) else enumerate(value)
+            keys = value if isinstance(value, dict) else ()
+            # the keys pop first, so each is bounded before it names a path
+            stack += [(path, k, item) for k, item in pairs] + [(path, "<key>", k) for k in keys]
 
 
 def _integer(value) -> int:
     """``int(value)``, but a boolean, a string, a fractional number or a float
     beyond 2**53, where floats stop being exact integers, raises ``ValueError``
     instead of becoming 1, being parsed, being truncated or becoming a huge
-    int (``1.0e+308`` has 309 digits); so does an int outside the int64 range."""
+    int (``1.0e+308`` has 309 digits)."""
     if isinstance(value, (bool, str)) or (
             isinstance(value, float) and not (value.is_integer() and abs(value) <= 2**53)):
         raise ValueError(f"expected an integer, got {value!r}")
-    number = int(value)
-    if not -2**63 <= number < 2**63:
-        raise ValueError(f"expected an integer in the int64 range, got {_shown(number)}")
-    return number
+    return int(value)
 
 
 def _real(value) -> float:
     """``float(value)`` of a YAML int or float (``.inf`` and ``.nan`` included);
-    a boolean or a string raises ``ValueError`` instead of becoming 1.0 or 0.001,
-    and so does an int beyond the float range instead of ``OverflowError``."""
+    a boolean or a string raises ``ValueError`` instead of becoming 1.0 or 0.001."""
     if isinstance(value, (bool, str)):
         raise ValueError(f"expected a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"expected a number in the float range, got {_shown(value)}") from None
+    return float(value)
 
 
 def _reals(value) -> tuple:
@@ -279,8 +279,7 @@ def _keys(section: str, m, known) -> dict:
     if not isinstance(m, dict):
         raise InvalidParameter(f"config section {section} must be a mapping, got {_shown(m)}")
     prefix = f"{section}." if section else ""
-    unknown = [f"{prefix}{_shown(key) if isinstance(key, int) else key}"
-               for key in m if key not in known]
+    unknown = [f"{prefix}{key}" for key in m if key not in known]
     if unknown:
         raise InvalidParameter(f"unknown config key {', '.join(unknown)}")
     return m
@@ -316,6 +315,7 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
     """Validate a raw (YAML-shaped) mapping into an :class:`ExperimentConfig`."""
     if not isinstance(mapping, dict):
         raise InvalidParameter("experiment config must be a mapping")
+    _bounded(mapping)
     _keys("", mapping, ("name", "graph", "laplacian", "signal", "windows", "tolerances"))
     tolerances = _keys("tolerances", mapping.get("tolerances", {}), ("nondegeneracy",))
     return ExperimentConfig(
@@ -332,15 +332,34 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
 #: both build values with the same safe constructor and resolver
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
+#: the deepest a config may nest: a real one nests 3 deep, and the composers
+#: recurse once per level (libyaml's overflows the C stack near 40000)
+_MAX_DEPTH = 32
+
+
+def _document(fh, name):
+    """The YAML document read from ``fh``, an open text file of config ``name``.
+
+    Its parse events are scanned first, so a document nested more than
+    ``_MAX_DEPTH`` deep is refused before a composer recurses into it.  That,
+    bad YAML and a scalar Python refuses to build (an int past 4300 digits, a
+    timestamp such as 2024-13-45) raise :class:`ParseError`.
+    """
+    try:
+        text, depth = fh.read(), 0
+        for event in yaml.parse(text, Loader=_YAML_LOADER):
+            depth += isinstance(event, yaml.CollectionStartEvent)
+            depth -= isinstance(event, yaml.CollectionEndEvent)
+            if depth > _MAX_DEPTH:
+                raise ValueError(f"it nests more than {_MAX_DEPTH} deep")
+        return yaml.load(text, Loader=_YAML_LOADER)
+    except (yaml.YAMLError, ValueError) as exc:
+        raise ParseError(f"could not parse config {name}: {exc}") from exc
+
 
 def load_config(path) -> ExperimentConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.load(fh, Loader=_YAML_LOADER)
-    # a ValueError is a scalar Python refuses to build: an int past 4300
-    # digits, a timestamp such as 2024-13-45
-    except (yaml.YAMLError, ValueError) as exc:
-        raise ParseError(f"could not parse config {path}: {exc}") from exc
+    with open(path, "r", encoding="utf-8") as fh:
+        raw = _document(fh, path)
     return config_from_mapping(raw)
 
 
@@ -355,7 +374,8 @@ def load_preset(name: str) -> ExperimentConfig:
         raise InvalidParameter(
             f"unknown preset {name!r}; available: {', '.join(list_presets())}"
         )
-    raw = yaml.load(resource.read_text(encoding="utf-8"), Loader=_YAML_LOADER)
+    with resource.open("r", encoding="utf-8") as fh:
+        raw = _document(fh, resource)
     return config_from_mapping(raw)
 
 

@@ -1,6 +1,8 @@
 import dataclasses
+import functools
 import importlib.util
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -83,6 +85,17 @@ def _readme_block(heading, language):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split(f"\n## {heading}\n", 1)[1]
     return section.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
+def run_mwgft(*argv, **env):
+    """``mwgft *argv`` in a fresh process, with ``env`` added to its
+    environment: its stderr is what a user sees, and a crash fails one test
+    instead of ending pytest."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, **env,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "mwgft.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=300)
 
 
 def write_yaml(path, mapping):
@@ -415,14 +428,18 @@ class TestLoadConfig:
     @pytest.mark.parametrize("text", [
         pytest.param("graph: {source: path, size: 1" + "0" * 5000 + "}\n", id="int-of-5001-digits"),
         pytest.param("name: 2024-13-45\n", id="impossible-date"),
+        pytest.param("graph: " + "[" * 40000 + "]" * 40000 + "\n", id="list-nested-40000-deep"),
     ])
-    def test_scalar_python_cannot_build(self, tmp_path, capsys, text):
-        # each used to escape `mwgft` as a ValueError traceback from the YAML
-        # constructor, which refuses ints past 4300 digits and such dates
+    def test_scalar_python_cannot_build(self, tmp_path, text):
+        # the first two used to escape `mwgft` as a ValueError traceback from
+        # the YAML constructor, which refuses ints past 4300 digits and such
+        # dates; the deep list crashed libyaml's composer (exit 139), so each
+        # case runs in its own process
         target = tmp_path / "cfg.yaml"
         target.write_text(text, encoding="utf-8")
-        assert main(["graph-info", "--config", str(target)]) == 1
-        err = capsys.readouterr().err
+        done = run_mwgft("graph-info", "--config", str(target))
+        assert done.returncode == 1, done.stderr[-300:]
+        err = done.stderr
         assert err.startswith(f"error: could not parse config {target}: ") and err.count("\n") == 1
         assert "0" * 20 not in err
 
@@ -879,13 +896,7 @@ class TestCliRun:
         cfg = write_yaml(tmp_path / "cfg.yaml", minimal_mapping(
             graph={"source": "path", "size": 12}, signal={"type": "impulse", "center": 3},
             windows={"kernel": "rbf", "count": 3, "l_fac": l_fac}))
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run(
-            [sys.executable, "-m", "mwgft.cli", "run", "--config", cfg,
-             "--out", str(tmp_path / "out")],
-            env=env, capture_output=True, text=True, timeout=300)
+        done = run_mwgft("run", "--config", cfg, "--out", str(tmp_path / "out"))
         assert done.returncode == 2
         assert done.stderr == ("error: energy response is 0.000e+00 at frequency 1; "
                                "family does not cover the spectrum\n")
@@ -1026,15 +1037,19 @@ class TestCliRun:
 # The hostile-config table: every field of every config variant, and the
 # top-level keys, takes each of these values in turn through `mwgft run`.
 # yaml.safe_dump writes each value as its id, except the powers of 10, which
-# it writes as a 1 and their zeros; PyYAML reads `1.0e308`, whose exponent has
-# no sign, as a string, so the huge float is `1.0e+308`.  `10**309` is past
-# the float range, and the lists, the mapping and the `!!set` hold huge ints
-# one level down.
+# it writes as a 1 and their zeros, and the shared list, which it writes once
+# per level with an anchor and aliases it nine times (10**6 zeros once the
+# aliases are followed); PyYAML reads `1.0e308`, whose exponent has no sign,
+# as a string, so the huge float is `1.0e+308`.  `10**309` is past the float
+# range, and the lists, the mapping and the `!!set` hold huge ints one level
+# down.  A new class of value joins the table only for a traceback or a wrong
+# output, not for the wording of a message.
 HOSTILE_VALUES = {
     ".inf": float("inf"), "-.inf": float("-inf"), ".nan": float("nan"), "-1": -1, "0": 0,
     "1.0e+308": 1.0e308, "10**308": 10**308, "10**309": 10**309, '"1"': "1", "true": True,
     "[]": [], "{}": {}, "[0.0, 10**309]": [0.0, 10**309], "[0, 10**308]": [0, 10**308],
     "{a: 10**308}": {"a": 10**308}, "!!set {10**308}": {10**308},
+    "a list shared 6 levels deep": functools.reduce(lambda inner, _: [inner] * 10, range(6), [0]),
 }
 
 # names that would put `out/{name}` somewhere other than its own directory
@@ -1065,10 +1080,7 @@ HOSTILE_REFUSED = {f"name={value_id}" for value_id in HOSTILE_NAMES}
 
 # cases that legitimately end in a numerical error (exit 2): a tolerance no
 # denominator can clear stops the run after the coefficients are written
-HOSTILE_EXIT_2 = {
-    "tolerances.nondegeneracy=1.0e+308", "tolerances.nondegeneracy=10**308",
-    "tolerances.nondegeneracy=.inf",
-}
+HOSTILE_EXIT_2 = {"tolerances.nondegeneracy=1.0e+308", "tolerances.nondegeneracy=.inf"}
 
 # refused cases whose error line names the refused value, not the key
 HOSTILE_NAMED_BY_VALUE = {
@@ -1076,8 +1088,7 @@ HOSTILE_NAMED_BY_VALUE = {
        for source in ("path", "random") for value in ("-1", "0")},
     **{f"signal.{kind}.center={value}": "outside 1..8"
        for kind in ("impulse", "chirp") for value in ("-1", "0")},
-    **{f"signal.chirp.rate={value}": "signal type 'chirp' gives non-finite values"
-       for value in ("1.0e+308", "10**308")},
+    "signal.chirp.rate=1.0e+308": "signal type 'chirp' gives non-finite values",
 }
 
 
@@ -1151,7 +1162,9 @@ class TestHostileConfig:
                 assert _numbers_are_finite(path), path.name
             return
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
-        # a huge int is named by its digit count, never printed in full
+        # a huge int is named by its key and size in bits, and a container by
+        # its type and size, never printed in full
+        assert len(captured.err) < 300, captured.err[:300]
         assert "0" * 20 not in captured.err, captured.err
         if code == 2:
             assert case in HOSTILE_EXIT_2, captured.err
@@ -1163,36 +1176,56 @@ class TestHostileConfig:
         assert HOSTILE_NAMED_BY_VALUE.get(case, field) in captured.err, captured.err
         assert not out.exists()
 
-    @pytest.mark.parametrize("section", ["graph", "signal"])
+    @pytest.mark.parametrize("section", ["graph", "signal", "--seed"])
     @pytest.mark.parametrize("seed", [2**63 - 1, 2**63, -2**63 - 1])
     def test_seed_at_the_int64_edge(self, tmp_path, capsys, section, seed):
-        # ints past the int64 range used to pass and be printed digit by digit
+        # ints past the int64 range used to pass and be printed digit by
+        # digit; `--seed`, applied after the config's checks, passed them
         mapping = minimal_mapping()
-        mapping[section] = {**HOSTILE_BASES[section, "random"], "seed": seed}
+        if section == "--seed":
+            mapping["graph"] = HOSTILE_BASES["graph", "random"]
+            argv, where = ["--seed", str(seed)], "--seed"
+        else:
+            mapping[section] = {**HOSTILE_BASES[section, "random"], "seed": seed}
+            argv, where = [], f"config key {section}.seed"
         config = write_yaml(tmp_path / "cfg.yaml", mapping)
-        code = main(["run", "--config", config, "--out", str(tmp_path / "out")])
+        code = main(["run", "--config", config, "--out", str(tmp_path / "out"), *argv])
         err = capsys.readouterr().err
         if seed == 2**63 - 1:
             assert (code, err) == (0, "")
         else:
-            assert code == 1 and err == (f"error: config key {section}.seed: expected an integer "
-                                         "in the int64 range, got an integer of 19 digits\n")
+            assert code == 1 and err == f"error: {where}: an integer of 64 bits, more than 63\n"
 
     @pytest.mark.parametrize("graph, message", [
-        ("[1{0}]", "config section graph must be a mapping, got [an integer of 309 digits]"),
-        ("!!omap [{{a: 1{0}}}]",
-         "config section graph must be a mapping, got [('a', an integer of 309 digits)]"),
+        ("[1{0}]", "config key graph[0]: an integer of 1024 bits, more than 63"),
+        ("!!omap [{{a: 1{0}}}]", "config key graph[0][1]: an integer of 1024 bits, more than 63"),
         ("&x [1{0}, *x]",  # an alias to the list that holds it
-         "config section graph must be a mapping, got [an integer of 309 digits, [...]]"),
-        ("{{source: 1{0}}}", "unknown graph source an integer of 309 digits"),
-        ("{{source: path, size: 8, 1{0}: 1}}", "unknown config key graph.an integer of 309 digits"),
+         "config key graph[0]: an integer of 1024 bits, more than 63"),
+        ("{{source: 1{0}}}", "config key graph.source: an integer of 1024 bits, more than 63"),
+        ("{{source: path, size: 8, 1{0}: 1}}",
+         "config key graph.<key>: an integer of 1024 bits, more than 63"),
     ], ids=["section", "omap-section", "recursive-section", "selector", "key"])
-    def test_huge_int_outside_a_field_named_by_digit_count(self, tmp_path, capsys, graph, message):
+    def test_huge_int_outside_a_field_named_by_key_path(self, tmp_path, capsys, graph, message):
         config = tmp_path / "cfg.yaml"
         config.write_text(f"graph: {graph.format('0' * 308)}\n"
                           "signal: {type: impulse, center: 4}\n", encoding="utf-8")
         assert main(["graph-info", "--config", str(config)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"graph": [10**5000]}, "config key graph[0]: an integer of 16610 bits"),
+        ({"graph": {"source": "path", "size": 10**5000}},
+         "config key graph.size: an integer of 16610 bits"),
+        ({"graph": {"source": "path", "size": 8, 10**5000: 1}},
+         "config key graph.<key>: an integer of 16610 bits"),
+        ({"graph": functools.reduce(lambda inner, _: [inner], range(5000), [])},
+         "config section graph must be a mapping, got a list of 1"),
+    ], ids=["section", "size", "key", "list-nested-5000-deep"])
+    def test_library_call_names_the_key_path(self, overrides, message):
+        # an int past 4300 digits, which has no decimal string in Python,
+        # escaped as a bare ValueError, and the deep list as a RecursionError
+        with pytest.raises(InvalidParameter, match=re.escape(message)):
+            config_from_mapping(minimal_mapping(**overrides))
 
     def test_libyaml_and_python_loaders_agree(self, tmp_path, monkeypatch):
         # configs parse with libyaml where PyYAML has it, else with the pure-
@@ -1292,13 +1325,9 @@ class TestCliPipelines:
             laplacian="normalized",
             windows={"kernel": "rbf", "count": 2},
         ))
-        src = str(Path(__file__).resolve().parents[1] / "src")
 
         def mwgft(threads, *argv):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
-                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-            done = subprocess.run([sys.executable, "-m", "mwgft.cli", *argv, "--config", config],
-                                  env=env, capture_output=True, text=True, timeout=300)
+            done = run_mwgft(*argv, "--config", config, OPENBLAS_NUM_THREADS=str(threads))
             assert done.returncode == 0, done.stderr
 
         mwgft(1, "analyze", "--out", str(tmp_path / "a"))
