@@ -8,7 +8,7 @@ grows as more of the spectrum gets covered.
 
 With synthesis == analysis, d(n) = sum_j ||T_n g_j||^2, so the union family
 {M_k T_n g_j} has the frame bounds A = N min_n d(n) and B = N max_n d(n); the
-B/A column prints their ratio, max d / min d (1 is a tight frame).
+B/A column prints their ratio, from ``frame_bounds`` (1 is a tight frame).
 
     python scripts/denominator_sweep.py --size 120 --seed 7
 """
@@ -21,6 +21,7 @@ from mwgft import (
     WindowFamily,
     check_nondegeneracy,
     eigendecompose,
+    frame_bounds,
     laplacian,
     random_connected_graph,
     rbf_prototype,
@@ -51,11 +52,15 @@ def main(argv=None) -> int:
             uniform_shifts(basis.lambda_max, count),
             basis,
         )
-        same = check_nondegeneracy(basis, WindowFamily.with_same_synthesis(analysis))
+        family = WindowFamily.with_same_synthesis(analysis)
+        same = check_nondegeneracy(basis, family)
         normalized = check_nondegeneracy(
             basis, WindowFamily.with_normalized_synthesis(analysis)
         )
-        ratio = same.denominators.real.max() / same.denominators.real.min()
+        ratio = float("nan")
+        if same.satisfied:  # else frame_bounds raises NotAFrame
+            bounds = frame_bounds(basis, family)
+            ratio = bounds.upper / bounds.lower
         print(f"{count:>3} {same.min_abs:>24.6e} {ratio:>8.4f} {normalized.min_abs:>28.6e}")
         if not same.min_abs > 0:
             print(f"    (J={count}: denominator vanished somewhere)")

@@ -17,8 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import InvalidParameter, MwgftError, NumericalError
-from .experiment import _SECTIONS, _bounded, list_presets, load_config, load_preset, run_experiment
+from .errors import InvalidParameter, MwgftError, NumericalError, _os_message
+from .experiment import (
+    _SECTIONS, _bounded, _variant_keys, list_presets, load_config, load_preset, run_experiment,
+)
 from .graph import laplacian
 from .signals import save_signal_csv
 from .spectral import check_basis, eigendecompose, save_eigenvalues_csv, save_vectors_csv
@@ -31,7 +33,7 @@ from .transform import (
     save_spectrogram_files,
     spectrogram,
 )
-from .windows import check_nondegeneracy, format_condition_report, save_family_csv
+from .windows import WindowFamily, check_nondegeneracy, format_condition_report, save_family_csv
 from . import signals as _signals
 
 
@@ -49,11 +51,12 @@ def _config(args, builds_signal: bool = False):
     """The ``--config`` or ``--preset`` config, with ``--graph-file`` as the
     graph source's ``file`` and ``--seed`` as the ``seed`` of the graph source
     and, for a command that ``builds_signal``, of the signal, wherever that
-    field exists; an option with no such field to set, or a seed of more
-    than 63 bits, raises :class:`InvalidParameter`."""
+    field exists; an option with no such field to set, a seed of more than
+    63 bits or a graph file holding a NUL byte raises :class:`InvalidParameter`."""
     config = load_preset(args.preset) if args.preset else load_config(args.config)
     graph, signal = config.graph, config.signal
     if args.graph_file is not None:
+        _bounded(args.graph_file, "--graph-file")
         if not _reads(graph, "file"):
             source = next(k for k, v in _SECTIONS["graph"][3].items() if isinstance(graph, v))
             raise InvalidParameter(
@@ -73,7 +76,7 @@ def _config(args, builds_signal: bool = False):
 
 def _reads(variant, key: str) -> bool:
     """Whether a config variant reads ``key``, that is has a field of that name."""
-    return any(f.name == key for f in dataclasses.fields(variant))
+    return key in _variant_keys(type(variant))
 
 
 def _pipeline(args, basis=None, builds_signal: bool = False):
@@ -120,6 +123,8 @@ def _cmd_graph_info(args) -> int:
 def _cmd_eig(args) -> int:
     if args.limit is not None and args.limit < 0:
         raise InvalidParameter(f"--limit must be at least 0, got {args.limit}")
+    if args.vectors and not args.out:
+        raise InvalidParameter("--vectors needs --out")
     config = _config(args)
     basis = eigendecompose(laplacian(config.graph.build(), config.kind), config.kind)
     limit = args.limit if args.limit is not None else basis.size
@@ -191,10 +196,12 @@ def _cmd_spectrogram(args) -> int:
 def _cmd_frame_bounds(args) -> int:
     config, basis, family = _pipeline(args)
     same = family.synthesis is family.analysis
-    for j, (g_hat, gamma_hat) in enumerate(zip(family.analysis, family.synthesis), start=1):
-        bounds = frame_bounds(basis, g_hat, None if same else gamma_hat,
-                              tolerance=config.nondegeneracy_tolerance)
-        line = f"window={j} lower={bounds.lower!r} upper={bounds.upper!r}"
+    for j in range(family.num_windows):
+        g_hat = family.analysis[j:j + 1]
+        window = (WindowFamily.with_same_synthesis(g_hat) if same
+                  else WindowFamily(g_hat, family.synthesis[j:j + 1]))
+        bounds = frame_bounds(basis, window, config.nondegeneracy_tolerance)
+        line = f"window={j + 1} lower={bounds.lower!r} upper={bounds.upper!r}"
         if bounds.loose_lower is not None:
             line += f" loose_lower={bounds.loose_lower!r} loose_upper={bounds.loose_upper!r}"
         print(line)
@@ -285,7 +292,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:  # missing input, output path that is a file, ...
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_os_message(exc)}", file=sys.stderr)
         return 1
 
 

@@ -12,6 +12,28 @@ exit code 1 and the second to exit code 2.
 
 from __future__ import annotations
 
+#: the most characters of a string, and the most vertices, that a message shows
+SHOWN_CHARS = 40
+SHOWN_VERTICES = 10
+
+
+def _shown(value) -> str:
+    """``value`` as a message shows it: a container by its type and size (``a
+    list of 10``), a string or bytes of more than :data:`SHOWN_CHARS` by its
+    first characters and its length, anything else as its ``repr``."""
+    if isinstance(value, (list, tuple, set, dict)):
+        return f"a {type(value).__name__} of {len(value)}"
+    if isinstance(value, (str, bytes)) and len(value) > SHOWN_CHARS:
+        return f"{value[:SHOWN_CHARS]!r}... ({len(value)} characters)"
+    return repr(value)
+
+
+def _os_message(exc: OSError) -> str:
+    """``str(exc)``, with the one file name it names shown by :func:`_shown`."""
+    if exc.filename is None or exc.filename2 is not None:
+        return str(exc)
+    return f"[Errno {exc.errno}] {exc.strerror}: {_shown(exc.filename)}"
+
 
 class MwgftError(Exception):
     """Base class for all errors raised by this package."""
@@ -82,13 +104,17 @@ class FingerprintMismatch(MwgftError):
 # ---------------------------------------------------------------------------
 
 class NumericalError(MwgftError):
-    """Base class of the numerical errors (command line exit code 2); the
-    1-based ``vertices`` where the quantity failed, if any, end the message."""
+    """Base class of the numerical errors (command line exit code 2).  The
+    1-based ``vertices`` where the quantity failed, if any, are all kept on
+    ``vertices``; the message ends with the first :data:`SHOWN_VERTICES` of
+    them and a count of the rest."""
 
     def __init__(self, message: str, vertices=()):
         vertices = tuple(int(v) for v in vertices)
         if vertices:
-            message = f"{message} (vertices: {', '.join(map(str, vertices))})"
+            more = len(vertices) - SHOWN_VERTICES
+            listed = ", ".join(map(str, vertices[:SHOWN_VERTICES]))
+            message = f"{message} (vertices: {listed}{f' and {more} more' if more > 0 else ''})"
         super().__init__(message)
         self.vertices = vertices
 
@@ -117,4 +143,4 @@ class DegenerateDenominator(NumericalError):
 
 class NotAFrame(NumericalError):
     """The candidate lower frame bound is zero within tolerance: ``vertices``
-    are those where ``||T_i g||^2`` does not exceed it."""
+    are those where ``sum_j ||T_i g_j||^2`` does not exceed it."""

@@ -19,6 +19,7 @@ Malformed config values and keys that nothing reads raise
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
 import time
 import typing
@@ -29,7 +30,7 @@ import numpy as np
 import yaml
 
 from . import signals as _signals
-from .errors import InvalidParameter, ParseError
+from .errors import SHOWN_CHARS, InvalidParameter, ParseError, _os_message, _shown
 from .graph import (
     Graph,
     LaplacianKind,
@@ -88,7 +89,7 @@ class FileSource:
                               largest_component=self.largest_component)
         except OSError as exc:
             key = "coordinates" if exc.filename == self.coordinates else "file"
-            raise InvalidParameter(f"config key graph.{key}: {exc}") from exc
+            raise InvalidParameter(f"config key graph.{key}: {_os_message(exc)}") from exc
 
 
 @dataclass(frozen=True)
@@ -116,7 +117,7 @@ class RbfWindows:
     def __post_init__(self):
         if self.pairing not in PAIRING_MODES:
             raise InvalidParameter(
-                f"pairing must be one of {tuple(PAIRING_MODES)}, got {self.pairing!r}")
+                f"pairing must be one of {tuple(PAIRING_MODES)}, got {_shown(self.pairing)}")
         if self.count is not None and self.shifts is not None:
             raise InvalidParameter("config key windows.count: windows.shifts sets the window count")
         if self.count is not None and self.count < 1:
@@ -139,7 +140,7 @@ class FileWindows:
         try:
             family, stored = load_family_csv(self.file)
         except OSError as exc:
-            raise InvalidParameter(f"config key windows.file: {exc}") from exc
+            raise InvalidParameter(f"config key windows.file: {_os_message(exc)}") from exc
         _check_family(basis, family)
         if not np.allclose(stored, basis.eigenvalues, atol=1e-8 * max(1.0, basis.lambda_max)):
             raise InvalidParameter(
@@ -174,18 +175,12 @@ def _value(m: dict, section: str, key: str, convert, default=None):
         raise InvalidParameter(f"config key {name}: {exc}") from exc
 
 
-def _shown(value) -> str:
-    """A scalar as its ``repr``, a container by its type and size (``a list of 10``)."""
-    if isinstance(value, (list, tuple, set, dict)):
-        return f"a {type(value).__name__} of {len(value)}"
-    return repr(value)
-
-
 def _bounded(raw, where: str = "config key {}") -> None:
-    """Refuse every int of more than 63 bits in ``raw``, as a value or as a
-    mapping key, by ``where`` filled with its key path (``windows.shifts[1]``)
-    and its size in bits: one walk that visits each container once, however
-    many YAML aliases point at it and however deep it nests."""
+    """Refuse every int of more than 63 bits and every string holding a NUL
+    byte (which no file name may hold) in ``raw``, as a value or as a mapping
+    key, by ``where`` filled with its key path (``windows.shifts[1]``) and,
+    for an int, its size in bits: one walk that visits each container once,
+    however many YAML aliases point at it and however deep it nests."""
     stack, seen = [("", "", raw)], set()
     while stack:
         parent, key, value = stack.pop()
@@ -193,6 +188,8 @@ def _bounded(raw, where: str = "config key {}") -> None:
         if isinstance(value, int) and value.bit_length() > 63:
             raise InvalidParameter(
                 f"{where.format(path)}: an integer of {value.bit_length()} bits, more than 63")
+        if isinstance(value, str) and "\0" in value:
+            raise InvalidParameter(f"{where.format(path)}: a string holding a NUL byte")
         if isinstance(value, (list, tuple, set, dict)) and id(value) not in seen:
             seen.add(id(value))
             pairs = value.items() if isinstance(value, dict) else enumerate(value)
@@ -208,7 +205,7 @@ def _integer(value) -> int:
     int (``1.0e+308`` has 309 digits)."""
     if isinstance(value, (bool, str)) or (
             isinstance(value, float) and not (value.is_integer() and abs(value) <= 2**53)):
-        raise ValueError(f"expected an integer, got {value!r}")
+        raise ValueError(f"expected an integer, got {_shown(value)}")
     return int(value)
 
 
@@ -216,7 +213,7 @@ def _real(value) -> float:
     """``float(value)`` of a YAML int or float (``.inf`` and ``.nan`` included);
     a boolean or a string raises ``ValueError`` instead of becoming 1.0 or 0.001."""
     if isinstance(value, (bool, str)):
-        raise ValueError(f"expected a number, got {value!r}")
+        raise ValueError(f"expected a number, got {_shown(value)}")
     return float(value)
 
 
@@ -248,7 +245,7 @@ def _name(value) -> str:
     ``.``, ``..`` or a path separator would write elsewhere."""
     name = _string(value)
     if name in ("", ".", "..") or "/" in name or "\\" in name:
-        raise ValueError(f"expected a directory name, got {name!r}")
+        raise ValueError(f"expected a directory name, got {_shown(name)}")
     return name
 
 
@@ -273,13 +270,26 @@ def _converter(hint):
     return _CONVERTERS[next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))]
 
 
+@functools.cache
+def _variant_keys(kind) -> dict:
+    """Each key the variant dataclass ``kind`` reads, in field order, as
+    ``(converter, default)``, the default of a required key being ``...``:
+    resolved from the annotations once per variant, on its first use, and
+    shared by every caller, which only reads it."""
+    hints = typing.get_type_hints(kind)
+    return {f.name: (_converter(hints[f.name]), ... if f.default is MISSING else f.default)
+            for f in fields(kind)}
+
+
 def _keys(section: str, m, known) -> dict:
     """``m``, once it is a mapping whose every key is in ``known``; otherwise
     :class:`InvalidParameter` (``unknown config key graph.sise``)."""
     if not isinstance(m, dict):
         raise InvalidParameter(f"config section {section} must be a mapping, got {_shown(m)}")
     prefix = f"{section}." if section else ""
-    unknown = [f"{prefix}{key}" for key in m if key not in known]
+    # a key is shown as it is unless it is a long string
+    unknown = [prefix + (key if isinstance(key, str) and len(key) <= SHOWN_CHARS else _shown(key))
+               for key in m if key not in known]
     if unknown:
         raise InvalidParameter(f"unknown config key {', '.join(unknown)}")
     return m
@@ -294,20 +304,18 @@ def _section(section: str, m):
     raise :class:`InvalidParameter`.
     """
     noun, selector, default, variants = _SECTIONS[section]
-    known = dict.fromkeys(f.name for kind in variants.values() for f in fields(kind))
+    known = dict.fromkeys(key for kind in variants.values() for key in _variant_keys(kind))
     _keys(section, m, {selector, *known})
     variant = default if m.get(selector) is None else m[selector]
     if not (isinstance(variant, str) and variant in variants):
         raise InvalidParameter(f"unknown {noun} {_shown(variant)}")
-    kind = variants[variant]
-    hints = typing.get_type_hints(kind)
-    stray = [key for key in known if key in m and key not in hints]
+    reads = _variant_keys(variants[variant])
+    stray = [key for key in known if key in m and key not in reads]
     if stray:
         raise InvalidParameter(f"{noun} {variant!r} does not use {', '.join(stray)}")
-    return kind(**{
-        f.name: _value(m, section, f.name, _converter(hints[f.name]),
-                       ... if f.default is MISSING else f.default)
-        for f in fields(kind)
+    return variants[variant](**{
+        key: _value(m, section, key, convert, default)
+        for key, (convert, default) in reads.items()
     })
 
 

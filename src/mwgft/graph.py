@@ -25,6 +25,7 @@ from .errors import (
     ParseError,
     SelfLoop,
     ZeroDegree,
+    _shown,
 )
 
 MAX_VERTICES = 10_000
@@ -52,7 +53,7 @@ class LaplacianKind(Enum):
             if kind.value == name:
                 return kind
         valid = ", ".join(k.value for k in cls)
-        raise InvalidParameter(f"unknown laplacian kind {name!r} (expected one of: {valid})")
+        raise InvalidParameter(f"unknown laplacian kind {_shown(name)} (expected one of: {valid})")
 
 
 def read_only(array: np.ndarray) -> np.ndarray:
@@ -406,18 +407,18 @@ def load_graph(
             try:
                 declared = int(tokens[0])
             except ValueError:
-                raise ParseError(f"expected a vertex count, got {tokens[0]!r}", lineno)
+                raise ParseError(f"expected a vertex count, got {_shown(tokens[0])}", lineno)
             if declared < 1:
                 raise ParseError(f"vertex count must be positive, got {declared}", lineno)
             continue
         first = False
         if len(tokens) not in (2, 3):
-            raise ParseError(f"expected 'i j' or 'i j w', got {' '.join(tokens)!r}", lineno)
+            raise ParseError(f"expected 'i j' or 'i j w', got {_shown(' '.join(tokens))}", lineno)
         try:
             i, j = int(tokens[0]), int(tokens[1])
             w = float(tokens[2]) if len(tokens) == 3 else 1.0
         except ValueError:
-            raise ParseError(f"could not parse edge {' '.join(tokens)!r}", lineno)
+            raise ParseError(f"could not parse edge {_shown(' '.join(tokens))}", lineno)
         edges.append((i, j, w))
         max_seen = max(max_seen, i, j)
 
@@ -454,14 +455,14 @@ def _load_coordinates(path, num_vertices: int) -> np.ndarray:
     placed: dict[int, int] = {}  # vertex -> line
     for lineno, tokens in _data_lines(path):
         if len(tokens) != 3:
-            raise ParseError(f"expected 'i x y', got {' '.join(tokens)!r}", lineno)
+            raise ParseError(f"expected 'i x y', got {_shown(' '.join(tokens))}", lineno)
         try:
             i = int(tokens[0])
             x, y = float(tokens[1]), float(tokens[2])
         except ValueError:
-            raise ParseError(f"could not parse coordinate line {' '.join(tokens)!r}", lineno)
+            raise ParseError(f"could not parse coordinate line {_shown(' '.join(tokens))}", lineno)
         if not (np.isfinite(x) and np.isfinite(y)):
-            raise ParseError(f"NaN or infinite coordinate in {' '.join(tokens)!r}", lineno)
+            raise ParseError(f"NaN or infinite coordinate in {_shown(' '.join(tokens))}", lineno)
         _check_vertex(i, num_vertices)
         if i in placed:
             raise ParseError(f"vertex {i} repeats line {placed[i]}", lineno)

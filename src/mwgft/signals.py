@@ -13,7 +13,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import InvalidParameter
+from .errors import SHOWN_VERTICES, InvalidParameter, _os_message
 from .graph import _check_vertex
 from .spectral import SpectralBasis, igft
 from .tables import complex_column, re_im, read_table, write_table
@@ -114,7 +114,7 @@ class SpectralProfileSpec:
         try:
             spectrum = load_spectrum_csv(self.path)
         except OSError as exc:
-            raise InvalidParameter(f"config key signal.path: {exc}") from exc
+            raise InvalidParameter(f"config key signal.path: {_os_message(exc)}") from exc
         return spectral_signal(basis, spectrum)
 
 
@@ -149,9 +149,10 @@ def build_signal(spec: SignalSpec, basis: SpectralBasis) -> np.ndarray:
         signal = spec.build(basis)
     bad = np.flatnonzero(~np.isfinite(signal))
     if bad.size:
-        more = f" and {bad.size - 10} more" if bad.size > 10 else ""
+        more = bad.size - SHOWN_VERTICES
         raise InvalidParameter(f"signal type {name!r} gives non-finite values at vertices "
-                               f"{(bad[:10] + 1).tolist()}{more}")
+                               f"{(bad[:SHOWN_VERTICES] + 1).tolist()}"
+                               f"{f' and {more} more' if more > 0 else ''}")
     return signal
 
 

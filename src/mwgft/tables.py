@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, _shown
 
 
 def _float_row(values: np.ndarray) -> str:
@@ -51,7 +51,7 @@ def read_table(
             if header is None:
                 raise ParseError(f"{path} is empty", 1)
             if not header_ok(header):
-                raise ParseError(f"unexpected header {header}", 1)
+                raise ParseError(f"unexpected header {_shown(','.join(header))}", 1)
             rows = []  # (line, index, values)
             for row in filter(None, reader):
                 line = reader.line_num

@@ -118,12 +118,16 @@ def _check_shape(shape: tuple, basis: SpectralBasis) -> None:
 
 @dataclass(frozen=True, eq=False)
 class FrameBounds:
-    """Tight frame bounds plus the per-vertex translate energies behind them.
+    """Optimal frame bounds of a window family's atoms plus the per-vertex
+    translate energies behind them.
 
-    ``lower``/``upper`` are the optimal constants N*min/max of ``||T_i g||^2``.
-    When a synthesis spectrum was supplied, ``loose_lower``/``loose_upper`` hold
-    the coarser two-window pair (a^2 N, b^2 N); b = max_i ||T_i g|| makes
-    loose_upper equal upper, and loose_lower <= lower.
+    ``translate_energies`` is ``sum_j ||T_i g_j||^2`` at every vertex (entry
+    i-1), and ``lower``/``upper`` are the optimal constants N*min/max of it.
+    For a family with its own synthesis windows, ``loose_lower``/``loose_upper``
+    hold the coarser pair (a^2 N, b^2 N), with a the smallest of
+    ``|sum_j <T_i gamma_j, T_i g_j>| / sqrt(sum_j ||T_i gamma_j||^2)`` and b
+    the largest ``sqrt(sum_j ||T_i g_j||^2)``; so loose_upper equals upper,
+    and loose_lower <= lower.
     """
 
     lower: float
@@ -317,39 +321,39 @@ class _SynthesisSum:
 
 
 def frame_bounds(
-    basis: SpectralBasis,
-    g_hat,
-    gamma_hat=None,
-    tolerance: float | None = None,
+    basis: SpectralBasis, family: WindowFamily, tolerance: float | None = None
 ) -> FrameBounds:
-    """Optimal frame bounds of the atom system ``{g_{n,k}}`` of the window
-    with spectrum ``g_hat``.
+    """Optimal frame bounds of the atom system ``{M_k T_n g_j}`` of the
+    family's analysis windows, one window or J.
 
-    The analysis energy of any f is ``N sum_i |f(i)|^2 ||T_i g||^2``, so the
-    best constants are ``N min_i ||T_i g||^2`` and ``N max_i ||T_i g||^2``
-    (delta signals attain both).  They are d(n) of the one-window family
-    ``(g, g)``, so its verdict decides: ``tolerance`` applies to
-    ``||T_i g||^2`` (default: that family's denominator tolerance), and
-    :class:`NotAFrame` names the vertices where ``||T_i g||^2 > tolerance``
-    does not hold.  A synthesis spectrum ``gamma_hat`` adds the loose pair,
-    whose cross energies ``<T_i gamma, T_i g>`` and dual energies
-    ``||T_i gamma||^2`` are d(n) of the families ``(g, gamma)`` and
-    ``(gamma, gamma)``.
+    The analysis energy of any f is ``N sum_i |f(i)|^2 sum_j ||T_i g_j||^2``,
+    so the best constants are N times the smallest and the largest of
+    ``sum_j ||T_i g_j||^2`` (delta signals attain both).  That sum is d(n) of
+    the analysis windows paired with themselves, so their verdict decides:
+    ``tolerance`` applies to it (default: that family's denominator
+    tolerance), and :class:`NotAFrame` names the vertices where it does not
+    exceed the tolerance.
+
+    A family whose synthesis windows are not its analysis windows also gets
+    the loose pair, whose cross energies ``sum_j <T_i gamma_j, T_i g_j>`` and
+    dual energies ``sum_j ||T_i gamma_j||^2`` are d(n) of the family and of
+    its synthesis windows paired with themselves.  Cauchy-Schwarz over the J
+    stacked translates bounds each cross energy by the square roots of the
+    dual energy and of ``sum_j ||T_i g_j||^2``, so ``loose_lower <= lower``,
+    and ``loose_upper == upper``.
     """
-    family = WindowFamily.with_same_synthesis([g_hat])
-    report = _verdict(basis, family, tolerance)
+    report = _verdict(basis, WindowFamily.with_same_synthesis(family.analysis), tolerance)
     if not report.satisfied:
-        raise NotAFrame(f"||T_i g||^2 <= {report.tolerance:.3e}; atoms do not span",
+        raise NotAFrame(f"sum_j ||T_i g_j||^2 <= {report.tolerance:.3e}; atoms do not span",
                         vertices=report.failing_vertices)
     energies = report.denominators.real
     n = basis.size
     bounds = FrameBounds(lower=float(n * energies.min()), upper=float(n * energies.max()),
                          translate_energies=energies)
-    if gamma_hat is None:
+    if family.synthesis is family.analysis:
         return bounds
-    pair = WindowFamily(family.analysis, [gamma_hat])
-    cross = denominator(basis, pair)
-    dual_energies = denominator(basis, WindowFamily.with_same_synthesis(pair.synthesis)).real
+    cross = denominator(basis, family)
+    dual_energies = denominator(basis, WindowFamily.with_same_synthesis(family.synthesis)).real
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(dual_energies > 0, np.abs(cross) / np.sqrt(dual_energies), 0.0)
     a = float(np.min(ratios))

@@ -243,7 +243,7 @@ def test_frame_sandwich_with_tight_bounds(record):
         basis = random_basis(80000 + gseed)
         rng = np.random.default_rng(81000 + gseed)
         g_hat = gft(basis, random_complex(rng, basis.size))
-        bounds = frame_bounds(basis, g_hat)
+        bounds = frame_bounds(basis, WindowFamily.with_same_synthesis([g_hat]))
         for _ in range(10):
             f = random_complex(rng, basis.size)
             energy = float(np.sum(np.abs(wgft(basis, g_hat, f)) ** 2))

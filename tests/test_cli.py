@@ -449,12 +449,20 @@ class TestLoadConfig:
         config = config_from_mapping(yaml.safe_load(block))
         assert config.name == "my-experiment" and config.windows.count == 3
 
-    def test_readme_library_example_runs(self):
+    def test_readme_library_example_runs(self, tmp_path, monkeypatch):
         # the documented library calls must stay ones the package answers
+        monkeypatch.chdir(tmp_path)
         namespace = {}
         exec(_readme_block("Quick start (library)", "python"), namespace)
         assert namespace["averaged"].shape == (50, 50)
         assert np.allclose(namespace["f_rec"], namespace["f"], atol=1e-10)
+        # the union frame of the three windows, with the loose pair of their duals
+        bounds, basis, windows = namespace["bounds"], namespace["basis"], namespace["windows"]
+        energies = check_nondegeneracy(
+            basis, WindowFamily.with_same_synthesis(windows.analysis)).denominators.real
+        assert (bounds.lower, bounds.upper) == (50 * energies.min(), 50 * energies.max())
+        assert bounds.loose_lower <= bounds.lower and bounds.loose_upper == bounds.upper
+        assert list(tmp_path.iterdir()) == []
 
     def test_readme_cli_quick_start_runs(self, tmp_path, capsys, monkeypatch):
         # the documented commands must stay ones the CLI accepts
@@ -645,6 +653,13 @@ class TestCliBasics:
         assert printed.count(": ") >= 3
         assert (out / "eigenvalues.csv").is_file()
         assert (out / "eigenvectors.csv").is_file()
+
+    def test_eig_vectors_without_out(self, tmp_path, capsys, monkeypatch):
+        # --vectors without --out used to exit 0 and write nothing
+        monkeypatch.chdir(tmp_path)
+        assert main(["eig", "--preset", "path-impulse", "--vectors"]) == 1
+        assert capsys.readouterr() == ("", "error: --vectors needs --out\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCliRun:
@@ -1050,6 +1065,7 @@ HOSTILE_VALUES = {
     "[]": [], "{}": {}, "[0.0, 10**309]": [0.0, 10**309], "[0, 10**308]": [0, 10**308],
     "{a: 10**308}": {"a": 10**308}, "!!set {10**308}": {10**308},
     "a list shared 6 levels deep": functools.reduce(lambda inner, _: [inner] * 10, range(6), [0]),
+    '"a\\0b"': "a\0b",
 }
 
 # names that would put `out/{name}` somewhere other than its own directory
@@ -1243,6 +1259,26 @@ class TestHostileConfig:
                               + [load_config(path) for path in paths])
         assert loaded[yaml.CSafeLoader] == loaded[yaml.SafeLoader]
 
+    @pytest.mark.parametrize("command, overrides, where", [
+        ("run", {"name": "a\0b"}, "config key name"),
+        ("graph-info", {"graph": {"source": "file", "file": "a\0b"}}, "config key graph.file"),
+        ("run", {"signal": {"type": "spectral", "path": "a\0b"}}, "config key signal.path"),
+        ("graph-info", {"graph": {"source": "path", "size": 8, "a\0b": 1}},
+         "config key graph.<key>"),
+    ], ids=["name", "graph-file", "signal-path", "key"])
+    def test_nul_byte_named_by_key_path(self, tmp_path, capsys, monkeypatch, command, overrides,
+                                        where):
+        # a NUL byte used to end in a traceback from Path.mkdir or open
+        monkeypatch.chdir(tmp_path)
+        config = write_yaml(tmp_path / "cfg.yaml", minimal_mapping(**overrides))
+        assert main([command, "--config", config]) == 1
+        assert capsys.readouterr().err == f"error: {where}: a string holding a NUL byte\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.yaml"]
+
+    def test_nul_byte_in_graph_file_option(self, capsys):
+        assert main(["graph-info", "--preset", "minnesota-heat", "--graph-file", "a\0b"]) == 1
+        assert capsys.readouterr().err == "error: --graph-file: a string holding a NUL byte\n"
+
     def test_name_without_out_stays_under_out(self, tmp_path, capsys, monkeypatch):
         # `name: ..` used to write every artifact into the working directory
         monkeypatch.chdir(tmp_path)
@@ -1250,6 +1286,48 @@ class TestHostileConfig:
         assert main(["run", "--config", config]) == 1
         assert capsys.readouterr().err.startswith("error: config key name: ")
         assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.yaml"]
+
+
+LONG = "x" * 10**6
+
+# config sites that used to echo a refused value whole: (overrides, what the
+# error names); every file the overrides read is written by _long_inputs
+LONG_VALUE_SITES = {
+    "name": ({"name": LONG}, "File name too long"),
+    "laplacian": ({"laplacian": LONG}, "unknown laplacian kind"),
+    "top-level-key": ({LONG: 1}, "unknown config key"),
+    "graph-key": ({"graph": {"source": "path", "size": 8, LONG: 1}}, "unknown config key graph."),
+    "graph.source": ({"graph": {"source": LONG}}, "unknown graph source"),
+    "graph.size": ({"graph": {"source": "path", "size": LONG}}, "config key graph.size"),
+    "graph.file": ({"graph": {"source": "file", "file": LONG}}, "config key graph.file"),
+    "signal.type": ({"signal": {"type": LONG}}, "unknown signal type"),
+    "windows.pairing": ({"windows": {"kernel": "rbf", "pairing": LONG}}, "pairing must be"),
+    "edge-line": ({"graph": {"source": "file", "file": "edges.txt"}}, "line 2: expected 'i j'"),
+    "coordinate-line": ({"graph": {"source": "file", "file": "path.txt",
+                                   "coordinates": "coordinates.txt"}},
+                        "line 2: expected 'i x y'"),
+    "header-line": ({"signal": {"type": "spectral", "path": "spectrum.csv"}},
+                    "line 1: unexpected header"),
+}
+
+
+class TestLongValues:
+    @pytest.mark.parametrize("site", LONG_VALUE_SITES)
+    def test_refusal_echoes_a_bounded_prefix(self, tmp_path, capsys, monkeypatch, site):
+        # a 10**6-character value used to come back in an error of 10**6 characters
+        overrides, named = LONG_VALUE_SITES[site]
+        monkeypatch.chdir(tmp_path)
+        save_graph(tmp_path / "path.txt", path_graph(8))
+        (tmp_path / "edges.txt").write_text("1 2\n" + "1 " * 500000 + "\n", encoding="utf-8")
+        (tmp_path / "coordinates.txt").write_text("1 0 0\n" + "2 " * 500000 + "\n",
+                                                  encoding="utf-8")
+        (tmp_path / "spectrum.csv").write_text(",".join(["a"] * 500000) + "\n",
+                                               encoding="utf-8")
+        config = write_yaml(tmp_path / "cfg.yaml", minimal_mapping(**overrides))
+        assert main(["run", "--config", config]) == 1
+        err = capsys.readouterr().err
+        assert len(err) < 300 and named in err, err[:300]
+        assert re.search(r"'[^']{40}'\.\.\. \(\d{6,} characters\)", err), err
 
 
 class TestCliPipelines:
@@ -1570,7 +1648,7 @@ class TestCliPipelines:
         assert main(["frame-bounds", "--config", cfg]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == ("error: ||T_i g||^2 <= 1.000e+09; atoms do not span "
+        assert captured.err == ("error: sum_j ||T_i g_j||^2 <= 1.000e+09; atoms do not span "
                                 "(vertices: 1, 2, 3, 4, 5, 6, 7, 8)\n")
 
     def test_frame_bounds_loose_upper_is_upper(self, capsys):

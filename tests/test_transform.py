@@ -25,6 +25,7 @@ from mwgft import (
     mwgft_analyze,
     mwgft_synthesize,
     path_graph,
+    random_connected_graph,
     rbf_prototype,
     reconstruct_two_window,
     save_coefficients,
@@ -318,18 +319,36 @@ class TestMwgft:
         assert peak_vertex == 25
 
 
+def one_window(g_hat, gamma_hat=None):
+    """The one-window family of ``g_hat``, paired with itself or with ``gamma_hat``."""
+    if gamma_hat is None:
+        return WindowFamily.with_same_synthesis([g_hat])
+    return WindowFamily([g_hat], [gamma_hat])
+
+
+# B/A = upper / lower of the union family of J RBF windows (l_fac 0.7, uniform
+# shifts, same-as-analysis pairing), for J = 1, 2, 3, 5, 8 on 300 vertices
+UNION_RATIOS = {
+    "random-unnormalized": (lambda: random_connected_graph(300, 7), UNNORM,
+                            [9.45, 1.14, 1.28, 1.42, 1.47]),
+    "random-normalized": (lambda: random_connected_graph(300, 7), NORM,
+                          [1.12, 1.12, 1.17, 1.28, 1.31]),
+    "path-unnormalized": (lambda: path_graph(300), UNNORM, [1.81, 1.00, 1.00, 1.00, 1.00]),
+}
+
+
 class TestFrameBounds:
     def test_flat_window_is_tight_frame(self):
         basis = random_basis(160, size=12)
         flat = np.ones(12) / np.sqrt(12)
-        bounds = frame_bounds(basis, flat)
+        bounds = frame_bounds(basis, one_window(flat))
         assert np.isclose(bounds.lower, 12.0, rtol=1e-10)
         assert np.isclose(bounds.upper, 12.0, rtol=1e-10)
 
     def test_zero_window_not_a_frame(self):
         basis = random_basis(161)
         with pytest.raises(NotAFrame):
-            frame_bounds(basis, gft(basis, np.zeros(basis.size)))
+            frame_bounds(basis, one_window(gft(basis, np.zeros(basis.size))))
 
     def test_vanishing_translate_follows_the_denominator_verdict(self):
         # ||T_4 g||^2 is 7e-12 here, which the denominator check of (g, g)
@@ -339,20 +358,20 @@ class TestFrameBounds:
         report = check_nondegeneracy(basis, WindowFamily.with_same_synthesis([g]))
         assert report.failing_vertices == [4]
         with pytest.raises(NotAFrame, match=r"\(vertices: 4\)$") as err:
-            frame_bounds(basis, g)
+            frame_bounds(basis, one_window(g))
         assert err.value.vertices == (4,)
 
     @pytest.mark.parametrize("tolerance", [-1.0, float("nan")])
     def test_negative_or_nan_tolerance_rejected(self, tolerance):
         basis = basis_for(path_graph(6))
         with pytest.raises(InvalidParameter, match="nondegeneracy tolerance must be >= 0"):
-            frame_bounds(basis, gft(basis, np.eye(6)[1]), tolerance=tolerance)
+            frame_bounds(basis, one_window(gft(basis, np.eye(6)[1])), tolerance=tolerance)
 
     def test_loose_pair_brackets_tight_pair(self, rng):
         basis = random_basis(162, size=10)
         g_hat = np.abs(random_complex(rng, 10)) + 0.2
         gamma_hat = synthesis_family(g_hat[None])[0]
-        bounds = frame_bounds(basis, g_hat, gamma_hat=gamma_hat)
+        bounds = frame_bounds(basis, one_window(g_hat, gamma_hat))
         assert bounds.loose_lower is not None
         assert bounds.loose_lower <= bounds.lower * (1 + 1e-12)
         assert bounds.loose_upper == bounds.upper
@@ -360,44 +379,94 @@ class TestFrameBounds:
     @pytest.mark.parametrize("size", [7, 50, 300])
     @pytest.mark.parametrize("complex_values", [False, True], ids=["real", "complex"])
     def test_loose_pair_energies_are_the_translation_products(self, rng, size, complex_values):
-        # the loose pair reads d(n) of (g, gamma) and of (gamma, gamma): bit
-        # for bit the cross and dual energies of mwgft.operators
+        # a one-window family gives, bit for bit, the energies, the bounds and
+        # the loose pair of mwgft.operators' translate norms and products
         basis = random_basis(167, size=size)
         g_hat, gamma_hat = (np.abs(random_complex(rng, size)) + 0.2 for _ in range(2))
         if complex_values:
             g_hat, gamma_hat = g_hat * random_complex(rng, size), gamma_hat + 0.1j
+        energies = translate_norms_sq(basis, g_hat)
         cross = translation_inner_products(basis, g_hat, gamma_hat)
         dual = translate_norms_sq(basis, gamma_hat)
         a = float(np.min(np.where(dual > 0, np.abs(cross) / np.sqrt(dual), 0.0)))
-        assert frame_bounds(basis, g_hat, gamma_hat).loose_lower == a * a * size
+        bounds = frame_bounds(basis, one_window(g_hat, gamma_hat))
+        assert np.array_equal(bounds.translate_energies, energies)
+        assert (bounds.lower, bounds.upper) == (size * energies.min(), size * energies.max())
+        assert bounds.loose_lower == a * a * size and bounds.loose_upper == bounds.upper
+        same = frame_bounds(basis, one_window(g_hat))
+        assert np.array_equal(same.translate_energies, energies)
+        assert (same.lower, same.upper) == (bounds.lower, bounds.upper)
 
     def test_no_dual_no_loose_pair(self, rng):
         basis = random_basis(163)
-        bounds = frame_bounds(basis, gft(basis, random_complex(rng, basis.size)))
+        g_hat = gft(basis, random_complex(rng, basis.size))
+        bounds = frame_bounds(basis, one_window(g_hat))
         assert bounds.loose_lower is None and bounds.loose_upper is None
+        # an equal but separate synthesis array is a pairing of its own
+        assert frame_bounds(basis, one_window(g_hat, g_hat.copy())).loose_lower is not None
 
     def test_old_dual_window_keyword_is_gone(self, rng):
+        # the family carries the synthesis windows; frame_bounds reads no spectrum
         basis = random_basis(165, size=8)
         g_hat = np.abs(random_complex(rng, 8)) + 0.2
-        with pytest.raises(TypeError):
-            frame_bounds(basis, g_hat, dual_window=g_hat)
+        for keyword in ("dual_window", "gamma_hat"):
+            with pytest.raises(TypeError):
+                frame_bounds(basis, one_window(g_hat), **{keyword: g_hat})
 
     def test_non_finite_dual_rejected(self, rng):
         basis = random_basis(166, size=8)
         g_hat = np.abs(random_complex(rng, 8)) + 0.2
         with pytest.raises(InvalidParameter, match="^synthesis window 1 has non-finite samples$"):
-            frame_bounds(basis, g_hat, np.full(8, np.nan))
+            frame_bounds(basis, one_window(g_hat, np.full(8, np.nan)))
 
     def test_sandwich_on_random_signals(self, rng):
         basis = random_basis(164, size=15)
         g_hat = gft(basis, random_complex(rng, 15))
-        bounds = frame_bounds(basis, g_hat)
+        bounds = frame_bounds(basis, one_window(g_hat))
         for _ in range(20):
             f = random_complex(rng, 15)
             energy = np.sum(np.abs(wgft(basis, g_hat, f)) ** 2)
             norm_sq = np.linalg.norm(f) ** 2
             assert bounds.lower * norm_sq * (1 - 1e-10) <= energy
             assert energy <= bounds.upper * norm_sq * (1 + 1e-10)
+
+    @pytest.mark.parametrize("case", UNION_RATIOS)
+    def test_union_ratio_reproduces_the_sweep(self, case):
+        build, kind, ratios = UNION_RATIOS[case]
+        basis = basis_for(build(), kind)
+        for count, expected in zip([1, 2, 3, 5, 8], ratios):
+            bounds = frame_bounds(basis, rbf_family(basis, count=count, same=True))
+            assert round(bounds.upper / bounds.lower, 2) == expected, count
+
+    @pytest.mark.parametrize("count", [2, 3, 5])
+    def test_union_sandwich_attained_at_impulses(self, rng, count):
+        # the analysis energy sum_j ||S_j||^2 lies in [A ||f||^2, B ||f||^2],
+        # and impulses at the vertices of least and most energy attain A and B
+        basis = basis_for(random_connected_graph(60, 7), NORM)
+        family = rbf_family(basis, count=count, same=True)
+        bounds = frame_bounds(basis, family)
+        for _ in range(10):
+            f = random_complex(rng, 60)
+            energy = np.sum(np.abs(mwgft_analyze(basis, family, f).matrices) ** 2)
+            norm_sq = np.linalg.norm(f) ** 2
+            assert bounds.lower * norm_sq * (1 - 1e-10) <= energy
+            assert energy <= bounds.upper * norm_sq * (1 + 1e-10)
+        for pick, target in ((np.argmin, bounds.lower), (np.argmax, bounds.upper)):
+            delta = np.eye(60)[pick(bounds.translate_energies)]
+            energy = np.sum(mwgft_analyze(basis, family, delta).matrices ** 2)
+            assert energy == pytest.approx(target, rel=1e-10)
+        normalized = frame_bounds(basis, rbf_family(basis, count=count))
+        assert (normalized.lower, normalized.upper) == (bounds.lower, bounds.upper)
+        assert normalized.loose_lower <= normalized.lower * (1 + 1e-12)
+        assert normalized.loose_upper == normalized.upper
+
+    def test_union_not_a_frame_names_sum_of_energies(self):
+        # two windows that both vanish at vertex 4 of the path
+        basis = basis_for(path_graph(7))
+        family = WindowFamily.with_same_synthesis([np.eye(7)[1] + 1e-6, np.eye(7)[1] * 2])
+        with pytest.raises(NotAFrame, match=r"^sum_j \|\|T_i g_j\|\|\^2 <= .*; atoms do not "
+                                            r"span \(vertices: 4\)$"):
+            frame_bounds(basis, family)
 
 
 class TestSpectrogram:

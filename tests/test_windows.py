@@ -338,6 +338,21 @@ class TestCheckNondegeneracy:
             "min_abs_denominator: nan\ntolerance: 1.0\nsatisfied: false\n"
             "failing_vertices: 2 3\n")
 
+    @pytest.mark.parametrize("count, listed", [
+        (10, "1, 2, 3, 4, 5, 6, 7, 8, 9, 10"),
+        (11, "1, 2, 3, 4, 5, 6, 7, 8, 9, 10 and 1 more"),
+        (2000, "1, 2, 3, 4, 5, 6, 7, 8, 9, 10 and 1990 more"),
+    ])
+    def test_error_lists_ten_vertices_and_a_count(self, count, listed):
+        # a degenerate 2000-vertex family used to print 10,948 characters;
+        # .vertices and the report text keep every vertex
+        report = ConditionReport(np.zeros(count), 1e-10)
+        error = report.error()
+        assert str(error) == f"sum_j |<T_i gamma_j, T_i g_j>| <= 1.000e-10 (vertices: {listed})"
+        assert error.vertices == tuple(range(1, count + 1))
+        assert format_condition_report(report).endswith(
+            "failing_vertices: " + " ".join(map(str, range(1, count + 1))) + "\n")
+
 
 class TestSufficientConditions:
     def test_real_self_paired_window(self, rng):
