@@ -12,7 +12,7 @@ exit code 1 and the second to exit code 2.
 
 from __future__ import annotations
 
-#: the most characters of a string, and the most vertices, that a message shows
+#: the most characters of a string, and the most list items, that a message shows
 SHOWN_CHARS = 40
 SHOWN_VERTICES = 10
 
@@ -26,6 +26,15 @@ def _shown(value) -> str:
     if isinstance(value, (str, bytes)) and len(value) > SHOWN_CHARS:
         return f"{value[:SHOWN_CHARS]!r}... ({len(value)} characters)"
     return repr(value)
+
+
+def _listed(items, template: str = "{}") -> str:
+    """The first :data:`SHOWN_VERTICES` of ``items``, comma-joined into
+    ``template``, then the count of the rest: ``[1, 2, ..., 10] and 5 more``."""
+    items = list(items)
+    more = len(items) - SHOWN_VERTICES
+    shown = template.format(", ".join(map(str, items[:SHOWN_VERTICES])))
+    return f"{shown} and {more} more" if more > 0 else shown
 
 
 def _os_message(exc: OSError) -> str:
@@ -94,9 +103,9 @@ class InvalidParameter(MwgftError):
 
 
 class FingerprintMismatch(MwgftError):
-    """Coefficients meet a spectral basis other than the one they were
-    produced against, or a stored basis does not decompose the Laplacian it
-    is used with."""
+    """Coefficients meet a spectral basis not exactly equal to the one they
+    were produced against, or a stored basis does not decompose the
+    Laplacian it is used with."""
 
 
 # ---------------------------------------------------------------------------
@@ -112,9 +121,7 @@ class NumericalError(MwgftError):
     def __init__(self, message: str, vertices=()):
         vertices = tuple(int(v) for v in vertices)
         if vertices:
-            more = len(vertices) - SHOWN_VERTICES
-            listed = ", ".join(map(str, vertices[:SHOWN_VERTICES]))
-            message = f"{message} (vertices: {listed}{f' and {more} more' if more > 0 else ''})"
+            message = f"{message} (vertices: {_listed(vertices)})"
         super().__init__(message)
         self.vertices = vertices
 

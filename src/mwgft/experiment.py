@@ -30,7 +30,7 @@ import numpy as np
 import yaml
 
 from . import signals as _signals
-from .errors import SHOWN_CHARS, InvalidParameter, ParseError, _os_message, _shown
+from .errors import SHOWN_CHARS, InvalidParameter, ParseError, _listed, _os_message, _shown
 from .graph import (
     Graph,
     LaplacianKind,
@@ -283,7 +283,7 @@ def _variant_keys(kind) -> dict:
 
 def _keys(section: str, m, known) -> dict:
     """``m``, once it is a mapping whose every key is in ``known``; otherwise
-    :class:`InvalidParameter` (``unknown config key graph.sise``)."""
+    :class:`InvalidParameter` naming at most ten (``unknown config key graph.sise``)."""
     if not isinstance(m, dict):
         raise InvalidParameter(f"config section {section} must be a mapping, got {_shown(m)}")
     prefix = f"{section}." if section else ""
@@ -291,7 +291,7 @@ def _keys(section: str, m, known) -> dict:
     unknown = [prefix + (key if isinstance(key, str) and len(key) <= SHOWN_CHARS else _shown(key))
                for key in m if key not in known]
     if unknown:
-        raise InvalidParameter(f"unknown config key {', '.join(unknown)}")
+        raise InvalidParameter(f"unknown config key {_listed(unknown)}")
     return m
 
 

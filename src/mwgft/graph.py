@@ -25,6 +25,7 @@ from .errors import (
     ParseError,
     SelfLoop,
     ZeroDegree,
+    _listed,
     _shown,
 )
 
@@ -449,8 +450,8 @@ def load_graph(
 def _load_coordinates(path, num_vertices: int) -> np.ndarray:
     """The ``i x y`` lines of a coordinate file as an (N, 2) array.  A
     malformed line, a NaN or infinite x or y, and a vertex given twice raise
-    :class:`ParseError` with the line number; a vertex given no line raises
-    it naming the vertex."""
+    :class:`ParseError` with the line number; vertices given no line raise
+    it naming the first of them and the count of the rest."""
     coords = np.full((num_vertices, 2), np.nan)
     placed: dict[int, int] = {}  # vertex -> line
     for lineno, tokens in _data_lines(path):
@@ -470,7 +471,7 @@ def _load_coordinates(path, num_vertices: int) -> np.ndarray:
         coords[i - 1] = (x, y)
     if len(placed) < num_vertices:
         missing = np.flatnonzero(np.isnan(coords).any(axis=1)) + 1
-        raise ParseError(f"missing coordinates for vertices {missing.tolist()}")
+        raise ParseError(f"missing coordinates for vertices {_listed(missing, '[{}]')}")
     return coords
 
 

@@ -13,7 +13,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import SHOWN_VERTICES, InvalidParameter, _os_message
+from .errors import InvalidParameter, _listed, _os_message
 from .graph import _check_vertex
 from .spectral import SpectralBasis, igft
 from .tables import complex_column, re_im, read_table, write_table
@@ -149,10 +149,8 @@ def build_signal(spec: SignalSpec, basis: SpectralBasis) -> np.ndarray:
         signal = spec.build(basis)
     bad = np.flatnonzero(~np.isfinite(signal))
     if bad.size:
-        more = bad.size - SHOWN_VERTICES
         raise InvalidParameter(f"signal type {name!r} gives non-finite values at vertices "
-                               f"{(bad[:SHOWN_VERTICES] + 1).tolist()}"
-                               f"{f' and {more} more' if more > 0 else ''}")
+                               f"{_listed(bad + 1, '[{}]')}")
     return signal
 
 

@@ -9,9 +9,7 @@ bit-for-bit.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -50,8 +48,9 @@ class SpectralBasis:
     ``eigenvalues`` are sorted ascending; column ``ell`` of ``vectors`` is the
     (real, unit-norm) eigenvector for ``eigenvalues[ell]``; complex vectors
     raise :class:`InvalidParameter`.  Both are stored as read-only views, so
-    the cached :attr:`fingerprint` cannot go stale.  Frequencies are indexed
-    0..N-1 throughout the package.
+    shared arrays cannot change under the objects built on them.  A basis
+    compares equal only to itself; :func:`_same_basis` compares two by value.
+    Frequencies are indexed 0..N-1 throughout the package.
     """
 
     eigenvalues: np.ndarray
@@ -78,18 +77,14 @@ class SpectralBasis:
     def lambda_max(self) -> float:
         return float(self.eigenvalues[-1])
 
-    @cached_property
-    def fingerprint(self) -> str:
-        """Exact hash of this decomposition: kind, size, eigenvalues and
-        eigenvectors, so another basis of a repeated eigenvalue differs too."""
-        h = hashlib.sha256()
-        h.update(self.kind.value.encode())
-        h.update(str(self.size).encode())
-        h.update(np.ascontiguousarray(self.eigenvalues))
-        # the transpose of the Fortran-ordered basis eigendecompose returns is
-        # C-contiguous, so this hashes the vectors in place
-        h.update(np.ascontiguousarray(self.vectors.T))
-        return h.hexdigest()
+
+def _same_basis(a: SpectralBasis, b: SpectralBasis) -> bool:
+    """Whether ``a`` and ``b`` are one decomposition: the same object, or the
+    same kind with equal eigenvalues and eigenvectors.  Values are compared
+    exactly, whatever their memory order, so -0.0 equals 0.0; another basis
+    of a repeated eigenvalue's eigenspace differs, as its coefficients do."""
+    return a is b or (a.kind is b.kind and np.array_equal(a.eigenvalues, b.eigenvalues)
+                      and np.array_equal(a.vectors, b.vectors))
 
 
 def _vector(basis: SpectralBasis, values, name: str = "signal") -> np.ndarray:

@@ -60,7 +60,7 @@ from .errors import (
     ParseError,
 )
 from .graph import LaplacianKind
-from .spectral import SpectralBasis, _vector
+from .spectral import SpectralBasis, _same_basis, _vector
 from .tables import write_table
 from .windows import WindowFamily, _check_family, _verdict, denominator
 
@@ -86,10 +86,6 @@ class WgftCoefficients:
         except (ValueError, TypeError) as exc:  # strings, objects, ...
             raise InvalidParameter(f"coefficients must be numbers: {exc}") from exc
         object.__setattr__(self, "matrices", matrices)
-
-    @property
-    def basis_fingerprint(self) -> str:
-        return self.basis.fingerprint
 
     @property
     def num_windows(self) -> int:
@@ -260,15 +256,14 @@ def mwgft_synthesize(
 ) -> np.ndarray:
     """Exact multi-window reconstruction ``f(i) = p(i) / (N d(i))``.
 
-    Window contributions are accumulated in fixed window order.  Another
-    basis or window count raises before any window is used.  Raises
-    :class:`DegenerateDenominator`, before any product, at the vertices where
-    ``|d(n)| > tolerance`` does not hold (NaN included), and
+    Window contributions are accumulated in fixed window order.  Another basis,
+    compared by value (so -0.0 equals 0.0), or window count raises before any
+    window is used.  Raises :class:`DegenerateDenominator`, before any product,
+    at the vertices where ``|d(n)| > tolerance`` does not hold (NaN included), and
     :class:`InvalidParameter` when the result is not finite, which is how
     non-finite coefficients surface without scanning all J N^2 of them.
     """
-    # the same object needs no hash; the fingerprint covers size and vectors
-    if coeffs.basis is not basis and coeffs.basis.fingerprint != basis.fingerprint:
+    if not _same_basis(coeffs.basis, basis):
         raise FingerprintMismatch(
             "coefficients were produced against a different spectral basis"
         )
@@ -587,8 +582,8 @@ def load_coefficients(path) -> WgftCoefficients:
     that stores Python objects or promises more bytes than the member holds,
     or NaN, infinite or non-float64 values raise :class:`ParseError`; arrays
     whose shapes are not (J, N, N), (N,) and (N, N) raise
-    :class:`DimensionMismatch`.  The basis keeps the stored memory order, and
-    its fingerprint is computed from it, never read from the file.
+    :class:`DimensionMismatch`.  The basis keeps the stored memory order;
+    :func:`mwgft_synthesize` compares its values with the basis it is given.
     """
     windows = _read_coefficients(path)
     return WgftCoefficients(windows.collect(), windows.basis)

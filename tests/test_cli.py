@@ -187,6 +187,11 @@ class TestConfigMapping:
                          "unknown config key signal.values", id="spectral"),
             pytest.param({"signal": {"type": "random", "seed": 1, "complex_values": False}},
                          "unknown config key signal.complex_values", id="random"),
+            # every unknown key used to be named: 1 388 907 characters
+            pytest.param({"graph": {"source": "path", "size": 8,
+                                    **{f"k{i}": 0 for i in range(100000)}}},
+                         "unknown config key " + ", ".join(f"graph.k{i}" for i in range(10))
+                         + " and 99990 more", id="100000-keys"),
         ],
     )
     def test_unknown_key_rejected(self, overrides, message):

@@ -353,6 +353,15 @@ class TestLoadGraph:
         with pytest.raises(ParseError):
             load_graph(gfile, coordinates_path=cfile)
 
+    def test_missing_coordinates_are_capped(self, tmp_path):
+        # every missing vertex used to be named: 28 923 characters here
+        gfile = self._write(tmp_path, "".join(f"{i} {i + 1}\n" for i in range(1, 5000)))
+        cfile = self._write(tmp_path, "1 0.0 0.0\n", "c.txt")
+        with pytest.raises(ParseError) as err:
+            load_graph(gfile, coordinates_path=cfile)
+        assert str(err.value) == ("missing coordinates for vertices "
+                                  "[2, 3, 4, 5, 6, 7, 8, 9, 10, 11] and 4989 more")
+
     @pytest.mark.parametrize("text, message", [
         ("1 0 0\n2 inf 0\n3 1 1\n", r"line 2: NaN or infinite coordinate in '2 inf 0'"),
         ("1 0 0\n2 nan 0\n3 1 1\n", r"line 2: NaN or infinite coordinate in '2 nan 0'"),
@@ -539,16 +548,29 @@ class TestImmutability:
 
 
 class TestDependencies:
-    def test_import_loads_no_scipy(self):
+    @staticmethod
+    def _printed(code: str) -> str:
+        """What ``code`` prints in a new interpreter that imports this package."""
         import mwgft
 
         src = str(Path(mwgft.__file__).resolve().parents[1])
-        code = (
-            "import sys, mwgft; "
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
-        )
         out = subprocess.run(
             [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
             capture_output=True, text=True, check=True,
         )
-        assert out.stdout.strip() == "[]"
+        return out.stdout.strip()
+
+    def test_import_loads_no_scipy(self):
+        assert self._printed(
+            "import sys, mwgft; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        ) == "[]"
+
+    def test_import_loads_no_hashlib(self):
+        # bases compare by value, so nothing in the package hashes; hashlib
+        # maps OpenSSL, which costs about 3.6 MB of resident memory
+        before, after = self._printed(
+            "import sys, numpy; before = 'hashlib' in sys.modules; "
+            "import mwgft; print(before, 'hashlib' in sys.modules)"
+        ).split()
+        assert after == before

@@ -13,15 +13,21 @@ from mwgft import (
     InvalidSize,
     MultipleZeroEigenvalues,
     SpectralBasis,
+    WindowFamily,
     build_graph,
     check_basis,
     eigendecompose,
     gft,
     igft,
     laplacian,
+    mwgft_analyze,
+    mwgft_synthesize,
     path_graph,
     random_connected_graph,
+    rbf_prototype,
+    shifted_family,
     spectral_magnitudes,
+    uniform_shifts,
 )
 from mwgft.spectral import _fix_signs, save_eigenvalues_csv, save_vectors_csv
 from helpers import NORM, UNNORM, basis_for, random_basis, random_complex, star_graph
@@ -33,6 +39,19 @@ from oracles import (
     save_eigenvalues_csv_reference,
     save_vectors_csv_reference,
 )
+
+
+def _synthesizes(basis, other) -> bool:
+    """Whether :func:`mwgft_synthesize` takes ``other`` for coefficients
+    analyzed on ``basis``, or refuses it with :class:`FingerprintMismatch`."""
+    family = WindowFamily.with_normalized_synthesis(shifted_family(
+        rbf_prototype(basis.lambda_max, 0.7), uniform_shifts(basis.lambda_max, 2), basis))
+    coeffs = mwgft_analyze(basis, family, np.ones(basis.size))
+    try:
+        mwgft_synthesize(other, family, coeffs)
+    except FingerprintMismatch:
+        return False
+    return True
 
 
 class TestEigendecompose:
@@ -75,7 +94,6 @@ class TestEigendecompose:
         b = eigendecompose(lap, UNNORM)
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
         assert np.array_equal(a.vectors, b.vectors)
-        assert a.fingerprint == b.fingerprint
 
     def test_sign_convention(self):
         basis = random_basis(44)
@@ -195,21 +213,21 @@ class TestEigendecompose:
         with pytest.raises(InvalidParameter):
             SpectralBasis(basis.eigenvalues, basis.vectors * 1j, basis.kind)
 
-    def test_fingerprint_distinguishes_kind(self):
+    def test_another_kind_is_refused(self):
         g = path_graph(10)
         a = basis_for(g, UNNORM)
-        b = basis_for(g, NORM)
-        assert a.fingerprint != b.fingerprint
+        assert not _synthesizes(a, basis_for(g, NORM))
+        assert not _synthesizes(a, SpectralBasis(a.eigenvalues, a.vectors, NORM))
 
     def test_arrays_are_read_only(self):
         basis = basis_for(path_graph(4))
-        fingerprint = basis.fingerprint
         with pytest.raises(ValueError, match="read-only"):
             basis.eigenvalues[1] = 5.0
         with pytest.raises(ValueError, match="read-only"):
             basis.vectors[0, 0] = 5.0
-        assert basis.eigenvalues[1] != 5.0
-        assert basis.fingerprint == fingerprint == basis_for(path_graph(4)).fingerprint
+        fresh = basis_for(path_graph(4))
+        assert np.array_equal(basis.eigenvalues, fresh.eigenvalues)
+        assert np.array_equal(basis.vectors, fresh.vectors)
 
     @pytest.mark.parametrize("kind", [UNNORM, NORM])
     def test_vectors_are_fortran_ordered(self, kind):
@@ -217,16 +235,18 @@ class TestEigendecompose:
         # preset artifacts' bytes depend on this layout
         assert basis_for(random_connected_graph(30, 4), kind).vectors.flags.f_contiguous
 
-    def test_fingerprint_covers_the_vectors(self):
+    def test_basis_compares_by_value(self):
         basis = basis_for(path_graph(6))
         nudged = basis.vectors.copy()
         nudged[2, 3] = np.nextafter(nudged[2, 3], 1.0)
-        other = SpectralBasis(basis.eigenvalues, nudged, basis.kind)
-        assert other.fingerprint != basis.fingerprint
-        # the hash is of the values, not of their memory order
+        assert not _synthesizes(basis, SpectralBasis(basis.eigenvalues, nudged, basis.kind))
+        # values are compared, not their memory order or the sign of a zero
         c_ordered = SpectralBasis(basis.eigenvalues, np.ascontiguousarray(basis.vectors), basis.kind)
         assert c_ordered.vectors.flags.c_contiguous
-        assert c_ordered.fingerprint == basis.fingerprint
+        assert _synthesizes(basis, c_ordered)
+        assert basis.eigenvalues[0] == 0.0
+        negative_zero = np.concatenate([[-0.0], basis.eigenvalues[1:]])
+        assert _synthesizes(basis, SpectralBasis(negative_zero, basis.vectors, basis.kind))
 
     def test_caller_arrays_are_viewed_not_copied(self):
         vals, vecs = np.array([0.0, 2.0]), np.eye(2)

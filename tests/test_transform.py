@@ -529,16 +529,16 @@ class TestRotationRobustness:
         c1 = mwgft_analyze(rotated, family, f).matrices[0]
         assert np.abs(c0 - c1).max() > 1e-6
 
-    def test_rotated_basis_has_another_fingerprint(self, rng):
-        # a fingerprint of kind, size and eigenvalues alone let coefficients
-        # analyzed on one basis of the 10-fold eigenspace be synthesized on
-        # another, which returned a wrong signal (about 100% error) silently
+    def test_rotated_basis_is_refused(self, rng):
+        # comparing kind, size and eigenvalues alone let coefficients analyzed
+        # on one basis of the 10-fold eigenspace be synthesized on another,
+        # which returned a wrong signal (about 100% error) silently
         from oracles import rotate_degenerate_eigenspaces
 
         basis = basis_for(star_graph(12))
         rotated, did_rotate = rotate_degenerate_eigenspaces(basis, rng)
         assert did_rotate and np.array_equal(rotated.eigenvalues, basis.eigenvalues)
-        assert rotated.fingerprint != basis.fingerprint
+        assert not np.array_equal(rotated.vectors, basis.vectors)
         family = rbf_family(basis, count=3)
         coeffs = mwgft_analyze(basis, family, random_complex(rng, 12))
         with pytest.raises(FingerprintMismatch):
@@ -636,8 +636,8 @@ def _damage(kind, target, coeffs):
     elif kind == "no-fingerprint":
         np.savez(target, coefficients=coeffs.matrices)
     elif kind == "fingerprint-only":  # the layout before the basis was stored
-        np.savez(target, coefficients=coeffs.matrices,
-                 basis_fingerprint=np.array(coeffs.basis_fingerprint))
+        np.savez(target, coefficients=coeffs.matrices, basis_fingerprint=np.array(
+            "5d41402abc4b2a76b9719d911017c5925d41402abc4b2a76b9719d911017c592"))
     elif kind == "integer-dtype":
         _savez(target, coeffs, coefficients=np.ones(coeffs.matrices.shape, dtype=np.int64))
     elif kind == "not-square":
@@ -673,11 +673,13 @@ class TestCoefficientsIo:
         save_coefficients(target, coeffs)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["coefficients.npz"]
         loaded = load_coefficients(target)
-        assert loaded.basis_fingerprint == coeffs.basis_fingerprint
         assert loaded.num_windows == coeffs.num_windows == 2
         assert np.array_equal(loaded.matrices, coeffs.matrices)
-        rec = mwgft_synthesize(basis, family, loaded)
-        assert np.linalg.norm(rec) > 0
+        # the reloaded basis is another object of equal values, so it passes
+        # the basis guard and synthesizes the same bits
+        assert loaded.basis is not basis
+        assert np.array_equal(mwgft_synthesize(basis, family, loaded),
+                              mwgft_synthesize(basis, family, coeffs))
 
     @pytest.mark.parametrize("kind", [UNNORM, NORM])
     def test_basis_survives_reload(self, tmp_path, rng, kind):
@@ -693,13 +695,12 @@ class TestCoefficientsIo:
         assert loaded.vectors.flags.f_contiguous and not loaded.vectors.flags.writeable
         assert np.array_equal(loaded.vectors, basis.vectors)
         assert np.array_equal(loaded.eigenvalues, basis.eigenvalues)
-        assert loaded.fingerprint == basis.fingerprint
         assert np.array_equal(mwgft_synthesize(loaded, family, load_coefficients(target)),
                               mwgft_synthesize(basis, family, coeffs))
 
     def test_basis_from_file_only_fits_its_own_coefficients(self, tmp_path, rng):
-        # the fingerprint is recomputed from the stored basis: coefficients
-        # loaded from a file whose vectors were replaced no longer match
+        # the stored basis is compared, not trusted: coefficients loaded from
+        # a file whose vectors were replaced no longer match
         basis = random_basis(185, size=8)
         family = rbf_family(basis, count=2)
         coeffs = mwgft_analyze(basis, family, random_complex(rng, 8))
@@ -770,7 +771,8 @@ class TestCoefficientsIo:
             _rewrite(target, member, _npy_2_0)
         loaded = load_coefficients(target)
         assert np.array_equal(loaded.matrices, coeffs.matrices)
-        assert loaded.basis.fingerprint == basis.fingerprint
+        assert np.array_equal(loaded.basis.vectors, basis.vectors)
+        assert np.array_equal(loaded.basis.eigenvalues, basis.eigenvalues)
 
     def test_windows_straddle_read_chunks(self, tmp_path, rng):
         # N=300 float64 windows are 720 000 bytes, 10.99 read chunks each
