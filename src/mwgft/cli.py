@@ -5,6 +5,10 @@ preset; the other subcommands expose individual pipeline stages.  Exit codes:
 0 success, 1 validation problem (bad input, bad config, mismatched
 artifacts), 2 numerical failure (a :class:`~mwgft.errors.NumericalError`:
 degenerate denominator, not a frame, disconnected spectrum).
+
+Each subcommand is one entry of ``_COMMANDS``: its help, its handler, its
+options and whether it reads a config and builds its signal, so a new
+subcommand is one handler and one table entry.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import argparse
 import dataclasses
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -47,13 +52,14 @@ def _add_config_options(parser: argparse.ArgumentParser) -> None:
                         help="override random-graph / random-signal seeds")
 
 
-def _config(args, builds_signal: bool = False):
+def _config(args):
     """The ``--config`` or ``--preset`` config, with ``--graph-file`` as the
     graph source's ``file`` and ``--seed`` as the ``seed`` of the graph source
-    and, for a command that ``builds_signal``, of the signal, wherever that
+    and, for a command that builds the signal, of the signal, wherever that
     field exists; an option with no such field to set, a seed of more than
     63 bits or a graph file holding a NUL byte raises :class:`InvalidParameter`."""
     config = load_preset(args.preset) if args.preset else load_config(args.config)
+    builds_signal = _COMMANDS[args.command].builds_signal
     graph, signal = config.graph, config.signal
     if args.graph_file is not None:
         _bounded(args.graph_file, "--graph-file")
@@ -79,14 +85,11 @@ def _reads(variant, key: str) -> bool:
     return key in _variant_keys(type(variant))
 
 
-def _pipeline(args, basis=None, builds_signal: bool = False):
-    """config -> (config, basis, family) shared by several subcommands.
-
-    A given ``basis`` (one stored with coefficients) replaces the
-    eigendecomposition, once :func:`check_basis` has found it to decompose
-    the config's Laplacian.
-    """
-    config = _config(args, builds_signal)
+def _pipeline(args, basis=None):
+    """config -> (config, basis, family).  A given ``basis`` (one stored with
+    coefficients) replaces the eigendecomposition, once :func:`check_basis`
+    has found it to decompose the config's Laplacian."""
+    config = _config(args)
     lap = laplacian(config.graph.build(), config.kind)
     if basis is None:
         basis = eigendecompose(lap, config.kind)
@@ -100,8 +103,7 @@ def _pipeline(args, basis=None, builds_signal: bool = False):
 # ---------------------------------------------------------------------------
 
 def _cmd_run(args) -> int:
-    report = run_experiment(_config(args, builds_signal=True), out_dir=args.out,
-                            write_pgm=args.pgm)
+    report = run_experiment(_config(args), out_dir=args.out, write_pgm=args.pgm)
     print((report.outputs["summary"]).read_text(encoding="utf-8"), end="")
     print(f"elapsed_seconds: {report.elapsed_seconds:.3f}")
     print(f"outputs: {report.outputs['summary'].parent}")
@@ -127,9 +129,8 @@ def _cmd_eig(args) -> int:
         raise InvalidParameter("--vectors needs --out")
     config = _config(args)
     basis = eigendecompose(laplacian(config.graph.build(), config.kind), config.kind)
-    limit = args.limit if args.limit is not None else basis.size
-    for ell in range(min(limit, basis.size)):
-        print(f"{ell}: {float(basis.eigenvalues[ell])!r}")
+    for ell, value in enumerate(basis.eigenvalues[:args.limit]):
+        print(f"{ell}: {float(value)!r}")
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -155,14 +156,15 @@ def _cmd_windows_check(args) -> int:
 # spectrogram stream the file's windows, each checked as it is read.
 
 def _cmd_analyze(args) -> int:
-    config, basis, family = _pipeline(args, builds_signal=True)
+    config, basis, family = _pipeline(args)
     signal = _signals.build_signal(config.signal, basis)
-    windows = _analysis(basis, family, signal)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    save_signal_csv(out / "signal.csv", signal)
-    save_family_csv(out / "windows.csv", basis, family)
-    save_coefficients(out / "coefficients.npz", windows)
+    with np.errstate(over="ignore", invalid="ignore"):  # the writer refuses an overflow
+        windows = _analysis(basis, family, signal)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        save_signal_csv(out / "signal.csv", signal)
+        save_family_csv(out / "windows.csv", basis, family)
+        save_coefficients(out / "coefficients.npz", windows)
     print(f"outputs: {out}")
     return 0
 
@@ -208,69 +210,69 @@ def _cmd_frame_bounds(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# parser
-# ---------------------------------------------------------------------------
+class _Command(NamedTuple):
+    """A subcommand's help, handler and own options (flag: ``add_argument``
+    keywords), whether it reads a config (the options of
+    :func:`_add_config_options`) and whether it builds the config's signal."""
 
-def build_parser() -> argparse.ArgumentParser:
+    help: str
+    handler: Callable[[argparse.Namespace], int]
+    options: dict[str, dict]
+    reads_config: bool = True
+    builds_signal: bool = False
+
+
+_COMMANDS = {
+    "run": _Command("run a full experiment from a config or preset", _cmd_run, {
+        "--out": dict(metavar="DIR", default=None, help="output directory"),
+        "--pgm": dict(action="store_true", help="also write a PGM spectrogram image"),
+    }, builds_signal=True),
+    "graph-info": _Command("summary statistics of a config's graph", _cmd_graph_info, {}),
+    "eig": _Command("eigenvalues of a config's graph Laplacian", _cmd_eig, {
+        "--limit": dict(type=int, default=None, help="print only the first L values"),
+        "--out": dict(metavar="DIR", default=None, help="also write CSVs here"),
+        "--vectors": dict(action="store_true", help="also write the eigenvector matrix"),
+    }),
+    "windows-check": _Command("evaluate the reconstruction denominator", _cmd_windows_check, {
+        "--out": dict(metavar="FILE", default=None, help="write the report here too")}),
+    "analyze": _Command("compute and store windowed-transform coefficients", _cmd_analyze, {
+        "--out": dict(metavar="DIR", required=True)}, builds_signal=True),
+    "synthesize": _Command("reconstruct a signal from stored coefficients "
+                           "and the basis stored with them", _cmd_synthesize, {
+        "--coefficients": dict(metavar="FILE", required=True),
+        "--out": dict(metavar="DIR", required=True),
+    }),
+    "spectrogram": _Command("squared-magnitude maps from stored coefficients", _cmd_spectrogram, {
+        "--coefficients": dict(metavar="FILE", required=True),
+        "--out": dict(metavar="DIR", required=True),
+        "--pgm": dict(action="store_true"),
+    }, reads_config=False),
+    "frame-bounds": _Command("tight frame bounds of each analysis window", _cmd_frame_bounds, {}),
+}
+
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The ``mwgft`` parser: every subcommand with its help, and the options
+    of the one that ``argv`` starts with, or of all when it starts with none."""
     parser = argparse.ArgumentParser(
-        prog="mwgft",
-        description="Windowed / multi-window graph Fourier transform experiments",
-    )
+        prog="mwgft", description="Windowed / multi-window graph Fourier transform experiments")
     parser.add_argument("--version", action="version", version=f"mwgft {__version__}")
     parser.add_argument("--list-presets", action="store_true",
                         help="print available preset names and exit")
     sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("run", help="run a full experiment from a config or preset")
-    _add_config_options(p)
-    p.add_argument("--out", metavar="DIR", default=None, help="output directory")
-    p.add_argument("--pgm", action="store_true", help="also write a PGM spectrogram image")
-    p.set_defaults(func=_cmd_run)
-
-    p = sub.add_parser("graph-info", help="summary statistics of a config's graph")
-    _add_config_options(p)
-    p.set_defaults(func=_cmd_graph_info)
-
-    p = sub.add_parser("eig", help="eigenvalues of a config's graph Laplacian")
-    _add_config_options(p)
-    p.add_argument("--limit", type=int, default=None, help="print only the first L values")
-    p.add_argument("--out", metavar="DIR", default=None, help="also write CSVs here")
-    p.add_argument("--vectors", action="store_true", help="also write the eigenvector matrix")
-    p.set_defaults(func=_cmd_eig)
-
-    p = sub.add_parser("windows-check", help="evaluate the reconstruction denominator")
-    _add_config_options(p)
-    p.add_argument("--out", metavar="FILE", default=None, help="write the report here too")
-    p.set_defaults(func=_cmd_windows_check)
-
-    p = sub.add_parser("analyze", help="compute and store windowed-transform coefficients")
-    _add_config_options(p)
-    p.add_argument("--out", metavar="DIR", required=True)
-    p.set_defaults(func=_cmd_analyze)
-
-    p = sub.add_parser("synthesize", help="reconstruct a signal from stored coefficients "
-                       "and the basis stored with them")
-    _add_config_options(p)
-    p.add_argument("--coefficients", metavar="FILE", required=True)
-    p.add_argument("--out", metavar="DIR", required=True)
-    p.set_defaults(func=_cmd_synthesize)
-
-    p = sub.add_parser("spectrogram", help="squared-magnitude maps from stored coefficients")
-    p.add_argument("--coefficients", metavar="FILE", required=True)
-    p.add_argument("--out", metavar="DIR", required=True)
-    p.add_argument("--pgm", action="store_true")
-    p.set_defaults(func=_cmd_spectrogram)
-
-    p = sub.add_parser("frame-bounds", help="tight frame bounds of each analysis window")
-    _add_config_options(p)
-    p.set_defaults(func=_cmd_frame_bounds)
-
+    named = argv[0] if argv and argv[0] in _COMMANDS else None
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        if named in (None, name):
+            if command.reads_config:
+                _add_config_options(p)
+            for flag, options in command.options.items():
+                p.add_argument(flag, **options)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = build_parser(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -284,13 +286,10 @@ def main(argv=None) -> int:
         parser.print_help()
         return 1
     try:
-        return args.func(args)
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _COMMANDS[args.command].handler(args)
     except MwgftError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, NumericalError) else 1
     except OSError as exc:  # missing input, output path that is a file, ...
         print(f"error: {_os_message(exc)}", file=sys.stderr)
         return 1

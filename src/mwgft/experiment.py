@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import importlib.resources
+import math
 import time
 import typing
 from dataclasses import MISSING, dataclass, field, fields
@@ -429,9 +430,13 @@ def run_experiment(
     """Run one configured experiment and write its artifacts.
 
     Every input is built before the first write, so a refused config writes
-    nothing.  A degenerate family raises :class:`DegenerateDenominator` after
-    ``coefficients.npz`` (and the PGM) and before ``reconstructed.csv``, so
-    the condition report and the coefficients are on disk to inspect.
+    nothing.  An analysis that overflows float64 raises
+    :class:`InvalidParameter` naming its window, and leaves no
+    ``coefficients.npz``.  After ``coefficients.npz`` and before
+    ``reconstructed.csv``, a spectrogram that overflows raises
+    :class:`InvalidParameter`, and a degenerate family
+    :class:`DegenerateDenominator` (after the PGM), so the condition report
+    and the coefficients are on disk to inspect.
     """
     started = time.perf_counter()
     graph = config.graph.build()
@@ -464,11 +469,13 @@ def run_experiment(
     emit("signal", "signal.csv", lambda p: _signals.save_signal_csv(p, signal))
 
     # one pass: each window is written, then added into the spectrogram sum
-    # and, if the report finds d(n) clear of its tolerance, the synthesis sum
-    windows, power, synthesis = _summed(
-        family, _analysis(basis, family, signal), synthesize=report.satisfied
-    )
-    emit("coefficients", "coefficients.npz", lambda p: save_coefficients(p, windows))
+    # and, if the report finds d(n) clear of its tolerance, the synthesis sum;
+    # the writer refuses, by window, an analysis that overflowed
+    with np.errstate(over="ignore", invalid="ignore"):
+        windows, power, synthesis = _summed(
+            family, _analysis(basis, family, signal), synthesize=report.satisfied
+        )
+        emit("coefficients", "coefficients.npz", lambda p: save_coefficients(p, windows))
     del windows  # frees N A before the PGM; the sums keep the analysis scratch
 
     averaged = power.mean()
@@ -485,8 +492,14 @@ def run_experiment(
     emit("error", "error.csv",
          lambda p: write_table(p, ["vertex", "abs_error"], residual[:, None], 1, "\n"))
 
-    signal_norm = float(np.linalg.norm(signal))
-    relative = float(np.linalg.norm(reconstructed - signal) / signal_norm) if signal_norm else 0.0
+    error = reconstructed - signal
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = [float(np.linalg.norm(v)) for v in (error, signal)]
+    if not (math.isfinite(norms[0]) and math.isfinite(norms[1]) and norms[1]):
+        # a sum of squares beyond float64's range: the norms of both scaled by max|f|
+        scale = float(np.abs(signal).max())
+        norms = [float(np.linalg.norm(v / scale)) for v in (error, signal)] if scale else [0.0, 1.0]
+    relative = norms[0] / norms[1]
 
     result = ExperimentReport(
         name=config.name,

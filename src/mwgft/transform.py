@@ -360,7 +360,8 @@ def spectrogram(coeffs: WgftCoefficients | _Windows) -> np.ndarray:
 
     Windows are squared one at a time and added in window order, so no
     (J, N, N) copy is made; ``np.abs(coeffs.matrices[j]) ** 2`` is the map
-    of window j alone.
+    of window j alone.  A map that is not finite, because a square overflows
+    float64 or a coefficient is NaN, raises :class:`InvalidParameter`.
     """
     power = _PowerSum(coeffs.shape[1])
     for s in coeffs:
@@ -380,12 +381,17 @@ class _PowerSum:
         self.count = 0
 
     def add(self, s: np.ndarray) -> None:
-        np.square(np.abs(s, out=self.square), out=self.square)
-        self.total += self.square
+        with np.errstate(over="ignore"):  # mean() refuses a sum that overflowed
+            np.square(np.abs(s, out=self.square), out=self.square)
+            self.total += self.square
         self.count += 1
 
     def mean(self) -> np.ndarray:
         self.total /= self.count
+        # the map is >= 0, so its max is finite only if every entry is
+        if not math.isfinite(self.total.max()):
+            raise InvalidParameter(
+                "spectrogram is not finite: |S_j|^2 overflows float64 or coefficients hold NaN")
         return self.total
 
 
@@ -563,15 +569,34 @@ def save_coefficients(path, coeffs: WgftCoefficients | _Windows) -> None:
     """Coefficients and their basis as one uncompressed ``.npz``: the (J, N, N)
     array, dtype kept, in C order under ``coefficients``; the basis under
     ``eigenvalues``, ``vectors`` (memory order kept) and ``kind``.  The bytes
-    are those ``np.savez`` writes for a C-ordered array."""
+    are those ``np.savez`` writes for a C-ordered array.
+
+    Each window is checked before it is written, as the reader checks it: a
+    window holding NaN or infinity raises :class:`InvalidParameter`, which
+    names it, and the file is removed, so no file is left that the reader
+    refuses.
+    """
     header = {"descr": np.lib.format.dtype_to_descr(coeffs.dtype),
               "fortran_order": False, "shape": coeffs.shape}
     basis = coeffs.basis
-    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED, allowZip64=True) as archive:
-        _put_member(archive, "coefficients", header, coeffs)
-        _put_array(archive, "eigenvalues", basis.eigenvalues)
-        _put_array(archive, "vectors", basis.vectors)
-        _put_array(archive, "kind", np.array(basis.kind.value))
+
+    def finite():
+        for j, s in enumerate(coeffs, start=1):
+            if not np.isfinite(s).all():
+                raise InvalidParameter(f"refusing to write {path}: coefficients hold NaN "
+                                       f"or infinite values (window {j})")
+            yield s
+
+    archive = zipfile.ZipFile(path, "w", zipfile.ZIP_STORED, allowZip64=True)
+    try:
+        with archive:
+            _put_member(archive, "coefficients", header, finite())
+            _put_array(archive, "eigenvalues", basis.eigenvalues)
+            _put_array(archive, "vectors", basis.vectors)
+            _put_array(archive, "kind", np.array(basis.kind.value))
+    except BaseException:
+        Path(path).unlink(missing_ok=True)
+        raise
 
 
 def load_coefficients(path) -> WgftCoefficients:

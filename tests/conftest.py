@@ -17,6 +17,7 @@ CRITERIA = {
     8: "frame sandwich with tight bounds",
     9: "degenerate-eigenspace robustness",
     10: "two-window round trip",
+    11: "multi- versus single-window stability (N=300)",
 }
 
 _results: dict[int, tuple[bool, str]] = {}

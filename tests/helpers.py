@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import importlib.util
 import io
 import math
 import zipfile
+from pathlib import Path
 
 import numpy as np
 
@@ -44,6 +46,15 @@ def star_graph(num_vertices: int):
 
 def random_complex(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+def load_script(name: str):
+    """``scripts/<name>.py`` as a module."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"script_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 # forged member headers of a coefficient file: (member, descr, shape).  The

@@ -1,6 +1,5 @@
 import dataclasses
 import functools
-import importlib.util
 import os
 import re
 import shlex
@@ -44,7 +43,7 @@ from mwgft import (
     uniform_shifts,
 )
 from mwgft import experiment
-from mwgft.cli import main
+from mwgft.cli import _COMMANDS, build_parser, main
 from mwgft.experiment import (
     ExperimentConfig,
     PathSource,
@@ -65,7 +64,7 @@ from mwgft.signals import (
     save_spectrum_csv,
 )
 from mwgft.transform import save_spectrogram_pgm
-from helpers import FORGED_MEMBERS, basis_for, forge_member
+from helpers import FORGED_MEMBERS, basis_for, forge_member, load_script
 from oracles import save_spectrogram_csv_reference
 from mwgft.graph import path_graph
 
@@ -101,6 +100,15 @@ def run_mwgft(*argv, **env):
 def write_yaml(path, mapping):
     path.write_text(yaml.safe_dump(mapping), encoding="utf-8")
     return str(path)
+
+
+def spectral_path_config(tmp_path, spectrum):
+    """A config of a 20-vertex path, unnormalized, whose signal has ``spectrum``."""
+    save_spectrum_csv(tmp_path / "spectrum.csv", spectrum)
+    return write_yaml(tmp_path / "cfg.yaml", minimal_mapping(
+        graph={"source": "path", "size": 20}, laplacian="unnormalized",
+        signal={"type": "spectral", "path": str(tmp_path / "spectrum.csv")},
+        windows={"kernel": "rbf", "count": 3}))
 
 
 def disjoint_family_csv(tmp_path, n=6):
@@ -621,6 +629,26 @@ class TestCliBasics:
     def test_unknown_command(self, capsys):
         assert main(["transmogrify"]) == 1
 
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_command_help_as_with_every_option(self, capsys, command):
+        # main builds only the options of the command it runs
+        assert main([command, "--help"]) == 0
+        own = capsys.readouterr()
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--help"])
+        assert capsys.readouterr() == own
+        assert own.out.startswith(f"usage: mwgft {command} [-h]")
+
+    def test_help_lists_every_command(self, capsys):
+        assert main(["--help"]) == 0
+        out = capsys.readouterr().out
+        assert f"{{{','.join(_COMMANDS)}}}" in out
+        listed = [line.split()[0] for line in out.splitlines() if line.startswith("    ")
+                  and not line.startswith("     ")]
+        assert listed == list(_COMMANDS) == [
+            "run", "graph-info", "eig", "windows-check", "analyze", "synthesize",
+            "spectrogram", "frame-bounds"]
+
     def test_graph_info(self, tmp_path, capsys):
         cfg = write_yaml(tmp_path / "cfg.yaml", minimal_mapping(graph={"source": "path", "size": 5}))
         assert main(["graph-info", "--config", cfg]) == 0
@@ -941,6 +969,50 @@ class TestCliRun:
         assert "satisfied: false" in (out / "condition_report.txt").read_text()
         for name in ("reconstructed.csv", "error.csv", "summary.txt"):
             assert not (out / name).exists(), name
+
+    @pytest.mark.parametrize("command", ["analyze", "run"])
+    def test_analysis_that_overflows_is_not_written(self, tmp_path, capsys, command):
+        # exited 0 with a coefficients.npz holding inf, which `mwgft
+        # synthesize` then refused (window 1), after overflow warnings
+        cfg = spectral_path_config(tmp_path, np.eye(20)[0] * 5e307)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: refusing to write {out / 'coefficients.npz'}: coefficients hold NaN "
+            "or infinite values (window 1)\n")
+        assert out.is_dir() and not (out / "coefficients.npz").exists()
+
+    def test_spectrogram_that_overflows_stops_run(self, tmp_path, capsys):
+        # the coefficients fit float64 but their squares do not: `run` exited
+        # 0 with "relative_l2_error: nan", an inf spectrogram, a PGM cast from
+        # NaN and overflow warnings; run as a process, so stderr is what a
+        # user sees
+        cfg = spectral_path_config(tmp_path, np.full(20, 1e306))
+        message = ("error: spectrogram is not finite: |S_j|^2 overflows float64 "
+                   "or coefficients hold NaN\n")
+        out = tmp_path / "out"
+        done = run_mwgft("run", "--config", cfg, "--out", str(out), "--pgm")
+        assert (done.returncode, done.stdout, done.stderr) == (1, "", message)
+        # stopped after the coefficients, as for a degenerate family
+        assert sorted(path.name for path in out.iterdir()) == [
+            "coefficients.npz", "condition_report.csv", "condition_report.txt",
+            "coordinates.csv", "eigenvalues.csv", "signal.csv", "windows.csv",
+        ]
+        # `mwgft spectrogram` refuses the file before it writes anything
+        refused = tmp_path / "refused"
+        assert main(["spectrogram", "--coefficients", str(out / "coefficients.npz"),
+                     "--out", str(refused)]) == 1
+        assert capsys.readouterr().err == message
+        assert not refused.exists()
+
+    def test_tiny_signal_has_a_relative_error(self, tmp_path):
+        # the norm of a 1e-300 signal underflows to 0, and the summary read
+        # relative_l2_error: 0.0
+        cfg = spectral_path_config(tmp_path, np.full(20, 1e-300))
+        report = run_experiment(load_config(cfg), out_dir=tmp_path / "out")
+        assert 0.0 < report.relative_error < 1e-12
+        assert f"relative_l2_error: {report.relative_error!r}\n" in (
+            tmp_path / "out" / "summary.txt").read_text()
 
     @pytest.mark.parametrize("command", ["windows-check", "frame-bounds"])
     def test_seed_without_anything_random(self, capsys, command):
@@ -1694,23 +1766,15 @@ class TestCliPipelines:
         assert out.count("window=") == 5
 
 
-def _load_script(name):
-    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(f"script_{name}", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_shipped_scripts_run(tmp_path, capsys):
-    run_presets = _load_script("run_presets")
+    run_presets = load_script("run_presets")
     assert run_presets.main(["--out-root", str(tmp_path)]) == 0
     for name in run_presets.SELF_CONTAINED:
         assert (tmp_path / name / "coefficients.npz").is_file(), name
     # a header, a rule, then one row per preset
     table = capsys.readouterr().out.splitlines()[2:5]
     assert [row.split()[0] for row in table] == ["path-impulse", "path-chirp", "random-irregular"]
-    sweep = _load_script("denominator_sweep")
+    sweep = load_script("denominator_sweep")
     assert sweep.main(["--size", "40", "--counts", "1", "2", "3"]) == 0
     out = capsys.readouterr().out
     assert "N = 40" in out
@@ -1727,10 +1791,13 @@ def test_shipped_scripts_run(tmp_path, capsys):
         d = check_nondegeneracy(basis, WindowFamily.with_same_synthesis(analysis)).denominators
         assert float(row[2]) == pytest.approx(d.max() / d.min(), abs=1e-4)
         assert float(row[2]) >= 1.0
+    # the noise gains x sqrt(JN) of both pairings come last
+    assert header[-2:] == ["gain-same", "gain-normalized"]
+    assert all(len(row) == 6 and 0.0 < float(row[4]) and 0.0 < float(row[5]) for row in rows)
 
 
 def test_run_presets_script_writes_no_spectrogram_csv(tmp_path, capsys):
-    run_presets = _load_script("run_presets")
+    run_presets = load_script("run_presets")
     assert run_presets.main(["--out-root", str(tmp_path)]) == 0
     assert sorted(tmp_path.rglob("spectrogram_*.csv")) == []
     assert "random-irregular" in capsys.readouterr().out

@@ -512,6 +512,21 @@ class TestSpectrogram:
         assert peak < 4 * n * n * 8
 
 
+    @pytest.mark.parametrize("case", ["overflow", "nan"])
+    def test_map_that_is_not_finite_refused(self, case):
+        # a constant 1e160 signal on a 10-vertex path used to give an inf map
+        # and a "RuntimeWarning: overflow encountered in square"
+        basis = basis_for(path_graph(10))
+        if case == "overflow":
+            coeffs = mwgft_analyze(basis, rbf_family(basis), np.full(10, 1e160))
+            assert np.isfinite(coeffs.matrices).all()
+        else:
+            coeffs = WgftCoefficients(np.full((2, 10, 10), np.nan), basis)
+        with pytest.raises(InvalidParameter, match=r"^spectrogram is not finite: \|S_j\|\^2 "
+                           "overflows float64 or coefficients hold NaN$"):
+            spectrogram(coeffs)
+
+
 class TestRotationRobustness:
     def test_star_graph_round_trip_both_bases(self, rng):
         from oracles import rotate_degenerate_eigenspaces
@@ -680,6 +695,20 @@ class TestCoefficientsIo:
         assert loaded.basis is not basis
         assert np.array_equal(mwgft_synthesize(basis, family, loaded),
                               mwgft_synthesize(basis, family, coeffs))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_window_that_is_not_finite_not_written(self, tmp_path, bad):
+        # the reader refuses such a window, so the writer refuses to write it,
+        # and removes what it began, an older file of that name included
+        basis = random_basis(186, size=5)
+        matrices = np.ones((3, 5, 5), complex)
+        matrices[1, 2, 3] = bad
+        target = tmp_path / "coefficients.npz"
+        target.write_bytes(b"an older file")
+        with pytest.raises(InvalidParameter, match=r"^refusing to write .*coefficients\.npz: "
+                           r"coefficients hold NaN or infinite values \(window 2\)$"):
+            save_coefficients(target, WgftCoefficients(matrices, basis))
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("kind", [UNNORM, NORM])
     def test_basis_survives_reload(self, tmp_path, rng, kind):
