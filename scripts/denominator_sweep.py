@@ -58,7 +58,7 @@ def noise_gains(basis, analysis, signals: int = 5) -> list[float]:
         s = mwgft_analyze(basis, families[0], f).matrices
         noise = rng.standard_normal(s.shape) + 1j * rng.standard_normal(s.shape)
         noise *= 1e-6 * np.linalg.norm(s) / np.linalg.norm(noise)
-        noisy = WgftCoefficients(s + noise, basis)
+        noisy = WgftCoefficients(s + noise, basis, families[0].analysis)
         for ratio, family in zip(ratios, families):
             error = np.linalg.norm(mwgft_synthesize(basis, family, noisy) - f) / np.linalg.norm(f)
             ratio.append(error / (np.linalg.norm(noise) / np.linalg.norm(s)))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -158,13 +159,13 @@ def _cmd_windows_check(args) -> int:
 def _cmd_analyze(args) -> int:
     config, basis, family = _pipeline(args)
     signal = _signals.build_signal(config.signal, basis)
-    with np.errstate(over="ignore", invalid="ignore"):  # the writer refuses an overflow
-        windows = _analysis(basis, family, signal)
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        save_signal_csv(out / "signal.csv", signal)
-        save_family_csv(out / "windows.csv", basis, family)
-        save_coefficients(out / "coefficients.npz", windows)
+    windows = _analysis(basis, family, signal)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    # coefficients first, so an analysis that the writer refuses leaves no file
+    save_coefficients(out / "coefficients.npz", windows)
+    save_signal_csv(out / "signal.csv", signal)
+    save_family_csv(out / "windows.csv", basis, family)
     print(f"outputs: {out}")
     return 0
 
@@ -251,28 +252,27 @@ _COMMANDS = {
 }
 
 
-def build_parser(argv=()) -> argparse.ArgumentParser:
-    """The ``mwgft`` parser: every subcommand with its help, and the options
-    of the one that ``argv`` starts with, or of all when it starts with none."""
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The ``mwgft`` parser: every subcommand with its help and options,
+    built once per process."""
     parser = argparse.ArgumentParser(
         prog="mwgft", description="Windowed / multi-window graph Fourier transform experiments")
     parser.add_argument("--version", action="version", version=f"mwgft {__version__}")
     parser.add_argument("--list-presets", action="store_true",
                         help="print available preset names and exit")
     sub = parser.add_subparsers(dest="command")
-    named = argv[0] if argv and argv[0] in _COMMANDS else None
     for name, command in _COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
-        if named in (None, name):
-            if command.reads_config:
-                _add_config_options(p)
-            for flag, options in command.options.items():
-                p.add_argument(flag, **options)
+        if command.reads_config:
+            _add_config_options(p)
+        for flag, options in command.options.items():
+            p.add_argument(flag, **options)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser(sys.argv[1:] if argv is None else argv)
+    parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

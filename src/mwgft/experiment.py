@@ -471,12 +471,10 @@ def run_experiment(
     # one pass: each window is written, then added into the spectrogram sum
     # and, if the report finds d(n) clear of its tolerance, the synthesis sum;
     # the writer refuses, by window, an analysis that overflowed
-    with np.errstate(over="ignore", invalid="ignore"):
-        windows, power, synthesis = _summed(
-            family, _analysis(basis, family, signal), synthesize=report.satisfied
-        )
-        emit("coefficients", "coefficients.npz", lambda p: save_coefficients(p, windows))
-    del windows  # frees N A before the PGM; the sums keep the analysis scratch
+    windows, power, synthesis = _summed(
+        family, _analysis(basis, family, signal), synthesize=report.satisfied
+    )
+    emit("coefficients", "coefficients.npz", lambda p: save_coefficients(p, windows))
 
     averaged = power.mean()
     if write_pgm:

@@ -21,16 +21,16 @@ the spectrogram and the synthesis are running sums, :class:`_PowerSum` and
 :class:`_SynthesisSum`, that take the windows in the order they come.  The
 analysis forms every diag(conj ghat_j) N A in one scratch buffer, which is
 free between windows and is lent to the running sums of ``mwgft run``.
-Coefficients are a stack: a ``basis``, the ``shape`` (J, N, N) and
-``dtype`` of their array, and the windows in window order when iterated.
-:class:`WgftCoefficients` holds one in an array, a :class:`_Windows` stack
-makes it a window at a time, and :func:`save_coefficients`,
-:func:`spectrogram` and :func:`mwgft_synthesize` take either.
-``coefficients.npz`` holds the array in C order beside the basis U, in the
-bytes ``np.savez`` writes, but is written and read one window at a time.
-So ``mwgft run`` (one pass that writes, squares and sums each window,
-:func:`_summed`) and the ``analyze``, ``synthesize`` and ``spectrogram``
-commands never hold the whole array.
+Coefficients are a stack: a ``basis``, the ``analysis`` spectra that made
+them, the ``shape`` (J, N, N) and ``dtype`` of their array, and the windows
+in window order when iterated.  :class:`WgftCoefficients` holds one in an
+array, a :class:`_Windows` stack makes it a window at a time, and
+:func:`save_coefficients`, :func:`spectrogram` and :func:`mwgft_synthesize`
+take either.  ``coefficients.npz`` holds the array in C order beside the
+basis U and the analysis spectra, in the bytes ``np.savez`` writes, but is
+written and read one window at a time.  So ``mwgft run`` (one pass that
+writes, squares and sums each window, :func:`_summed`) and the ``analyze``,
+``synthesize`` and ``spectrogram`` commands never hold the whole array.
 
 Every product has the real U (or U^T) on the left.  A C-contiguous complex
 matrix read as float64 holds its real and imaginary parts in interleaved
@@ -62,17 +62,19 @@ from .errors import (
 from .graph import LaplacianKind
 from .spectral import SpectralBasis, _same_basis, _vector
 from .tables import write_table
-from .windows import WindowFamily, _check_family, _verdict, denominator
+from .windows import WindowFamily, _check_family, _spectra, _verdict, denominator
 
 
 @dataclass(frozen=True, eq=False)
 class WgftCoefficients:
     """Per-window coefficient matrices as one (J, N, N) float64 or complex128
     array (other dtypes are cast, so every instance can be saved and loaded
-    back) and the basis they were analyzed against, as one coefficient stack."""
+    back), the basis they were analyzed against and the (J, N) spectra of
+    the analysis windows that made them, as one coefficient stack."""
 
     matrices: np.ndarray
     basis: SpectralBasis
+    analysis: np.ndarray
 
     def __post_init__(self):
         try:
@@ -85,7 +87,12 @@ class WgftCoefficients:
             matrices = matrices.astype(dtype, copy=False)
         except (ValueError, TypeError) as exc:  # strings, objects, ...
             raise InvalidParameter(f"coefficients must be numbers: {exc}") from exc
+        analysis = _spectra("analysis", self.analysis)
+        if analysis.shape != matrices.shape[:2]:
+            raise DimensionMismatch(
+                f"analysis windows {analysis.shape} for coefficients {matrices.shape}")
         object.__setattr__(self, "matrices", matrices)
+        object.__setattr__(self, "analysis", analysis)
 
     @property
     def num_windows(self) -> int:
@@ -149,8 +156,9 @@ def _left_multiply(u: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) 
 class _Windows:
     """A (J, N, N) coefficient stack made or read one window at a time.
 
-    Like :class:`WgftCoefficients` it has a ``basis``, a ``shape`` and a
-    ``dtype``, and ``produce(out=None)`` yields its N x N windows in window
+    Like :class:`WgftCoefficients` it has a ``basis``, the ``analysis``
+    spectra, a ``shape`` and a ``dtype``, and ``produce(out=None)`` yields
+    its N x N windows in window
     order: into ``out[j]`` when a (J, N, N) ``out`` is given, else into
     buffers that the next window overwrites.  Iterating it is ``produce()``.
     One pass runs at a time.  ``spare``, if any, is an N x N buffer of the
@@ -159,6 +167,7 @@ class _Windows:
     """
 
     basis: SpectralBasis
+    analysis: np.ndarray
     shape: tuple[int, int, int]
     dtype: np.dtype
     produce: Callable[..., Iterator[np.ndarray]]
@@ -183,12 +192,12 @@ def _leading_float64(buffer: np.ndarray) -> np.ndarray:
 
 
 def _analysis(basis: SpectralBasis, family: WindowFamily, signal: np.ndarray) -> _Windows:
-    """The analysis as a :class:`_Windows` stack: the inputs are checked and
-    ``N A`` is formed now, and each window ``S_j`` costs one GEMM as it is
-    produced from ``diag(conj ghat_j) N A``, formed in the stack's one
-    scratch.  That scratch, lent out as ``spare``, first holds the
-    ``diag(N f) U`` that ``N A`` is made from (in its first N^2 float64
-    values when a real signal meets complex windows).
+    """The analysis as a :class:`_Windows` stack: the inputs are checked now,
+    each pass forms ``N A`` and frees it when it ends, and each window ``S_j``
+    costs one GEMM as it is produced from ``diag(conj ghat_j) N A``, formed
+    in the stack's one scratch.  That scratch, lent out as ``spare``, first
+    holds the ``diag(N f) U`` that ``N A`` is made from (in its first N^2
+    float64 values when a real signal meets complex windows).
     """
     _check_family(basis, family)
     signal = _vector(basis, signal)
@@ -198,10 +207,10 @@ def _analysis(basis: SpectralBasis, family: WindowFamily, signal: np.ndarray) ->
     dtype = np.result_type(signal, family.analysis, np.float64)
     scratch = np.empty((n, n), dtype)
     scaled = scratch if np.iscomplexobj(signal) else _leading_float64(scratch)
-    np.multiply((n * signal)[:, None], u, out=scaled)  # diag(N f) U
-    shared = _left_multiply(u.T, scaled).astype(dtype, copy=False)  # N A
 
     def produce(out=None):
+        np.multiply((n * signal)[:, None], u, out=scaled)  # diag(N f) U
+        shared = _left_multiply(u.T, scaled).astype(dtype, copy=False)  # N A
         window = np.empty((n, n), dtype) if out is None else None
         for j, g_hat in enumerate(family.analysis):
             np.multiply(np.conj(g_hat)[:, None], shared, out=scratch)
@@ -209,7 +218,8 @@ def _analysis(basis: SpectralBasis, family: WindowFamily, signal: np.ndarray) ->
             _left_multiply(u, scratch, out=target)
             yield target
 
-    return _Windows(basis, (family.num_windows, n, n), dtype, produce, spare=scratch)
+    return _Windows(basis, family.analysis, (family.num_windows, n, n), dtype, produce,
+                    spare=scratch)
 
 
 def mwgft_analyze(
@@ -220,7 +230,7 @@ def mwgft_analyze(
     Real signal and real windows give float64 coefficients, anything else
     complex128.
     """
-    return WgftCoefficients(_analysis(basis, family, signal).collect(), basis)
+    return WgftCoefficients(_analysis(basis, family, signal).collect(), basis, family.analysis)
 
 
 def wgft(basis: SpectralBasis, g_hat, signal: np.ndarray) -> np.ndarray:
@@ -244,8 +254,9 @@ def reconstruct_two_window(
     gamma_hat)``.  Raises :class:`DegenerateDenominator` listing the vertices
     where the denominator magnitude is at or below tolerance.
     """
-    coeffs = WgftCoefficients(np.asarray(coeffs)[None], basis)
-    return mwgft_synthesize(basis, WindowFamily([g_hat], [gamma_hat]), coeffs, tolerance)
+    family = WindowFamily([g_hat], [gamma_hat])
+    coeffs = WgftCoefficients(np.asarray(coeffs)[None], basis, family.analysis)
+    return mwgft_synthesize(basis, family, coeffs, tolerance)
 
 
 def mwgft_synthesize(
@@ -257,9 +268,11 @@ def mwgft_synthesize(
     """Exact multi-window reconstruction ``f(i) = p(i) / (N d(i))``.
 
     Window contributions are accumulated in fixed window order.  Another basis,
-    compared by value (so -0.0 equals 0.0), or window count raises before any
-    window is used.  Raises :class:`DegenerateDenominator`, before any product,
-    at the vertices where ``|d(n)| > tolerance`` does not hold (NaN included), and
+    compared by value (so -0.0 equals 0.0), another window count, or analysis
+    windows not exactly equal to the family's raise before any window is
+    used; the synthesis windows are the caller's choice.  Raises
+    :class:`DegenerateDenominator`, before any product, at the vertices where
+    ``|d(n)| > tolerance`` does not hold (NaN included), and
     :class:`InvalidParameter` when the result is not finite, which is how
     non-finite coefficients surface without scanning all J N^2 of them.
     """
@@ -270,6 +283,10 @@ def mwgft_synthesize(
     if coeffs.shape[0] != family.num_windows:
         raise DimensionMismatch(
             f"{coeffs.shape[0]} coefficient matrices for {family.num_windows} windows"
+        )
+    if not np.array_equal(coeffs.analysis, family.analysis):
+        raise FingerprintMismatch(
+            "coefficients were produced with different analysis windows"
         )
     report = _verdict(basis, family, tolerance)
     if not report.satisfied:
@@ -297,21 +314,24 @@ class _SynthesisSum:
         self.count = 0
 
     def add(self, s: np.ndarray) -> None:
-        _left_multiply(self.u.T, np.asarray(s, dtype=self.dtype), out=self.term)
-        self.term *= self.spectra[self.count][:, None]
-        self.acc += self.term
+        with np.errstate(over="ignore", invalid="ignore"):  # reconstruct() refuses
+            _left_multiply(self.u.T, np.asarray(s, dtype=self.dtype), out=self.term)
+            self.term *= self.spectra[self.count][:, None]
+            self.acc += self.term
         self.count += 1
 
     def reconstruct(self, d: np.ndarray) -> np.ndarray:
         """``p / d`` from the sum of every window; :class:`InvalidParameter`
-        when it is not finite, which is how non-finite coefficients surface
-        without scanning all J N^2 of them."""
-        _left_multiply(self.u, self.acc, out=self.term)
-        self.term *= self.u
-        # p = N * rowsum(U * UM); its factor N cancels the N of the denominator
-        reconstructed = self.term.sum(axis=1) / d
+        when it is not finite, which is how an overflow or non-finite
+        coefficients surface without scanning all J N^2 of them."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            _left_multiply(self.u, self.acc, out=self.term)
+            self.term *= self.u
+            # p = N * rowsum(U * UM); its factor N cancels the N of the denominator
+            reconstructed = self.term.sum(axis=1) / d
         if not np.all(np.isfinite(reconstructed)):
-            raise InvalidParameter("reconstruction is not finite; coefficients hold NaN or inf")
+            raise InvalidParameter("reconstruction is not finite: the synthesis overflows "
+                                   "float64 or coefficients hold NaN or inf")
         return reconstructed
 
 
@@ -426,7 +446,8 @@ def _summed(
 # file formats
 # ---------------------------------------------------------------------------
 
-_BASIS_KEYS = ("eigenvalues", "vectors", "kind")
+# the members beside ``coefficients``: the basis, then the analysis spectra
+_STORED_KEYS = ("eigenvalues", "vectors", "kind", "analysis")
 
 # bytes read per call while a window is filled, so a read never stages a
 # whole window in a second buffer; below glibc's 128 KiB mmap threshold, so
@@ -486,47 +507,54 @@ def _fill(fh, array: np.ndarray) -> None:
 
 
 def _read_coefficients(path) -> _Windows:
-    """The coefficients of a file, with the basis stored beside them, as a
-    :class:`_Windows` stack, never unpickling.
+    """The coefficients of a file, with the basis and the analysis spectra
+    stored beside them, as a :class:`_Windows` stack, never unpickling.
 
     Every member's header passes :func:`_npy_header` before anything is
-    allocated for it, and ``vectors`` must be N x N for the N of
-    ``eigenvalues``.  The basis members and the kind are read and checked
-    here; each pass over the stack then reads the windows in order, checks
-    each for NaN and infinity, and ends where the zip CRC of the member is
-    checked.  Errors are those of :func:`load_coefficients`.
+    allocated for it, ``vectors`` must be N x N for the N of ``eigenvalues``,
+    and ``analysis`` (J, N) for the J of ``coefficients``.  The basis members,
+    the kind and the analysis spectra are read and checked here; each pass
+    over the stack then reads the windows in order, checks each for NaN and
+    infinity, and ends where the zip CRC of the member is checked.  Errors
+    are those of :func:`load_coefficients`.
     """
     name = "coefficients.npy"
     try:
         with zipfile.ZipFile(path) as archive:
             present = archive.namelist()
-            missing = [key for key in _BASIS_KEYS if f"{key}.npy" not in present]
+            missing = [key for key in _STORED_KEYS if f"{key}.npy" not in present]
             if missing:
                 raise ParseError(
-                    f"coefficient file {path} does not carry its spectral basis "
-                    f"(no {', '.join(missing)}); re-run `mwgft analyze` to write it again"
+                    f"coefficient file {path} does not carry its spectral basis and analysis "
+                    f"windows (no {', '.join(missing)}); re-run `mwgft analyze` to write it again"
                 )
+            with archive.open(name) as fh:
+                header = _npy_header(archive, name, fh)
             members = {}
-            for key in _BASIS_KEYS:
+            for key in _STORED_KEYS:
                 with archive.open(f"{key}.npy") as fh:
                     stored = _npy_header(archive, f"{key}.npy", fh)
                     vals = members.get("eigenvalues")
+                    # the constructors' shape checks, before the member is allocated
                     if key == "vectors" and (vals.ndim != 1 or stored[0] != (vals.size,) * 2):
-                        # the basis constructor's check, before vectors are allocated
                         raise DimensionMismatch(
                             f"eigenvalues {vals.shape} and vectors {stored[0]} are inconsistent")
+                    if key == "analysis" and stored[0] != (*header[0][:1], vals.size):
+                        raise DimensionMismatch(
+                            f"analysis windows {stored[0]} for coefficients {header[0]}")
                     members[key] = _read_member(fh, stored)
-            with archive.open(name) as fh:
-                header = _npy_header(archive, name, fh)
     except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
         raise ParseError(f"could not read coefficient file {path}: {exc}") from exc
-    vals, vecs, kind = members.values()
+    vals, vecs, kind, analysis = members.values()
     shape, fortran_order, dtype = header
     if dtype not in (np.float64, np.complex128):
         raise ParseError(f"coefficients have dtype {dtype}, expected float64 or complex128")
-    for label, array in (("eigenvalues", vals), ("vectors", vecs)):
-        if array.dtype != np.float64:
-            raise ParseError(f"stored {label} have dtype {array.dtype}, expected float64")
+    real, either = (np.dtype(np.float64),), (np.dtype(np.float64), np.dtype(np.complex128))
+    for label, array, dtypes in (("eigenvalues", vals, real), ("vectors", vecs, real),
+                                 ("analysis windows", analysis, either)):
+        if array.dtype not in dtypes:
+            raise ParseError(f"stored {label} have dtype {array.dtype}, "
+                             f"expected {' or '.join(map(str, dtypes))}")
         if not np.isfinite(array).all():
             raise ParseError(f"coefficient file {path} holds NaN or infinite {label}")
     try:
@@ -562,14 +590,15 @@ def _read_coefficients(path) -> _Windows:
         except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
             raise ParseError(f"could not read coefficient file {path}: {exc}") from exc
 
-    return _Windows(basis, shape, dtype, produce)
+    return _Windows(basis, analysis, shape, dtype, produce)
 
 
 def save_coefficients(path, coeffs: WgftCoefficients | _Windows) -> None:
-    """Coefficients and their basis as one uncompressed ``.npz``: the (J, N, N)
-    array, dtype kept, in C order under ``coefficients``; the basis under
-    ``eigenvalues``, ``vectors`` (memory order kept) and ``kind``.  The bytes
-    are those ``np.savez`` writes for a C-ordered array.
+    """Coefficients, their basis and their analysis spectra as one
+    uncompressed ``.npz``: the (J, N, N) array, dtype kept, in C order under
+    ``coefficients``; the basis under ``eigenvalues``, ``vectors`` (memory
+    order kept) and ``kind``; the (J, N) spectra under ``analysis``.  The
+    bytes are those ``np.savez`` writes for a C-ordered array.
 
     Each window is checked before it is written, as the reader checks it: a
     window holding NaN or infinity raises :class:`InvalidParameter`, which
@@ -590,10 +619,12 @@ def save_coefficients(path, coeffs: WgftCoefficients | _Windows) -> None:
     archive = zipfile.ZipFile(path, "w", zipfile.ZIP_STORED, allowZip64=True)
     try:
         with archive:
-            _put_member(archive, "coefficients", header, finite())
+            with np.errstate(over="ignore", invalid="ignore"):  # finite() refuses
+                _put_member(archive, "coefficients", header, finite())
             _put_array(archive, "eigenvalues", basis.eigenvalues)
             _put_array(archive, "vectors", basis.vectors)
             _put_array(archive, "kind", np.array(basis.kind.value))
+            _put_array(archive, "analysis", coeffs.analysis)
     except BaseException:
         Path(path).unlink(missing_ok=True)
         raise
@@ -603,15 +634,17 @@ def load_coefficients(path) -> WgftCoefficients:
     """Read a file written by :func:`save_coefficients`, never unpickling.
 
     Every member's header is checked before anything is allocated for it.  A
-    missing, damaged or foreign file, one without its basis, a member header
-    that stores Python objects or promises more bytes than the member holds,
-    or NaN, infinite or non-float64 values raise :class:`ParseError`; arrays
-    whose shapes are not (J, N, N), (N,) and (N, N) raise
-    :class:`DimensionMismatch`.  The basis keeps the stored memory order;
-    :func:`mwgft_synthesize` compares its values with the basis it is given.
+    missing, damaged or foreign file, one without its basis or analysis
+    spectra, a member header that stores Python objects or promises more
+    bytes than the member holds, NaN or infinite values, or dtypes other
+    than float64 (float64 or complex128 for the coefficients and the
+    analysis spectra) raise :class:`ParseError`; arrays whose shapes are not
+    (J, N, N), (N,), (N, N) and (J, N) raise :class:`DimensionMismatch`.
+    The basis keeps the stored memory order; :func:`mwgft_synthesize`
+    compares its values, and the analysis spectra, with the ones it is given.
     """
     windows = _read_coefficients(path)
-    return WgftCoefficients(windows.collect(), windows.basis)
+    return WgftCoefficients(windows.collect(), windows.basis, windows.analysis)
 
 
 def save_spectrogram_csv(path, matrix: np.ndarray) -> None:

@@ -69,6 +69,8 @@ FORGED_MEMBERS = {
     "eigenvalues-object": ("eigenvalues", "|O", (8,)),
     "vectors-object": ("vectors", "|O", (2, 4)),
     "kind-object": ("kind", "|O", ()),
+    "analysis-huge": ("analysis", "<f8", (10**6, 10**6)),
+    "analysis-object": ("analysis", "|O", (2, 8)),
 }
 
 

@@ -24,6 +24,7 @@ from mwgft import (
     NotAFrame,
     NumericalError,
     ParseError,
+    WgftCoefficients,
     WindowFamily,
     check_nondegeneracy,
     eigendecompose,
@@ -631,7 +632,7 @@ class TestCliBasics:
 
     @pytest.mark.parametrize("command", list(_COMMANDS))
     def test_command_help_as_with_every_option(self, capsys, command):
-        # main builds only the options of the command it runs
+        # main parses with the one parser that build_parser builds
         assert main([command, "--help"]) == 0
         own = capsys.readouterr()
         with pytest.raises(SystemExit):
@@ -981,6 +982,8 @@ class TestCliRun:
             f"error: refusing to write {out / 'coefficients.npz'}: coefficients hold NaN "
             "or infinite values (window 1)\n")
         assert out.is_dir() and not (out / "coefficients.npz").exists()
+        if command == "analyze":  # `run` keeps its trail up to the coefficients
+            assert list(out.iterdir()) == []
 
     def test_spectrogram_that_overflows_stops_run(self, tmp_path, capsys):
         # the coefficients fit float64 but their squares do not: `run` exited
@@ -1418,6 +1421,47 @@ class TestCliPipelines:
         original = load_signal_csv(stage1 / "signal.csv")
         rebuilt = load_signal_csv(stage2 / "reconstructed.csv")
         assert np.linalg.norm(rebuilt - original) <= 1e-10 * np.linalg.norm(original)
+
+    def test_synthesize_refuses_other_analysis_windows(self, tmp_path, capsys):
+        # exited 0 with a reconstructed.csv 13.8% away from signal.csv; any
+        # dual of the analysis windows inverts them, so the pairing is free
+        def config(name, **windows):
+            return write_yaml(tmp_path / f"{name}.yaml", minimal_mapping(
+                graph={"source": "path", "size": 50}, laplacian="normalized",
+                signal={"type": "impulse", "center": 25},
+                windows={"kernel": "rbf", "count": 3, **windows}))
+
+        stage1 = tmp_path / "analysis"
+        assert main(["analyze", "--config", config("a", l_fac=0.7), "--out", str(stage1)]) == 0
+        capsys.readouterr()
+        argv = ["synthesize", "--coefficients", str(stage1 / "coefficients.npz"), "--out"]
+        assert main([*argv, str(tmp_path / "s"), "--config", config("b", l_fac=0.4)]) == 1
+        assert capsys.readouterr().err == (
+            "error: coefficients were produced with different analysis windows\n")
+        assert not (tmp_path / "s").exists()
+        same = config("c", l_fac=0.7, pairing="same-as-analysis")
+        assert main([*argv, str(tmp_path / "t"), "--config", same]) == 0
+        original = load_signal_csv(stage1 / "signal.csv")
+        rebuilt = load_signal_csv(tmp_path / "t" / "reconstructed.csv")
+        assert np.linalg.norm(rebuilt - original) <= 1e-12 * np.linalg.norm(original)
+
+    def test_synthesis_that_overflows_is_named(self, tmp_path, capsys):
+        # finite coefficients whose synthesis overflows float64: overflow
+        # warnings, then "coefficients hold NaN or inf"
+        cfg = write_yaml(tmp_path / "cfg.yaml", minimal_mapping(
+            graph={"source": "path", "size": 10}, laplacian="unnormalized",
+            windows={"kernel": "rbf", "count": 1, "pairing": "same-as-analysis"}))
+        basis = basis_for(path_graph(10))
+        family = load_config(cfg).windows.build(basis)
+        target = tmp_path / "coefficients.npz"
+        save_coefficients(target, WgftCoefficients(np.full((1, 10, 10), 1e308), basis,
+                                                    family.analysis))
+        assert main(["synthesize", "--config", cfg, "--coefficients", str(target),
+                     "--out", str(tmp_path / "s")]) == 1
+        assert capsys.readouterr().err == (
+            "error: reconstruction is not finite: the synthesis overflows float64 "
+            "or coefficients hold NaN or inf\n")
+        assert not (tmp_path / "s").exists()
 
     def test_synthesize_runs_no_eigendecomposition(self, tmp_path, capsys, monkeypatch):
         # synthesize takes its basis from the coefficient file: a second eigh

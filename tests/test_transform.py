@@ -63,6 +63,10 @@ from oracles import (
 )
 
 
+SYNTHESIS_OVERFLOW = (r"^reconstruction is not finite: the synthesis overflows float64 "
+                      "or coefficients hold NaN or inf$")
+
+
 def rbf_family(basis, count=3, l_fac=0.7, same=False):
     analysis = shifted_family(
         rbf_prototype(basis.lambda_max, l_fac), uniform_shifts(basis.lambda_max, count), basis
@@ -272,7 +276,6 @@ class TestMwgft:
         with pytest.raises(InvalidParameter):
             mwgft_analyze(basis, rbf_family(basis), f)
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_coefficients_rejected(self, rng, bad):
         basis = random_basis(157, size=10)
@@ -281,7 +284,30 @@ class TestMwgft:
         damaged = [m.copy() for m in coeffs.matrices]
         damaged[1][2, 5] = bad
         with pytest.raises(InvalidParameter):
-            mwgft_synthesize(basis, family, WgftCoefficients(tuple(damaged), basis))
+            mwgft_synthesize(basis, family,
+                             WgftCoefficients(tuple(damaged), basis, family.analysis))
+
+    def test_synthesis_that_overflows_is_named(self):
+        # finite coefficients whose synthesis sum overflows float64 warned
+        # "overflow encountered in matmul" and "invalid value encountered in
+        # reduce", then blamed the coefficients for holding NaN or inf
+        basis = basis_for(path_graph(10))
+        family = rbf_family(basis, count=1, same=True)
+        coeffs = WgftCoefficients(np.full((1, 10, 10), 1e308), basis, family.analysis)
+        with pytest.raises(InvalidParameter, match=SYNTHESIS_OVERFLOW):
+            mwgft_synthesize(basis, family, coeffs)
+
+    def test_analysis_windows_guard(self):
+        # coefficients of other analysis windows reconstructed a signal 13.8%
+        # away from the analyzed one; the synthesis windows stay free
+        basis = basis_for(path_graph(50), NORM)
+        f = np.eye(50)[24]
+        coeffs = mwgft_analyze(basis, rbf_family(basis), f)
+        with pytest.raises(FingerprintMismatch, match="^coefficients were produced with "
+                           "different analysis windows$"):
+            mwgft_synthesize(basis, rbf_family(basis, l_fac=0.4), coeffs)
+        reconstructed = mwgft_synthesize(basis, rbf_family(basis, same=True), coeffs)
+        assert np.linalg.norm(reconstructed - f) <= 1e-12
 
     def test_fingerprint_guard(self, rng):
         basis_a = basis_for(path_graph(10))
@@ -493,7 +519,7 @@ class TestSpectrogram:
         matrices = rng.standard_normal((num_windows, 7, 7)) * 10.0 ** rng.integers(-8, 8, (7, 7))
         if complex_values:
             matrices = matrices + 1j * rng.standard_normal((num_windows, 7, 7))
-        averaged = spectrogram(WgftCoefficients(matrices, basis))
+        averaged = spectrogram(WgftCoefficients(matrices, basis, np.ones((num_windows, 7))))
         expected = spectrogram_reference(matrices)
         assert averaged.dtype == expected.dtype == np.float64
         assert averaged.tobytes() == expected.tobytes()
@@ -502,7 +528,7 @@ class TestSpectrogram:
         # the (J, N, N) stack of |S_j|^2 alone would be J = 8 maps
         n = 200
         matrices = rng.standard_normal((8, n, n)) + 1j * rng.standard_normal((8, n, n))
-        coeffs = WgftCoefficients(matrices, basis_for(path_graph(n)))
+        coeffs = WgftCoefficients(matrices, basis_for(path_graph(n)), np.ones((8, n)))
         tracemalloc.start()
         try:
             spectrogram(coeffs)
@@ -521,7 +547,7 @@ class TestSpectrogram:
             coeffs = mwgft_analyze(basis, rbf_family(basis), np.full(10, 1e160))
             assert np.isfinite(coeffs.matrices).all()
         else:
-            coeffs = WgftCoefficients(np.full((2, 10, 10), np.nan), basis)
+            coeffs = WgftCoefficients(np.full((2, 10, 10), np.nan), basis, np.ones((2, 10)))
         with pytest.raises(InvalidParameter, match=r"^spectrogram is not finite: \|S_j\|\^2 "
                            "overflows float64 or coefficients hold NaN$"):
             spectrogram(coeffs)
@@ -568,6 +594,7 @@ def _savez(target, coeffs, **replace):
         "eigenvalues": coeffs.basis.eigenvalues,
         "vectors": coeffs.basis.vectors,
         "kind": np.array(coeffs.basis.kind.value),
+        "analysis": coeffs.analysis,
     }
     arrays.update(replace)
     np.savez(target, **{key: value for key, value in arrays.items() if value is not None})
@@ -662,7 +689,8 @@ def _damage(kind, target, coeffs):
     elif kind in ("nan", "inf"):
         _savez(target, coeffs, coefficients=_with(coeffs.matrices, (-1, 2, 1), float(kind)))
     elif kind == "huge-header":  # a (2**50, 4, 4) header over one 4 x 4 window
-        small = WgftCoefficients(np.ones((1, 4, 4), complex), basis_for(path_graph(4)))
+        small = WgftCoefficients(np.ones((1, 4, 4), complex), basis_for(path_graph(4)),
+                                 np.ones((1, 4)))
         _savez(target, small, coefficients=None)
         header = io.BytesIO()
         np.lib.format.write_array_header_1_0(
@@ -690,6 +718,7 @@ class TestCoefficientsIo:
         loaded = load_coefficients(target)
         assert loaded.num_windows == coeffs.num_windows == 2
         assert np.array_equal(loaded.matrices, coeffs.matrices)
+        assert np.array_equal(loaded.analysis, family.analysis)
         # the reloaded basis is another object of equal values, so it passes
         # the basis guard and synthesizes the same bits
         assert loaded.basis is not basis
@@ -707,7 +736,7 @@ class TestCoefficientsIo:
         target.write_bytes(b"an older file")
         with pytest.raises(InvalidParameter, match=r"^refusing to write .*coefficients\.npz: "
                            r"coefficients hold NaN or infinite values \(window 2\)$"):
-            save_coefficients(target, WgftCoefficients(matrices, basis))
+            save_coefficients(target, WgftCoefficients(matrices, basis, np.ones((3, 5))))
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("kind", [UNNORM, NORM])
@@ -791,6 +820,29 @@ class TestCoefficientsIo:
             assert (9, 9) not in shapes_read
         assert DAMAGE_MESSAGES.get(kind, "") in str(err.value)
 
+    @pytest.mark.parametrize("stored, error, message", [
+        (None, ParseError, "(no analysis); re-run `mwgft analyze` to write it again"),
+        (lambda a: a[:1], DimensionMismatch, "analysis windows (1, 8) for coefficients (2, 8, 8)"),
+        (lambda a: a[:, 1:], DimensionMismatch, "analysis windows (2, 7) for coefficients (2, 8, 8)"),
+        (lambda a: a.astype(np.float32), ParseError,
+         "stored analysis windows have dtype float32, expected float64 or complex128"),
+        (lambda a: _with(a, (1, 3), np.inf), ParseError, "holds NaN or infinite analysis windows"),
+    ], ids=["missing", "one-window", "short", "float32", "inf"])
+    def test_damaged_analysis_member(self, tmp_path, rng, monkeypatch, stored, error, message):
+        basis = random_basis(182, size=8)
+        coeffs = mwgft_analyze(basis, rbf_family(basis, count=2), random_complex(rng, 8))
+        target = tmp_path / "coefficients.npz"
+        _savez(target, coeffs, analysis=stored and stored(coeffs.analysis))
+        shapes_read = []
+        read_member = transform._read_member
+        monkeypatch.setattr(transform, "_read_member", lambda fh, header: (
+            shapes_read.append(header[0]) or read_member(fh, header)))
+        with pytest.raises(error) as err:
+            load_coefficients(target)
+        assert message in str(err.value)
+        if error is DimensionMismatch:  # refused from its header, before its data
+            assert len(shapes_read) == 3
+
     def test_npy_format_2_0_member_loads(self, tmp_path, rng):
         basis = random_basis(186, size=7)
         coeffs = mwgft_analyze(basis, rbf_family(basis), random_complex(rng, 7))
@@ -829,7 +881,8 @@ class TestCoefficientsIo:
     ])
     def test_any_dtype_saves_what_loads(self, tmp_path, dtype, stored):
         # these dtypes used to be saved as they were and then refused on load
-        coeffs = WgftCoefficients(np.ones((2, 4, 4), dtype), basis_for(path_graph(4)))
+        coeffs = WgftCoefficients(np.ones((2, 4, 4), dtype), basis_for(path_graph(4)),
+                                  np.ones((2, 4)))
         target = tmp_path / "coefficients.npz"
         save_coefficients(target, coeffs)
         loaded = load_coefficients(target)
@@ -859,8 +912,8 @@ class TestCoefficientsIo:
             stored = np.repeat(matrices, 2, axis=2)[:, :, ::2]
         assert np.array_equal(stored, matrices) and not stored.flags.c_contiguous
         target, reference = tmp_path / "coefficients.npz", tmp_path / "reference.npz"
-        save_coefficients(target, WgftCoefficients(stored, basis))
-        _savez(reference, WgftCoefficients(matrices, basis))
+        save_coefficients(target, WgftCoefficients(stored, basis, np.ones((3, 8))))
+        _savez(reference, WgftCoefficients(matrices, basis, np.ones((3, 8))))
         with zipfile.ZipFile(target) as got, zipfile.ZipFile(reference) as expected:
             assert got.namelist() == expected.namelist()
             for name in got.namelist():
@@ -880,27 +933,34 @@ class TestCoefficientsIo:
 
     def test_validation(self):
         basis = basis_for(path_graph(3))
+        analysis = np.ones((1, 3))
         with pytest.raises(DimensionMismatch):
-            WgftCoefficients((np.zeros((3, 4)),), basis)
+            WgftCoefficients((np.zeros((3, 4)),), basis, analysis)
         with pytest.raises(DimensionMismatch):
-            WgftCoefficients((), basis)
+            WgftCoefficients((), basis, analysis)
         with pytest.raises(DimensionMismatch):
-            WgftCoefficients((np.zeros((3, 3)), np.zeros((4, 4))), basis)
+            WgftCoefficients((np.zeros((3, 3)), np.zeros((4, 4))), basis, analysis)
         with pytest.raises(DimensionMismatch):
-            WgftCoefficients(np.zeros((1, 4, 4)), basis)
+            WgftCoefficients(np.zeros((1, 4, 4)), basis, analysis)
+        # one analysis window per matrix, sampled on the basis's eigenvalues
+        for windows in (np.ones((2, 3)), np.ones((1, 4)), np.ones(3)):
+            with pytest.raises(DimensionMismatch):
+                WgftCoefficients(np.zeros((1, 3, 3)), basis, windows)
+        with pytest.raises(InvalidParameter, match="^analysis window 1 has non-finite samples$"):
+            WgftCoefficients(np.zeros((1, 3, 3)), basis, [[1.0, np.nan, 1.0]])
 
     @pytest.mark.parametrize("values", [np.full((1, 2, 2), "x"), np.full((1, 2, 2), {}, object)],
                              ids=["string", "object"])
     def test_non_numeric_matrices_raise_invalid_parameter(self, values):
         # the float64 cast used to leak numpy's bare ValueError or TypeError
         with pytest.raises(InvalidParameter, match="^coefficients must be numbers: "):
-            WgftCoefficients(values, basis_for(path_graph(2)))
+            WgftCoefficients(values, basis_for(path_graph(2)), np.ones((1, 2)))
 
     def test_analysis_buffer_is_not_copied(self, rng):
         basis = random_basis(183, size=6)
         coeffs = mwgft_analyze(basis, rbf_family(basis), random_complex(rng, 6))
         assert coeffs.matrices.shape == (3, 6, 6) and coeffs.matrices.flags.owndata
-        assert WgftCoefficients(coeffs.matrices, basis).matrices is coeffs.matrices
+        assert WgftCoefficients(coeffs.matrices, basis, coeffs.analysis).matrices is coeffs.matrices
         assert spectrogram(coeffs).shape == (6, 6)
 
 
@@ -918,7 +978,7 @@ class TestCoefficientStacks:
         family = rbf_family(basis, count=4)
         f = random_complex(rng, 10) if complex_signal else rng.standard_normal(10)
         stream = _analysis(basis, family, f)
-        coeffs = WgftCoefficients(stream.collect(), basis)
+        coeffs = WgftCoefficients(stream.collect(), basis, family.analysis)
         save_coefficients(tmp_path / "stream.npz", stream)
         save_coefficients(tmp_path / "array.npz", coeffs)
         assert (tmp_path / "stream.npz").read_bytes() == (tmp_path / "array.npz").read_bytes()
@@ -1019,7 +1079,8 @@ ARRAY_HOLDERS = {
     "SpectralMagnitudes": lambda basis, family: spectral_magnitudes(basis),
     "WindowFamily": lambda basis, family: WindowFamily.with_same_synthesis(family.analysis),
     "ConditionReport": lambda basis, family: check_nondegeneracy(basis, family),
-    "WgftCoefficients": lambda basis, family: WgftCoefficients(np.ones((1, 4, 4)), basis),
+    "WgftCoefficients": lambda basis, family: WgftCoefficients(np.ones((1, 4, 4)), basis,
+                                                               family.analysis),
     "FrameBounds": lambda basis, family: FrameBounds(1.0, 2.0, np.ones(4)),
 }
 
