@@ -199,12 +199,13 @@ def _cmd_spectrogram(args) -> int:
 def _cmd_frame_bounds(args) -> int:
     config, basis, family = _pipeline(args)
     same = family.synthesis is family.analysis
-    for j in range(family.num_windows):
-        g_hat = family.analysis[j:j + 1]
-        window = (WindowFamily.with_same_synthesis(g_hat) if same
-                  else WindowFamily(g_hat, family.synthesis[j:j + 1]))
+    windows = [(WindowFamily.with_same_synthesis(g_hat) if same
+                else WindowFamily(g_hat, family.synthesis[j:j + 1]), f"window={j + 1}")
+               for j, g_hat in enumerate(family.analysis[:, None])]
+    # each window's bounds, then those of the union frame of all of them
+    for window, label in windows + [(family, "union")]:
         bounds = frame_bounds(basis, window, config.nondegeneracy_tolerance)
-        line = f"window={j + 1} lower={bounds.lower!r} upper={bounds.upper!r}"
+        line = f"{label} lower={bounds.lower!r} upper={bounds.upper!r}"
         if bounds.loose_lower is not None:
             line += f" loose_lower={bounds.loose_lower!r} loose_upper={bounds.loose_upper!r}"
         print(line)
@@ -248,7 +249,8 @@ _COMMANDS = {
         "--out": dict(metavar="DIR", required=True),
         "--pgm": dict(action="store_true"),
     }, reads_config=False),
-    "frame-bounds": _Command("tight frame bounds of each analysis window", _cmd_frame_bounds, {}),
+    "frame-bounds": _Command("tight frame bounds of each analysis window and of their union",
+                             _cmd_frame_bounds, {}),
 }
 
 

@@ -20,7 +20,6 @@ Malformed config values and keys that nothing reads raise
 from __future__ import annotations
 
 import functools
-import importlib.resources
 import math
 import time
 import typing
@@ -372,20 +371,22 @@ def load_config(path) -> ExperimentConfig:
     return config_from_mapping(raw)
 
 
+#: the shipped presets, one ``<name>.yaml`` each
+_PRESETS = Path(__file__).with_name("presets")
+
+
 def list_presets() -> list[str]:
-    root = importlib.resources.files("mwgft") / "presets"
-    return sorted(p.name.removesuffix(".yaml") for p in root.iterdir() if p.name.endswith(".yaml"))
+    return sorted(path.stem for path in _PRESETS.glob("*.yaml"))
 
 
 def load_preset(name: str) -> ExperimentConfig:
-    resource = importlib.resources.files("mwgft") / "presets" / f"{name}.yaml"
-    if not resource.is_file():
-        raise InvalidParameter(
-            f"unknown preset {name!r}; available: {', '.join(list_presets())}"
-        )
-    with resource.open("r", encoding="utf-8") as fh:
-        raw = _document(fh, resource)
-    return config_from_mapping(raw)
+    """The shipped preset ``name``, parsed as :func:`load_config` parses a
+    config file.  A name :func:`list_presets` does not list, a path or an
+    over-long string among them, raises :class:`InvalidParameter`."""
+    names = list_presets()
+    if name not in names:
+        raise InvalidParameter(f"unknown preset {_shown(name)}; available: {', '.join(names)}")
+    return load_config(_PRESETS / f"{name}.yaml")
 
 
 @dataclass

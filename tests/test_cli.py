@@ -28,6 +28,7 @@ from mwgft import (
     WindowFamily,
     check_nondegeneracy,
     eigendecompose,
+    frame_bounds,
     igft,
     laplacian,
     load_coefficients,
@@ -506,6 +507,19 @@ class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(InvalidParameter):
             load_preset("no-such-thing")
+
+    @pytest.mark.parametrize("name", ["absolute", "../presets/path-impulse", "x" * 5000],
+                             ids=["absolute", "parent", "long"])
+    def test_preset_name_is_a_shipped_name(self, tmp_path, capsys, name):
+        # a path used to load any <path>.yaml, and a long name to raise OSError
+        (tmp_path / "x.yaml").write_text((experiment._PRESETS / "path-impulse.yaml").read_text())
+        name = str(tmp_path / "x") if name == "absolute" else name
+        with pytest.raises(InvalidParameter, match="^unknown preset "):
+            load_preset(name)
+        assert main(["graph-info", "--preset", name]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: unknown preset ") and len(captured.err) < 300
 
     def test_impulse_preset_shape(self):
         config = load_preset("path-impulse")
@@ -1775,11 +1789,24 @@ class TestCliPipelines:
     def test_frame_bounds_loose_upper_is_upper(self, capsys):
         # path-impulse used to print a loose_upper one ulp below upper
         assert main(["frame-bounds", "--preset", "path-impulse"]) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert lines
-        for line in lines:
+        *lines, union = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 3 and union.startswith("union ")
+        for line in lines + [union.removeprefix("union ")]:
             fields = dict(part.split("=", 1) for part in line.split())
             assert fields["loose_upper"] == fields["upper"]
+
+    @pytest.mark.parametrize("preset", ["path-chirp", "random-irregular"])
+    def test_frame_bounds_union_line_is_the_library_value(self, capsys, preset):
+        assert main(["frame-bounds", "--preset", preset]) == 0
+        union = capsys.readouterr().out.splitlines()[-1]
+        config = load_preset(preset)
+        basis = eigendecompose(laplacian(config.graph.build(), config.kind), config.kind)
+        bounds = frame_bounds(basis, config.windows.build(basis))
+        expected = f"union lower={bounds.lower!r} upper={bounds.upper!r}"
+        if bounds.loose_lower is not None:
+            expected += f" loose_lower={bounds.loose_lower!r} loose_upper={bounds.loose_upper!r}"
+        assert union == expected
+        assert (bounds.loose_lower is None) == (config.windows.pairing == "same-as-analysis")
 
     def test_frame_bounds_flat_window_is_tight(self, tmp_path, capsys):
         n = 8
@@ -1795,12 +1822,14 @@ class TestCliPipelines:
         )
         cfg = write_yaml(tmp_path / "cfg.yaml", mapping)
         assert main(["frame-bounds", "--config", cfg]) == 0
-        line = capsys.readouterr().out.strip()
+        line, union = capsys.readouterr().out.strip().splitlines()
         fields = dict(part.split("=", 1) for part in line.split())
         assert fields["window"] == "1"
         assert float(fields["lower"]) == pytest.approx(n, rel=1e-10)
         assert float(fields["upper"]) == pytest.approx(n, rel=1e-10)
         assert float(fields["loose_lower"]) <= float(fields["lower"]) * (1 + 1e-12)
+        # one window: its union frame is itself
+        assert union == "union " + line.removeprefix("window=1 ")
 
     def test_frame_bounds_preset_no_dual_when_same(self, capsys):
         assert main(["frame-bounds", "--preset", "random-irregular"]) != 1
@@ -1810,14 +1839,7 @@ class TestCliPipelines:
         assert out.count("window=") == 5
 
 
-def test_shipped_scripts_run(tmp_path, capsys):
-    run_presets = load_script("run_presets")
-    assert run_presets.main(["--out-root", str(tmp_path)]) == 0
-    for name in run_presets.SELF_CONTAINED:
-        assert (tmp_path / name / "coefficients.npz").is_file(), name
-    # a header, a rule, then one row per preset
-    table = capsys.readouterr().out.splitlines()[2:5]
-    assert [row.split()[0] for row in table] == ["path-impulse", "path-chirp", "random-irregular"]
+def test_shipped_scripts_run(capsys):
     sweep = load_script("denominator_sweep")
     assert sweep.main(["--size", "40", "--counts", "1", "2", "3"]) == 0
     out = capsys.readouterr().out
@@ -1838,10 +1860,3 @@ def test_shipped_scripts_run(tmp_path, capsys):
     # the noise gains x sqrt(JN) of both pairings come last
     assert header[-2:] == ["gain-same", "gain-normalized"]
     assert all(len(row) == 6 and 0.0 < float(row[4]) and 0.0 < float(row[5]) for row in rows)
-
-
-def test_run_presets_script_writes_no_spectrogram_csv(tmp_path, capsys):
-    run_presets = load_script("run_presets")
-    assert run_presets.main(["--out-root", str(tmp_path)]) == 0
-    assert sorted(tmp_path.rglob("spectrogram_*.csv")) == []
-    assert "random-irregular" in capsys.readouterr().out

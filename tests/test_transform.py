@@ -22,12 +22,14 @@ from mwgft import (
     frame_bounds,
     gft,
     load_coefficients,
+    load_preset,
     mwgft_analyze,
     mwgft_synthesize,
     path_graph,
     random_connected_graph,
     rbf_prototype,
     reconstruct_two_window,
+    run_experiment,
     save_coefficients,
     shifted_family,
     spectral_magnitudes,
@@ -493,6 +495,87 @@ class TestFrameBounds:
         with pytest.raises(NotAFrame, match=r"^sum_j \|\|T_i g_j\|\|\^2 <= .*; atoms do not "
                                             r"span \(vertices: 4\)$"):
             frame_bounds(basis, family)
+
+
+
+class TestFrameOperator:
+    """The frame operator of the analysis atoms is ``N diag(e)``, e the
+    translate energies of :func:`frame_bounds`, so the same-as-analysis
+    synthesis is the canonical dual: the least-squares inverse."""
+
+    @pytest.fixture(params=[(kind, count) for kind in (UNNORM, NORM) for count in (1, 3)],
+                    ids=lambda case: f"{case[0].value}-J{case[1]}")
+    def case(self, request):
+        kind, count = request.param
+        basis = basis_for(random_connected_graph(40, 7, extra_edges=30), kind)
+        same = rbf_family(basis, count=count, l_fac=0.7, same=True)
+        # the analysis of each impulse is a column of the analysis operator
+        phi = np.stack([mwgft_analyze(basis, same, delta).matrices.ravel()
+                        for delta in np.eye(basis.size)], axis=1)
+        return basis, same, phi
+
+    def test_frame_operator_is_n_diag_translate_energies(self, case):
+        basis, same, phi = case
+        gram = phi.T @ phi
+        diagonal = np.diag(gram).copy()
+        np.fill_diagonal(gram, 0.0)
+        assert np.abs(gram).max() <= 1e-14 * diagonal.max()
+        energies = frame_bounds(basis, same).translate_energies
+        np.testing.assert_allclose(diagonal, basis.size * energies, rtol=1e-13, atol=0)
+
+    def test_same_as_analysis_synthesis_is_least_squares(self, case, rng):
+        basis, same, phi = case
+        coefficients = mwgft_analyze(basis, same, random_complex(rng, basis.size)).matrices
+        noise = random_complex(rng, coefficients.size).reshape(coefficients.shape)
+        noisy = coefficients + 1e-3 * np.linalg.norm(coefficients) / np.linalg.norm(noise) * noise
+        best = np.linalg.lstsq(phi, noisy.ravel(), rcond=None)[0]
+
+        def distance(family):
+            stack = WgftCoefficients(noisy, basis, family.analysis)
+            return np.linalg.norm(mwgft_synthesize(basis, family, stack) - best) / np.linalg.norm(best)
+
+        assert distance(same) <= 1e-12
+        # the normalized dual also inverts the analysis, but it is another dual
+        normalized = WindowFamily.with_normalized_synthesis(same.analysis)
+        assert distance(normalized) > 1e-7
+
+
+class TestGemmCount:
+    """The transform's N x N products: J+1 for the analysis (``N A``, then
+    one per window), none for the spectrogram and J+1 for the synthesis, so
+    a run makes 2J+2, the fewest while the synthesis reads the written S_j."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counted = []
+        left_multiply = transform._left_multiply
+
+        def counting(*args, **kwargs):
+            counted.append(1)
+            return left_multiply(*args, **kwargs)
+
+        monkeypatch.setattr(transform, "_left_multiply", counting)
+        return counted
+
+    @pytest.mark.parametrize("count", [1, 3, 5])
+    @pytest.mark.parametrize("complex_signal", [False, True], ids=["real", "complex"])
+    def test_analyze_spectrogram_synthesize(self, calls, rng, count, complex_signal):
+        basis = basis_for(random_connected_graph(30, 7))
+        family = rbf_family(basis, count=count)
+        f = random_complex(rng, 30) if complex_signal else rng.standard_normal(30)
+        coefficients = mwgft_analyze(basis, family, f)
+        assert len(calls) == count + 1
+        spectrogram(coefficients)
+        assert len(calls) == count + 1
+        mwgft_synthesize(basis, family, coefficients)
+        assert len(calls) == 2 * count + 2
+
+    @pytest.mark.parametrize("preset, count", [
+        ("path-impulse", 3), ("path-chirp", 6), ("random-irregular", 5)])
+    def test_run_experiment(self, calls, tmp_path, preset, count):
+        report = run_experiment(load_preset(preset), out_dir=tmp_path)
+        assert report.num_windows == count
+        assert len(calls) == 2 * count + 2
 
 
 class TestSpectrogram:
