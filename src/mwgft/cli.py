@@ -207,7 +207,7 @@ def _cmd_frame_bounds(args) -> int:
         bounds = frame_bounds(basis, window, config.nondegeneracy_tolerance)
         line = f"{label} lower={bounds.lower!r} upper={bounds.upper!r}"
         if bounds.loose_lower is not None:
-            line += f" loose_lower={bounds.loose_lower!r} loose_upper={bounds.loose_upper!r}"
+            line += f" loose_lower={bounds.loose_lower!r}"
         print(line)
     return 0
 

@@ -9,6 +9,7 @@ every public interface and file format; internally arrays are 0-based.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -149,16 +150,31 @@ def _component_labels(weights: np.ndarray) -> np.ndarray:
     return labels
 
 
+def _vertex_index(value, edge: tuple) -> int:
+    """``value`` as a vertex index: a number whose value is an integer (a
+    ``np.loadtxt`` edge array holds ``2.0``), else :class:`InvalidParameter`
+    naming ``edge``, so ``2.5`` or ``"2"`` is never truncated or parsed."""
+    if isinstance(value, numbers.Real):
+        try:
+            if value == int(value):
+                return int(value)
+        except (ValueError, OverflowError):  # NaN, infinity
+            pass
+    raise InvalidParameter(f"edge ({_shown(edge[0])}, {_shown(edge[1])}) has vertex index "
+                           f"{_shown(value)}, which is not an integer")
+
+
 def _collect_edges(num_vertices: int, edges: Iterable[tuple[int, int, float]]) -> dict:
     """Validate and deduplicate an edge iterable into {(i<j): weight}.
 
-    Zero-weight edges are dropped.  Repeating a pair with the same weight is
-    tolerated; repeating it with a different weight raises
-    :class:`DuplicateEdgeConflict`.
+    Vertex indices must be integers in value.  Zero-weight edges are
+    dropped.  Repeating a pair with the same weight is tolerated; repeating
+    it with a different weight raises :class:`DuplicateEdgeConflict`.
     """
     out: dict[tuple[int, int], float] = {}
-    for i, j, w in edges:
-        i, j, w = int(i), int(j), float(w)
+    for edge in edges:
+        i, j, w = edge
+        i, j, w = _vertex_index(i, edge), _vertex_index(j, edge), float(w)
         _check_vertex(i, num_vertices)
         _check_vertex(j, num_vertices)
         if i == j:

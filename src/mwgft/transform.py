@@ -126,18 +126,17 @@ class FrameBounds:
 
     ``translate_energies`` is ``sum_j ||T_i g_j||^2`` at every vertex (entry
     i-1), and ``lower``/``upper`` are the optimal constants N*min/max of it.
-    For a family with its own synthesis windows, ``loose_lower``/``loose_upper``
-    hold the coarser pair (a^2 N, b^2 N), with a the smallest of
-    ``|sum_j <T_i gamma_j, T_i g_j>| / sqrt(sum_j ||T_i gamma_j||^2)`` and b
-    the largest ``sqrt(sum_j ||T_i g_j||^2)``; so loose_upper equals upper,
-    and loose_lower <= lower.
+    For a family with its own synthesis windows, ``loose_lower`` is a^2 N,
+    with a the smallest of
+    ``|sum_j <T_i gamma_j, T_i g_j>| / sqrt(sum_j ||T_i gamma_j||^2)``; so
+    loose_lower <= lower.  The loose upper bound b^2 N, with b the largest
+    ``sqrt(sum_j ||T_i g_j||^2)``, is ``upper`` itself.
     """
 
     lower: float
     upper: float
     translate_energies: np.ndarray
     loose_lower: float | None = None
-    loose_upper: float | None = None
 
 
 def _left_multiply(u: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -350,12 +349,11 @@ def frame_bounds(
     exceed the tolerance.
 
     A family whose synthesis windows are not its analysis windows also gets
-    the loose pair, whose cross energies ``sum_j <T_i gamma_j, T_i g_j>`` and
-    dual energies ``sum_j ||T_i gamma_j||^2`` are d(n) of the family and of
-    its synthesis windows paired with themselves.  Cauchy-Schwarz over the J
-    stacked translates bounds each cross energy by the square roots of the
-    dual energy and of ``sum_j ||T_i g_j||^2``, so ``loose_lower <= lower``,
-    and ``loose_upper == upper``.
+    ``loose_lower``, from cross energies ``sum_j <T_i gamma_j, T_i g_j>`` and
+    dual energies ``sum_j ||T_i gamma_j||^2`` that are d(n) of the family and
+    of its synthesis windows paired with themselves.  Cauchy-Schwarz over the
+    J stacked translates bounds each cross energy by the square roots of the
+    dual energy and of ``sum_j ||T_i g_j||^2``, so ``loose_lower <= lower``.
     """
     report = _verdict(basis, WindowFamily.with_same_synthesis(family.analysis), tolerance)
     if not report.satisfied:
@@ -372,7 +370,7 @@ def frame_bounds(
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(dual_energies > 0, np.abs(cross) / np.sqrt(dual_energies), 0.0)
     a = float(np.min(ratios))
-    return replace(bounds, loose_lower=a * a * n, loose_upper=bounds.upper)
+    return replace(bounds, loose_lower=a * a * n)
 
 
 def spectrogram(coeffs: WgftCoefficients | _Windows) -> np.ndarray:
@@ -464,22 +462,15 @@ def _put_member(archive: zipfile.ZipFile, name: str, header: dict, blocks) -> No
             fh.write(np.ascontiguousarray(block).data)
 
 
-def _put_array(archive: zipfile.ZipFile, name: str, array: np.ndarray) -> None:
-    header = np.lib.format.header_data_from_array_1_0(array)
-    _put_member(archive, name, header, [array.T if header["fortran_order"] else array])
-
-
 def _npy_header(archive: zipfile.ZipFile, name: str, fh) -> tuple[tuple, bool, np.dtype]:
-    """(shape, fortran_order, dtype) from the head of the ``.npy`` member
-    ``name`` open in ``fh``: object dtypes are refused, and so is a shape that
-    needs more bytes than the member holds, before it sizes any allocation."""
+    """(shape, fortran_order, dtype) from the format 1.0 head of the ``.npy``
+    member ``name`` open in ``fh``: other versions and object dtypes are
+    refused, and so is a shape that needs more bytes than the member holds,
+    before it sizes any allocation."""
     version = np.lib.format.read_magic(fh)
-    if version == (1, 0):
-        header = np.lib.format.read_array_header_1_0(fh)
-    elif version == (2, 0):
-        header = np.lib.format.read_array_header_2_0(fh)
-    else:
+    if version != (1, 0):  # what np.savez writes for every member of the file
         raise ValueError(f"unsupported .npy format version {version}")
+    header = np.lib.format.read_array_header_1_0(fh)
     shape, _, dtype = header
     if dtype.hasobject:
         raise ValueError(f"{name} holds Python objects, which are never unpickled")
@@ -511,12 +502,13 @@ def _read_coefficients(path) -> _Windows:
     stored beside them, as a :class:`_Windows` stack, never unpickling.
 
     Every member's header passes :func:`_npy_header` before anything is
-    allocated for it, ``vectors`` must be N x N for the N of ``eigenvalues``,
-    and ``analysis`` (J, N) for the J of ``coefficients``.  The basis members,
-    the kind and the analysis spectra are read and checked here; each pass
-    over the stack then reads the windows in order, checks each for NaN and
-    infinity, and ends where the zip CRC of the member is checked.  Errors
-    are those of :func:`load_coefficients`.
+    allocated for it, ``coefficients`` must be in C order, ``vectors`` N x N
+    for the N of ``eigenvalues`` and ``analysis`` (J, N) for the J of
+    ``coefficients``.  The basis members, the kind and the analysis spectra
+    are read and checked here; each pass over the stack then reads the
+    windows in order, checks each for NaN and infinity, and ends where the
+    zip CRC of the member is checked.  Errors are those of
+    :func:`load_coefficients`.
     """
     name = "coefficients.npy"
     try:
@@ -530,6 +522,12 @@ def _read_coefficients(path) -> _Windows:
                 )
             with archive.open(name) as fh:
                 header = _npy_header(archive, name, fh)
+            if header[1]:
+                raise ParseError(
+                    f"coefficient file {path} stores its coefficients in Fortran order, so "
+                    f"its windows cannot be read one at a time; re-run `mwgft analyze` to "
+                    f"write it again"
+                )
             members = {}
             for key in _STORED_KEYS:
                 with archive.open(f"{key}.npy") as fh:
@@ -546,7 +544,7 @@ def _read_coefficients(path) -> _Windows:
     except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
         raise ParseError(f"could not read coefficient file {path}: {exc}") from exc
     vals, vecs, kind, analysis = members.values()
-    shape, fortran_order, dtype = header
+    shape, _, dtype = header
     if dtype not in (np.float64, np.complex128):
         raise ParseError(f"coefficients have dtype {dtype}, expected float64 or complex128")
     real, either = (np.dtype(np.float64),), (np.dtype(np.float64), np.dtype(np.complex128))
@@ -571,14 +569,9 @@ def _read_coefficients(path) -> _Windows:
             with zipfile.ZipFile(path) as archive, archive.open(name) as fh:
                 if _npy_header(archive, name, fh) != header:
                     raise ValueError("coefficient header changed while the file was read")
-                # a foreign layout, not window by window: read it whole
-                whole = _read_member(fh, header) if fortran_order else None
                 for j in range(shape[0]):
                     target = window if out is None else out[j]
-                    if fortran_order:
-                        target[...] = whole[j]
-                    else:
-                        _fill(fh, target)
+                    _fill(fh, target)
                     if not np.isfinite(target).all():
                         raise ParseError(
                             f"coefficient file {path} holds NaN or infinite coefficients "
@@ -621,10 +614,10 @@ def save_coefficients(path, coeffs: WgftCoefficients | _Windows) -> None:
         with archive:
             with np.errstate(over="ignore", invalid="ignore"):  # finite() refuses
                 _put_member(archive, "coefficients", header, finite())
-            _put_array(archive, "eigenvalues", basis.eigenvalues)
-            _put_array(archive, "vectors", basis.vectors)
-            _put_array(archive, "kind", np.array(basis.kind.value))
-            _put_array(archive, "analysis", coeffs.analysis)
+            for key, array in zip(_STORED_KEYS, (basis.eigenvalues, basis.vectors,
+                                                 np.array(basis.kind.value), coeffs.analysis)):
+                stored = np.lib.format.header_data_from_array_1_0(array)
+                _put_member(archive, key, stored, [array.T if stored["fortran_order"] else array])
     except BaseException:
         Path(path).unlink(missing_ok=True)
         raise
@@ -635,10 +628,11 @@ def load_coefficients(path) -> WgftCoefficients:
 
     Every member's header is checked before anything is allocated for it.  A
     missing, damaged or foreign file, one without its basis or analysis
-    spectra, a member header that stores Python objects or promises more
-    bytes than the member holds, NaN or infinite values, or dtypes other
-    than float64 (float64 or complex128 for the coefficients and the
-    analysis spectra) raise :class:`ParseError`; arrays whose shapes are not
+    spectra, coefficients stored in Fortran order, a member header that is
+    not format 1.0, stores Python objects or promises more bytes than the
+    member holds, NaN or infinite values, or dtypes other than float64
+    (float64 or complex128 for the coefficients and the analysis spectra)
+    raise :class:`ParseError`; arrays whose shapes are not
     (J, N, N), (N,), (N, N) and (J, N) raise :class:`DimensionMismatch`.
     The basis keeps the stored memory order; :func:`mwgft_synthesize`
     compares its values, and the analysis spectra, with the ones it is given.
@@ -647,17 +641,34 @@ def load_coefficients(path) -> WgftCoefficients:
     return WgftCoefficients(windows.collect(), windows.basis, windows.analysis)
 
 
+def _real_map(path, matrix) -> np.ndarray:
+    """``matrix`` as a 2-D float64 array; a complex or non-2-D one raises
+    :class:`InvalidParameter` before ``path`` is opened."""
+    matrix = np.asarray(matrix)
+    if matrix.ndim != 2 or np.iscomplexobj(matrix):
+        raise InvalidParameter(f"refusing to write {path}: a spectrogram is a real 2-D map, "
+                               f"got {matrix.dtype} of shape {matrix.shape}")
+    return matrix.astype(np.float64, copy=False)
+
+
 def save_spectrogram_csv(path, matrix: np.ndarray) -> None:
     """One spectrogram matrix as CSV: vertex row index, then |S|^2 per frequency."""
-    matrix = np.asarray(matrix, dtype=np.float64)
+    matrix = _real_map(path, matrix)
     header = ["vertex"] + [f"k{k}" for k in range(matrix.shape[1])]
     write_table(path, header, matrix, 1, "\r\n")
 
 
 def save_spectrogram_pgm(path, matrix: np.ndarray) -> None:
-    """Binary PGM preview: linear grayscale, normalized by the matrix maximum."""
-    matrix = np.asarray(matrix, dtype=float)
-    peak = matrix.max()
+    """Binary PGM preview: linear grayscale, normalized by the matrix maximum.
+    A map holding NaN, infinity or a negative entry, which no gray level
+    shows, raises :class:`InvalidParameter` before ``path`` is opened."""
+    matrix = _real_map(path, matrix)
+    low, peak = matrix.min(), matrix.max()
+    if not (math.isfinite(low) and math.isfinite(peak)):
+        raise InvalidParameter(f"refusing to write {path}: the map holds NaN or infinite values")
+    if low < 0:
+        raise InvalidParameter(
+            f"refusing to write {path}: the map has a negative entry ({float(low)!r})")
     # one N x N temporary, scaled and rounded in place: ``mwgft run`` writes
     # the image while its synthesis sum still holds M and the analysis scratch
     scaled = matrix / (peak if peak > 0 else 1.0)

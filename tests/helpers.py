@@ -74,21 +74,42 @@ FORGED_MEMBERS = {
 }
 
 
+def rewrite_member(target, member, edit):
+    """Replace the bytes of ``member`` in the zip file ``target`` by ``edit`` of them."""
+    with zipfile.ZipFile(target) as archive:
+        blobs = {name: archive.read(name) for name in archive.namelist()}
+    blobs[member] = edit(blobs[member])
+    with zipfile.ZipFile(target, "w") as archive:
+        for name, blob in blobs.items():
+            archive.writestr(name, blob)
+
+
+def npy_2_0(member):
+    """A format 1.0 ``.npy`` member rewritten with a format 2.0 header."""
+    stored = io.BytesIO(member)
+    np.lib.format.read_magic(stored)
+    shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(stored)
+    header = io.BytesIO()
+    np.lib.format.write_array_header_2_0(header, {
+        "descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": fortran_order,
+        "shape": shape})
+    return header.getvalue() + stored.read()
+
+
 def forge_member(target, case):
     """Rewrite one member header of the coefficient file ``target`` as
     :data:`FORGED_MEMBERS` names it, keeping as many of the member's data
     bytes as the new header promises, but at most 64."""
     member, descr, shape = FORGED_MEMBERS[case]
-    with zipfile.ZipFile(target) as archive:
-        blobs = {name: archive.read(name) for name in archive.namelist()}
-    stored = io.BytesIO(blobs[f"{member}.npy"])
-    np.lib.format.read_magic(stored)
-    np.lib.format.read_array_header_1_0(stored)
-    header = io.BytesIO()
-    np.lib.format.write_array_header_1_0(
-        header, {"descr": descr, "fortran_order": False, "shape": shape})
-    kept = min(64, np.dtype(descr).itemsize * math.prod(shape))
-    blobs[f"{member}.npy"] = header.getvalue() + stored.read()[:kept]
-    with zipfile.ZipFile(target, "w") as archive:
-        for name, blob in blobs.items():
-            archive.writestr(name, blob)
+
+    def forge(blob):
+        stored = io.BytesIO(blob)
+        np.lib.format.read_magic(stored)
+        np.lib.format.read_array_header_1_0(stored)
+        header = io.BytesIO()
+        np.lib.format.write_array_header_1_0(
+            header, {"descr": descr, "fortran_order": False, "shape": shape})
+        kept = min(64, np.dtype(descr).itemsize * math.prod(shape))
+        return header.getvalue() + stored.read()[:kept]
+
+    rewrite_member(target, f"{member}.npy", forge)

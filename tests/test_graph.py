@@ -75,6 +75,22 @@ class TestBuildGraph:
         with pytest.raises(IndexOutOfRange):
             build_graph(2, [(1, 3, 1.0)])
 
+    @pytest.mark.parametrize("edge, shown", [
+        ((1, 2.5, 1.0), r"edge \(1, 2\.5\) has vertex index 2\.5,"),  # used to build edge (1, 2)
+        (("2", 3, 1.0), r"edge \('2', 3\) has vertex index '2',"),  # used to parse the string
+        ((1, float("nan"), 1.0), r"edge \(1, nan\) has vertex index nan,"),
+        ((np.float64(1.0), np.float64(2.5), 1.0), r"has vertex index np\.float64\(2\.5\),"),
+    ], ids=["fraction", "string", "nan", "numpy-fraction"])
+    def test_fractional_vertex_index_rejected(self, edge, shown):
+        with pytest.raises(InvalidParameter, match=shown + " which is not an integer"):
+            build_graph(3, [edge, (1, 3, 1.0)])
+
+    def test_integral_float_indices_accepted(self):
+        edges = np.loadtxt(["1 2 1.0", "2 3 2.0"])
+        assert edges.dtype == np.float64
+        graph = build_graph(3, edges)
+        assert graph.num_edges == 2 and graph.weights[1, 2] == 2.0
+
     @pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf])
     def test_non_finite_weight_rejected(self, weight):
         with pytest.raises(InvalidParameter, match="non-finite"):
